@@ -27,6 +27,8 @@ __all__ = [
     "dense",
     "silu",
     "sigmoid",
+    "sigmoid_np",
+    "silu_np",
     "reshape",
     "transpose",
     "stack",
@@ -35,6 +37,7 @@ __all__ = [
     "masked_softmax",
     "rmsnorm",
     "rope_rotate",
+    "rope_rotate_np",
     "embedding_lookup",
     "cross_entropy_logits",
     "topk_indices",
@@ -221,10 +224,19 @@ def scale(a: Tensor, c: float) -> Tensor:
     return _record(out, (a,), lambda g: (g * c,))
 
 
+def sigmoid_np(x: np.ndarray) -> np.ndarray:
+    """Overflow-safe logistic function: exp only ever sees -|x|."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def silu_np(x: np.ndarray) -> np.ndarray:
+    return x * sigmoid_np(x)
+
+
 def sigmoid(x: Tensor) -> Tensor:
-    # Split by sign to avoid overflow in exp for large |x|.
     d = x.data
-    s = np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))), np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
+    s = sigmoid_np(d)
     out = Tensor(s.astype(d.dtype, copy=False))
 
     def vjp(g):
@@ -235,7 +247,7 @@ def sigmoid(x: Tensor) -> Tensor:
 
 def silu(x: Tensor) -> Tensor:
     d = x.data
-    s = np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))), np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
+    s = sigmoid_np(d)
     out = Tensor((d * s).astype(d.dtype, copy=False))
 
     def vjp(g):
@@ -407,29 +419,26 @@ def rmsnorm(x: Tensor, gain: Tensor, eps: float = 1e-8) -> Tensor:
     return _record(out, (x, gain), vjp)
 
 
+def rope_rotate_np(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    """Rotate interleaved coordinate pairs (x[2i], x[2i+1]) by the angles of cos/sin."""
+    xe, xo = x[..., 0::2], x[..., 1::2]
+    out = np.empty_like(x)
+    out[..., 0::2] = xe * cos - xo * sin
+    out[..., 1::2] = xe * sin + xo * cos
+    return out
+
+
 def rope_rotate(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
     """Rotate interleaved coordinate pairs of the last axis.
 
     ``cos``/``sin`` have last extent x.shape[-1] // 2 and broadcast over the
-    rest; they are treated as constants (position tables).
+    rest; they are treated as constants (position tables). The gradient is
+    the inverse rotation.
     """
     if x.shape[-1] % 2:
         raise ShapeError(f"rope needs an even last axis, got {x.shape}")
-    d = x.data
-    xe, xo = d[..., 0::2], d[..., 1::2]
-    out_d = np.empty_like(d)
-    out_d[..., 0::2] = xe * cos - xo * sin
-    out_d[..., 1::2] = xe * sin + xo * cos
-    out = Tensor(out_d)
-
-    def vjp(g):
-        ge, go = g[..., 0::2], g[..., 1::2]
-        gx = np.empty_like(g)
-        gx[..., 0::2] = ge * cos + go * sin
-        gx[..., 1::2] = -ge * sin + go * cos
-        return (gx,)
-
-    return _record(out, (x,), vjp)
+    out = Tensor(rope_rotate_np(x.data, cos, sin))
+    return _record(out, (x,), lambda g: (rope_rotate_np(g, cos, -sin),))
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ error, 3 verification failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -92,22 +93,22 @@ def cmd_decode(args) -> int:
     if not ckpt_path:
         raise ConfigError("no checkpoint path: set paths.checkpoint or pass --checkpoint")
     state = load_checkpoint(ckpt_path, man.model, man.train)
-    reader = None
+    store_path = None
     if man.model.kind != "dense":
         store_path = man.paths.get("store") if args.store is None else args.store
         if not store_path:
             raise ConfigError("no store path: set paths.store or pass --store")
-        reader = ExpertStoreReader(store_path)
 
     tok = ByteTokenizer()
     prompt = tok.tokenize(args.prompt.encode())
     if prompt.size == 0:
         raise ConfigError("prompt must not be empty")
     rng = np.random.default_rng(args.seed if args.seed is not None else 0)
-    decoder = DecoderState(state.model, reader)
-    out_ids, totals = generate(
-        decoder, prompt, args.steps, sampler=args.sampler, temperature=args.temperature, rng=rng
-    )
+    with ExpertStoreReader(store_path) if store_path else contextlib.nullcontext() as reader:
+        decoder = DecoderState(state.model, reader)
+        out_ids, totals = generate(
+            decoder, prompt, args.steps, sampler=args.sampler, temperature=args.temperature, rng=rng
+        )
     text = tok.detokenize(np.asarray(out_ids, dtype=np.int64))
     print("generated:", text.decode(errors="replace"))
 
@@ -118,8 +119,6 @@ def cmd_decode(args) -> int:
                 f.write(json.dumps(row.as_dict()) + "\n")
         print(f"cost report: {report_path} ({len(decoder.rows)} records)")
     _print_cost_summary(decoder, totals)
-    if reader is not None:
-        reader.close()
     return EXIT_OK
 
 

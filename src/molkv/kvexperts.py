@@ -10,9 +10,9 @@ the normalized token embedding. A block combines three expert signals:
   scores and softmax-weighted (gated by sigmoid(h . u'));
 * the ordinary shared FFN.
 
-The batched training forward recomputes every key/value from embeddings;
-the incremental forward consumes precomputed experts (from the store) and a
-per-sequence cache. The two must agree per token, which the tests enforce.
+Training runs ``molkv_expert_pairs`` taped on every position; export runs
+it untaped on every token id. The per-token step that consumes the pairs
+through a per-sequence cache is ``molkv_step`` in :mod:`molkv.runtime`.
 """
 
 from __future__ import annotations
@@ -38,18 +38,7 @@ from .autodiff import (
     topk_indices,
     transpose,
 )
-from .layers import (
-    NORM_EPS,
-    ROPE_THETA,
-    FFNParams,
-    rmsnorm_np,
-    rope_np,
-    rope_tables,
-    sigmoid_np,
-    softmax_np,
-    swishglu_ffn,
-    swishglu_ffn_np,
-)
+from .layers import NORM_EPS, ROPE_THETA, FFNParams, rope_np, rope_tables, softmax_np, swishglu_ffn
 
 
 class CacheStateError(RuntimeError):
@@ -118,19 +107,24 @@ class ExpertKV:
     values_normed: np.ndarray  # (N, d)
 
 
+def molkv_expert_pairs(emb: Tensor, params: MoLKVBlockParams):
+    """(post-norm keys, raw values, normed values) for (..., d) embeddings: (..., N, d'), (..., N, d) twice."""
+    eh = rmsnorm(emb, params.vocab_norm, params.norm_eps)
+    keys = stack(
+        [rmsnorm(swishglu_ffn(eh, ke), params.key_norm, params.norm_eps) for ke in params.key_experts], axis=-2
+    )
+    values = stack([swishglu_ffn(eh, ve) for ve in params.value_experts], axis=-2)
+    return keys, values, rmsnorm(values, params.value_norm, params.norm_eps)
+
+
 def compute_expert_kv(e_id: np.ndarray, params: MoLKVBlockParams) -> ExpertKV:
     """Expert keys/values for one embedding row (or a batch of rows).
 
     e_id is (d,) or (..., d); outputs gain a leading N axis after the batch
-    axes: keys (..., N, d'), values (..., N, d).
+    axes: keys (..., N, d'), values (..., N, d). Call it with no tape active.
     """
-    eh = rmsnorm_np(np.asarray(e_id), params.vocab_norm.data, params.norm_eps)
-    keys = np.stack(
-        [rmsnorm_np(swishglu_ffn_np(eh, ke), params.key_norm.data, params.norm_eps) for ke in params.key_experts],
-        axis=-2,
-    )
-    values = np.stack([swishglu_ffn_np(eh, ve) for ve in params.value_experts], axis=-2)
-    return ExpertKV(keys=keys, values=values, values_normed=rmsnorm_np(values, params.value_norm.data, params.norm_eps))
+    keys, values, values_normed = molkv_expert_pairs(Tensor(e_id), params)
+    return ExpertKV(keys=keys.data, values=values.data, values_normed=values_normed.data)
 
 
 # ---------------------------------------------------------------------------
@@ -228,43 +222,6 @@ def molkv_augmented_routing(h: np.ndarray, q: np.ndarray, kv: ExpertKV, params: 
     return softmax_np(logits)
 
 
-def molkv_infer_forward(
-    h: np.ndarray,
-    token_id: int,
-    position: int,
-    cache: KVExpertCache,
-    kv: ExpertKV,
-    params: MoLKVBlockParams,
-):
-    """One decoded token through the block; returns (y, cache, k_eff).
-
-    ``kv`` holds the store record for ``token_id``. The token's own experts
-    join the cache only after its output is computed, so position 0 sees an
-    empty window and contributes no cached-expert term. k_eff is the number
-    of cached experts actually selected (cost accounting).
-    """
-    if cache.positions and cache.positions[-1] != position - 1:
-        raise CacheStateError(f"cache ends at {cache.positions[-1]}, expected {position - 1}")
-
-    q, q_rot = molkv_query(h, params, position)
-    s_own = molkv_augmented_routing(h, q, kv, params)
-    g = sigmoid_np(h @ params.gate.data)
-    own = g * (s_own @ kv.values)
-
-    scores = molkv_new_scores(q_rot, h, cache, params)
-    idx, weights = molkv_select(scores, params.top_k)
-    if idx.size:
-        flat_vals = cache.values.reshape(-1, cache.hidden_size)
-        g_new = sigmoid_np(h @ params.new_gate.data)
-        new = g_new * (weights @ flat_vals[idx])
-    else:
-        new = np.zeros_like(h)
-
-    y = h + swishglu_ffn_np(h, params.ffn) + own + new
-    cache_insert(cache, position, kv)
-    return y, cache, int(idx.size)
-
-
 # ---------------------------------------------------------------------------
 # batched training mode
 # ---------------------------------------------------------------------------
@@ -288,11 +245,7 @@ def molkv_expert_terms(h: Tensor, emb: Tensor, params: MoLKVBlockParams, window:
     n = params.num_experts
     dk = params.key_dim
 
-    eh = rmsnorm(emb, params.vocab_norm, params.norm_eps)
-    keys = stack(
-        [rmsnorm(swishglu_ffn(eh, ke), params.key_norm, params.norm_eps) for ke in params.key_experts], axis=2
-    )  # (b, s, N, d')
-    values = stack([swishglu_ffn(eh, ve) for ve in params.value_experts], axis=2)  # (b, s, N, d)
+    keys, values, values_normed = molkv_expert_pairs(emb, params)  # (b, s, N, d'), (b, s, N, d) twice
 
     q = dense(h, params.query_proj)  # (b, s, d')
 
@@ -325,7 +278,7 @@ def molkv_expert_terms(h: Tensor, emb: Tensor, params: MoLKVBlockParams, window:
     np.put_along_axis(top_mask, order, True, axis=-1)
 
     weights = masked_softmax(scores, top_mask & win, axis=-1)  # (b, s, s*N)
-    v_flat = reshape(rmsnorm(values, params.value_norm, params.norm_eps), (b, s * n, d))
+    v_flat = reshape(values_normed, (b, s * n, d))
     new_gate = sigmoid(tensor_sum(mul(h, params.new_gate), axis=-1, keepdims=True))
     new = mul(matmul(weights, v_flat), new_gate)
 

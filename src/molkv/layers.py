@@ -1,9 +1,10 @@
 """Backbone building blocks: RMSNorm, RoPE, SwishGLU FFN, causal attention.
 
-Every block exists twice: a taped version built from autodiff ops (training)
-and a plain-numpy twin (suffix ``_np``) for incremental decoding. The twins
-compute the same formulas; equivalence is covered by tests rather than by
-sharing code paths.
+Training runs taped versions built from autodiff ops, decoding the numpy
+functions (suffix ``_np``). Sigmoid, SiLU and the RoPE rotation are numpy
+kernels in :mod:`molkv.autodiff` that the taped ops also run; RMSNorm, the
+SwishGLU FFN, softmax and attention are still written once per path, and
+the tests hold the two to each other.
 """
 
 from __future__ import annotations
@@ -22,8 +23,11 @@ from .autodiff import (
     reshape,
     rmsnorm,
     rope_rotate,
+    rope_rotate_np,
     scale,
+    sigmoid_np,
     silu,
+    silu_np,
     transpose,
 )
 
@@ -103,12 +107,7 @@ def rope(x: Tensor, position: int, theta: float = ROPE_THETA) -> Tensor:
 
 
 def rope_np(x: np.ndarray, position, theta: float = ROPE_THETA) -> np.ndarray:
-    cos, sin = rope_tables(position, x.shape[-1], theta, x.dtype)
-    out = np.empty_like(x)
-    xe, xo = x[..., 0::2], x[..., 1::2]
-    out[..., 0::2] = xe * cos - xo * sin
-    out[..., 1::2] = xe * sin + xo * cos
-    return out
+    return rope_rotate_np(x, *rope_tables(position, x.shape[-1], theta, x.dtype))
 
 
 # ---------------------------------------------------------------------------
@@ -124,18 +123,6 @@ def rmsnorm_np(x: np.ndarray, gain: np.ndarray, eps: float = NORM_EPS) -> np.nda
 def swishglu_ffn(x: Tensor, p: FFNParams) -> Tensor:
     """down(silu(x @ gate) * (x @ up)); maps (..., d) to (..., d_out)."""
     return dense(mul(silu(dense(x, p.gate)), dense(x, p.up)), p.down)
-
-
-def _sigmoid_np(x):
-    return np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-
-
-def silu_np(x: np.ndarray) -> np.ndarray:
-    return x * _sigmoid_np(x)
-
-
-def sigmoid_np(x: np.ndarray) -> np.ndarray:
-    return _sigmoid_np(x)
 
 
 def swishglu_ffn_np(x: np.ndarray, p: FFNParams) -> np.ndarray:

@@ -1,9 +1,9 @@
 """Lookup-expert block: per-token-id FFN experts mixed by a learned router.
 
-Training mode feeds the token embedding through N expert FFNs; after
-training those outputs are frozen into a value table so inference is a
-table lookup plus a softmax-weighted sum. The gated variant multiplies the
-expert mix by sigmoid(h . u).
+Training feeds token embeddings through N expert FFNs (``mole_expert_values``);
+export runs the same function untaped to freeze a value table, so inference
+(``mole_step`` in :mod:`molkv.runtime`) is a table lookup plus a
+softmax-weighted sum. The gated variant scales the mix by sigmoid(h . u).
 
 Token embeddings enter the expert FFNs raw here (no normalization); the
 key-value block in :mod:`molkv.kvexperts` normalizes first. The two blocks
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor, dense, embedding_lookup, mul, reshape, sigmoid, softmax, stack, tensor_sum
-from .layers import FFNParams, sigmoid_np, softmax_np, swishglu_ffn, swishglu_ffn_np
+from .layers import FFNParams, softmax_np, swishglu_ffn
 
 
 @dataclass
@@ -60,10 +60,15 @@ def mole_routing(h, params: MoLEBlockParams):
 # ---------------------------------------------------------------------------
 
 
+def mole_expert_values(emb: Tensor, params: MoLEBlockParams) -> Tensor:
+    """FFN_n(e) for every expert n: (..., d) embeddings to (..., N, d)."""
+    return stack([swishglu_ffn(emb, e) for e in params.experts], axis=-2)
+
+
 def mole_expert_terms(h: Tensor, emb: Tensor, params: MoLEBlockParams) -> Tensor:
     """Sum_n s_n FFN_n(e_id), optionally gated; h and emb are (..., d)."""
     s = mole_routing(h, params)  # (..., N)
-    vals = stack([swishglu_ffn(emb, e) for e in params.experts], axis=-2)  # (..., N, d)
+    vals = mole_expert_values(emb, params)  # (..., N, d)
     mix = tensor_sum(mul(vals, reshape(s, s.shape + (1,))), axis=-2)
     if params.gate is not None:
         g = sigmoid(tensor_sum(mul(h, params.gate), axis=-1, keepdims=True))
@@ -78,30 +83,10 @@ def mole_train_forward(h: Tensor, ids, embedding: Tensor, params: MoLEBlockParam
 
 
 # ---------------------------------------------------------------------------
-# inference mode (numpy, table-backed)
+# export
 # ---------------------------------------------------------------------------
 
 
 def build_value_table(embedding: np.ndarray, params: MoLEBlockParams) -> np.ndarray:
-    """Freeze FFN_n(e_i) for all ids into a (|V|, N, d) table."""
-    return np.stack([swishglu_ffn_np(embedding, e) for e in params.experts], axis=1)
-
-
-def _expert_mix_infer(h: np.ndarray, token_id: int, table: np.ndarray, params: MoLEBlockParams) -> np.ndarray:
-    if not 0 <= token_id < table.shape[0]:
-        raise IndexError(f"token id {token_id} outside value table with {table.shape[0]} ids")
-    s = mole_routing(h, params)  # (N,)
-    return s @ table[token_id]  # (N,) @ (N, d)
-
-
-def mole_infer_forward(h: np.ndarray, token_id: int, table: np.ndarray, params: MoLEBlockParams) -> np.ndarray:
-    """Ungated lookup form: y = h + FFN(h) + sum_n s_n v_{id,n}."""
-    return h + swishglu_ffn_np(h, params.ffn) + _expert_mix_infer(h, token_id, table, params)
-
-
-def gated_mole_forward(h: np.ndarray, token_id: int, table: np.ndarray, params: MoLEBlockParams) -> np.ndarray:
-    """Gated lookup form: the expert mix is scaled by g = sigmoid(h . u)."""
-    if params.gate is None:
-        raise ValueError("gated forward needs gate parameters")
-    g = sigmoid_np(h @ params.gate.data)
-    return h + swishglu_ffn_np(h, params.ffn) + g * _expert_mix_infer(h, token_id, table, params)
+    """Freeze FFN_n(e_i) for all ids into a (|V|, N, d) table; call it with no tape active."""
+    return mole_expert_values(Tensor(embedding), params).data

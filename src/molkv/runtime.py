@@ -2,8 +2,11 @@
 
 Each decode step advances one token through embedding, every layer, the
 final norm and the output projection, reading the current token's expert
-record from the store in expert-bearing layers. Counters track only what
-the complexity model budgets: multiply-accumulates of the large matrix
+record from the store in expert-bearing layers. ``mole_step`` and
+``molkv_step``, the one per-token form of each expert block, return the
+expert term that ``decode_step`` and the ``*_infer_forward`` block forms
+(checked by the acceptance suite) add. Counters track only what the
+complexity model budgets: multiply-accumulates of the large matrix
 operations (shared FFN, query projection, cached-key scoring, selected
 value mixing), parameters resident in RAM, offloaded parameters, and
 parameters/bytes loaded per token.
@@ -11,16 +14,25 @@ parameters/bytes loaded per token.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .config import ModelConfig
-from .kvexperts import ExpertKV, KVExpertCache, cache_insert, molkv_new_scores, molkv_query, molkv_select
+from .kvexperts import (
+    ExpertKV,
+    KVExpertCache,
+    MoLKVBlockParams,
+    cache_insert,
+    molkv_augmented_routing,
+    molkv_new_scores,
+    molkv_query,
+    molkv_select,
+)
 from .layers import AttentionCache, causal_attention_step, rmsnorm_np, sigmoid_np, softmax_np, swishglu_ffn_np
-from .mole import MoLEBlockParams
+from .mole import MoLEBlockParams, mole_routing
 from .model import ModelParams
-from .store import ExpertStoreReader
+from .store import ExpertRecord, ExpertStoreReader, StoreFormatError
 
 
 @dataclass
@@ -85,17 +97,14 @@ class DecoderState:
             raise ValueError(f"{cfg.kind} decoding requires an expert store")
         if store is not None:
             h = store.header
-            want = "molkv" if cfg.kind == "molkv" else "mole"
-            if (h.kind, h.vocab_size, h.num_experts, h.hidden_size, h.key_dim) != (
-                want,
-                cfg.vocab_size,
-                cfg.num_experts,
-                cfg.hidden_size,
-                cfg.key_dim,
-            ):
-                raise ValueError("store header does not match the model configuration")
-            if h.num_expert_layers != len(cfg.expert_layers):
-                raise ValueError("store expert-layer count does not match the model configuration")
+            kind = "molkv" if cfg.kind == "molkv" else "mole"
+            got = (h.kind, h.vocab_size, h.num_experts, h.hidden_size, h.key_dim, h.num_expert_layers)
+            want = (kind, cfg.vocab_size, cfg.num_experts, cfg.hidden_size, cfg.key_dim, len(cfg.expert_layers))
+            if got != want:
+                raise StoreFormatError(
+                    f"store header (kind, |V|, N, d, d', expert layers) = {got} "
+                    f"does not match the model configuration's {want}"
+                )
         self.position = 0
         self.attn_caches = [AttentionCache(cfg.num_heads, cfg.head_dim, self.dtype) for _ in range(cfg.num_layers)]
         self.expert_caches: dict[int, KVExpertCache] = {}
@@ -146,33 +155,16 @@ def decode_step(state: DecoderState, token_id: int):
         if layer.has_experts:
             block = layer.block
             record = state.store.read_record(layer_of[li], token_id)
-            layer_bytes = state.store.last_read_bytes
+            layer_bytes = record.nbytes
             layer_loaded = cfg.expert_record_width
-            values = record.values.astype(state.dtype)
             if isinstance(block, MoLEBlockParams):
-                s = softmax_np(hn @ block.routers.data)
-                mix = s @ values
-                if block.gate is not None:
-                    mix = sigmoid_np(hn @ block.gate.data) * mix
-                y = y + mix
+                y = y + mole_step(hn, record.values.astype(state.dtype), block)
             else:
                 cache = state.expert_caches[li]
                 cache_len = len(cache)
-                kv = ExpertKV(
-                    keys=record.keys.astype(state.dtype),
-                    values=values,
-                    values_normed=rmsnorm_np(values, block.value_norm.data, block.norm_eps),
-                )
-                q, q_rot = molkv_query(hn, block, t)
-                s_own = softmax_np(hn @ block.routers.data + kv.keys @ q * block.qk_scale)
-                y = y + sigmoid_np(hn @ block.gate.data) * (s_own @ kv.values)
-                scores = molkv_new_scores(q_rot, hn, cache, block)
-                idx, weights = molkv_select(scores, block.top_k)
-                if idx.size:
-                    flat = cache.values.reshape(-1, d)
-                    y = y + sigmoid_np(hn @ block.new_gate.data) * (weights @ flat[idx])
-                cache_insert(cache, t, kv)
-                layer_macs += d * cfg.key_dim + cache_len * cfg.num_experts * cfg.key_dim + int(idx.size) * d
+                term, k_eff = molkv_step(hn, t, cache, expert_kv(record, block, state.dtype), block)
+                y = y + term
+                layer_macs += d * cfg.key_dim + cache_len * cfg.num_experts * cfg.key_dim + k_eff * d
 
         x = x + y
         delta.macs += layer_macs
@@ -196,6 +188,77 @@ def decode_step(state: DecoderState, token_id: int):
     logits = x @ params.out_proj.data
     state.position += 1
     return logits, delta
+
+
+# ---------------------------------------------------------------------------
+# per-token expert blocks
+# ---------------------------------------------------------------------------
+
+
+def mole_step(h: np.ndarray, values: np.ndarray, params: MoLEBlockParams) -> np.ndarray:
+    """Lookup-expert term sum_n s_n v_n of one token's (N, d) values, gated iff the block has a gate."""
+    mix = mole_routing(h, params) @ values
+    if params.gate is not None:
+        mix = sigmoid_np(h @ params.gate.data) * mix
+    return mix
+
+
+def _lookup_forward(h: np.ndarray, token_id: int, table: np.ndarray, params: MoLEBlockParams) -> np.ndarray:
+    if not 0 <= token_id < table.shape[0]:
+        raise IndexError(f"token id {token_id} outside value table with {table.shape[0]} ids")
+    return h + swishglu_ffn_np(h, params.ffn) + mole_step(h, table[token_id], params)
+
+
+def mole_infer_forward(h: np.ndarray, token_id: int, table: np.ndarray, params: MoLEBlockParams) -> np.ndarray:
+    """Ungated lookup form: y = h + FFN(h) + sum_n s_n v_{id,n}; any gate is ignored."""
+    return _lookup_forward(h, token_id, table, replace(params, gate=None))
+
+
+def gated_mole_forward(h: np.ndarray, token_id: int, table: np.ndarray, params: MoLEBlockParams) -> np.ndarray:
+    """Gated lookup form: the expert mix is scaled by g = sigmoid(h . u)."""
+    if params.gate is None:
+        raise ValueError("gated forward needs gate parameters")
+    return _lookup_forward(h, token_id, table, params)
+
+
+def expert_kv(record: ExpertRecord, params: MoLKVBlockParams, dtype) -> ExpertKV:
+    """The expert pairs of one key-value store record, cast to ``dtype``."""
+    values = record.values.astype(dtype)
+    return ExpertKV(
+        keys=record.keys.astype(dtype),
+        values=values,
+        values_normed=rmsnorm_np(values, params.value_norm.data, params.norm_eps),
+    )
+
+
+def molkv_step(h: np.ndarray, position: int, cache: KVExpertCache, kv: ExpertKV, params: MoLKVBlockParams):
+    """Own-expert plus cached-expert term of one token; returns (term, k_eff).
+
+    The token's own pairs ``kv`` join the cache (which checks ``position``)
+    only after the term is computed, so position 0 sees an empty window and
+    adds no cached term. k_eff is the number of cached experts selected.
+    """
+    q, q_rot = molkv_query(h, params, position)
+    term = sigmoid_np(h @ params.gate.data) * (molkv_augmented_routing(h, q, kv, params) @ kv.values)
+    idx, weights = molkv_select(molkv_new_scores(q_rot, h, cache, params), params.top_k)
+    if idx.size:
+        cached = cache.values.reshape(-1, cache.hidden_size)[idx]
+        term = term + sigmoid_np(h @ params.new_gate.data) * (weights @ cached)
+    cache_insert(cache, position, kv)
+    return term, int(idx.size)
+
+
+def molkv_infer_forward(
+    h: np.ndarray,
+    token_id: int,
+    position: int,
+    cache: KVExpertCache,
+    kv: ExpertKV,
+    params: MoLKVBlockParams,
+):
+    """y = h + FFN(h) + molkv_step's term for one decoded token; returns (y, cache, k_eff)."""
+    term, k_eff = molkv_step(h, position, cache, kv, params)
+    return h + swishglu_ffn_np(h, params.ffn) + term, cache, k_eff
 
 
 # ---------------------------------------------------------------------------

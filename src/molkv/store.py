@@ -144,6 +144,7 @@ class ExpertRecord:
 
     keys: np.ndarray | None  # (N, d')
     values: np.ndarray  # (N, d)
+    nbytes: int = 0  # bytes read from the store file; 0 for in-memory tables
 
 
 # ---------------------------------------------------------------------------
@@ -241,9 +242,10 @@ def write_store(tables: ReparamTables, path, dtype: str = "fp32") -> ExpertStore
 class ExpertStoreReader:
     """Random-access reads with byte accounting; safe for concurrent readers.
 
-    Every read is a positioned read of exactly one record; ``bytes_read``
-    and ``last_read_bytes`` expose the transfer sizes the offloading model
-    budgets for.
+    Every read is a positioned read of exactly one record; each returned
+    record carries the bytes that read loaded (``nbytes``), the transfer
+    size the offloading model budgets for. ``bytes_read`` and ``reads`` are
+    running totals over all callers.
     """
 
     def __init__(self, path):
@@ -261,7 +263,6 @@ class ExpertStoreReader:
             raise StoreFormatError(f"store size {actual} does not match header-implied {expected}")
         self.bytes_read = 0
         self.reads = 0
-        self.last_read_bytes = 0
 
     def read_record(self, layer: int, token_id: int) -> ExpertRecord:
         h = self.header
@@ -269,12 +270,11 @@ class ExpertStoreReader:
         if len(raw) != h.record_bytes:
             raise StoreFormatError(f"short read at (layer={layer}, id={token_id})")
         self.bytes_read += len(raw)
-        self.last_read_bytes = len(raw)
         self.reads += 1
         flat = np.frombuffer(raw, dtype=NUMPY_DTYPES[h.dtype]).reshape(h.num_experts, h.hidden_size + h.key_dim)
         if h.key_dim:
-            return ExpertRecord(keys=flat[:, : h.key_dim].copy(), values=flat[:, h.key_dim :].copy())
-        return ExpertRecord(keys=None, values=flat.copy())
+            return ExpertRecord(keys=flat[:, : h.key_dim].copy(), values=flat[:, h.key_dim :].copy(), nbytes=len(raw))
+        return ExpertRecord(keys=None, values=flat.copy(), nbytes=len(raw))
 
     def close(self):
         if self._fd is not None:

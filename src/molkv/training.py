@@ -337,7 +337,7 @@ def save_checkpoint(path, state: TrainState, model_config_dict: dict, train_cfg:
 
 
 def load_checkpoint(path, model_config, train_cfg: TrainConfig) -> TrainState:
-    """Rebuild a TrainState that continues bit-identically."""
+    """Rebuild a TrainState that continues bit-identically; ConfigError if it does not fit the configs."""
     with open(path, "rb") as f:
         magic = f.read(8)
         if magic != CHECKPOINT_MAGIC:
@@ -355,17 +355,22 @@ def load_checkpoint(path, model_config, train_cfg: TrainConfig) -> TrainState:
 
     by_name = {e["name"]: e for e in header["entries"]}
 
-    def fetch(name: str) -> np.ndarray:
-        e = by_name[name]
+    def fetch(name: str, like: np.ndarray) -> np.ndarray:
+        e = by_name.get(name)
+        if e is None or tuple(e["shape"]) != like.shape or np.dtype(e["dtype"]) != like.dtype:
+            found = "missing" if e is None else f"{e['dtype']} {tuple(e['shape'])}"
+            raise ConfigError(
+                f"checkpoint entry {name!r} is {found}; the model configuration needs {like.dtype.name} {like.shape}"
+            )
         dt = np.dtype(e["dtype"])
         size = int(np.prod(e["shape"], dtype=np.int64)) if e["shape"] else 1
         arr = np.frombuffer(payload, dtype=dt, count=size, offset=e["offset"])
         return arr.reshape(e["shape"]).copy()
 
     for name, p in state.model.named_parameters():
-        p.data = fetch("param/" + name)
-        state.optimizer.m[name] = fetch("adam_m/" + name)
-        state.optimizer.v[name] = fetch("adam_v/" + name)
+        p.data = fetch("param/" + name, p.data)
+        state.optimizer.m[name] = fetch("adam_m/" + name, state.optimizer.m[name])
+        state.optimizer.v[name] = fetch("adam_v/" + name, state.optimizer.v[name])
     return state
 
 

@@ -19,19 +19,19 @@ import numpy as np
 
 from .autodiff import Tensor, grad_check, mul, tensor_sum
 from .config import ModelConfig, published_config
-from .kvexperts import (
-    ExpertKV,
-    KVExpertCache,
-    compute_expert_kv,
-    molkv_infer_forward,
-    molkv_new_scores,
-    molkv_select,
-    molkv_train_forward,
-)
-from .layers import rmsnorm_np, rope_np, sigmoid_np, softmax_np, swishglu_ffn_np
-from .mole import gated_mole_forward, mole_infer_forward, mole_train_forward
+from .kvexperts import KVExpertCache, compute_expert_kv, molkv_new_scores, molkv_select, molkv_train_forward
+from .layers import rope_np, sigmoid_np, softmax_np, swishglu_ffn_np
+from .mole import mole_train_forward
 from .model import init_model
-from .runtime import DecoderState, decode_step, closed_form_costs
+from .runtime import (
+    DecoderState,
+    closed_form_costs,
+    decode_step,
+    expert_kv,
+    gated_mole_forward,
+    mole_infer_forward,
+    molkv_infer_forward,
+)
 from .store import ExpertStoreReader, count_params, reparameterize, write_store
 from .training import (
     Corpus,
@@ -168,13 +168,7 @@ def check_incremental_equivalence(tol: float = 1e-6):
                                 hidden_size=cfg.hidden_size,
                             )
                             for t in range(s):
-                                rec = reader.read_record(0, int(ids[t]))
-                                values = rec.values.astype(np.float64)
-                                kv = ExpertKV(
-                                    keys=rec.keys.astype(np.float64),
-                                    values=values,
-                                    values_normed=rmsnorm_np(values, block.value_norm.data, block.norm_eps),
-                                )
+                                kv = expert_kv(reader.read_record(0, int(ids[t])), block, np.float64)
                                 y_t, cache, _ = molkv_infer_forward(h[t], int(ids[t]), t, cache, kv, block)
                                 worst = max(worst, _rel_err(y_t, y_batch[t]))
                                 cases += 1

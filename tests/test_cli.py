@@ -179,6 +179,30 @@ class TestPipeline:
         expert_rows = [r for r in report if r["layer"] == 0]
         assert all(r["bytes_loaded"] == 2 * (16 + 4) * 2 for r in expert_rows)  # fp16 itemsize
 
+    def test_decode_rejects_mismatched_store(self, workspace, monkeypatch, capsys):
+        import numpy as np
+
+        from molkv import cli
+        from molkv.model import init_model
+        from molkv.store import ExpertStoreReader, reparameterize, write_store
+
+        tmp, manifest = workspace
+        assert main(["train", "--manifest", str(manifest), "--steps", "1"]) == 0
+        other = parse_manifest(manifest).model.with_overrides(key_dim=8)
+        write_store(reparameterize(init_model(other, seed=0, dtype=np.float64)), tmp / "other.mlkv")
+        closed = []
+
+        class Reader(ExpertStoreReader):
+            def close(self):
+                closed.append(self.path)
+                super().close()
+
+        monkeypatch.setattr(cli, "ExpertStoreReader", Reader)
+        capsys.readouterr()
+        assert main(["decode", "--manifest", str(manifest), "--store", str(tmp / "other.mlkv")]) == 2
+        assert "does not match the model configuration" in capsys.readouterr().err
+        assert closed == [str(tmp / "other.mlkv")]
+
     def test_verify_exit_codes(self, monkeypatch, capsys):
         from molkv import cli
         from molkv.verify import CheckResult

@@ -11,7 +11,6 @@ from molkv.kvexperts import (
     cache_insert,
     compute_expert_kv,
     molkv_augmented_routing,
-    molkv_infer_forward,
     molkv_new_scores,
     molkv_query,
     molkv_select,
@@ -19,6 +18,7 @@ from molkv.kvexperts import (
     sliding_window_mask,
 )
 from molkv.layers import FFNParams, rmsnorm_np, rope_np, softmax_np
+from molkv.runtime import molkv_infer_forward
 
 
 def make_block(rng, d=10, D=14, dk=6, n=2, top_k=3, scale=0.35):
@@ -373,7 +373,8 @@ class TestGatedLookupReduction:
         h = rng.standard_normal(10)
         y_kv, _, _ = molkv_infer_forward(h, token, 0, cache, kv, block)
 
-        from molkv.mole import MoLEBlockParams, gated_mole_forward
+        from molkv.mole import MoLEBlockParams
+        from molkv.runtime import gated_mole_forward
 
         lookup = MoLEBlockParams(ffn=block.ffn, routers=block.routers, experts=[], gate=block.gate)
         table = np.zeros((8, block.num_experts, 10))

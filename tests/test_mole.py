@@ -8,11 +8,10 @@ from molkv.layers import FFNParams, sigmoid_np, swishglu_ffn_np
 from molkv.mole import (
     MoLEBlockParams,
     build_value_table,
-    gated_mole_forward,
-    mole_infer_forward,
     mole_routing,
     mole_train_forward,
 )
+from molkv.runtime import gated_mole_forward, mole_infer_forward
 
 
 def make_block(rng, d=8, D=12, n=3, gated=False, scale=0.3):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from molkv import runtime
 from molkv.config import ModelConfig
 from molkv.model import forward, init_model
 from molkv.runtime import CostCounters, DecoderState, closed_form_costs, decode_step, generate, sample_token
@@ -91,6 +92,38 @@ class TestLogitEquivalence:
         model = init_model(small_config("mole"), seed=5)
         with pytest.raises(ValueError):
             DecoderState(model, None)
+
+
+# Names that profilers (the benchmark's span recorder among them) replace on
+# the molkv.runtime module; decoding must look each one up there at call time.
+RUNTIME_BINDINGS = (
+    "decode_step",
+    "causal_attention_step",
+    "swishglu_ffn_np",
+    "rmsnorm_np",
+    "sigmoid_np",
+    "molkv_query",
+    "molkv_new_scores",
+    "molkv_select",
+    "cache_insert",
+)
+
+
+def test_decode_calls_runtime_bindings(molkv_setup, monkeypatch):
+    cfg, model, reader = molkv_setup
+    calls = dict.fromkeys(RUNTIME_BINDINGS, 0)
+    for name in RUNTIME_BINDINGS:
+
+        def counted(*args, _fn=getattr(runtime, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(runtime, name, counted)
+    n_tokens = cfg.cache_window + 3
+    runtime.generate(runtime.DecoderState(model, reader), np.arange(n_tokens), steps=0)
+    assert all(calls.values()), calls
+    assert calls["decode_step"] == n_tokens
+    assert calls["molkv_select"] == n_tokens * len(cfg.expert_layers)
 
 
 class TestCostAccounting:

@@ -2,14 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from molkv.autodiff import Tensor
 from molkv.config import ModelConfig, published_config
 from molkv.kvexperts import compute_expert_kv
 from molkv.model import init_model
-from molkv.mole import mole_infer_forward, mole_train_forward
+from molkv.mole import mole_train_forward
+from molkv.runtime import mole_infer_forward
 from molkv.store import (
+    DTYPE_CODES,
     HEADER_SIZE,
+    KIND_CODES,
     ExpertStoreHeader,
     ExpertStoreReader,
     RecordLookupError,
@@ -17,6 +22,37 @@ from molkv.store import (
     count_params,
     reparameterize,
     write_store,
+)
+
+U32 = 2**32 - 1
+VALID_HEADERS = st.sampled_from(sorted(KIND_CODES)).flatmap(
+    lambda kind: st.builds(
+        ExpertStoreHeader,
+        kind=st.just(kind),
+        dtype=st.sampled_from(sorted(DTYPE_CODES)),
+        num_expert_layers=st.integers(1, U32),
+        vocab_size=st.integers(1, 2**64 - 1),
+        num_experts=st.integers(1, U32),
+        hidden_size=st.integers(1, U32),
+        key_dim=st.just(0) if kind == "mole" else st.integers(1, U32),
+    )
+)
+
+
+def _splice(raw: bytes, offset: int, patch: bytes) -> bytes:
+    return (raw[:offset] + patch + raw[offset + len(patch) :])[:HEADER_SIZE]
+
+
+# Arbitrary bytes almost never get past the magic, so valid headers with a
+# few bytes overwritten exercise the field checks behind it.
+RAW_HEADERS = st.one_of(
+    st.binary(min_size=HEADER_SIZE, max_size=HEADER_SIZE),
+    st.builds(
+        lambda h, offset, patch: _splice(h.encode(), offset, patch),
+        VALID_HEADERS,
+        st.integers(0, HEADER_SIZE - 1),
+        st.binary(min_size=1, max_size=8),
+    ),
 )
 
 
@@ -84,6 +120,22 @@ class TestHeader:
         )
         assert h.record_values == 2 * (1024 + 146) == 2340
         assert h.record_bytes == 2 * (1024 + 146) * 4 == 9360
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(RAW_HEADERS)
+    def test_decode_accepts_or_raises_format_error(self, raw):
+        try:
+            h = ExpertStoreHeader.decode(raw)
+        except StoreFormatError:
+            return
+        assert ExpertStoreHeader.decode(h.encode()) == h
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(VALID_HEADERS)
+    def test_every_valid_header_roundtrips(self, h):
+        raw = h.encode()
+        assert len(raw) == HEADER_SIZE
+        assert ExpertStoreHeader.decode(raw) == h
 
     def test_mole_rejects_keys(self):
         with pytest.raises(StoreFormatError):
@@ -162,8 +214,8 @@ class TestFileRoundTrip:
             expect = reader.header.record_bytes
             assert expect == 3 * 12 * 4  # N * d * itemsize, no keys
             for i, (layer, token) in enumerate([(0, 0), (1, 16), (0, 5)], start=1):
-                reader.read_record(layer, token)
-                assert reader.last_read_bytes == expect
+                rec = reader.read_record(layer, token)
+                assert rec.nbytes == expect
                 assert reader.bytes_read == i * expect
                 assert reader.reads == i
 

@@ -263,6 +263,18 @@ class TestCheckpoint:
             assert np.array_equal(loaded.optimizer.v[name], state.optimizer.v[name])
 
 
+    def test_checkpoint_must_fit_config(self, tmp_path):
+        cfg = tiny_train()
+        p = tmp_path / "d8.ckpt"
+        save_checkpoint(p, new_train_state(TINY, cfg), {}, cfg)
+        with pytest.raises(ConfigError, match="needs float64 \\(257, 16\\)"):
+            load_checkpoint(p, TINY.with_overrides(hidden_size=16), cfg)
+        with pytest.raises(ConfigError, match="needs float32"):
+            load_checkpoint(p, TINY, tiny_train(dtype="fp32"))
+        with pytest.raises(ConfigError, match="'param/layers.1.*' is missing"):
+            load_checkpoint(p, TINY.with_overrides(num_layers=2), cfg)
+
+
 def test_trunc_normal_respects_bound():
     rng = np.random.default_rng(9)
     x = trunc_normal(rng, (10_000,), std=0.02, bound=2.0)
