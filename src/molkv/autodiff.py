@@ -34,8 +34,10 @@ __all__ = [
     "stack",
     "tensor_sum",
     "softmax",
+    "softmax_np",
     "masked_softmax",
     "rmsnorm",
+    "rmsnorm_np",
     "rope_rotate",
     "rope_rotate_np",
     "embedding_lookup",
@@ -346,21 +348,28 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def masked_softmax(x: Tensor, mask, axis: int = -1) -> Tensor:
-    """Softmax over unmasked entries; fully masked slices come out all-zero.
+def softmax_np(x: np.ndarray, axis: int = -1, mask=None) -> np.ndarray:
+    """Softmax along ``axis``, over the entries ``mask`` marks True when given.
 
-    ``mask`` is a boolean array broadcastable to ``x``; True marks entries
-    that participate. No NaN or inf ever reaches the output.
+    ``mask`` is a boolean array broadcastable to ``x``. Fully masked slices
+    come out all-zero, and no NaN or inf ever reaches the output.
     """
+    if mask is None:
+        e = np.exp(x - x.max(axis=axis, keepdims=True))
+        return e / e.sum(axis=axis, keepdims=True)
     m = np.broadcast_to(np.asarray(mask, dtype=bool), x.shape)
-    d = x.data
-    neg = np.finfo(d.dtype).min
-    hi = np.max(np.where(m, d, neg), axis=axis, keepdims=True)
+    neg = np.finfo(x.dtype).min
+    hi = np.max(np.where(m, x, neg), axis=axis, keepdims=True)
     hi = np.where(hi > neg / 2, hi, 0.0)  # fully masked slice: any finite pivot
-    e = np.where(m, np.exp(np.where(m, d - hi, 0.0)), 0.0)
+    e = np.where(m, np.exp(np.where(m, x - hi, 0.0)), 0.0)
     tot = e.sum(axis=axis, keepdims=True)
-    y = e / np.where(tot == 0.0, 1.0, tot)
-    out = Tensor(y.astype(d.dtype, copy=False))
+    return e / np.where(tot == 0.0, 1.0, tot)
+
+
+def masked_softmax(x: Tensor, mask, axis: int = -1) -> Tensor:
+    """Taped ``softmax_np``; ``mask=None`` lets every entry take part."""
+    y = softmax_np(x.data, axis, mask)
+    out = Tensor(y)
 
     def vjp(g):
         inner = (g * y).sum(axis=axis, keepdims=True)
@@ -370,7 +379,7 @@ def masked_softmax(x: Tensor, mask, axis: int = -1) -> Tensor:
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    return masked_softmax(x, np.ones(x.shape, dtype=bool), axis=axis)
+    return masked_softmax(x, None, axis=axis)
 
 
 def cross_entropy_logits(logits: Tensor, targets) -> Tensor:
@@ -386,8 +395,7 @@ def cross_entropy_logits(logits: Tensor, targets) -> Tensor:
     out = Tensor(np.asarray(loss, dtype=z.dtype))
 
     def vjp(g):
-        p = np.exp(z - hi)
-        p /= p.sum(axis=-1, keepdims=True)
+        p = softmax_np(z)
         p[np.arange(n), t] -= 1.0
         g_scalar = float(np.asarray(g).reshape(-1)[0])
         return ((g_scalar / n) * p.reshape(logits.shape),)
@@ -400,20 +408,24 @@ def cross_entropy_logits(logits: Tensor, targets) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
+def rmsnorm_np(x: np.ndarray, gain: np.ndarray, eps: float = 1e-8) -> np.ndarray:
+    """gain * (x / sqrt(mean(x^2, last axis) + eps))."""
+    return gain * (x / np.sqrt((x * x).mean(axis=-1, keepdims=True) + eps))
+
+
 def rmsnorm(x: Tensor, gain: Tensor, eps: float = 1e-8) -> Tensor:
-    """gain * x / sqrt(mean(x^2, last axis) + eps)."""
+    """Taped ``rmsnorm_np``; the gradient recomputes the norm from ``x``."""
     if gain.shape != (x.shape[-1],):
         raise ShapeError(f"rmsnorm gain {gain.shape} does not match last axis of {x.shape}")
     d = x.data
-    n = d.shape[-1]
-    r = np.sqrt((d * d).mean(axis=-1, keepdims=True) + eps)
-    xh = d / r
-    out = Tensor(gain.data * xh)
+    out = Tensor(rmsnorm_np(d, gain.data, eps))
 
     def vjp(g):
+        n = d.shape[-1]
+        r = np.sqrt((d * d).mean(axis=-1, keepdims=True) + eps)
         gy = g * gain.data
         gx = gy / r - d * ((gy * d).sum(axis=-1, keepdims=True) / (n * r**3))
-        ggain = (g * xh).reshape(-1, n).sum(axis=0)
+        ggain = (g * (d / r)).reshape(-1, n).sum(axis=0)
         return gx, ggain
 
     return _record(out, (x, gain), vjp)

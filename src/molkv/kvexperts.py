@@ -33,12 +33,13 @@ from .autodiff import (
     rope_rotate,
     sigmoid,
     softmax,
+    softmax_np,
     stack,
     tensor_sum,
     topk_indices,
     transpose,
 )
-from .layers import NORM_EPS, ROPE_THETA, FFNParams, rope_np, rope_tables, softmax_np, swishglu_ffn
+from .layers import NORM_EPS, ROPE_THETA, FFNParams, rope_np, rope_tables, swishglu_ffn
 
 
 class CacheStateError(RuntimeError):

@@ -1,10 +1,13 @@
-"""Backbone building blocks: RMSNorm, RoPE, SwishGLU FFN, causal attention.
+"""Backbone building blocks: RoPE, SwishGLU FFN, causal attention.
 
-Training runs taped versions built from autodiff ops, decoding the numpy
-functions (suffix ``_np``). Sigmoid, SiLU and the RoPE rotation are numpy
-kernels in :mod:`molkv.autodiff` that the taped ops also run; RMSNorm, the
-SwishGLU FFN, softmax and attention are still written once per path, and
-the tests hold the two to each other.
+Training runs taped ops, decoding plain numpy functions (suffix ``_np``).
+Every formula below the block level is one numpy kernel in
+:mod:`molkv.autodiff` (RMSNorm, softmax, sigmoid, SiLU, the RoPE rotation)
+that the taped op runs for its forward; this module re-exports them. Two
+forms stay paired, and the tests hold each pair equal: the SwishGLU FFN,
+whose taped form is a chain of single-kernel ops and whose numpy form is
+one line, and attention, which is batched over a sequence in training and
+reads a KV cache in decoding.
 """
 
 from __future__ import annotations
@@ -22,12 +25,14 @@ from .autodiff import (
     mul,
     reshape,
     rmsnorm,
+    rmsnorm_np,
     rope_rotate,
     rope_rotate_np,
     scale,
     sigmoid_np,
     silu,
     silu_np,
+    softmax_np,
     transpose,
 )
 
@@ -35,9 +40,8 @@ __all__ = [
     "FFNParams",
     "AttnParams",
     "AttentionCache",
-    "rmsnorm",  # re-export: the taped primitive lives in autodiff
+    "rmsnorm",  # re-exports: the kernels and taped ops live in autodiff
     "rmsnorm_np",
-    "rope",
     "rope_np",
     "rope_tables",
     "swishglu_ffn",
@@ -100,24 +104,13 @@ def rope_tables(positions, dim: int, theta: float = ROPE_THETA, dtype=np.float64
     return np.cos(ang).astype(dtype), np.sin(ang).astype(dtype)
 
 
-def rope(x: Tensor, position: int, theta: float = ROPE_THETA) -> Tensor:
-    """Rotate all vectors in x (last axis even) by one absolute position."""
-    cos, sin = rope_tables(position, x.shape[-1], theta, x.dtype)
-    return rope_rotate(x, cos, sin)
-
-
 def rope_np(x: np.ndarray, position, theta: float = ROPE_THETA) -> np.ndarray:
     return rope_rotate_np(x, *rope_tables(position, x.shape[-1], theta, x.dtype))
 
 
 # ---------------------------------------------------------------------------
-# norms and FFN
+# FFN
 # ---------------------------------------------------------------------------
-
-
-def rmsnorm_np(x: np.ndarray, gain: np.ndarray, eps: float = NORM_EPS) -> np.ndarray:
-    r = np.sqrt((x * x).mean(axis=-1, keepdims=True) + eps)
-    return gain * x / r
 
 
 def swishglu_ffn(x: Tensor, p: FFNParams) -> Tensor:
@@ -127,12 +120,6 @@ def swishglu_ffn(x: Tensor, p: FFNParams) -> Tensor:
 
 def swishglu_ffn_np(x: np.ndarray, p: FFNParams) -> np.ndarray:
     return (silu_np(x @ p.gate.data) * (x @ p.up.data)) @ p.down.data
-
-
-def softmax_np(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    hi = x.max(axis=axis, keepdims=True)
-    e = np.exp(x - hi)
-    return e / e.sum(axis=axis, keepdims=True)
 
 
 # ---------------------------------------------------------------------------

@@ -1,54 +1,27 @@
 """Run manifests: one JSON document that pins a whole experiment.
 
 Every subcommand is reproducible from its manifest plus a seed; unknown
-keys are rejected so typos fail loudly, and omitted training keys fall
-back to the published defaults (which the parsed manifest echoes back).
+keys and values of the wrong JSON type are rejected so typos fail loudly,
+and omitted keys fall back to the defaults of ``ModelConfig`` and
+``TrainConfig`` (which the parsed manifest echoes back).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import typing
+from dataclasses import MISSING, dataclass, field, fields
 
 from .config import ConfigError, ModelConfig
 from .training import TrainConfig
 
-_MODEL_KEYS = {
-    "kind": None,
-    "num_layers": None,
-    "hidden_size": None,
-    "ffn_size": None,
-    "vocab_size": None,
-    "num_experts": 0,
-    "key_dim": 0,
-    "cache_window": 0,
-    "top_k": 0,
-    "expert_layers": (),
-    "num_heads": 16,
-    "rope_theta": 10000.0,
-    "norm_eps": 1e-8,
+_JSON_TYPES = {
+    str: "a string",
+    int: "an integer",
+    float: "a number",
+    tuple[int, ...]: "a list of integers",
+    tuple[float, float]: "a list of numbers",
 }
-
-_TRAIN_DEFAULTS = {
-    "seq_length": 2048,
-    "batch_size": 8,
-    "grad_accum": 30,
-    "steps": 20000,
-    "warmup_steps": 200,
-    "lr": 3e-4,
-    "min_lr": 3e-6,
-    "weight_decay": 0.1,
-    "betas": [0.9, 0.95],
-    "grad_clip": 1.0,
-    "adam_eps": 1e-8,
-    "init_std": 0.02,
-    "seed": 0,
-    "dtype": "fp32",
-    "val_fraction": 0.05,
-    "eval_windows": 16,
-}
-
-_PATH_KEYS = ("corpus", "checkpoint", "store", "report")
 
 
 @dataclass
@@ -59,67 +32,67 @@ class RunManifest:
 
     def echo(self) -> dict:
         """The fully resolved document, defaults included."""
-        model = {
-            "kind": self.model.kind,
-            "num_layers": self.model.num_layers,
-            "hidden_size": self.model.hidden_size,
-            "ffn_size": self.model.ffn_size,
-            "vocab_size": self.model.vocab_size,
-            "num_experts": self.model.num_experts,
-            "key_dim": self.model.key_dim,
-            "cache_window": self.model.cache_window,
-            "top_k": self.model.top_k,
-            "expert_layers": list(self.model.expert_layers),
-            "num_heads": self.model.num_heads,
-            "rope_theta": self.model.rope_theta,
-            "norm_eps": self.model.norm_eps,
-        }
-        train = {**self.train.__dict__, "betas": list(self.train.betas)}
-        return {"model": model, "train": train, "paths": dict(self.paths)}
+        return {"model": _as_json(self.model), "train": _as_json(self.train), "paths": dict(self.paths)}
 
 
-def _reject_unknown(section: str, given: dict, allowed) -> None:
-    unknown = set(given) - set(allowed)
+def _keys(cls) -> tuple[dict, list]:
+    """(the type of each field, the fields with no default): a section's keys and its required ones."""
+    required = [f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING]
+    return typing.get_type_hints(cls), required
+
+
+_MODEL_KEYS = _keys(ModelConfig)
+_TRAIN_KEYS = _keys(TrainConfig)
+_PATH_KEYS = (dict.fromkeys(("corpus", "checkpoint", "store", "report"), str), [])
+
+
+def _as_json(cfg) -> dict:
+    """A config dataclass's fields in order, tuples as JSON lists."""
+    values = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in values.items()}
+
+
+def _fits(value, hint) -> bool:
+    """Whether a JSON value is acceptable for a field of type ``hint``; no bool passes as a number."""
+    if typing.get_origin(hint) is tuple:
+        return isinstance(value, list) and all(_fits(v, typing.get_args(hint)[0]) for v in value)
+    if hint is str:
+        return isinstance(value, str)
+    return not isinstance(value, bool) and isinstance(value, (int, float) if hint is float else int)
+
+
+def _section(doc: dict, name: str, hints: dict, required: list) -> dict:
+    """The type-checked keys one section gives; the config dataclass fills in the omitted ones."""
+    given = doc.get(name, {})
+    if not isinstance(given, dict):
+        raise ConfigError(f"{name} section must be a JSON object, got {given!r}")
+    unknown = set(given) - set(hints)
     if unknown:
-        raise ConfigError(f"unknown key(s) in {section} section: {', '.join(sorted(unknown))}")
+        raise ConfigError(f"unknown key(s) in {name} section: {', '.join(sorted(unknown))}")
+    for key in required:
+        if key not in given:
+            raise ConfigError(f"manifest is missing the required key: {name}.{key}")
+    kw = {}
+    for key, value in given.items():
+        if key == "expert_layers" and _fits(value, int):
+            value = list(range(value))  # "first n layers" shorthand
+        if not _fits(value, hints[key]):
+            raise ConfigError(f"{name}.{key} must be {_JSON_TYPES[hints[key]]}, got {value!r}")
+        kw[key] = tuple(value) if isinstance(value, list) else value
+    return kw
 
 
 def parse_manifest_dict(doc: dict) -> RunManifest:
     if not isinstance(doc, dict):
         raise ConfigError("manifest must be a JSON object")
-    _reject_unknown("top-level", doc, ("model", "train", "paths"))
+    unknown = set(doc) - {"model", "train", "paths"}
+    if unknown:
+        raise ConfigError(f"unknown key(s) in top-level section: {', '.join(sorted(unknown))}")
     if "model" not in doc:
         raise ConfigError("manifest is missing the required key: model")
-
-    model_doc = doc["model"]
-    _reject_unknown("model", model_doc, _MODEL_KEYS)
-    model_kw = {}
-    for key, default in _MODEL_KEYS.items():
-        if key in model_doc:
-            model_kw[key] = model_doc[key]
-        elif default is None:
-            raise ConfigError(f"manifest is missing the required key: model.{key}")
-        else:
-            model_kw[key] = default
-    layers = model_kw["expert_layers"]
-    if isinstance(layers, int):
-        model_kw["expert_layers"] = tuple(range(layers))  # "first n layers" shorthand
-    else:
-        model_kw["expert_layers"] = tuple(int(l) for l in layers)
-    try:
-        model = ModelConfig(**model_kw)
-    except TypeError as e:
-        raise ConfigError(f"bad model section: {e}") from e
-
-    train_doc = doc.get("train", {})
-    _reject_unknown("train", train_doc, _TRAIN_DEFAULTS)
-    train_kw = {**_TRAIN_DEFAULTS, **train_doc}
-    train_kw["betas"] = tuple(train_kw["betas"])
-    train = TrainConfig(**train_kw)
-
-    paths_doc = doc.get("paths", {})
-    _reject_unknown("paths", paths_doc, _PATH_KEYS)
-    return RunManifest(model=model, train=train, paths=dict(paths_doc))
+    model = ModelConfig(**_section(doc, "model", *_MODEL_KEYS))
+    train = TrainConfig(**_section(doc, "train", *_TRAIN_KEYS))
+    return RunManifest(model=model, train=train, paths=_section(doc, "paths", *_PATH_KEYS))
 
 
 def parse_manifest(path) -> RunManifest:

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, dense, embedding_lookup, mul, reshape, sigmoid, softmax, stack, tensor_sum
-from .layers import FFNParams, softmax_np, swishglu_ffn
+from .autodiff import Tensor, dense, embedding_lookup, mul, reshape, sigmoid, softmax, softmax_np, stack, tensor_sum
+from .layers import FFNParams, swishglu_ffn
 
 
 @dataclass
@@ -48,11 +48,9 @@ class MoLEBlockParams:
 # ---------------------------------------------------------------------------
 
 
-def mole_routing(h, params: MoLEBlockParams):
-    """softmax_n(h . r_n); works on (..., d) tensors or plain arrays."""
-    if isinstance(h, Tensor):
-        return softmax(dense(h, params.routers), axis=-1)
-    return softmax_np(np.asarray(h) @ params.routers.data, axis=-1)
+def mole_routing(h: np.ndarray, params: MoLEBlockParams) -> np.ndarray:
+    """softmax_n(h . r_n) for (..., d) hidden states."""
+    return softmax_np(h @ params.routers.data)
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +65,7 @@ def mole_expert_values(emb: Tensor, params: MoLEBlockParams) -> Tensor:
 
 def mole_expert_terms(h: Tensor, emb: Tensor, params: MoLEBlockParams) -> Tensor:
     """Sum_n s_n FFN_n(e_id), optionally gated; h and emb are (..., d)."""
-    s = mole_routing(h, params)  # (..., N)
+    s = softmax(dense(h, params.routers), axis=-1)  # (..., N)
     vals = mole_expert_values(emb, params)  # (..., N, d)
     mix = tensor_sum(mul(vals, reshape(s, s.shape + (1,))), axis=-2)
     if params.gate is not None:

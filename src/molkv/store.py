@@ -215,7 +215,11 @@ def reparameterize(model) -> ReparamTables:
 
 
 def write_store(tables: ReparamTables, path, dtype: str = "fp32") -> ExpertStoreHeader:
-    """Write tables to ``path``; returns the header that was written."""
+    """Write tables to ``path``; returns the header that was written.
+
+    Raises StoreFormatError, and leaves no file at ``path``, when a record
+    is not finite in ``dtype`` (a value beyond its range, or NaN).
+    """
     if dtype not in NUMPY_DTYPES:
         raise StoreFormatError(f"unsupported store dtype {dtype!r}")
     header = ExpertStoreHeader(
@@ -228,14 +232,26 @@ def write_store(tables: ReparamTables, path, dtype: str = "fp32") -> ExpertStore
         key_dim=tables.key_dim,
     )
     nd = NUMPY_DTYPES[dtype]
-    with open(path, "wb") as f:
-        f.write(header.encode())
-        for li in range(tables.num_expert_layers):
-            if tables.keys is not None:
-                rec = np.concatenate([tables.keys[li], tables.values[li]], axis=-1)
-            else:
-                rec = tables.values[li]
-            f.write(np.ascontiguousarray(rec, dtype=nd).tobytes())
+    f = open(path, "wb")
+    try:
+        with f:
+            f.write(header.encode())
+            for li in range(tables.num_expert_layers):
+                if tables.keys is not None:
+                    rec = np.concatenate([tables.keys[li], tables.values[li]], axis=-1)
+                else:
+                    rec = tables.values[li]
+                with np.errstate(over="ignore"):
+                    cast = np.ascontiguousarray(rec, dtype=nd)
+                if not np.isfinite(cast).all():
+                    raise StoreFormatError(
+                        f"expert layer {li} is not finite in {dtype}: max |value| {np.abs(rec).max():.4g}, "
+                        f"{dtype} max {np.finfo(nd).max:.4g}"
+                    )
+                f.write(cast.tobytes())
+    except BaseException:
+        os.unlink(path)
+        raise
     return header
 
 

@@ -8,6 +8,7 @@ one implementation of every acceptance property.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import math
 import os
@@ -212,20 +213,16 @@ def check_block_gradients(tol: float = 1e-4):
 def _decode_rows(cfg: ModelConfig, n_tokens: int, store_dtype: str = "fp32"):
     """Init a model at the given geometry, decode n_tokens, return state."""
     model = init_model(cfg, seed=5, dtype=np.float32, init_std=0.02)
-    reader = None
-    tmp = None
-    if cfg.kind != "dense":
-        tmp = tempfile.NamedTemporaryFile(suffix=".mlkv", delete=False)
-        tmp.close()
-        write_store(reparameterize(model), tmp.name, dtype=store_dtype)
-        reader = ExpertStoreReader(tmp.name)
-    state = DecoderState(model, reader)
     rng = np.random.default_rng(3)
-    for _ in range(n_tokens):
-        decode_step(state, int(rng.integers(0, cfg.vocab_size)))
-    if reader is not None:
-        reader.close()
-        os.unlink(tmp.name)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = None
+        if cfg.kind != "dense":
+            path = os.path.join(tmp, "experts.mlkv")
+            write_store(reparameterize(model), path, dtype=store_dtype)
+        with ExpertStoreReader(path) if path else contextlib.nullcontext() as reader:
+            state = DecoderState(model, reader)
+            for _ in range(n_tokens):
+                decode_step(state, int(rng.integers(0, cfg.vocab_size)))
     return state
 
 

@@ -1,14 +1,19 @@
 """Acceptance suite: one test per criterion, one printed line per criterion.
 
+One more test holds criterion 4's decode helper to cleaning up when it fails.
+
 Tolerances and budgets are pinned here; the check implementations live in
 molkv.verify so the CLI ``verify`` subcommand runs the identical suite.
 Budgets (30 s / 60 s / 15 min) are generous on any desktop CPU; the slow
 training smoke runs last and carries its own marker.
 """
 
+import tempfile
+
 import pytest
 
 from molkv import verify
+from molkv.config import ModelConfig
 
 
 def _report(num, result, budget=None):
@@ -32,6 +37,28 @@ def test_criterion_03_block_gradient_check():
 
 def test_criterion_04_cost_counter_exactness():
     _report(4, verify.check_cost_counters())
+
+
+def test_criterion_04_cleans_up_when_decoding_raises(tmp_path, monkeypatch):
+    opened = []
+
+    class Reader(verify.ExpertStoreReader):
+        def __init__(self, path):
+            super().__init__(path)
+            opened.append(self)
+
+    def fail(state, token_id):
+        raise RuntimeError("decode failed")
+
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    monkeypatch.setattr(verify, "ExpertStoreReader", Reader)
+    monkeypatch.setattr(verify, "decode_step", fail)
+    cfg = ModelConfig(kind="molkv", num_layers=1, hidden_size=8, ffn_size=8, vocab_size=16, num_experts=2,
+                      key_dim=2, cache_window=2, top_k=1, expert_layers=(0,), num_heads=2)
+    with pytest.raises(RuntimeError, match="decode failed"):
+        verify._decode_rows(cfg, 3)
+    assert list(tmp_path.iterdir()) == []
+    assert len(opened) == 1 and opened[0]._fd is None
 
 
 def test_criterion_05_parameter_counting():

@@ -20,10 +20,12 @@ from molkv.autodiff import (
     parameter,
     reshape,
     rmsnorm,
+    rmsnorm_np,
     rope_rotate,
     sigmoid,
     silu,
     softmax,
+    softmax_np,
     stack,
     tensor_sum,
     topk_indices,
@@ -393,3 +395,42 @@ def test_forward_values_stay_finite():
     x = Tensor(rng.standard_normal((5, 8)) * 50)
     for y in (sigmoid(x), silu(x), softmax(x), rmsnorm(x, Tensor(np.ones(8)))):
         assert np.all(np.isfinite(y.data))
+
+
+class TestOneKernel:
+    """Each taped op's forward is its numpy kernel, bit for bit."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_rmsnorm(self, dtype):
+        rng = np.random.default_rng(15)
+        x = rng.standard_normal((3, 4, 8)).astype(dtype)
+        g = (1.7 * rng.standard_normal(8) + 0.3).astype(dtype)
+        want = rmsnorm(Tensor(x), Tensor(g), 1e-6).data
+        got = rmsnorm_np(x, g, 1e-6)
+        assert got.dtype == want.dtype == dtype
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("axis", [0, -1])
+    def test_softmax(self, axis):
+        rng = np.random.default_rng(16)
+        x = 4.0 * rng.standard_normal((5, 6))
+        mask = rng.random((5, 6)) < 0.6
+        mask[2, :] = False  # a fully masked slice along either axis
+        mask[:, 3] = False
+        for m in (mask, None):
+            np.testing.assert_array_equal(softmax_np(x, axis, m), masked_softmax(Tensor(x), m, axis).data)
+        np.testing.assert_array_equal(softmax_np(x, axis), softmax(Tensor(x), axis).data)
+        empty = (slice(None), 3) if axis == 0 else (2, slice(None))
+        assert softmax_np(x, axis, mask)[empty].tolist() == [0.0] * len(x[empty])
+
+    def test_cross_entropy_gradient(self):
+        rng = np.random.default_rng(17)
+        z = parameter(rng.standard_normal((2, 3, 11)))
+        t = rng.integers(0, 11, size=(2, 3))
+        with Tape() as tape:
+            loss = cross_entropy_logits(z, t)
+        grad = backward(tape, loss)[z]
+        n = t.size
+        onehot = np.eye(11)[t.reshape(-1)]
+        want = (softmax_np(z.data.reshape(n, 11)) - onehot) * (1.0 / n)
+        np.testing.assert_array_equal(grad, want.reshape(z.shape))

@@ -1,14 +1,17 @@
 """Manifest validation and the end-to-end CLI pipeline."""
 
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from molkv.cli import main
-from molkv.config import ConfigError
+from molkv.config import ConfigError, ModelConfig
 from molkv.manifest import parse_manifest, parse_manifest_dict
-from molkv.training import synthesize_corpus
+from molkv.training import TrainConfig, synthesize_corpus
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -76,6 +79,34 @@ class TestManifest:
         man = parse_manifest_dict(tiny_doc(expert_layers=2))
         assert man.model.expert_layers == (0, 1)
 
+    @pytest.mark.parametrize(
+        "section,key,value",
+        [
+            ("model", None, 5),
+            ("train", None, 3),
+            ("paths", None, ["corpus.txt"]),
+            ("train", "lr", "x"),
+            ("train", "betas", 0.9),
+            ("train", "betas", [0.9, "0.95"]),
+            ("train", "steps", 10.0),
+            ("model", "num_layers", 2.0),
+            ("model", "num_layers", "2"),
+            ("model", "num_layers", True),
+            ("model", "expert_layers", "12"),
+            ("model", "expert_layers", [0.0]),
+            ("model", "kind", None),
+            ("paths", "corpus", 5),
+        ],
+    )
+    def test_wrong_json_type_rejected(self, section, key, value):
+        doc = tiny_doc()
+        if key is None:
+            doc[section] = value
+        else:
+            doc.setdefault(section, {})[key] = value
+        with pytest.raises(ConfigError, match=section):
+            parse_manifest_dict(doc)
+
     def test_not_json(self, tmp_path):
         p = tmp_path / "m.json"
         p.write_text("kind: molkv")
@@ -85,6 +116,61 @@ class TestManifest:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             parse_manifest(tmp_path / "absent.json")
+
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 40)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+SECTION_KEYS = {
+    "model": [f.name for f in fields(ModelConfig)],
+    "train": [f.name for f in fields(TrainConfig)],
+    "paths": ["corpus", "checkpoint", "store", "report"],
+}
+
+
+@st.composite
+def fuzzed_manifests(draw):
+    """A valid document whose sections are kept, dropped, replaced, or edited key by key."""
+    doc = {
+        "model": tiny_doc()["model"],
+        "train": {"steps": 10, "warmup_steps": 2, "lr": 1e-3, "betas": [0.9, 0.95], "dtype": "fp64"},
+        "paths": {"corpus": "c.txt"},
+    }
+    for name, keys in SECTION_KEYS.items():
+        action = draw(st.sampled_from(["keep", "keep", "drop", "replace", "edit", "edit"]))
+        if action == "drop":
+            del doc[name]
+        elif action == "replace":
+            doc[name] = draw(JSON_VALUES)
+        elif action == "edit":
+            for key in draw(st.lists(st.sampled_from(keys), unique=True, min_size=1, max_size=3)):
+                if draw(st.booleans()):
+                    doc[name][key] = draw(JSON_VALUES)
+                else:
+                    doc[name].pop(key, None)
+    return doc
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(fuzzed_manifests())
+def test_manifest_parses_or_raises_config_error(doc):
+    try:
+        man = parse_manifest_dict(doc)
+    except ConfigError:
+        return
+    assert parse_manifest_dict(man.echo()).echo() == man.echo()
+
+
+def test_malformed_manifest_exit_code(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**tiny_doc(), "train": {"lr": "x"}}))
+    assert main(["cost", "--manifest", str(bad)]) == 2
 
 
 @pytest.fixture
@@ -178,6 +264,22 @@ class TestPipeline:
         report = [json.loads(line) for line in (tmp / "costs.jsonl").read_text().splitlines()]
         expert_rows = [r for r in report if r["layer"] == 0]
         assert all(r["bytes_loaded"] == 2 * (16 + 4) * 2 for r in expert_rows)  # fp16 itemsize
+
+    def test_fp16_overflow_export_exit_code(self, workspace, capsys):
+        from molkv.training import new_train_state, save_checkpoint
+
+        tmp, manifest = workspace
+        doc = json.loads(manifest.read_text())
+        doc["model"].update(kind="mole", key_dim=0, cache_window=0, top_k=0)
+        doc["train"]["init_std"] = 8.0
+        manifest.write_text(json.dumps(doc))
+        man = parse_manifest(manifest)
+        save_checkpoint(man.paths["checkpoint"], new_train_state(man.model, man.train), man.echo()["model"], man.train)
+        capsys.readouterr()
+        assert main(["export", "--manifest", str(manifest), "--dtype", "fp16"]) == 2
+        assert "max |value|" in capsys.readouterr().err
+        assert not (tmp / "model.mlkv").exists()
+        assert main(["export", "--manifest", str(manifest), "--dtype", "fp32"]) == 0
 
     def test_decode_rejects_mismatched_store(self, workspace, monkeypatch, capsys):
         import numpy as np

@@ -11,7 +11,6 @@ from molkv.layers import (
     causal_attention,
     causal_attention_step,
     rmsnorm_np,
-    rope,
     rope_np,
     rope_tables,
     swishglu_ffn,
@@ -42,7 +41,6 @@ class TestRope:
         rng = np.random.default_rng(0)
         x = rng.standard_normal(10)
         assert np.array_equal(rope_np(x, 0), x)
-        assert np.array_equal(rope(Tensor(x), 0).data, x)
 
     def test_norm_preserved(self):
         rng = np.random.default_rng(1)
@@ -153,5 +151,5 @@ def test_rmsnorm_np_matches_definition():
     rng = np.random.default_rng(10)
     x = rng.standard_normal((3, 5))
     g = rng.standard_normal(5)
-    want = g * x / np.sqrt((x**2).mean(-1, keepdims=True) + 1e-8)
+    want = g * (x / np.sqrt((x**2).mean(-1, keepdims=True) + 1e-8))
     np.testing.assert_array_equal(rmsnorm_np(x, g), want)

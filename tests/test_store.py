@@ -1,5 +1,7 @@
 """Expert store: reparameterization, binary round-trips, parameter counts."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -262,6 +264,19 @@ class TestFileRoundTrip:
                 want = mole_train_forward(Tensor(h), token, model.embedding, block).data
                 rel = np.abs(got - want).max() / (np.abs(want).max() + 1e-300)
                 assert rel < 1e-2  # fp16 degrades gracefully
+
+    def test_values_beyond_fp16_rejected(self, tmp_path):
+        tables = reparameterize(init_model(tiny_config("mole"), seed=0, dtype=np.float64, init_std=8.0))
+        assert max(np.abs(v).max() for v in tables.values) > np.finfo(np.float16).max
+        path = tmp_path / "big.mlkv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the error replaces numpy's cast warning
+            with pytest.raises(StoreFormatError, match=r"layer 0 .*max \|value\| .*fp16 max 6\.55e\+04"):
+                write_store(tables, path, dtype="fp16")
+        assert not path.exists()
+        write_store(tables, path, dtype="fp32")
+        with ExpertStoreReader(path) as reader:
+            assert reader.header.dtype == "fp32"
 
 
 class TestCountParams:
