@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 MODEL_KINDS = ("dense", "mole", "gated-mole", "molkv")
@@ -9,6 +10,15 @@ MODEL_KINDS = ("dense", "mole", "gated-mole", "molkv")
 
 class ConfigError(ValueError):
     """A configuration or manifest value violates an invariant."""
+
+
+def check_finite(cfg, positive=(), nonnegative=()) -> None:
+    """Raise ConfigError unless each named field of ``cfg`` is finite and > 0 (``positive``) or >= 0."""
+    for name in (*positive, *nonnegative):
+        value = getattr(cfg, name)
+        strict = name in positive
+        if not (math.isfinite(value) and (value > 0 if strict else value >= 0)):
+            raise ConfigError(f"{name} must be finite and {'>' if strict else '>='} 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -40,6 +50,7 @@ class ModelConfig:
     def validate(self) -> None:
         if self.kind not in MODEL_KINDS:
             raise ConfigError(f"unknown model kind {self.kind!r}; expected one of {MODEL_KINDS}")
+        check_finite(self, positive=("rope_theta", "norm_eps"))
         for name in ("num_layers", "hidden_size", "ffn_size", "vocab_size", "num_heads"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")

@@ -39,7 +39,7 @@ from .autodiff import (
     topk_indices,
     transpose,
 )
-from .layers import NORM_EPS, ROPE_THETA, FFNParams, rope_np, rope_tables, swishglu_ffn
+from .layers import NORM_EPS, ROPE_THETA, FFNParams, RowBuffer, rope_np, rope_tables, swishglu_ffn
 
 
 class CacheStateError(RuntimeError):
@@ -137,8 +137,13 @@ def compute_expert_kv(e_id: np.ndarray, params: MoLKVBlockParams) -> ExpertKV:
 class KVExpertCache:
     """RoPE-rotated keys and normalized values of the last M tokens.
 
-    Slots are ordered oldest to newest; positions are consecutive and end
-    one before the token currently being decoded.
+    Keys and values are rows of two :class:`~molkv.layers.RowBuffer` s of
+    2M slots. An insert writes one slot in place; once the buffers are full,
+    the newest M - 1 slots move to the front, one copy per M + 1 inserts.
+    ``keys_rot`` (m, N, d') and ``values`` (m, N, d) are contiguous views of
+    the live slots, oldest to newest, so a flat index into them is a
+    logical slot index. ``positions`` are consecutive and end one before
+    the token currently being decoded.
     """
 
     window: int  # M
@@ -147,40 +152,43 @@ class KVExpertCache:
     hidden_size: int
     dtype: np.dtype = np.dtype(np.float64)
     rope_theta: float = ROPE_THETA
-    positions: list[int] = field(default_factory=list)
-    keys_rot: np.ndarray = None  # (m, N, d')
-    values: np.ndarray = None  # (m, N, d)
+    next_position: int = field(default=0, init=False)
 
     def __post_init__(self):
-        if self.keys_rot is None:
-            self.keys_rot = np.zeros((0, self.num_experts, self.key_dim), dtype=self.dtype)
-        if self.values is None:
-            self.values = np.zeros((0, self.num_experts, self.hidden_size), dtype=self.dtype)
+        slots = 2 * self.window
+        self._keys = RowBuffer((self.num_experts, self.key_dim), self.dtype, slots, self.window)
+        self._values = RowBuffer((self.num_experts, self.hidden_size), self.dtype, slots, self.window)
 
     def __len__(self) -> int:
-        return len(self.positions)
+        return len(self._keys)
+
+    @property
+    def keys_rot(self) -> np.ndarray:
+        return self._keys.view
+
+    @property
+    def values(self) -> np.ndarray:
+        return self._values.view
+
+    @property
+    def positions(self) -> list[int]:
+        return list(range(self.next_position - len(self), self.next_position))
 
     @property
     def param_count(self) -> int:
         """Cached parameters currently resident: m * N * (d + d')."""
-        return len(self.positions) * self.num_experts * (self.hidden_size + self.key_dim)
+        return len(self) * self.num_experts * (self.hidden_size + self.key_dim)
 
 
 def cache_insert(cache: KVExpertCache, position: int, kv: ExpertKV) -> KVExpertCache:
     """Rotate keys to ``position``, append, evict the oldest beyond M."""
-    if cache.positions:
-        if position != cache.positions[-1] + 1:
-            raise CacheStateError(f"cache holds ..{cache.positions[-1]}, cannot insert position {position}")
-    elif position != 0:
+    if position != cache.next_position:
+        if cache.next_position:
+            raise CacheStateError(f"cache holds ..{cache.next_position - 1}, cannot insert position {position}")
         raise CacheStateError(f"empty cache starts at position 0, got {position}")
-    keys_r = rope_np(kv.keys.astype(cache.dtype, copy=False), position, cache.rope_theta)
-    cache.positions.append(position)
-    cache.keys_rot = np.concatenate([cache.keys_rot, keys_r[None]], axis=0)
-    cache.values = np.concatenate([cache.values, kv.values_normed.astype(cache.dtype, copy=False)[None]], axis=0)
-    if len(cache.positions) > cache.window:
-        cache.positions.pop(0)
-        cache.keys_rot = cache.keys_rot[1:]
-        cache.values = cache.values[1:]
+    cache._keys.append(rope_np(kv.keys.astype(cache.dtype, copy=False), position, cache.rope_theta))
+    cache._values.append(kv.values_normed)
+    cache.next_position += 1
     return cache
 
 
@@ -206,7 +214,7 @@ def molkv_new_scores(q_rot: np.ndarray, h: np.ndarray, cache: KVExpertCache, par
     n = cache.num_experts
     qk = cache.keys_rot.reshape(m * n, cache.key_dim) @ q_rot * params.qk_scale
     router = h @ params.new_routers.data  # (N,)
-    return qk + np.tile(router, m)
+    return (qk.reshape(m, n) + router).reshape(m * n)
 
 
 def molkv_select(scores: np.ndarray, k: int):

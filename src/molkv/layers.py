@@ -12,6 +12,7 @@ reads a KV cache in decoding.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,7 @@ __all__ = [
     "FFNParams",
     "AttnParams",
     "AttentionCache",
+    "RowBuffer",
     "rmsnorm",  # re-exports: the kernels and taped ops live in autodiff
     "rmsnorm_np",
     "rope_np",
@@ -158,32 +160,96 @@ def causal_attention(x: Tensor, p: AttnParams, theta: float = ROPE_THETA) -> Ten
     return reshape(out, (s, d)) if squeeze else out
 
 
-class AttentionCache:
-    """Backbone KV cache for one decoding sequence (RoPE-rotated keys)."""
+class RowBuffer:
+    """Rows appended along axis 0 of a preallocated array, kept in arrival order.
 
-    def __init__(self, n_heads: int, head_dim: int, dtype):
-        self.k = np.zeros((0, n_heads, head_dim), dtype=dtype)
-        self.v = np.zeros((0, n_heads, head_dim), dtype=dtype)
+    ``view`` is the contiguous slice ``[start:end]`` of the live rows, oldest
+    first. An append writes one row in place. When the array is full, the
+    rows still needed after this append move to its front, or to a new
+    array of twice the capacity if they would fill more than half of it.
+    So an unbounded buffer doubles, amortized O(1) per append, and a buffer
+    with ``window`` M and capacity 2M keeps its array and moves M - 1 rows
+    once every M + 1 appends.
+    """
+
+    def __init__(self, row_shape, dtype, capacity: int, window: int | None = None):
+        self._buf = np.empty((capacity,) + tuple(row_shape), dtype=dtype)
+        self.window = window
+        self.start = 0
+        self.end = 0
 
     def __len__(self):
-        return self.k.shape[0]
+        return self.end - self.start
+
+    @property
+    def view(self) -> np.ndarray:
+        return self._buf[self.start : self.end]
+
+    def append(self, row: np.ndarray) -> None:
+        if self.end == len(self._buf):
+            keep = len(self) if self.window is None else min(len(self), self.window - 1)
+            buf = self._buf
+            if 2 * keep > len(buf):
+                buf = np.empty((2 * len(buf),) + buf.shape[1:], dtype=buf.dtype)
+            buf[:keep] = self._buf[self.end - keep : self.end]
+            self._buf, self.start, self.end = buf, 0, keep
+        self._buf[self.end] = row
+        self.end += 1
+        if self.window is not None and len(self) > self.window:
+            self.start += 1
+
+
+class AttentionCache:
+    """Backbone KV cache for one decoding sequence (RoPE-rotated keys).
+
+    Keys and values are slot-major (t, heads, head_dim) rows of two
+    unbounded :class:`RowBuffer` s, so an append is amortized O(1); ``k``
+    and ``v`` are contiguous views of the t cached positions in order.
+    """
+
+    INITIAL_ROWS = 32  # rows before the first doubling
+
+    def __init__(self, n_heads: int, head_dim: int, dtype):
+        self.dtype = np.dtype(dtype)
+        self._k = RowBuffer((n_heads, head_dim), dtype, self.INITIAL_ROWS)
+        self._v = RowBuffer((n_heads, head_dim), dtype, self.INITIAL_ROWS)
+
+    def __len__(self):
+        return len(self._k)
+
+    @property
+    def k(self) -> np.ndarray:
+        return self._k.view
+
+    @property
+    def v(self) -> np.ndarray:
+        return self._v.view
+
+    def append(self, k: np.ndarray, v: np.ndarray) -> None:
+        self._k.append(k)
+        self._v.append(v)
 
 
 def causal_attention_step(
     x: np.ndarray, p: AttnParams, cache: AttentionCache, position: int, theta: float = ROPE_THETA
 ) -> np.ndarray:
-    """One-token attention; appends this position's k/v to the cache."""
+    """One-token attention; appends this position's k/v to the cache.
+
+    Scores and mixes per head in the cache's dtype, with batched matmul over
+    transposed views of the slot-major cache: (h, 1, hd) @ (h, hd, t), then
+    (h, 1, t) @ (h, t, hd). The scale is a Python float, which keeps that
+    dtype (a NumPy float64 scalar would promote fp32 scores to fp64).
+    """
     d = x.shape[-1]
     h = p.n_heads
     hd = d // h
     q = (x @ p.wq.data).reshape(h, hd)
     k = (x @ p.wk.data).reshape(h, hd)
     v = (x @ p.wv.data).reshape(h, hd)
-    q = rope_np(q, position, theta)
+    q = rope_np(q, position, theta).astype(cache.dtype, copy=False)
     k = rope_np(k, position, theta)
-    cache.k = np.concatenate([cache.k, k[None]], axis=0)  # (t+1, h, hd)
-    cache.v = np.concatenate([cache.v, v[None]], axis=0)
-    logits = np.einsum("hd,thd->ht", q, cache.k) / np.sqrt(hd)
+    cache.append(k, v)
+    logits = (q[:, None, :] @ cache.k.transpose(1, 2, 0)) / math.sqrt(hd)  # (h, 1, t)
     w = softmax_np(logits, axis=-1)
-    ctx = np.einsum("ht,thd->hd", w, cache.v).reshape(d)
+    ctx = (w @ cache.v.transpose(1, 0, 2)).reshape(d)  # (h, 1, hd)
     return ctx @ p.wo.data

@@ -119,10 +119,7 @@ class DecoderState:
                     rope_theta=cfg.rope_theta,
                 )
         self.rows: list[CostRow] = []
-
-    @property
-    def expert_layer_index(self) -> dict[int, int]:
-        return {li: i for i, li in enumerate(self.config.expert_layers)}
+        self.expert_layer_index = {li: i for i, li in enumerate(cfg.expert_layers)}  # model layer -> store layer
 
 
 def _params_offloaded(cfg: ModelConfig) -> int:

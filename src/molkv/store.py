@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import os
 import struct
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -261,7 +262,7 @@ class ExpertStoreReader:
     Every read is a positioned read of exactly one record; each returned
     record carries the bytes that read loaded (``nbytes``), the transfer
     size the offloading model budgets for. ``bytes_read`` and ``reads`` are
-    running totals over all callers.
+    running totals over all callers, updated under a lock.
     """
 
     def __init__(self, path):
@@ -279,14 +280,16 @@ class ExpertStoreReader:
             raise StoreFormatError(f"store size {actual} does not match header-implied {expected}")
         self.bytes_read = 0
         self.reads = 0
+        self._totals_lock = threading.Lock()
 
     def read_record(self, layer: int, token_id: int) -> ExpertRecord:
         h = self.header
         raw = os.pread(self._fd, h.record_bytes, h.record_offset(layer, token_id))
         if len(raw) != h.record_bytes:
             raise StoreFormatError(f"short read at (layer={layer}, id={token_id})")
-        self.bytes_read += len(raw)
-        self.reads += 1
+        with self._totals_lock:
+            self.bytes_read += len(raw)
+            self.reads += 1
         flat = np.frombuffer(raw, dtype=NUMPY_DTYPES[h.dtype]).reshape(h.num_experts, h.hidden_size + h.key_dim)
         if h.key_dim:
             return ExpertRecord(keys=flat[:, : h.key_dim].copy(), values=flat[:, h.key_dim :].copy(), nbytes=len(raw))

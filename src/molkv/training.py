@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Tape, backward
-from .config import ConfigError
+from .config import ConfigError, check_finite
 from .model import ModelParams, init_model, next_token_loss
 
 CHECKPOINT_MAGIC = b"MLKVCKPT"
@@ -144,6 +144,8 @@ class TrainConfig:
         self.betas = tuple(self.betas)
         if len(self.betas) != 2 or not all(0.0 <= b < 1.0 for b in self.betas):
             raise ConfigError(f"betas must be two values in [0, 1), got {self.betas}")
+        # grad_clip 0 means no clipping (AdamW.step)
+        check_finite(self, positive=("lr", "init_std", "adam_eps"), nonnegative=("min_lr", "weight_decay", "grad_clip"))
         if self.warmup_steps > self.steps:
             raise ConfigError("warmup_steps must not exceed steps")
         if self.min_lr > self.lr:

@@ -1,6 +1,7 @@
 """Manifest validation and the end-to-end CLI pipeline."""
 
 import json
+import math
 from dataclasses import fields
 from pathlib import Path
 
@@ -171,6 +172,13 @@ def test_malformed_manifest_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({**tiny_doc(), "train": {"lr": "x"}}))
     assert main(["cost", "--manifest", str(bad)]) == 2
+
+
+def test_nan_manifest_exit_code(tmp_path, capsys):
+    bad = tmp_path / "nan.json"
+    bad.write_text(json.dumps({**tiny_doc(), "train": {"lr": math.nan}}))  # json writes NaN and reads it back
+    assert main(["cost", "--manifest", str(bad)]) == 2
+    assert "lr must be finite" in capsys.readouterr().err
 
 
 @pytest.fixture

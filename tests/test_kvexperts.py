@@ -6,6 +6,7 @@ import pytest
 from molkv.autodiff import Tensor, grad_check, mul, parameter, tensor_sum
 from molkv.kvexperts import (
     CacheStateError,
+    ExpertKV,
     KVExpertCache,
     MoLKVBlockParams,
     cache_insert,
@@ -143,10 +144,53 @@ class TestCache:
         block = make_block(rng)
         m = 4
         cache = fresh_cache(block, window=m)
-        for pos in range(m + 3):
-            cache_insert(cache, pos, compute_expert_kv(rng.standard_normal(10), block))
-        assert cache.positions == list(range(3, m + 3))
-        assert cache.positions[0] == (m + 3 - 1) - m + 1 == 3
+        keys, values = [], []  # concatenate-and-slice reference
+        for pos in range(3 * m + 3):  # past 2M + 1: the 2M-slot buffers compact twice
+            kv = compute_expert_kv(rng.standard_normal(10), block)
+            cache_insert(cache, pos, kv)
+            keys.append(rope_np(kv.keys, pos))
+            values.append(kv.values_normed)
+            assert np.array_equal(cache.keys_rot, np.stack(keys)[-m:])
+            assert np.array_equal(cache.values, np.stack(values)[-m:])
+            assert cache.positions == list(range(max(0, pos + 1 - m), pos + 1))
+        assert cache.positions == list(range(2 * m + 3, 3 * m + 3))
+
+    def test_equal_scores_select_oldest_slots_after_compaction(self):
+        rng = np.random.default_rng(19)
+        block = make_block(rng, top_k=3)
+        block.new_routers.data[:] = 0.0
+        m, n = 4, block.num_experts
+        cache = fresh_cache(block, window=m)
+        inserted = []
+        for pos in range(2 * m + 3):  # the buffers compact at insert 2M + 1
+            values = rng.standard_normal((n, 10))
+            cache_insert(cache, pos, ExpertKV(keys=np.zeros((n, block.key_dim)), values=values, values_normed=values))
+            inserted.append(values)
+        h = rng.standard_normal(10)
+        scores = molkv_new_scores(molkv_query(h, block, 2 * m + 3)[1], h, cache, block)
+        assert np.array_equal(scores, np.zeros(m * n))
+        idx, _ = molkv_select(scores, block.top_k)
+        assert idx.tolist() == [0, 1, 2]
+        oldest = inserted[m + 3]
+        want = np.stack([oldest[0], oldest[1], inserted[m + 4][0]])
+        assert np.array_equal(cache.values.reshape(-1, 10)[idx], want)
+
+    def test_inserts_write_in_place_between_compactions(self):
+        rng = np.random.default_rng(20)
+        block = make_block(rng)
+        m = 4
+        cache = fresh_cache(block, window=m)
+        kv = compute_expert_kv(rng.standard_normal(10), block)
+        cache_insert(cache, 0, kv)
+        prev_keys, prev_values = cache.keys_rot, cache.values
+        for pos in range(1, 2 * m):  # all 2M slots fill without a move
+            cache_insert(cache, pos, kv)
+            assert np.shares_memory(cache.keys_rot, prev_keys)
+            assert np.shares_memory(cache.values, prev_values)
+            prev_keys, prev_values = cache.keys_rot, cache.values
+        base_keys, base_values = prev_keys.base, prev_values.base
+        cache_insert(cache, 2 * m, kv)  # compaction moves slots within the same buffers
+        assert cache.keys_rot.base is base_keys and cache.values.base is base_values
 
     def test_out_of_order_insert_rejected(self):
         rng = np.random.default_rng(11)

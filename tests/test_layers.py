@@ -132,6 +132,23 @@ class TestAttention:
         step = np.stack([causal_attention_step(x[t], p, cache, t) for t in range(s)])
         np.testing.assert_allclose(step, batched, atol=1e-10)
 
+    def test_cache_appends_in_place_and_doubles(self):
+        rng = np.random.default_rng(11)
+        d, heads, s = 12, 3, AttentionCache.INITIAL_ROWS + 8
+        p = make_attn(rng, d, heads)
+        x = rng.standard_normal((s, d))
+        batched = causal_attention(Tensor(x), p).data
+        cache = AttentionCache(heads, d // heads, np.float64)
+        keys = []
+        for t in range(s):
+            prev = cache.k.base
+            step = causal_attention_step(x[t], p, cache, t)
+            np.testing.assert_allclose(step, batched[t], atol=1e-10)
+            keys.append(rope_np((x[t] @ p.wk.data).reshape(heads, d // heads), t))
+            assert np.array_equal(cache.k, np.stack(keys))
+            # the buffer doubles once full; every other append writes in place
+            assert (cache.k.base is prev) == (t != AttentionCache.INITIAL_ROWS), t
+
     def test_head_dim_must_be_even_for_tables(self):
         with pytest.raises(ShapeError):
             rope_tables(np.arange(4), 5)

@@ -1,5 +1,7 @@
 """Model assembly: initialization, parameter walk, forward shapes."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,15 @@ class TestConfig:
             ModelConfig(kind="molkv", num_layers=1, hidden_size=8, ffn_size=8, vocab_size=8,
                         num_experts=1, key_dim=5, cache_window=1, top_k=1, expert_layers=(0,),
                         num_heads=2)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("rope_theta", math.nan), ("rope_theta", math.inf), ("rope_theta", 0.0),
+         ("norm_eps", math.nan), ("norm_eps", -1.0), ("norm_eps", 0.0)],
+    )
+    def test_nonfinite_or_out_of_range_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            cfg_of("molkv").with_overrides(**{field: value})
 
     def test_expert_layers_bounds(self):
         with pytest.raises(ConfigError):

@@ -52,11 +52,13 @@ class TestLogitEquivalence:
             path = tmp_path / "store.mlkv"
             write_store(reparameterize(model), path, dtype="fp64")
             reader = ExpertStoreReader(path)
-        ids = np.random.default_rng(2).integers(0, cfg.vocab_size, size=11)
-        _, logits, _ = run_decode(model, reader, ids)
-        want = forward(model, ids[None, :]).data[0]
-        rel = np.abs(logits - want).max() / (np.abs(want).max() + 1e-300)
-        assert rel < 1e-6
+        # 40 tokens cross several expert-window compactions (M = 5) and an attention-cache growth
+        for length in (11, 40):
+            ids = np.random.default_rng(2).integers(0, cfg.vocab_size, size=length)
+            _, logits, _ = run_decode(model, reader, ids)
+            want = forward(model, ids[None, :]).data[0]
+            rel = np.abs(logits - want).max() / (np.abs(want).max() + 1e-300)
+            assert rel < 1e-6, length
         if reader:
             reader.close()
 

@@ -1,5 +1,6 @@
 """Expert store: reparameterization, binary round-trips, parameter counts."""
 
+import threading
 import warnings
 
 import numpy as np
@@ -220,6 +221,27 @@ class TestFileRoundTrip:
                 assert rec.nbytes == expect
                 assert reader.bytes_read == i * expect
                 assert reader.reads == i
+
+    def test_totals_exact_under_shared_readers(self, tmp_path):
+        model = init_model(tiny_config("mole"), seed=6, dtype=np.float64, init_std=0.3)
+        path = tmp_path / "store.mlkv"
+        write_store(reparameterize(model), path, dtype="fp32")
+        n_threads, n = 4, 2000
+        with ExpertStoreReader(path) as reader:
+            start = threading.Barrier(n_threads)
+
+            def work(seed):
+                start.wait()
+                for i in range(n):
+                    reader.read_record((seed + i) % 2, (seed * 7 + i) % 17)
+
+            threads = [threading.Thread(target=work, args=(s,)) for s in range(n_threads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+            assert reader.reads == n_threads * n
+            assert reader.bytes_read == n_threads * n * reader.header.record_bytes
 
     def test_out_of_range_lookups(self, tmp_path):
         model = init_model(tiny_config("mole"), seed=7, dtype=np.float64, init_std=0.3)

@@ -103,6 +103,25 @@ class TestSchedule:
         with pytest.raises(ConfigError):
             TrainConfig(lr=1e-4, min_lr=1e-3)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("lr", math.nan), ("lr", math.inf), ("lr", 0.0),
+            ("init_std", math.nan), ("init_std", 0.0), ("init_std", -0.02),
+            ("adam_eps", math.nan), ("adam_eps", 0.0), ("adam_eps", -1e-8),
+            ("min_lr", math.nan), ("min_lr", -1e-6),
+            ("weight_decay", math.nan), ("weight_decay", math.inf), ("weight_decay", -0.1),
+            ("grad_clip", math.nan), ("grad_clip", math.inf), ("grad_clip", -1.0),
+        ],
+    )
+    def test_nonfinite_or_out_of_range_rejected(self, field, value):
+        kw = {field: value, "min_lr": 0.0} if field == "lr" else {field: value}
+        with pytest.raises(ConfigError, match=field):
+            TrainConfig(**kw)
+
+    def test_zero_grad_clip_means_no_clipping(self):
+        assert TrainConfig(grad_clip=0.0).grad_clip == 0.0
+
 
 class TestOptimizer:
     def test_zero_lr_keeps_parameters_bitwise(self):
