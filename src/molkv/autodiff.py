@@ -18,7 +18,6 @@ __all__ = [
     "Tape",
     "GraphError",
     "ShapeError",
-    "constant",
     "parameter",
     "add",
     "mul",
@@ -91,9 +90,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}, requires_grad={self.requires_grad})"
 
@@ -125,10 +121,6 @@ class Tensor:
 
 def _as_tensor(x, dtype) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=dtype))
-
-
-def constant(data, dtype=None) -> Tensor:
-    return Tensor(data, dtype=dtype, requires_grad=False)
 
 
 def parameter(data, dtype=None) -> Tensor:
@@ -227,9 +219,12 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 
 def sigmoid_np(x: np.ndarray) -> np.ndarray:
-    """Overflow-safe logistic function: exp only ever sees -|x|."""
+    """Overflow-safe logistic function: exp only ever sees -|x|; one division, in place."""
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    s = np.where(x >= 0, 1.0, e)
+    e += 1.0
+    s /= e
+    return s
 
 
 def silu_np(x: np.ndarray) -> np.ndarray:
@@ -239,7 +234,7 @@ def silu_np(x: np.ndarray) -> np.ndarray:
 def sigmoid(x: Tensor) -> Tensor:
     d = x.data
     s = sigmoid_np(d)
-    out = Tensor(s.astype(d.dtype, copy=False))
+    out = Tensor(s)
 
     def vjp(g):
         return (g * s * (1.0 - s),)
@@ -250,7 +245,7 @@ def sigmoid(x: Tensor) -> Tensor:
 def silu(x: Tensor) -> Tensor:
     d = x.data
     s = sigmoid_np(d)
-    out = Tensor((d * s).astype(d.dtype, copy=False))
+    out = Tensor(d * s)
 
     def vjp(g):
         return (g * (s + d * s * (1.0 - s)),)

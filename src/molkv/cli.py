@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
+import math
 import sys
 
 import numpy as np
@@ -116,7 +118,7 @@ def cmd_decode(args) -> int:
     if report_path:
         with open(report_path, "w") as f:
             for row in decoder.rows:
-                f.write(json.dumps(row.as_dict()) + "\n")
+                f.write(json.dumps(dataclasses.asdict(row)) + "\n")
         print(f"cost report: {report_path} ({len(decoder.rows)} records)")
     _print_cost_summary(decoder, totals)
     return EXIT_OK
@@ -163,6 +165,19 @@ def cmd_verify(args) -> int:
     return EXIT_VERIFY if failed else EXIT_OK
 
 
+def _checked(kind, ok, rule: str):
+    """An argparse type that parses ``kind(text)`` and refuses values for which ``ok`` fails."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value" errors
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="molkv", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -170,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a model from a manifest")
     p.add_argument("--manifest", required=True)
     p.add_argument("--seed", type=int, default=None, help="override train.seed")
-    p.add_argument("--steps", type=int, default=None, help="override train.steps")
+    p.add_argument("--steps", type=_checked(int, lambda n: n >= 0, ">= 0"), default=None, help="override train.steps")
     p.add_argument("--out", default=None, help="checkpoint output path")
     p.set_defaults(fn=cmd_train)
 
@@ -186,10 +201,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--store", default=None)
     p.add_argument("--prompt", default="The ")
-    p.add_argument("--steps", type=int, default=32, help="tokens to generate")
+    p.add_argument("--steps", type=_checked(int, lambda n: n >= 0, ">= 0"), default=32, help="tokens to generate")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--sampler", choices=("greedy", "temperature"), default="greedy")
-    p.add_argument("--temperature", type=float, default=1.0)
+    p.add_argument("--temperature", type=_checked(float, lambda t: 0 < t < math.inf, "finite and > 0"), default=1.0)
     p.add_argument("--out", default=None, help="cost report path (JSON lines)")
     p.set_defaults(fn=cmd_decode)
 

@@ -91,10 +91,6 @@ class ModelConfig:
         return self.hidden_size // self.num_heads
 
     @property
-    def has_gate(self) -> bool:
-        return self.kind in ("gated-mole", "molkv")
-
-    @property
     def expert_record_width(self) -> int:
         """Parameters loaded from the store per (layer, id): N*(d+d')."""
         return self.num_experts * (self.hidden_size + self.key_dim)

@@ -17,6 +17,7 @@ through a per-sequence cache is ``molkv_step`` in :mod:`molkv.runtime`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,7 +76,8 @@ class MoLKVBlockParams:
 
     @property
     def qk_scale(self) -> float:
-        return 1.0 / np.sqrt(self.key_dim)
+        # A Python float: a NumPy float64 scalar would promote fp32 scores to fp64.
+        return 1.0 / math.sqrt(self.key_dim)
 
     def tensors(self):
         out = [("ffn." + n, t) for n, t in self.ffn.tensors()]
@@ -186,7 +188,7 @@ def cache_insert(cache: KVExpertCache, position: int, kv: ExpertKV) -> KVExpertC
         if cache.next_position:
             raise CacheStateError(f"cache holds ..{cache.next_position - 1}, cannot insert position {position}")
         raise CacheStateError(f"empty cache starts at position 0, got {position}")
-    cache._keys.append(rope_np(kv.keys.astype(cache.dtype, copy=False), position, cache.rope_theta))
+    cache._keys.append(rope_np(kv.keys, position, cache.rope_theta))
     cache._values.append(kv.values_normed)
     cache.next_position += 1
     return cache

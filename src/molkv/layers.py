@@ -152,7 +152,8 @@ def causal_attention(x: Tensor, p: AttnParams, theta: float = ROPE_THETA) -> Ten
     q = rope_rotate(q, cos, sin)
     k = rope_rotate(k, cos, sin)
 
-    logits = scale(matmul(q, transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(hd))  # (b, h, s, s)
+    # A Python float: a NumPy float64 scalar would promote fp32 scores to fp64.
+    logits = scale(matmul(q, transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(hd))  # (b, h, s, s)
     causal = np.tril(np.ones((s, s), dtype=bool))
     w = masked_softmax(logits, causal, axis=-1)
     ctx = matmul(w, v)  # (b, h, s, hd)
@@ -210,7 +211,6 @@ class AttentionCache:
     INITIAL_ROWS = 32  # rows before the first doubling
 
     def __init__(self, n_heads: int, head_dim: int, dtype):
-        self.dtype = np.dtype(dtype)
         self._k = RowBuffer((n_heads, head_dim), dtype, self.INITIAL_ROWS)
         self._v = RowBuffer((n_heads, head_dim), dtype, self.INITIAL_ROWS)
 
@@ -235,10 +235,8 @@ def causal_attention_step(
 ) -> np.ndarray:
     """One-token attention; appends this position's k/v to the cache.
 
-    Scores and mixes per head in the cache's dtype, with batched matmul over
-    transposed views of the slot-major cache: (h, 1, hd) @ (h, hd, t), then
-    (h, 1, t) @ (h, t, hd). The scale is a Python float, which keeps that
-    dtype (a NumPy float64 scalar would promote fp32 scores to fp64).
+    Scores and mixes per head with batched matmul over transposed views of
+    the slot-major cache: (h, 1, hd) @ (h, hd, t), then (h, 1, t) @ (h, t, hd).
     """
     d = x.shape[-1]
     h = p.n_heads
@@ -246,7 +244,7 @@ def causal_attention_step(
     q = (x @ p.wq.data).reshape(h, hd)
     k = (x @ p.wk.data).reshape(h, hd)
     v = (x @ p.wv.data).reshape(h, hd)
-    q = rope_np(q, position, theta).astype(cache.dtype, copy=False)
+    q = rope_np(q, position, theta)
     k = rope_np(k, position, theta)
     cache.append(k, v)
     logits = (q[:, None, :] @ cache.k.transpose(1, 2, 0)) / math.sqrt(hd)  # (h, 1, t)

@@ -14,6 +14,7 @@ parameters/bytes loaded per token.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -69,16 +70,6 @@ class CostRow:
     bytes_loaded: int
     cache_len: int
 
-    def as_dict(self) -> dict:
-        return {
-            "token_index": self.token_index,
-            "layer": self.layer,
-            "macs": self.macs,
-            "params_loaded": self.params_loaded,
-            "bytes_loaded": self.bytes_loaded,
-            "cache_len": self.cache_len,
-        }
-
 
 class DecoderState:
     """All mutable state of one decoding sequence.
@@ -87,12 +78,12 @@ class DecoderState:
     share one reader. Dense models run without a store.
     """
 
-    def __init__(self, params: ModelParams, store: ExpertStoreReader | None = None, dtype=None):
+    def __init__(self, params: ModelParams, store: ExpertStoreReader | None = None):
         cfg = params.config
         self.params = params
         self.config = cfg
         self.store = store
-        self.dtype = np.dtype(dtype) if dtype is not None else params.dtype
+        self.dtype = params.dtype
         if cfg.expert_layers and store is None:
             raise ValueError(f"{cfg.kind} decoding requires an expert store")
         if store is not None:
@@ -138,7 +129,7 @@ def decode_step(state: DecoderState, token_id: int):
     delta = CostCounters(params_offloaded=_params_offloaded(cfg))
     t = state.position
 
-    x = params.embedding.data[token_id].astype(state.dtype, copy=True)
+    x = params.embedding.data[token_id]
     for li, layer in enumerate(params.layers):
         a = rmsnorm_np(x, layer.attn_norm.data, cfg.norm_eps)
         x = x + causal_attention_step(a, layer.attn, state.attn_caches[li], t, cfg.rope_theta)
@@ -314,7 +305,9 @@ def sample_token(logits: np.ndarray, sampler: str = "greedy", temperature: float
     if sampler == "temperature":
         if rng is None:
             raise ValueError("temperature sampling needs an rng")
-        p = softmax_np(logits / max(temperature, 1e-8))
+        if not 0 < temperature < math.inf:
+            raise ValueError(f"temperature must be finite and > 0, got {temperature}")
+        p = softmax_np(logits / temperature)
         return int(rng.choice(len(p), p=p))
     raise ValueError(f"unknown sampler {sampler!r}")
 

@@ -23,6 +23,7 @@ from molkv.autodiff import (
     rmsnorm_np,
     rope_rotate,
     sigmoid,
+    sigmoid_np,
     silu,
     softmax,
     softmax_np,
@@ -86,6 +87,17 @@ class TestElementwise:
     def test_sigmoid_extreme_inputs_finite(self):
         y = sigmoid(Tensor([-1e4, 1e4])).data
         assert np.all(np.isfinite(y))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_np_matches_definition(self, dtype):
+        x = np.concatenate([np.random.default_rng(5).standard_normal(200) * 30, [0.0, -0.0, np.inf, -np.inf]])
+        x = x.astype(dtype)
+        e = np.exp(-np.abs(x))
+        want = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+        got = sigmoid_np(x)
+        assert got.dtype == dtype
+        np.testing.assert_array_equal(got, want)
+        assert sigmoid_np(x[3]) == want[3]  # a scalar input too
 
     def test_broadcast_mul_gradients(self):
         rng = np.random.default_rng(2)

@@ -313,6 +313,30 @@ class TestPipeline:
         assert "does not match the model configuration" in capsys.readouterr().err
         assert closed == [str(tmp / "other.mlkv")]
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["decode", "--steps", "-1"], "--steps"),
+            (["decode", "--sampler", "temperature", "--temperature", "nan"], "--temperature"),
+            (["decode", "--sampler", "temperature", "--temperature", "-1"], "--temperature"),
+            (["decode", "--sampler", "temperature", "--temperature", "0"], "--temperature"),
+            (["train", "--steps", "-1"], "--steps"),
+        ],
+        ids=["decode-steps", "temperature-nan", "temperature-negative", "temperature-zero", "train-steps"],
+    )
+    def test_bad_flag_value_exit_code(self, workspace, capsys, argv, flag):
+        tmp, manifest = workspace
+        assert main(["train", "--manifest", str(manifest), "--steps", "1"]) == 0
+        assert main(["export", "--manifest", str(manifest)]) == 0
+        before = (tmp / "model.ckpt").read_bytes()
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exit_info:
+            main([argv[0], "--manifest", str(manifest), *argv[1:]])
+        assert exit_info.value.code == 2
+        assert f"argument {flag}:" in capsys.readouterr().err
+        assert (tmp / "model.ckpt").read_bytes() == before
+        assert not (tmp / "costs.jsonl").exists()
+
     def test_verify_exit_codes(self, monkeypatch, capsys):
         from molkv import cli
         from molkv.verify import CheckResult

@@ -1,13 +1,16 @@
 """Decoding runtime: logit equivalence, cost accounting, generation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from molkv import runtime
+from molkv.autodiff import Tape, backward
 from molkv.config import ModelConfig
-from molkv.model import forward, init_model
+from molkv.model import forward, init_model, next_token_loss
 from molkv.runtime import CostCounters, DecoderState, closed_form_costs, decode_step, generate, sample_token
-from molkv.store import ExpertStoreReader, reparameterize, write_store
+from molkv.store import NUMPY_DTYPES, ExpertStoreReader, reparameterize, write_store
 
 
 def small_config(kind):
@@ -94,6 +97,53 @@ class TestLogitEquivalence:
         model = init_model(small_config("mole"), seed=5)
         with pytest.raises(ValueError):
             DecoderState(model, None)
+
+
+@pytest.mark.parametrize("kind", ["dense", "mole", "gated-mole", "molkv"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_model_computes_in_its_parameter_dtype(tmp_path, kind, dtype):
+    """Training, decoding and the decode caches all stay in the parameters' dtype.
+
+    The store holds a narrower dtype than the model (fp32 under fp64, fp16
+    under fp32). Its records are cast to the model's dtype where decoding
+    reads them, so decoding gives the same bits as over a model-dtype store
+    holding the same rounded values.
+    """
+    cfg = small_config(kind)
+    model = init_model(cfg, seed=3, dtype=dtype, init_std=0.3)
+    ids = np.random.default_rng(4).integers(0, cfg.vocab_size, size=(2, 9))
+    assert forward(model, ids).dtype == dtype
+    with Tape() as tape:
+        loss = next_token_loss(model, ids)
+    assert loss.dtype == dtype
+    backward(tape, loss)
+    assert [p.grad.dtype for p in model.parameters()] == [np.dtype(dtype)] * len(model.parameters())
+
+    def decode(tables, store_dtype):
+        reader = None
+        if tables is not None:
+            write_store(tables, tmp_path / f"{store_dtype}.mlkv", dtype=store_dtype)
+            reader = ExpertStoreReader(tmp_path / f"{store_dtype}.mlkv")
+        state = DecoderState(model, reader)
+        logits = np.stack([decode_step(state, int(tok))[0] for tok in ids[0]])
+        if reader:
+            reader.close()
+        return state, logits
+
+    narrow, wide = ("fp32", "fp64") if dtype == np.float64 else ("fp16", "fp32")
+    tables = None if kind == "dense" else reparameterize(model)
+    state, logits = decode(tables, narrow)
+    assert logits.dtype == dtype
+    assert all(c.k.dtype == c.v.dtype == dtype for c in state.attn_caches)
+    assert len(state.expert_caches) == (2 if kind == "molkv" else 0)
+    assert all(c.keys_rot.dtype == c.values.dtype == dtype for c in state.expert_caches.values())
+    if tables is not None:
+
+        def rounded(arrays):
+            return None if arrays is None else [a.astype(NUMPY_DTYPES[narrow]).astype(dtype) for a in arrays]
+
+        _, want = decode(replace(tables, keys=rounded(tables.keys), values=rounded(tables.values)), wide)
+        np.testing.assert_array_equal(logits, want)
 
 
 # Names that profilers (the benchmark's span recorder among them) replace on
@@ -226,6 +276,11 @@ class TestGenerate:
         cfg, model, reader = molkv_setup
         with pytest.raises(ValueError):
             generate(DecoderState(model, reader), [0], steps=1, sampler="temperature")
+
+    @pytest.mark.parametrize("temperature", [0.0, -1.0, float("nan"), float("inf")])
+    def test_sample_token_rejects_bad_temperature(self, temperature):
+        with pytest.raises(ValueError, match="temperature"):
+            sample_token(np.array([1.0, 2.0]), "temperature", temperature, np.random.default_rng(0))
 
     def test_sample_token_greedy_tie_break(self):
         logits = np.array([1.0, 3.0, 3.0])
