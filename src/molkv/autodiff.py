@@ -324,7 +324,7 @@ def tensor_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def embedding_lookup(table: Tensor, ids) -> Tensor:
-    """Gather rows of ``table`` for integer ``ids`` of any shape."""
+    """Gather rows (of any shape) of ``table`` for integer ``ids`` of any shape."""
     ids = np.asarray(ids)
     if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
         raise IndexError(f"token id out of range for table with {table.shape[0]} rows")
@@ -332,7 +332,7 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
 
     def vjp(g):
         gt = np.zeros_like(table.data)
-        np.add.at(gt, ids.reshape(-1), g.reshape(-1, table.shape[1]))
+        np.add.at(gt, ids.reshape(-1), g.reshape((-1,) + table.shape[1:]))
         return (gt,)
 
     return _record(out, (table,), vjp)

@@ -185,7 +185,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a model from a manifest")
     p.add_argument("--manifest", required=True)
     p.add_argument("--seed", type=int, default=None, help="override train.seed")
-    p.add_argument("--steps", type=_checked(int, lambda n: n >= 0, ">= 0"), default=None, help="override train.steps")
+    steps_help = "run the first N steps of the manifest's schedule; the lr schedule and the checkpoint's steps stay the manifest's"
+    p.add_argument("--steps", type=_checked(int, lambda n: n >= 0, ">= 0"), default=None, metavar="N", help=steps_help)
     p.add_argument("--out", default=None, help="checkpoint output path")
     p.set_defaults(fn=cmd_train)
 

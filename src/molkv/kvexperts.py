@@ -10,8 +10,9 @@ the normalized token embedding. A block combines three expert signals:
   scores and softmax-weighted (gated by sigmoid(h . u'));
 * the ordinary shared FFN.
 
-Training runs ``molkv_expert_pairs`` taped on every position; export runs
-it untaped on every token id. The per-token step that consumes the pairs
+Training runs ``molkv_expert_pairs`` taped once per distinct id in the
+batch and gathers its rows to the positions; export runs it untaped on
+every token id. The per-token step that consumes the pairs
 through a per-sequence cache is ``molkv_step`` in :mod:`molkv.runtime`.
 """
 
@@ -40,7 +41,7 @@ from .autodiff import (
     topk_indices,
     transpose,
 )
-from .layers import NORM_EPS, ROPE_THETA, FFNParams, RowBuffer, rope_np, rope_tables, swishglu_ffn
+from .layers import NORM_EPS, ROPE_THETA, FFNParams, RowBuffer, lookup_distinct, rope_np, rope_tables, swishglu_ffn
 
 
 class CacheStateError(RuntimeError):
@@ -245,18 +246,18 @@ def sliding_window_mask(s: int, window: int) -> np.ndarray:
     return (j < t) & (j >= t - window)
 
 
-def molkv_expert_terms(h: Tensor, emb: Tensor, params: MoLKVBlockParams, window: int) -> Tensor:
+def molkv_expert_terms(h: Tensor, emb: Tensor, inverse: np.ndarray, params: MoLKVBlockParams, window: int) -> Tensor:
     """Own-expert plus cached-expert contributions for a whole batch.
 
-    h and emb are (b, s, d): the block input and the raw token embeddings.
-    Expert keys/values are recomputed from the embeddings at every layer,
-    exactly as the training-mode graph requires.
+    h is the (b, s, d) block input; emb (U, d) the raw embeddings of the U
+    distinct ids and inverse (b, s) each position's index into them
+    (``lookup_distinct``): the expert pairs are computed once per id.
     """
     b, s, d = h.shape
     n = params.num_experts
     dk = params.key_dim
 
-    keys, values, values_normed = molkv_expert_pairs(emb, params)  # (b, s, N, d'), (b, s, N, d) twice
+    keys, values, values_normed = (embedding_lookup(t, inverse) for t in molkv_expert_pairs(emb, params))  # (b, s, N, ·)
 
     q = dense(h, params.query_proj)  # (b, s, d')
 
@@ -276,10 +277,7 @@ def molkv_expert_terms(h: Tensor, emb: Tensor, params: MoLKVBlockParams, window:
     k_flat = transpose(reshape(k_rot, (b, s * n, dk)), (0, 2, 1))  # (b, d', s*N)
     scores = matmul(q_rot, k_flat) * params.qk_scale  # (b, t, j*N + n)
     new_router = dense(h, params.new_routers)  # (b, s, N)
-    scores = reshape(
-        reshape(scores, (b, s, s, n)) + reshape(new_router, (b, s, 1, n)),
-        (b, s, s * n),
-    )
+    scores = reshape(reshape(scores, (b, s, s, n)) + reshape(new_router, (b, s, 1, n)), (b, s, s * n))
 
     win = np.repeat(sliding_window_mask(s, window), n, axis=1)  # (s, s*N)
     k_eff = min(params.top_k, s * n)
@@ -301,9 +299,6 @@ def molkv_train_forward(h: Tensor, ids, embedding: Tensor, params: MoLKVBlockPar
     squeeze = h.ndim == 2
     if squeeze:
         h = reshape(h, (1,) + h.shape)
-    ids = np.asarray(ids)
-    if ids.ndim == 1:
-        ids = ids[None, :]
-    emb = embedding_lookup(embedding, ids)
-    y = h + swishglu_ffn(h, params.ffn) + molkv_expert_terms(h, emb, params, window)
+    emb, inverse = lookup_distinct(embedding, np.reshape(ids, h.shape[:2]))
+    y = h + swishglu_ffn(h, params.ffn) + molkv_expert_terms(h, emb, inverse, params, window)
     return reshape(y, y.shape[1:]) if squeeze else y

@@ -21,6 +21,7 @@ from .autodiff import (
     ShapeError,
     Tensor,
     dense,
+    embedding_lookup,
     masked_softmax,
     matmul,
     mul,
@@ -42,6 +43,7 @@ __all__ = [
     "AttnParams",
     "AttentionCache",
     "RowBuffer",
+    "lookup_distinct",
     "rmsnorm",  # re-exports: the kernels and taped ops live in autodiff
     "rmsnorm_np",
     "rope_np",
@@ -108,6 +110,12 @@ def rope_tables(positions, dim: int, theta: float = ROPE_THETA, dtype=np.float64
 
 def rope_np(x: np.ndarray, position, theta: float = ROPE_THETA) -> np.ndarray:
     return rope_rotate_np(x, *rope_tables(position, x.shape[-1], theta, x.dtype))
+
+
+def lookup_distinct(table: Tensor, ids) -> tuple[Tensor, np.ndarray]:
+    """Rows of ``table`` for the distinct ``ids``, and each position's index into them."""
+    uniq, inverse = np.unique(ids, return_inverse=True)
+    return embedding_lookup(table, uniq), inverse.reshape(np.shape(ids))
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@
 Layers follow the pre-norm residual pattern: attention and FFN each read a
 normalized copy of the stream and add their output back to the raw stream.
 Expert blocks hang off the FFN sublayer and see the same normalized hidden
-state the FFN sees; the raw token embeddings are threaded to every layer so
-expert keys/values can be recomputed from them.
+state the FFN sees; their expert FFNs read the raw embeddings of the
+batch's distinct ids, looked up once and threaded to every expert layer.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 from .autodiff import Tensor, cross_entropy_logits, dense, embedding_lookup, parameter
 from .config import ModelConfig
 from .kvexperts import MoLKVBlockParams, molkv_expert_terms
-from .layers import AttnParams, FFNParams, causal_attention, rmsnorm, swishglu_ffn
+from .layers import AttnParams, FFNParams, causal_attention, lookup_distinct, rmsnorm, swishglu_ffn
 from .mole import MoLEBlockParams, mole_expert_terms
 
 
@@ -151,21 +151,18 @@ def init_model(config: ModelConfig, seed: int = 0, dtype=np.float32, init_std: f
 def forward(params: ModelParams, ids) -> Tensor:
     """Training-mode logits for a (b, s) batch of token ids."""
     cfg = params.config
-    ids = np.asarray(ids)
-    if ids.ndim == 1:
-        ids = ids[None, :]
-    emb = embedding_lookup(params.embedding, ids)  # (b, s, d)
-    x = emb
+    ids = np.atleast_2d(ids)
+    x = embedding_lookup(params.embedding, ids)  # (b, s, d)
+    uniq_emb, inverse = lookup_distinct(params.embedding, ids)  # expert blocks run once per distinct id
     for layer in params.layers:
         a = rmsnorm(x, layer.attn_norm, cfg.norm_eps)
         x = x + causal_attention(a, layer.attn, cfg.rope_theta)
         hn = rmsnorm(x, layer.ffn_norm, cfg.norm_eps)
         delta = swishglu_ffn(hn, layer.ffn)
-        if layer.has_experts:
-            if isinstance(layer.block, MoLEBlockParams):
-                delta = delta + mole_expert_terms(hn, emb, layer.block)
-            else:
-                delta = delta + molkv_expert_terms(hn, emb, layer.block, cfg.cache_window)
+        if isinstance(layer.block, MoLEBlockParams):
+            delta = delta + mole_expert_terms(hn, uniq_emb, inverse, layer.block)
+        elif isinstance(layer.block, MoLKVBlockParams):
+            delta = delta + molkv_expert_terms(hn, uniq_emb, inverse, layer.block, cfg.cache_window)
         x = x + delta
     x = rmsnorm(x, params.final_norm, cfg.norm_eps)
     return dense(x, params.out_proj)
@@ -173,8 +170,6 @@ def forward(params: ModelParams, ids) -> Tensor:
 
 def next_token_loss(params: ModelParams, batch) -> Tensor:
     """Mean cross-entropy of predicting batch[:, 1:] from batch[:, :-1]."""
-    batch = np.asarray(batch)
-    if batch.ndim == 1:
-        batch = batch[None, :]
+    batch = np.atleast_2d(batch)
     logits = forward(params, batch[:, :-1])
     return cross_entropy_logits(logits, batch[:, 1:])

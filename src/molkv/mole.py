@@ -1,9 +1,10 @@
 """Lookup-expert block: per-token-id FFN experts mixed by a learned router.
 
-Training feeds token embeddings through N expert FFNs (``mole_expert_values``);
-export runs the same function untaped to freeze a value table, so inference
-(``mole_step`` in :mod:`molkv.runtime`) is a table lookup plus a
-softmax-weighted sum. The gated variant scales the mix by sigmoid(h . u).
+Training runs N expert FFNs (``mole_expert_values``) once per distinct token
+id in the batch; export runs the same function untaped on every id to freeze
+a value table, so inference (``mole_step`` in :mod:`molkv.runtime`) is a
+table lookup plus a softmax-weighted sum. The gated variant scales the mix
+by sigmoid(h . u).
 
 Token embeddings enter the expert FFNs raw here (no normalization); the
 key-value block in :mod:`molkv.kvexperts` normalizes first. The two blocks
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor, dense, embedding_lookup, mul, reshape, sigmoid, softmax, softmax_np, stack, tensor_sum
-from .layers import FFNParams, swishglu_ffn
+from .layers import FFNParams, lookup_distinct, swishglu_ffn
 
 
 @dataclass
@@ -63,21 +64,20 @@ def mole_expert_values(emb: Tensor, params: MoLEBlockParams) -> Tensor:
     return stack([swishglu_ffn(emb, e) for e in params.experts], axis=-2)
 
 
-def mole_expert_terms(h: Tensor, emb: Tensor, params: MoLEBlockParams) -> Tensor:
-    """Sum_n s_n FFN_n(e_id), optionally gated; h and emb are (..., d)."""
+def mole_expert_terms(h: Tensor, emb: Tensor, inverse: np.ndarray, params: MoLEBlockParams) -> Tensor:
+    """Sum_n s_n FFN_n(e_id), optionally gated; h is (..., d), (emb, inverse) from ``lookup_distinct``."""
     s = softmax(dense(h, params.routers), axis=-1)  # (..., N)
-    vals = mole_expert_values(emb, params)  # (..., N, d)
+    vals = embedding_lookup(mole_expert_values(emb, params), inverse)  # (..., N, d)
     mix = tensor_sum(mul(vals, reshape(s, s.shape + (1,))), axis=-2)
     if params.gate is not None:
-        g = sigmoid(tensor_sum(mul(h, params.gate), axis=-1, keepdims=True))
-        mix = mul(mix, g)
+        mix = mul(mix, sigmoid(tensor_sum(mul(h, params.gate), axis=-1, keepdims=True)))
     return mix
 
 
 def mole_train_forward(h: Tensor, ids, embedding: Tensor, params: MoLEBlockParams) -> Tensor:
     """y = h + FFN(h) + sum_n s_n FFN_n(e_id); embeddings used raw."""
-    emb = embedding_lookup(embedding, ids)
-    return h + swishglu_ffn(h, params.ffn) + mole_expert_terms(h, emb, params)
+    emb, inverse = lookup_distinct(embedding, ids)
+    return h + swishglu_ffn(h, params.ffn) + mole_expert_terms(h, emb, inverse, params)
 
 
 # ---------------------------------------------------------------------------

@@ -146,7 +146,7 @@ def decode_step(state: DecoderState, token_id: int):
             layer_bytes = record.nbytes
             layer_loaded = cfg.expert_record_width
             if isinstance(block, MoLEBlockParams):
-                y = y + mole_step(hn, record.values.astype(state.dtype), block)
+                y = y + mole_step(hn, record.values, block)
             else:
                 cache = state.expert_caches[li]
                 cache_len = len(cache)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import struct
 from dataclasses import fields
 from pathlib import Path
 
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from molkv.cli import main
 from molkv.config import ConfigError, ModelConfig
 from molkv.manifest import parse_manifest, parse_manifest_dict
-from molkv.training import TrainConfig, synthesize_corpus
+from molkv.training import TrainConfig, lr_at, synthesize_corpus
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -239,6 +240,20 @@ class TestPipeline:
                      "--out", str(tmp / "alt.ckpt")]) == 0
         log = (tmp / "alt.ckpt.log").read_text().strip().splitlines()
         assert len(log) == 2
+
+    def test_train_steps_runs_head_of_manifest_schedule(self, workspace):
+        tmp, manifest = workspace
+        doc = json.loads(manifest.read_text())
+        doc["train"].update(steps=5, warmup_steps=2)
+        manifest.write_text(json.dumps(doc))
+        assert main(["train", "--manifest", str(manifest), "--steps", "3"]) == 0
+        log = (tmp / "model.ckpt.log").read_text().strip().splitlines()
+        lrs = [float(line.split()[1].removeprefix("lr=")) for line in log]
+        want = [lr_at(step, parse_manifest(manifest).train) for step in range(3)]
+        assert lrs == pytest.approx(want, rel=1e-6, abs=0)
+        raw = (tmp / "model.ckpt").read_bytes()
+        (blob_len,) = struct.unpack_from("<Q", raw, 12)
+        assert json.loads(raw[20 : 20 + blob_len])["train_config"]["steps"] == 5
 
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"

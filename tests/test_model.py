@@ -5,8 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from molkv import kvexperts, mole
+from molkv.autodiff import Tape, Tensor, backward, grad_check, mul, parameter, tensor_sum
 from molkv.config import ConfigError, ModelConfig, published_config
 from molkv.model import forward, init_model, next_token_loss
+from molkv.store import reparameterize
 
 
 def cfg_of(kind):
@@ -118,3 +121,74 @@ class TestForward:
         l32 = forward(init_model(cfg_of("molkv"), seed=6, dtype=np.float32), ids).data
         l64 = forward(init_model(cfg_of("molkv"), seed=6, dtype=np.float64), ids).data
         np.testing.assert_allclose(l32, l64, atol=1e-3)
+
+
+class TestPerIdExperts:
+    """Training runs the expert FFNs once per distinct token id, not per position."""
+
+    KINDS = ["mole", "gated-mole", "molkv"]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_expert_ffns_see_one_row_per_distinct_id(self, kind, monkeypatch):
+        model = init_model(cfg_of(kind), seed=3, dtype=np.float64)
+        ids = np.random.default_rng(4).integers(0, 6, size=(3, 8))  # 24 positions, at most 6 ids
+        rows = []
+        for module in (kvexperts, mole):
+
+            def counted(x, p, _fn=module.swishglu_ffn):
+                rows.append(int(np.prod(x.shape[:-1])))
+                return _fn(x, p)
+
+            monkeypatch.setattr(module, "swishglu_ffn", counted)
+        with Tape() as tape:
+            loss = next_token_loss(model, ids)
+        backward(tape, loss)
+        n = model.config.num_experts
+        assert len(rows) == (2 * n if kind == "molkv" else n) * len(model.config.expert_layers)
+        assert rows == [np.unique(ids[:, :-1]).size] * len(rows)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("batch", ["one id everywhere", "every id distinct"])
+    def test_block_grad_check(self, kind, batch):
+        # Block level, with random hidden states: a one-id batch through the
+        # whole model would make every attention input equal and its q/k
+        # gradients zero, which a relative-error check cannot judge.
+        cfg = cfg_of(kind)
+        block = init_model(cfg, seed=5, dtype=np.float64, init_std=0.3).layers[cfg.expert_layers[0]].block
+        rng = np.random.default_rng(6)
+        emb = parameter(rng.standard_normal((16, cfg.hidden_size)))
+        ids = np.full((2, 8), 7) if batch == "one id everywhere" else rng.permutation(16).reshape(2, 8)
+        h = Tensor(rng.standard_normal((2, 8, cfg.hidden_size)))
+        w = Tensor(rng.standard_normal((2, 8, cfg.hidden_size)))
+        if kind == "molkv":
+            y = lambda: kvexperts.molkv_train_forward(h, ids, emb, block, cfg.cache_window)
+        else:
+            y = lambda: mole.mole_train_forward(h, ids, emb, block)
+        loss = lambda: tensor_sum(mul(y(), w))
+        assert grad_check(loss, [t for _, t in block.tensors()], samples_per_leaf=6, seed=1) < 1e-4
+        # Every coordinate of the table, so the rows the batch uses are all checked.
+        assert grad_check(loss, [emb], samples_per_leaf=emb.data.size) < 1e-4
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_training_table_rows_equal_export_rows(self, kind, monkeypatch):
+        model = init_model(cfg_of(kind), seed=7, dtype=np.float64, init_std=0.3)
+        ids = np.random.default_rng(8).integers(0, 31, size=(2, 12))
+        tables = []
+        owner, name = (kvexperts, "molkv_expert_pairs") if kind == "molkv" else (mole, "mole_expert_values")
+
+        def captured(*args, _fn=getattr(owner, name)):
+            out = _fn(*args)
+            tables.append(out if kind == "molkv" else (out,))
+            return out
+
+        monkeypatch.setattr(owner, name, captured)
+        forward(model, ids)
+        monkeypatch.undo()
+        export = reparameterize(model)
+        _, inverse = np.unique(ids, return_inverse=True)
+        inverse = inverse.reshape(ids.shape)
+        assert len(tables) == len(model.config.expert_layers)
+        for slot, table in enumerate(tables):
+            want = (export.keys[slot], export.values[slot]) if kind == "molkv" else (export.values[slot],)
+            for got, ref in zip(table, want):
+                np.testing.assert_allclose(got.data[inverse], ref[ids], rtol=1e-12, atol=0)

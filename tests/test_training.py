@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from molkv import model as model_module
+from molkv import training
 from molkv.autodiff import Tape, backward
 from molkv.config import ConfigError, ModelConfig
 from molkv.model import next_token_loss, trunc_normal
@@ -300,3 +302,35 @@ def test_trunc_normal_respects_bound():
     assert np.abs(x).max() <= 0.04 + 1e-12
     # truncation at 2 sigma shrinks the std to ~0.88 of the nominal value
     assert abs(x.std() - 0.02 * 0.8796) < 0.001
+
+
+# (owner, name) pairs that profilers (the benchmark's span recorder among
+# them) replace; a train step must look each one up there at call time.
+TRAIN_BINDINGS = (
+    (model_module, "molkv_expert_terms"),
+    (model_module, "causal_attention"),
+    (model_module, "swishglu_ffn"),
+    (training, "next_token_loss"),
+    (training, "backward"),
+    (training, "sample_batch"),
+    (training.AdamW, "step"),
+)
+
+
+def test_train_step_calls_profiled_bindings(monkeypatch):
+    cfg_model = ModelConfig(kind="molkv", num_layers=2, hidden_size=16, ffn_size=12, vocab_size=257,
+                            num_experts=2, key_dim=4, cache_window=4, top_k=2, expert_layers=(0,),
+                            num_heads=2)
+    cfg = tiny_train(seq_length=12, batch_size=2)
+    state = new_train_state(cfg_model, cfg)
+    corpus = Corpus.from_bytes(synthesize_corpus(4000, seed=1))
+    calls = dict.fromkeys(TRAIN_BINDINGS, 0)
+    for owner, name in TRAIN_BINDINGS:
+
+        def counted(*args, _fn=vars(owner)[name], _key=(owner, name), **kwargs):
+            calls[_key] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    train_step(state, corpus, cfg)
+    assert all(calls.values()), {name: n for (_, name), n in calls.items()}
