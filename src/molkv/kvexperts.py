@@ -7,7 +7,7 @@ the normalized token embedding. A block combines three expert signals:
   non-rotated query-key score (gated by sigmoid(h . u));
 * cached experts of the last M preceding tokens, scored with a RoPE-rotated
   query against RoPE-rotated keys plus a second router, pruned to the top-k
-  scores and softmax-weighted (gated by sigmoid(h . u'));
+  scores (ties to the oldest) and softmax-weighted (gated by sigmoid(h . u'));
 * the ordinary shared FFN.
 
 Training runs ``molkv_expert_pairs`` taped once per distinct id in the
@@ -246,6 +246,17 @@ def sliding_window_mask(s: int, window: int) -> np.ndarray:
     return (j < t) & (j >= t - window)
 
 
+def window_topk_mask(scores: np.ndarray, win: np.ndarray, k: int) -> np.ndarray:
+    """Each row's k largest in-window scores, lowest index first among ties: a stable argsort's top k."""
+    masked = np.where(win, scores, -np.inf)
+    k = min(k, masked.shape[-1])
+    kth = np.partition(masked, masked.shape[-1] - k, axis=-1)[..., -k, None]
+    keep = masked > kth
+    tie = masked == kth
+    keep |= tie & (np.cumsum(tie, axis=-1, dtype=np.int32) <= k - keep.sum(axis=-1, keepdims=True))
+    return keep & win
+
+
 def molkv_expert_terms(h: Tensor, emb: Tensor, inverse: np.ndarray, params: MoLKVBlockParams, window: int) -> Tensor:
     """Own-expert plus cached-expert contributions for a whole batch.
 
@@ -280,13 +291,7 @@ def molkv_expert_terms(h: Tensor, emb: Tensor, inverse: np.ndarray, params: MoLK
     scores = reshape(reshape(scores, (b, s, s, n)) + reshape(new_router, (b, s, 1, n)), (b, s, s * n))
 
     win = np.repeat(sliding_window_mask(s, window), n, axis=1)  # (s, s*N)
-    k_eff = min(params.top_k, s * n)
-    masked = np.where(win, scores.data, -np.inf)
-    order = np.argsort(-masked, axis=-1, kind="stable")[..., :k_eff]
-    top_mask = np.zeros(scores.shape, dtype=bool)
-    np.put_along_axis(top_mask, order, True, axis=-1)
-
-    weights = masked_softmax(scores, top_mask & win, axis=-1)  # (b, s, s*N)
+    weights = masked_softmax(scores, window_topk_mask(scores.data, win, params.top_k), axis=-1)  # (b, s, s*N)
     v_flat = reshape(values_normed, (b, s * n, d))
     new_gate = sigmoid(tensor_sum(mul(h, params.new_gate), axis=-1, keepdims=True))
     new = mul(matmul(weights, v_flat), new_gate)

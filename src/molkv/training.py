@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -182,12 +183,12 @@ class AdamW:
         self.v = {name: np.zeros_like(p.data) for name, p in self.named}
 
     def step(self, lr: float) -> float:
-        """Clip gradients globally, apply one update; returns the grad norm."""
+        """Clip gradients globally, apply one update in place; returns the grad norm."""
         cfg = self.cfg
         sq = 0.0
         for _, p in self.named:
             if p.grad is not None:
-                sq += float((p.grad.astype(np.float64) ** 2).sum())
+                sq += float((p.grad.astype(np.float64, copy=False) ** 2).sum())
         norm = math.sqrt(sq)
         clip_scale = cfg.grad_clip / norm if cfg.grad_clip > 0 and norm > cfg.grad_clip else 1.0
 
@@ -197,17 +198,23 @@ class AdamW:
         bias2 = 1.0 - b2**self.t
         for name, p in self.named:
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            g = g * clip_scale
-            m = self.m[name]
-            v = self.v[name]
+            g = g if clip_scale == 1.0 else g * clip_scale  # g * 1.0 is g
+            m, v = self.m[name], self.v[name]
+            buf = np.multiply(g, 1.0 - b1)
             m *= b1
-            m += (1.0 - b1) * g
+            m += buf
+            np.multiply(g, 1.0 - b2, out=buf)
+            buf *= g
             v *= b2
-            v += (1.0 - b2) * g * g
-            update = (m / bias1) / (np.sqrt(v / bias2) + cfg.adam_eps)
+            v += buf
+            np.sqrt(np.divide(v, bias2, out=buf), out=buf)
+            buf += cfg.adam_eps
+            update = np.divide(m, bias1)
+            update /= buf
             if cfg.weight_decay and p.data.ndim >= 2:
-                update = update + cfg.weight_decay * p.data
-            p.data -= (lr * update).astype(p.data.dtype)
+                update += np.multiply(p.data, cfg.weight_decay, out=buf)
+            update *= lr
+            p.data -= update
             p.grad = None
         return norm
 
@@ -245,22 +252,30 @@ def sample_batch(rng: np.random.Generator, ids: np.ndarray, batch_size: int, seq
 
 
 def train_step(state: TrainState, corpus: Corpus, cfg: TrainConfig) -> tuple[float, float]:
-    """One optimizer step over grad_accum micro-batches; returns (loss, grad norm)."""
+    """One optimizer step over grad_accum micro-batches; returns (loss, grad norm) and logs phase ms."""
     losses = []
+    fwd_s, bwd_s, start = 0.0, 0.0, time.perf_counter()
     for _ in range(cfg.grad_accum):
         batch = sample_batch(state.rng, corpus.train_ids, cfg.batch_size, cfg.seq_length)
+        t0 = time.perf_counter()
         with Tape() as tape:
             loss = next_token_loss(state.model, batch) * (1.0 / cfg.grad_accum)
+        t1 = time.perf_counter()
         backward(tape, loss)
+        fwd_s, bwd_s = fwd_s + t1 - t0, bwd_s + time.perf_counter() - t1
         losses.append(loss.item() * cfg.grad_accum)
     mean_loss = float(np.mean(losses))
     if not math.isfinite(mean_loss):
         raise TrainingError(f"non-finite loss {mean_loss} at step {state.step} (lr={lr_at(state.step, cfg):.3e})")
+    opt = time.perf_counter()
     grad_norm = state.optimizer.step(lr_at(state.step, cfg))
+    end = time.perf_counter()
     if not math.isfinite(grad_norm):
         raise TrainingError(f"non-finite gradient norm at step {state.step}")
     state.step += 1
-    state.log.append({"step": state.step, "lr": lr_at(state.step - 1, cfg), "loss": mean_loss, "grad_norm": grad_norm})
+    state.log.append({"step": state.step, "lr": lr_at(state.step - 1, cfg), "loss": mean_loss, "grad_norm": grad_norm,
+                      "fwd_ms": 1e3 * fwd_s, "bwd_ms": 1e3 * bwd_s, "opt_ms": 1e3 * (end - opt),
+                      "tokens_per_s": cfg.grad_accum * cfg.batch_size * cfg.seq_length / (end - start)})
     return mean_loss, grad_norm
 
 
@@ -271,7 +286,9 @@ def train_run(state: TrainState, corpus: Corpus, cfg: TrainConfig, steps: int, l
         loss, grad_norm = train_step(state, corpus, cfg)
         if log_file is not None:
             rec = state.log[-1]
-            log_file.write(f"step={rec['step']} lr={rec['lr']:.6e} loss={rec['loss']:.6f} grad_norm={rec['grad_norm']:.6f}\n")
+            log_file.write(f"step={rec['step']} lr={rec['lr']:.6e} loss={rec['loss']:.6f} grad_norm={rec['grad_norm']:.6f} "
+                           f"fwd_ms={rec['fwd_ms']:.1f} bwd_ms={rec['bwd_ms']:.1f} opt_ms={rec['opt_ms']:.1f} "
+                           f"tokens_per_s={rec['tokens_per_s']:.1f}\n")
             log_file.flush()
     return loss
 

@@ -446,3 +446,89 @@ class TestOneKernel:
         onehot = np.eye(11)[t.reshape(-1)]
         want = (softmax_np(z.data.reshape(n, 11)) - onehot) * (1.0 / n)
         np.testing.assert_array_equal(grad, want.reshape(z.shape))
+
+
+def _old_softmax_np(x, axis, mask):
+    """The masked softmax as three ``np.where`` passes, the form the one-buffer kernel replaced."""
+    m = np.broadcast_to(np.asarray(mask, dtype=bool), x.shape)
+    neg = np.finfo(x.dtype).min
+    hi = np.max(np.where(m, x, neg), axis=axis, keepdims=True)
+    hi = np.where(hi > neg / 2, hi, 0.0)
+    e = np.where(m, np.exp(np.where(m, x - hi, 0.0)), 0.0)
+    tot = e.sum(axis=axis, keepdims=True)
+    return e / np.where(tot == 0.0, 1.0, tot)
+
+
+class TestOldFormulas:
+    """The train-step kernels give the bits of the plain numpy forms they replaced."""
+
+    @staticmethod
+    def lookup_grad(table, ids, g):
+        t = parameter(table)
+        with Tape() as tape:
+            loss = tensor_sum(mul(embedding_lookup(t, ids), Tensor(g)))
+        return backward(tape, loss)[t]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("row", [(16,), (2, 32), (2, 256)])
+    def test_lookup_gradient_is_add_at(self, dtype, row):
+        rng = np.random.default_rng(20)
+        table = rng.standard_normal((40,) + row).astype(dtype)
+        ids = rng.integers(0, 36, size=(4, 256))  # every id repeats, some are unused
+        ids[0, :5] = 3
+        g = (rng.standard_normal(ids.shape + row) * 10.0 ** rng.uniform(-3, 3, ids.shape + row)).astype(dtype)
+        want = np.zeros_like(table)
+        np.add.at(want, ids.reshape(-1), g.reshape((-1,) + row))
+        got = self.lookup_grad(table, ids, g)
+        assert got.dtype == dtype
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("shape", [(0,), (2, 0)])
+    def test_lookup_gradient_of_no_ids_is_zero(self, shape):
+        table = np.ones((5, 2, 3))
+        ids = np.zeros(shape, dtype=np.int64)
+        got = self.lookup_grad(table, ids, np.zeros(shape + (2, 3)))
+        np.testing.assert_array_equal(got, np.zeros_like(table))
+
+    @pytest.mark.parametrize("table_shape", [(40,), (40, 1)])
+    def test_lookup_gradient_width_one_rows_agree_to_rounding(self, table_shape):
+        # One-element rows are summed pairwise, outside the bit-equality guarantee.
+        rng = np.random.default_rng(21)
+        ids = rng.integers(0, 36, size=(4, 256))
+        g = rng.standard_normal(ids.shape + table_shape[1:])
+        want = np.zeros(table_shape)
+        np.add.at(want, ids.reshape(-1), g.reshape((-1,) + table_shape[1:]))
+        np.testing.assert_allclose(self.lookup_grad(np.zeros(table_shape), ids, g), want, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("axis", [-2, -1])
+    def test_masked_softmax_is_where_chain(self, dtype, axis):
+        rng = np.random.default_rng(22)
+        x = (6.0 * rng.standard_normal((2, 3, 9, 9))).astype(dtype)
+        causal = np.tril(np.ones((9, 9), dtype=bool))  # broadcast over leading axes, as attention does
+        causal[:, 4] = False  # a fully masked slice along either axis
+        causal[4, :] = False
+        full = rng.random(x.shape) < 0.5
+        for mask in (causal, full):
+            got = softmax_np(x, axis, mask)
+            want = _old_softmax_np(x, axis, mask)
+            assert got.dtype == dtype
+            np.testing.assert_array_equal(got, want)
+            assert not np.isnan(got).any()
+        y = softmax_np(x, axis, causal)
+        empty = y[..., 4, :] if axis == -1 else y[..., 4]
+        assert np.array_equal(empty, np.zeros_like(empty))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_masked_softmax_gradient_is_old_form(self, dtype):
+        rng = np.random.default_rng(23)
+        x = parameter(rng.standard_normal((3, 7, 7)).astype(dtype))
+        mask = rng.random((7, 7)) < 0.6
+        mask[2] = False
+        g = rng.standard_normal((3, 7, 7)).astype(dtype)
+        with Tape() as tape:
+            y = masked_softmax(x, mask, axis=-1)
+            loss = tensor_sum(mul(y, Tensor(g)))
+        got = backward(tape, loss)[x]
+        inner = (g * y.data).sum(axis=-1, keepdims=True)
+        np.testing.assert_array_equal(got, y.data * (g - inner))

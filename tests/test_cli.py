@@ -218,6 +218,12 @@ class TestPipeline:
         log = (tmp / "model.ckpt.log").read_text().strip().splitlines()
         assert len(log) == 12
         assert log[0].startswith("step=1 lr=")
+        fields = [dict(kv.split("=") for kv in line.split()) for line in log]
+        keys = ["step", "lr", "loss", "grad_norm", "fwd_ms", "bwd_ms", "opt_ms", "tokens_per_s"]
+        assert all(list(rec) == keys for rec in fields)
+        assert [int(rec["step"]) for rec in fields] == list(range(1, 13))
+        assert all(float(rec[k]) >= 0 for rec in fields for k in keys[4:7])
+        assert all(float(rec["tokens_per_s"]) > 0 for rec in fields)
 
         assert main(["export", "--manifest", str(manifest), "--dtype", "fp32"]) == 0
         assert (tmp / "model.mlkv").exists()

@@ -17,6 +17,7 @@ from molkv.kvexperts import (
     molkv_select,
     molkv_train_forward,
     sliding_window_mask,
+    window_topk_mask,
 )
 from molkv.layers import FFNParams, rmsnorm_np, rope_np, softmax_np
 from molkv.runtime import molkv_infer_forward
@@ -316,6 +317,41 @@ class TestWindowMask:
 
     def test_wide_window_equals_strict_causal(self):
         assert np.array_equal(sliding_window_mask(7, 7), sliding_window_mask(7, 100))
+
+
+class TestWindowTopK:
+    """Training's top-k mask is the set a stable descending argsort keeps."""
+
+    @staticmethod
+    def argsort_mask(scores, win, k):
+        masked = np.where(win, scores, -np.inf)
+        order = np.argsort(-masked, axis=-1, kind="stable")[..., : min(k, scores.shape[-1])]
+        top = np.zeros(scores.shape, dtype=bool)
+        np.put_along_axis(top, order, True, axis=-1)
+        return top & win
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k", [1, 3, 5, 200])
+    def test_matches_stable_argsort(self, dtype, k):
+        rng = np.random.default_rng(31)
+        s, n, window = 12, 2, 5
+        win = np.repeat(sliding_window_mask(s, window), n, axis=1)  # rows 0-2 hold fewer than 5 entries
+        # Scores from four values: most rows have ties exactly at the k-th score.
+        scores = rng.integers(0, 4, size=(3, s, s * n)).astype(dtype)
+        got = window_topk_mask(scores, win, k)
+        np.testing.assert_array_equal(got, self.argsort_mask(scores, win, k))
+        assert (got.sum(axis=-1) == np.minimum(k, win.sum(axis=-1))).all()
+
+    def test_ties_keep_lowest_index(self):
+        win = np.ones((1, 6), dtype=bool)
+        scores = np.array([[1.0, 2.0, 1.0, 2.0, 1.0, 0.0]])
+        assert window_topk_mask(scores, win, 3).tolist() == [[True, True, False, True, False, False]]
+
+    def test_random_scores(self):
+        rng = np.random.default_rng(32)
+        win = np.repeat(sliding_window_mask(64, 16), 2, axis=1)
+        scores = rng.standard_normal((4, 64, 128)).astype(np.float32)
+        np.testing.assert_array_equal(window_topk_mask(scores, win, 16), self.argsort_mask(scores, win, 16))
 
 
 class TestTrainInferEquivalence:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from molkv import kvexperts, mole
+from molkv import model as model_module
 from molkv.autodiff import Tape, Tensor, backward, grad_check, mul, parameter, tensor_sum
 from molkv.config import ConfigError, ModelConfig, published_config
 from molkv.model import forward, init_model, next_token_loss
@@ -150,9 +151,8 @@ class TestPerIdExperts:
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("batch", ["one id everywhere", "every id distinct"])
     def test_block_grad_check(self, kind, batch):
-        # Block level, with random hidden states: a one-id batch through the
-        # whole model would make every attention input equal and its q/k
-        # gradients zero, which a relative-error check cannot judge.
+        # Block level, with random hidden states; the whole-model check on a
+        # one-id batch is TestWholeModelGradCheck.
         cfg = cfg_of(kind)
         block = init_model(cfg, seed=5, dtype=np.float64, init_std=0.3).layers[cfg.expert_layers[0]].block
         rng = np.random.default_rng(6)
@@ -192,3 +192,36 @@ class TestPerIdExperts:
             want = (export.keys[slot], export.values[slot]) if kind == "molkv" else (export.values[slot],)
             for got, ref in zip(table, want):
                 np.testing.assert_allclose(got.data[inverse], ref[ids], rtol=1e-12, atol=0)
+
+
+def scaled_vjp(op, factor):
+    """``op`` with the gradient it records multiplied by ``factor``: a wrong VJP."""
+
+    def wrong(*args, **kw):
+        out = op(*args, **kw)
+        if Tape.active() is not None:  # central differences run untaped
+            node = Tape.active().nodes[-1]
+            assert node.out is out
+            vjp = node.vjp
+            node.vjp = lambda g: tuple(factor * gi for gi in vjp(g))
+        return out
+
+    return wrong
+
+
+class TestWholeModelGradCheck:
+    """A one-id batch makes every attention input equal, so the q/k gradients are
+    exactly zero and their central differences rounding noise; both count as agreeing."""
+
+    @pytest.mark.parametrize("kind", ["dense", "mole", "gated-mole", "molkv"])
+    def test_one_id_batch_passes(self, kind):
+        model = init_model(cfg_of(kind), seed=5, dtype=np.float64, init_std=0.3)
+        ids = np.full((2, 9), 7)
+        assert grad_check(lambda: next_token_loss(model, ids), model.parameters(), samples_per_leaf=8) < 1e-4
+
+    @pytest.mark.parametrize("factor", [1.01, -1.0])
+    def test_wrong_vjp_still_fails(self, factor, monkeypatch):
+        model = init_model(cfg_of("molkv"), seed=5, dtype=np.float64, init_std=0.3)
+        ids = np.full((2, 9), 7)
+        monkeypatch.setattr(model_module, "rmsnorm", scaled_vjp(model_module.rmsnorm, factor))
+        assert grad_check(lambda: next_token_loss(model, ids), model.parameters(), samples_per_leaf=8) > 1e-3

@@ -1,0 +1,36 @@
+"""tools/numerics_diff.py: comparing two numerics records."""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+_spec = importlib.util.spec_from_file_location(
+    "numerics_diff", Path(__file__).resolve().parents[1] / "tools" / "numerics_diff.py"
+)
+numerics_diff = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(numerics_diff)
+
+
+def test_compare_counts_arrays_that_differ(tmp_path, capsys):
+    x = np.linspace(-2.0, 4.0, 7, dtype=np.float32)
+    a = {"loss": np.float64(1.5), "grad/w": x, "grad/b": np.zeros((0,))}
+    np.savez(tmp_path / "a.npz", **a)
+    assert numerics_diff.main(["compare", str(tmp_path / "a.npz"), str(tmp_path / "a.npz")]) == 0
+    assert capsys.readouterr().out.strip().endswith("0 of 3 arrays differ")
+
+    y = x.copy()
+    y[1] = np.nextafter(y[1], np.float32(0))  # -1.0 up by 2**-24: 1/8 of the spacing at the largest entry, 4.0
+    np.savez(tmp_path / "b.npz", **{**a, "grad/w": y, "extra": x})
+    assert numerics_diff.main(["compare", str(tmp_path / "a.npz"), str(tmp_path / "b.npz")]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1] == "2 of 4 arrays differ"
+    assert any(line.startswith("extra: only in") for line in out)
+    assert "grad/w: 0.125 ulps of the largest entry" in out
+
+
+def test_fp64_is_not_equal_to_fp32(tmp_path, capsys):
+    np.savez(tmp_path / "a.npz", w=np.ones(3, dtype=np.float32))
+    np.savez(tmp_path / "b.npz", w=np.ones(3, dtype=np.float64))
+    assert numerics_diff.main(["compare", str(tmp_path / "a.npz"), str(tmp_path / "b.npz")]) == 1
+    assert "w: float32(3,) vs float64(3,)" in capsys.readouterr().out

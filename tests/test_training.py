@@ -164,6 +164,48 @@ class TestOptimizer:
         assert not np.array_equal(state.model.embedding.data, emb_before)
 
 
+def _old_adamw_step(named, m, v, t, cfg, lr):
+    """The AdamW update as plain expressions, the form the in-place step replaced."""
+    sq = sum(float((p.grad.astype(np.float64) ** 2).sum()) for _, p in named)
+    norm = math.sqrt(sq)
+    clip_scale = cfg.grad_clip / norm if cfg.grad_clip > 0 and norm > cfg.grad_clip else 1.0
+    b1, b2 = cfg.betas
+    bias1, bias2 = 1.0 - b1**t, 1.0 - b2**t
+    for name, p in named:
+        g = p.grad * clip_scale
+        m[name] = b1 * m[name] + (1.0 - b1) * g
+        v[name] = b2 * v[name] + (1.0 - b2) * g * g
+        update = (m[name] / bias1) / (np.sqrt(v[name] / bias2) + cfg.adam_eps)
+        if cfg.weight_decay and p.data.ndim >= 2:
+            update = update + cfg.weight_decay * p.data
+        p.data = p.data - (lr * update).astype(p.data.dtype)
+    return norm
+
+
+@pytest.mark.parametrize("dtype", ["fp32", "fp64"])
+@pytest.mark.parametrize("grad_clip", [1.0, 1e9])
+def test_adamw_step_is_old_update(dtype, grad_clip):
+    cfg = tiny_train(dtype=dtype, weight_decay=0.1, grad_clip=grad_clip)
+    state = new_train_state(TINY, cfg)
+    ref = new_train_state(TINY, cfg).model.named_parameters()
+    m = {n: np.zeros_like(p.data) for n, p in ref}
+    v = {n: np.zeros_like(p.data) for n, p in ref}
+    rng = np.random.default_rng(12)
+    assert {p.data.ndim for _, p in ref} == {1, 2}  # decay applies to the 2-D tensors only
+    for t in range(1, 4):
+        for (_, p), (_, q) in zip(state.model.named_parameters(), ref):
+            p.grad = rng.standard_normal(p.data.shape).astype(p.data.dtype)
+            q.grad = p.grad.copy()
+        norm = state.optimizer.step(lr=1e-2 * t)
+        assert norm == _old_adamw_step(ref, m, v, t, cfg, 1e-2 * t)
+        assert (norm > grad_clip) == (grad_clip == 1.0)  # clipping is active in one case only
+    for (name, p), (_, q) in zip(state.model.named_parameters(), ref):
+        assert p.data.dtype == cfg.np_dtype
+        np.testing.assert_array_equal(p.data, q.data, err_msg=name)
+        np.testing.assert_array_equal(state.optimizer.m[name], m[name], err_msg=name)
+        np.testing.assert_array_equal(state.optimizer.v[name], v[name], err_msg=name)
+
+
 class TestTrainStep:
     def test_loss_decreases_on_fixed_sample(self):
         cfg = tiny_train(steps=150, warmup_steps=10, lr=1e-2, min_lr=1e-3, seq_length=16, batch_size=1)
@@ -174,6 +216,16 @@ class TestTrainStep:
         for _ in range(149):
             last, _ = train_step(state, corpus, cfg)
         assert last < first * 0.2
+
+    def test_log_record_has_phase_timings(self):
+        cfg = tiny_train(grad_accum=2)
+        state = new_train_state(TINY, cfg)
+        train_step(state, Corpus.from_bytes(synthesize_corpus(2000, seed=0)), cfg)
+        rec = state.log[-1]
+        assert list(rec) == ["step", "lr", "loss", "grad_norm", "fwd_ms", "bwd_ms", "opt_ms", "tokens_per_s"]
+        assert min(rec["fwd_ms"], rec["bwd_ms"], rec["opt_ms"]) > 0
+        # tokens/s covers the whole step: 2 micro-batches of 2 x 16 tokens
+        assert rec["tokens_per_s"] < 64 / (1e-3 * (rec["fwd_ms"] + rec["bwd_ms"] + rec["opt_ms"]))
 
     def test_nonfinite_loss_raises(self):
         cfg = tiny_train()

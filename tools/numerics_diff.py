@@ -1,0 +1,149 @@
+"""Record a molkv source tree's numerics and compare two such records.
+
+    python tools/numerics_diff.py dump <src> <out.npz>
+    python tools/numerics_diff.py compare <a.npz> <b.npz>
+
+``dump`` imports the ``molkv`` package found under ``<src>`` (the ``src``
+directory of a checkout, for example one made with ``git archive``) and
+saves, for the dense, mole, gated-mole and molkv kinds at fp32 and fp64,
+on a small model and on the benchmark's mid model:
+
+* the training loss and every leaf gradient of one taped batch;
+* the ``forward`` logits of that batch;
+* the logits of 8 decode steps over a store of the model's dtype;
+* the parameters and AdamW moments after 4 ``train_step`` calls.
+
+``compare`` reports how many arrays differ in shape, dtype or any bit, and
+for each one how many ulps of its largest entry the largest difference is.
+It exits 0 when every array is bit-identical and 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+KINDS = ("dense", "mole", "gated-mole", "molkv")
+DTYPES = {"fp32": np.float32, "fp64": np.float64}
+DECODE_STEPS = 8
+TRAIN_STEPS = 4
+
+
+# size: (shared fields, expert fields, molkv fields, batch shape (b, s + 1)); "mid" is the benchmark's model
+SIZES = {
+    "small": (dict(num_layers=2, hidden_size=16, ffn_size=20, num_heads=2), dict(num_experts=2, expert_layers=(0, 1)),
+              dict(key_dim=6, cache_window=5, top_k=3), (3, 9)),
+    "mid": (dict(num_layers=4, hidden_size=256, ffn_size=512, num_heads=8), dict(num_experts=2, expert_layers=(0, 1, 2)),
+            dict(key_dim=32, cache_window=128, top_k=16), (4, 257)),
+}
+
+
+def model_config(ModelConfig, size: str, kind: str):
+    base, experts, kv, _ = SIZES[size]
+    extra = {} if kind == "dense" else {**experts, **(kv if kind == "molkv" else {})}
+    return ModelConfig(kind=kind, vocab_size=257, **base, **extra)
+
+
+def dump(src: str, out: str) -> None:
+    sys.path.insert(0, str(Path(src).resolve()))
+    from molkv import model as mm
+    from molkv.autodiff import Tape, backward
+    from molkv.config import ModelConfig
+    from molkv.runtime import DecoderState, decode_step
+    from molkv.store import ExpertStoreReader, reparameterize, write_store
+    from molkv.training import Corpus, TrainConfig, new_train_state, sample_batch, synthesize_corpus, train_step
+
+    corpus = Corpus.from_bytes(synthesize_corpus(1 << 15, seed=3))
+    arrays: dict[str, np.ndarray] = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for size, (*_, (b, span)) in SIZES.items():
+            batch = sample_batch(np.random.default_rng(5), corpus.train_ids, b, span - 1)
+            for kind in KINDS:
+                cfg = model_config(ModelConfig, size, kind)
+                for dname, dtype in DTYPES.items():
+                    key = f"{size}/{kind}/{dname}"
+                    model = mm.init_model(cfg, seed=11, dtype=dtype, init_std=0.3)
+                    with Tape() as tape:
+                        loss = mm.next_token_loss(model, batch)
+                    backward(tape, loss)
+                    arrays[f"{key}/loss"] = loss.data
+                    for name, p in model.named_parameters():
+                        arrays[f"{key}/grad/{name}"] = p.grad
+                        p.grad = None
+                    arrays[f"{key}/forward"] = mm.forward(model, batch[:, :-1]).data
+
+                    reader = None
+                    if cfg.expert_layers:
+                        path = Path(tmp) / f"{size}-{kind}-{dname}.mlkv"
+                        write_store(reparameterize(model), path, dtype=dname)
+                        reader = ExpertStoreReader(path)
+                    try:
+                        state = DecoderState(model, reader)
+                        steps = [decode_step(state, int(t))[0] for t in batch[0, :DECODE_STEPS]]
+                        arrays[f"{key}/decode"] = np.stack(steps)
+                    finally:
+                        if reader is not None:
+                            reader.close()
+
+                    tcfg = TrainConfig(seq_length=span - 1, batch_size=b, grad_accum=1, steps=TRAIN_STEPS,
+                                       warmup_steps=1, lr=1e-3, min_lr=1e-4, seed=7, dtype=dname)
+                    train = new_train_state(cfg, tcfg)
+                    for _ in range(TRAIN_STEPS):
+                        train_step(train, corpus, tcfg)
+                    for name, p in train.model.named_parameters():
+                        arrays[f"{key}/param/{name}"] = p.data
+                        arrays[f"{key}/adam_m/{name}"] = train.optimizer.m[name]
+                        arrays[f"{key}/adam_v/{name}"] = train.optimizer.v[name]
+                    print(f"{key}: loss {loss.item():.6f}", flush=True)
+    np.savez(out, **arrays)
+    print(f"wrote {len(arrays)} arrays to {out}")
+
+
+def largest_entry_ulps(a: np.ndarray, b: np.ndarray) -> float:
+    """max |a - b| in units of the spacing at a's largest |entry|."""
+    if not a.size:
+        return 0.0
+    return float(np.abs(a.astype(np.float64) - b.astype(np.float64)).max() / np.spacing(np.abs(a).max()))
+
+
+def compare(path_a: str, path_b: str) -> int:
+    with np.load(path_a) as fa, np.load(path_b) as fb:
+        a = {k: fa[k] for k in fa.files}
+        b = {k: fb[k] for k in fb.files}
+    differ = 0
+    for key in sorted(a.keys() | b.keys()):
+        if key not in a or key not in b:
+            differ += 1
+            print(f"{key}: only in {path_a if key in a else path_b}")
+        elif a[key].shape != b[key].shape or a[key].dtype != b[key].dtype:
+            differ += 1
+            print(f"{key}: {a[key].dtype}{a[key].shape} vs {b[key].dtype}{b[key].shape}")
+        elif a[key].tobytes() != b[key].tobytes():
+            differ += 1
+            print(f"{key}: {largest_entry_ulps(a[key], b[key]):.3g} ulps of the largest entry")
+    print(f"{differ} of {len(a.keys() | b.keys())} arrays differ")
+    return 1 if differ else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    p = sub.add_parser("dump", help="record a source tree's numerics")
+    p.add_argument("src", help="directory that contains the molkv package")
+    p.add_argument("out", help="output .npz file")
+    p = sub.add_parser("compare", help="compare two records")
+    p.add_argument("a")
+    p.add_argument("b")
+    args = parser.parse_args(argv)
+    if args.command == "dump":
+        dump(args.src, args.out)
+        return 0
+    return compare(args.a, args.b)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
