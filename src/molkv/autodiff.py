@@ -43,6 +43,7 @@ __all__ = [
     "embedding_lookup",
     "cross_entropy_logits",
     "topk_indices",
+    "topk_mask",
     "backward",
     "grad_check",
 ]
@@ -410,9 +411,14 @@ def cross_entropy_logits(logits: Tensor, targets) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
+def _rms(x: np.ndarray, eps: float) -> np.ndarray:
+    # The bits of ``(x * x).mean(axis=-1, keepdims=True)``, without the method's per-call overhead.
+    return np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=True) / x.shape[-1] + eps)
+
+
 def rmsnorm_np(x: np.ndarray, gain: np.ndarray, eps: float = 1e-8) -> np.ndarray:
     """gain * (x / sqrt(mean(x^2, last axis) + eps))."""
-    return gain * (x / np.sqrt((x * x).mean(axis=-1, keepdims=True) + eps))
+    return gain * (x / _rms(x, eps))
 
 
 def rmsnorm(x: Tensor, gain: Tensor, eps: float = 1e-8) -> Tensor:
@@ -424,7 +430,7 @@ def rmsnorm(x: Tensor, gain: Tensor, eps: float = 1e-8) -> Tensor:
 
     def vjp(g):
         n = d.shape[-1]
-        r = np.sqrt((d * d).mean(axis=-1, keepdims=True) + eps)
+        r = _rms(d, eps)
         gy = g * gain.data
         gx = gy / r - d * ((gy * d).sum(axis=-1, keepdims=True) / (n * r**3))
         ggain = (g * (d / r)).reshape(-1, n).sum(axis=0)
@@ -434,7 +440,11 @@ def rmsnorm(x: Tensor, gain: Tensor, eps: float = 1e-8) -> Tensor:
 
 
 def rope_rotate_np(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
-    """Rotate interleaved coordinate pairs (x[2i], x[2i+1]) by the angles of cos/sin."""
+    """Rotate interleaved pairs (x[2i], x[2i+1]) by cos/sin, of last extent x.shape[-1] // 2, broadcast."""
+    half = x.shape[-1] // 2
+    if x.shape[-1] % 2 or cos.shape[-1] != half or sin.shape[-1] != half:
+        raise ShapeError(f"rope of {x.shape} needs an even last axis and cos/sin of width {half}, "
+                         f"not {cos.shape}/{sin.shape}")
     xe, xo = x[..., 0::2], x[..., 1::2]
     out = np.empty_like(x)
     out[..., 0::2] = xe * cos - xo * sin
@@ -445,12 +455,9 @@ def rope_rotate_np(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarra
 def rope_rotate(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
     """Rotate interleaved coordinate pairs of the last axis.
 
-    ``cos``/``sin`` have last extent x.shape[-1] // 2 and broadcast over the
-    rest; they are treated as constants (position tables). The gradient is
-    the inverse rotation.
+    ``cos``/``sin`` are ``rope_rotate_np``'s tables, treated as constants.
+    The gradient is the inverse rotation.
     """
-    if x.shape[-1] % 2:
-        raise ShapeError(f"rope needs an even last axis, got {x.shape}")
     out = Tensor(rope_rotate_np(x.data, cos, sin))
     return _record(out, (x,), lambda g: (rope_rotate_np(g, cos, -sin),))
 
@@ -460,28 +467,52 @@ def rope_rotate(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
+def topk_mask(keyed: np.ndarray, k: int) -> np.ndarray:
+    """Each last-axis row's k largest entries (1 <= k <= row length), lowest index first among ties.
+
+    Keeps every entry at or above the k-th value from ``np.partition``; where
+    a row has more ties at it than places, only its lowest-index ties: the k
+    a stable descending argsort puts first.
+    """
+    kth = np.partition(keyed, keyed.shape[-1] - k, axis=-1)[..., -k, None]
+    keep = keyed >= kth
+    if np.count_nonzero(keep) > k * (keep.size // keep.shape[-1]):
+        tie = keyed == kth
+        places = k - np.add.reduce(keep ^ tie, axis=-1, keepdims=True)  # k minus the entries above the k-th value
+        keep ^= tie & (np.add.accumulate(tie, axis=-1, dtype=np.int32) > places)
+    return keep
+
+
 def topk_indices(x, k: int, axis: int = -1, mask=None) -> np.ndarray:
-    """Indices of the k largest entries, ties broken by lowest index.
+    """Indices of the k largest entries, largest first, ties broken by lowest index.
 
     Entries that are masked out or non-finite never qualify; if fewer than
     k remain, all of them are returned. For >1-D input every slice must
     keep the same number of valid entries (the result stays rectangular).
+    Only ``topk_mask``'s k winners are sorted, with a stable sort.
     """
     if k < 1:
         raise ShapeError("topk requires k >= 1")
     arr = x.data if isinstance(x, Tensor) else np.asarray(x)
-    arr = np.moveaxis(arr, axis, -1)
+    moved = axis not in (-1, arr.ndim - 1)
+    if moved:
+        arr = np.moveaxis(arr, axis, -1)
     valid = np.isfinite(arr)
     if mask is not None:
         valid &= np.broadcast_to(np.asarray(mask, dtype=bool), arr.shape)
-    keyed = np.where(valid, arr, -np.inf)
-    order = np.argsort(-keyed, axis=-1, kind="stable")
-    counts = valid.sum(axis=-1)
+    counts = np.add.reduce(valid, axis=-1)
     if arr.ndim > 1 and counts.size and counts.min() != counts.max():
         raise ShapeError("topk on >1-D input needs a uniform valid count per slice")
-    take = int(min(k, counts.min() if counts.size else 0))
-    out = order[..., :take]
-    return np.moveaxis(out, -1, axis) if arr.ndim > 1 else out
+    take = min(k, counts.item(0) if counts.size else 0)
+    if take:
+        keyed = np.where(valid, arr, -np.inf)
+        winners = np.nonzero(topk_mask(keyed, take))
+        out = winners[-1].reshape(arr.shape[:-1] + (take,))
+        order = np.argsort(-keyed[winners].reshape(out.shape), axis=-1, kind="stable")
+        out = np.take_along_axis(out, order, axis=-1) if arr.ndim > 1 else out[order]
+    else:
+        out = np.zeros(arr.shape[:-1] + (0,), dtype=np.intp)
+    return np.moveaxis(out, -1, axis) if moved else out
 
 
 # ---------------------------------------------------------------------------

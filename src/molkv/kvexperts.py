@@ -33,15 +33,17 @@ from .autodiff import (
     reshape,
     rmsnorm,
     rope_rotate,
+    rope_rotate_np,
     sigmoid,
     softmax,
     softmax_np,
     stack,
     tensor_sum,
     topk_indices,
+    topk_mask,
     transpose,
 )
-from .layers import NORM_EPS, ROPE_THETA, FFNParams, RowBuffer, lookup_distinct, rope_np, rope_tables, swishglu_ffn
+from .layers import NORM_EPS, ROPE_THETA, FFNParams, RowBuffer, lookup_distinct, rope_tables, swishglu_ffn
 
 
 class CacheStateError(RuntimeError):
@@ -154,7 +156,6 @@ class KVExpertCache:
     key_dim: int
     hidden_size: int
     dtype: np.dtype = np.dtype(np.float64)
-    rope_theta: float = ROPE_THETA
     next_position: int = field(default=0, init=False)
 
     def __post_init__(self):
@@ -183,13 +184,13 @@ class KVExpertCache:
         return len(self) * self.num_experts * (self.hidden_size + self.key_dim)
 
 
-def cache_insert(cache: KVExpertCache, position: int, kv: ExpertKV) -> KVExpertCache:
-    """Rotate keys to ``position``, append, evict the oldest beyond M."""
+def cache_insert(cache: KVExpertCache, position: int, kv: ExpertKV, cos, sin) -> KVExpertCache:
+    """Rotate keys by ``cos``/``sin``, ``position``'s RoPE tables, append, evict the oldest beyond M."""
     if position != cache.next_position:
         if cache.next_position:
             raise CacheStateError(f"cache holds ..{cache.next_position - 1}, cannot insert position {position}")
         raise CacheStateError(f"empty cache starts at position 0, got {position}")
-    cache._keys.append(rope_np(kv.keys, position, cache.rope_theta))
+    cache._keys.append(rope_rotate_np(kv.keys, cos, sin))
     cache._values.append(kv.values_normed)
     cache.next_position += 1
     return cache
@@ -200,10 +201,10 @@ def cache_insert(cache: KVExpertCache, position: int, kv: ExpertKV) -> KVExpertC
 # ---------------------------------------------------------------------------
 
 
-def molkv_query(h: np.ndarray, params: MoLKVBlockParams, position: int):
-    """(q, q_rotated) for one hidden state."""
+def molkv_query(h: np.ndarray, params: MoLKVBlockParams, cos, sin):
+    """(q, q rotated by the current position's RoPE tables ``cos``/``sin``) for one hidden state."""
     q = h @ params.query_proj.data
-    return q, rope_np(q, position, params.rope_theta)
+    return q, rope_rotate_np(q, cos, sin)
 
 
 def molkv_new_scores(q_rot: np.ndarray, h: np.ndarray, cache: KVExpertCache, params: MoLKVBlockParams) -> np.ndarray:
@@ -249,12 +250,7 @@ def sliding_window_mask(s: int, window: int) -> np.ndarray:
 def window_topk_mask(scores: np.ndarray, win: np.ndarray, k: int) -> np.ndarray:
     """Each row's k largest in-window scores, lowest index first among ties: a stable argsort's top k."""
     masked = np.where(win, scores, -np.inf)
-    k = min(k, masked.shape[-1])
-    kth = np.partition(masked, masked.shape[-1] - k, axis=-1)[..., -k, None]
-    keep = masked > kth
-    tie = masked == kth
-    keep |= tie & (np.cumsum(tie, axis=-1, dtype=np.int32) <= k - keep.sum(axis=-1, keepdims=True))
-    return keep & win
+    return topk_mask(masked, min(k, masked.shape[-1])) & win
 
 
 def molkv_expert_terms(h: Tensor, emb: Tensor, inverse: np.ndarray, params: MoLKVBlockParams, window: int) -> Tensor:

@@ -7,7 +7,9 @@ that the taped op runs for its forward; this module re-exports them. Two
 forms stay paired, and the tests hold each pair equal: the SwishGLU FFN,
 whose taped form is a chain of single-kernel ops and whose numpy form is
 one line, and attention, which is batched over a sequence in training and
-reads a KV cache in decoding.
+reads a KV cache in decoding. The per-token decoding functions here and in
+:mod:`molkv.kvexperts` take the current position's RoPE ``cos``/``sin``
+tables as arguments, so a decode step builds each table once.
 """
 
 from __future__ import annotations
@@ -239,12 +241,14 @@ class AttentionCache:
 
 
 def causal_attention_step(
-    x: np.ndarray, p: AttnParams, cache: AttentionCache, position: int, theta: float = ROPE_THETA
+    x: np.ndarray, p: AttnParams, cache: AttentionCache, cos: np.ndarray, sin: np.ndarray
 ) -> np.ndarray:
     """One-token attention; appends this position's k/v to the cache.
 
-    Scores and mixes per head with batched matmul over transposed views of
-    the slot-major cache: (h, 1, hd) @ (h, hd, t), then (h, 1, t) @ (h, t, hd).
+    ``cos``/``sin`` are the position's RoPE tables, ``rope_tables(t, hd,
+    theta, dtype)`` with t = len(cache), which rotate q and k. Scores and
+    mixes per head with batched matmul over transposed views of the
+    slot-major cache: (h, 1, hd) @ (h, hd, t), then (h, 1, t) @ (h, t, hd).
     """
     d = x.shape[-1]
     h = p.n_heads
@@ -252,8 +256,8 @@ def causal_attention_step(
     q = (x @ p.wq.data).reshape(h, hd)
     k = (x @ p.wk.data).reshape(h, hd)
     v = (x @ p.wv.data).reshape(h, hd)
-    q = rope_np(q, position, theta)
-    k = rope_np(k, position, theta)
+    q = rope_rotate_np(q, cos, sin)
+    k = rope_rotate_np(k, cos, sin)
     cache.append(k, v)
     logits = (q[:, None, :] @ cache.k.transpose(1, 2, 0)) / math.sqrt(hd)  # (h, 1, t)
     w = softmax_np(logits, axis=-1)

@@ -15,6 +15,7 @@ parameters/bytes loaded per token.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -30,7 +31,8 @@ from .kvexperts import (
     molkv_query,
     molkv_select,
 )
-from .layers import AttentionCache, causal_attention_step, rmsnorm_np, sigmoid_np, softmax_np, swishglu_ffn_np
+from .layers import (AttentionCache, causal_attention_step, rmsnorm_np, rope_tables, sigmoid_np, softmax_np,
+                     swishglu_ffn_np)
 from .mole import MoLEBlockParams, mole_routing
 from .model import ModelParams
 from .store import ExpertRecord, ExpertStoreReader, StoreFormatError
@@ -107,10 +109,12 @@ class DecoderState:
                     key_dim=cfg.key_dim,
                     hidden_size=cfg.hidden_size,
                     dtype=self.dtype,
-                    rope_theta=cfg.rope_theta,
                 )
         self.rows: list[CostRow] = []
         self.expert_layer_index = {li: i for i, li in enumerate(cfg.expert_layers)}  # model layer -> store layer
+        # (dim, theta) of each RoPE table a step rotates with: attention heads, key-value queries and keys
+        kv_blocks = [layer.block for layer in params.layers if isinstance(layer.block, MoLKVBlockParams)]
+        self.rope_keys = {(cfg.head_dim, cfg.rope_theta)} | {(b.key_dim, b.rope_theta) for b in kv_blocks}
 
 
 def _params_offloaded(cfg: ModelConfig) -> int:
@@ -118,21 +122,26 @@ def _params_offloaded(cfg: ModelConfig) -> int:
 
 
 def decode_step(state: DecoderState, token_id: int):
-    """Advance one token; returns (logits over |V|, CostCounters delta)."""
+    """Advance one integer (Python or NumPy) token id; returns (logits over |V|, CostCounters delta).
+
+    Builds the position's RoPE tables once, one per distinct (dim, theta), for every layer.
+    """
     cfg = state.config
     params = state.params
-    token_id = int(token_id)
+    token_id = operator.index(token_id)
     if not 0 <= token_id < cfg.vocab_size:
         raise IndexError(f"token id {token_id} outside vocabulary of {cfg.vocab_size}")
     d, big_d = cfg.hidden_size, cfg.ffn_size
     layer_of = state.expert_layer_index
     delta = CostCounters(params_offloaded=_params_offloaded(cfg))
     t = state.position
+    rope = {key: rope_tables(t, *key, state.dtype) for key in state.rope_keys}
+    attn_rope = rope[cfg.head_dim, cfg.rope_theta]
 
     x = params.embedding.data[token_id]
     for li, layer in enumerate(params.layers):
         a = rmsnorm_np(x, layer.attn_norm.data, cfg.norm_eps)
-        x = x + causal_attention_step(a, layer.attn, state.attn_caches[li], t, cfg.rope_theta)
+        x = x + causal_attention_step(a, layer.attn, state.attn_caches[li], *attn_rope)
         hn = rmsnorm_np(x, layer.ffn_norm.data, cfg.norm_eps)
         y = swishglu_ffn_np(hn, layer.ffn)
         layer_macs = 3 * d * big_d
@@ -150,7 +159,8 @@ def decode_step(state: DecoderState, token_id: int):
             else:
                 cache = state.expert_caches[li]
                 cache_len = len(cache)
-                term, k_eff = molkv_step(hn, t, cache, expert_kv(record, block, state.dtype), block)
+                kv = expert_kv(record, block, state.dtype)
+                term, k_eff = molkv_step(hn, t, cache, kv, block, *rope[block.key_dim, block.rope_theta])
                 y = y + term
                 layer_macs += d * cfg.key_dim + cache_len * cfg.num_experts * cfg.key_dim + k_eff * d
 
@@ -211,28 +221,30 @@ def gated_mole_forward(h: np.ndarray, token_id: int, table: np.ndarray, params: 
 
 def expert_kv(record: ExpertRecord, params: MoLKVBlockParams, dtype) -> ExpertKV:
     """The expert pairs of one key-value store record, cast to ``dtype``."""
-    values = record.values.astype(dtype)
+    values = record.values.astype(dtype, copy=False)  # read_record's arrays are private copies
     return ExpertKV(
-        keys=record.keys.astype(dtype),
+        keys=record.keys.astype(dtype, copy=False),
         values=values,
         values_normed=rmsnorm_np(values, params.value_norm.data, params.norm_eps),
     )
 
 
-def molkv_step(h: np.ndarray, position: int, cache: KVExpertCache, kv: ExpertKV, params: MoLKVBlockParams):
+def molkv_step(h: np.ndarray, position: int, cache: KVExpertCache, kv: ExpertKV, params: MoLKVBlockParams, cos, sin):
     """Own-expert plus cached-expert term of one token; returns (term, k_eff).
 
-    The token's own pairs ``kv`` join the cache (which checks ``position``)
-    only after the term is computed, so position 0 sees an empty window and
-    adds no cached term. k_eff is the number of cached experts selected.
+    ``cos``/``sin`` are ``position``'s RoPE tables of width d' / 2; they
+    rotate the query and the token's keys. The token's own pairs ``kv``
+    join the cache (which checks ``position``) only after the term is
+    computed, so position 0 sees an empty window and adds no cached term.
+    k_eff is the number of cached experts selected.
     """
-    q, q_rot = molkv_query(h, params, position)
+    q, q_rot = molkv_query(h, params, cos, sin)
     term = sigmoid_np(h @ params.gate.data) * (molkv_augmented_routing(h, q, kv, params) @ kv.values)
     idx, weights = molkv_select(molkv_new_scores(q_rot, h, cache, params), params.top_k)
     if idx.size:
         cached = cache.values.reshape(-1, cache.hidden_size)[idx]
         term = term + sigmoid_np(h @ params.new_gate.data) * (weights @ cached)
-    cache_insert(cache, position, kv)
+    cache_insert(cache, position, kv, cos, sin)
     return term, int(idx.size)
 
 
@@ -245,7 +257,8 @@ def molkv_infer_forward(
     params: MoLKVBlockParams,
 ):
     """y = h + FFN(h) + molkv_step's term for one decoded token; returns (y, cache, k_eff)."""
-    term, k_eff = molkv_step(h, position, cache, kv, params)
+    rope = rope_tables(position, params.key_dim, params.rope_theta, h.dtype)
+    term, k_eff = molkv_step(h, position, cache, kv, params, *rope)
     return h + swishglu_ffn_np(h, params.ffn) + term, cache, k_eff
 
 
@@ -326,7 +339,7 @@ def generate(
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    prompt_ids = [int(i) for i in np.asarray(prompt_ids).reshape(-1)]
+    prompt_ids = [operator.index(i) for i in np.asarray(prompt_ids).reshape(-1)]
     if not prompt_ids:
         raise ValueError("prompt must contain at least one token")
     total = CostCounters()

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from molkv.autodiff import (
     GraphError,
@@ -22,6 +24,7 @@ from molkv.autodiff import (
     rmsnorm,
     rmsnorm_np,
     rope_rotate,
+    rope_rotate_np,
     sigmoid,
     sigmoid_np,
     silu,
@@ -351,6 +354,14 @@ class TestNormsAndRotation:
         with pytest.raises(ShapeError):
             rope_rotate(Tensor(np.zeros(3)), np.zeros(1), np.zeros(1))
 
+    @pytest.mark.parametrize("cos_width, sin_width", [(1, 1), (4, 1), (1, 4), (8, 8), (3, 4)])
+    def test_rope_table_width_must_be_half_of_x(self, cos_width, sin_width):
+        x = np.ones(8)
+        with pytest.raises(ShapeError, match="width 4"):
+            rope_rotate_np(x, np.ones(cos_width), np.zeros(sin_width))
+        with pytest.raises(ShapeError):
+            rope_rotate(Tensor(x), np.ones(cos_width), np.zeros(sin_width))
+
 
 class TestAxisAndThreads:
     def test_masked_softmax_axis_zero(self):
@@ -532,3 +543,79 @@ class TestOldFormulas:
         got = backward(tape, loss)[x]
         inner = (g * y.data).sum(axis=-1, keepdims=True)
         np.testing.assert_array_equal(got, y.data * (g - inner))
+
+
+@st.composite
+def topk_cases(draw):
+    """(x, k, mask): heavy ties, +-0, and per-slice the same number of NaN, +-inf or masked-out entries."""
+    lead = draw(st.sampled_from([(), (3,), (2, 3)]))
+    n = draw(st.integers(1, 12))
+    n_bad = draw(st.integers(0, n))
+    value = st.one_of(st.sampled_from([-2.0, -0.0, 0.0, 1.0, 1.0, 3.5]), st.floats(-4, 4, width=32))
+    x = np.array(draw(st.lists(value, min_size=n * int(np.prod(lead)), max_size=n * int(np.prod(lead)))))
+    x = x.reshape(lead + (n,))
+    mask = np.ones(x.shape, dtype=bool)
+    for row in np.ndindex(lead):
+        for j in draw(st.permutations(range(n)))[:n_bad]:
+            bad = draw(st.sampled_from([np.nan, np.inf, -np.inf, None]))
+            if bad is None:
+                mask[row + (j,)] = False
+            else:
+                x[row + (j,)] = bad
+    use_mask = draw(st.booleans()) or not mask.all()
+    return x, draw(st.integers(1, n + 3)), mask if use_mask else None
+
+
+class TestDecodeKernels:
+    """The decode-step kernels give the results of the plain numpy forms they replaced."""
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(topk_cases())
+    def test_topk_is_stable_argsort(self, case):
+        x, k, mask = case
+        valid = np.isfinite(x) & (True if mask is None else mask)
+        keyed = np.where(valid, x, -np.inf)
+        take = min(k, int(valid.sum(axis=-1).min()))
+        want = np.argsort(-keyed, axis=-1, kind="stable")[..., :take]  # the old topk_indices body
+        got = topk_indices(x, k, mask=mask)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+        if x.ndim > 1 and mask is None:  # the same along a leading axis
+            moved = topk_indices(np.moveaxis(x, -1, 0), k, axis=0)
+            np.testing.assert_array_equal(moved, np.moveaxis(want, -1, 0))
+
+    def test_topk_of_no_valid_entries_is_empty(self):
+        for x in (np.full(4, np.nan), np.zeros(0), np.zeros((3, 0)), np.full((2, 5), -np.inf)):
+            got = topk_indices(x, 2)
+            assert got.shape == x.shape[:-1] + (0,) and got.dtype == np.intp
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(256,), (7, 32), (2, 3, 16), (5,)])
+    def test_rmsnorm_is_mean_formula(self, dtype, shape):
+        rng = np.random.default_rng(24)
+        x = (rng.standard_normal(shape) * 10.0 ** rng.uniform(-6, 6, shape[:-1] + (1,))).astype(dtype)
+        x[..., :1] = 0.0 if x.ndim > 1 else x[..., :1]
+        g = (1.7 * rng.standard_normal(shape[-1]) + 0.3).astype(dtype)
+        for eps in (1e-8, 1e-6):
+            want = g * (x / np.sqrt((x * x).mean(axis=-1, keepdims=True) + eps))
+            got = rmsnorm_np(x, g, eps)
+            assert got.dtype == dtype
+            np.testing.assert_array_equal(got, want)
+        zero = rmsnorm_np(np.zeros(shape, dtype), g, 1e-8)
+        np.testing.assert_array_equal(zero, np.zeros(shape, dtype))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_rmsnorm_gradient_is_mean_formula(self, dtype):
+        rng = np.random.default_rng(25)
+        d = rng.standard_normal((4, 3, 16)).astype(dtype)
+        gain = (1.7 * rng.standard_normal(16) + 0.3).astype(dtype)
+        g = rng.standard_normal(d.shape).astype(dtype)
+        x, gn = parameter(d), parameter(gain)
+        with Tape() as tape:
+            loss = tensor_sum(mul(rmsnorm(x, gn, 1e-6), Tensor(g)))
+        grads = backward(tape, loss)
+        r = np.sqrt((d * d).mean(axis=-1, keepdims=True) + 1e-6)
+        gy = g * gain
+        want_x = gy / r - d * ((gy * d).sum(axis=-1, keepdims=True) / (16 * r**3))
+        np.testing.assert_array_equal(grads[x], want_x)
+        np.testing.assert_array_equal(grads[gn], (g * (d / r)).reshape(-1, 16).sum(axis=0))

@@ -19,7 +19,7 @@ from molkv.kvexperts import (
     sliding_window_mask,
     window_topk_mask,
 )
-from molkv.layers import FFNParams, rmsnorm_np, rope_np, softmax_np
+from molkv.layers import FFNParams, rmsnorm_np, rope_np, rope_tables, softmax_np
 from molkv.runtime import molkv_infer_forward
 
 
@@ -45,6 +45,11 @@ def make_block(rng, d=10, D=14, dk=6, n=2, top_k=3, scale=0.35):
         value_norm=parameter(np.ones(d)),
         top_k=top_k,
     )
+
+
+def rope(block, position):
+    """The fp64 RoPE tables of ``position`` for the block's queries and keys."""
+    return rope_tables(position, block.key_dim, block.rope_theta)
 
 
 def fresh_cache(block, window):
@@ -103,21 +108,21 @@ class TestQuery:
     def test_position_zero_identity(self):
         rng = np.random.default_rng(5)
         block = make_block(rng)
-        q, q_rot = molkv_query(rng.standard_normal(10), block, 0)
+        q, q_rot = molkv_query(rng.standard_normal(10), block, *rope(block, 0))
         assert np.array_equal(q, q_rot)
 
     def test_norm_preserved(self):
         rng = np.random.default_rng(6)
         block = make_block(rng)
-        q, q_rot = molkv_query(rng.standard_normal(10), block, 11)
+        q, q_rot = molkv_query(rng.standard_normal(10), block, *rope(block, 11))
         assert abs(np.linalg.norm(q) - np.linalg.norm(q_rot)) < 1e-12
 
     def test_linear_in_h(self):
         rng = np.random.default_rng(7)
         block = make_block(rng)
         h = rng.standard_normal(10)
-        q1, _ = molkv_query(h, block, 0)
-        q2, _ = molkv_query(2.5 * h, block, 0)
+        q1, _ = molkv_query(h, block, *rope(block, 0))
+        q2, _ = molkv_query(2.5 * h, block, *rope(block, 0))
         np.testing.assert_allclose(q2, 2.5 * q1, rtol=1e-12)
 
 
@@ -128,7 +133,7 @@ class TestCache:
         cache = fresh_cache(block, window=4)
         for pos in range(3):
             kv = compute_expert_kv(rng.standard_normal(10), block)
-            cache_insert(cache, pos, kv)
+            cache_insert(cache, pos, kv, *rope(block, pos))
             assert np.array_equal(cache.keys_rot[-1], rope_np(kv.keys, pos))
             assert np.array_equal(cache.values[-1], kv.values_normed)
 
@@ -137,7 +142,7 @@ class TestCache:
         block = make_block(rng)
         cache = fresh_cache(block, window=1)
         for pos in range(5):
-            cache_insert(cache, pos, compute_expert_kv(rng.standard_normal(10), block))
+            cache_insert(cache, pos, compute_expert_kv(rng.standard_normal(10), block), *rope(block, pos))
             assert cache.positions == [pos]
 
     def test_eviction_keeps_last_window(self):
@@ -148,7 +153,7 @@ class TestCache:
         keys, values = [], []  # concatenate-and-slice reference
         for pos in range(3 * m + 3):  # past 2M + 1: the 2M-slot buffers compact twice
             kv = compute_expert_kv(rng.standard_normal(10), block)
-            cache_insert(cache, pos, kv)
+            cache_insert(cache, pos, kv, *rope(block, pos))
             keys.append(rope_np(kv.keys, pos))
             values.append(kv.values_normed)
             assert np.array_equal(cache.keys_rot, np.stack(keys)[-m:])
@@ -165,10 +170,11 @@ class TestCache:
         inserted = []
         for pos in range(2 * m + 3):  # the buffers compact at insert 2M + 1
             values = rng.standard_normal((n, 10))
-            cache_insert(cache, pos, ExpertKV(keys=np.zeros((n, block.key_dim)), values=values, values_normed=values))
+            kv = ExpertKV(keys=np.zeros((n, block.key_dim)), values=values, values_normed=values)
+            cache_insert(cache, pos, kv, *rope(block, pos))
             inserted.append(values)
         h = rng.standard_normal(10)
-        scores = molkv_new_scores(molkv_query(h, block, 2 * m + 3)[1], h, cache, block)
+        scores = molkv_new_scores(molkv_query(h, block, *rope(block, 2 * m + 3))[1], h, cache, block)
         assert np.array_equal(scores, np.zeros(m * n))
         idx, _ = molkv_select(scores, block.top_k)
         assert idx.tolist() == [0, 1, 2]
@@ -182,38 +188,38 @@ class TestCache:
         m = 4
         cache = fresh_cache(block, window=m)
         kv = compute_expert_kv(rng.standard_normal(10), block)
-        cache_insert(cache, 0, kv)
+        cache_insert(cache, 0, kv, *rope(block, 0))
         prev_keys, prev_values = cache.keys_rot, cache.values
         for pos in range(1, 2 * m):  # all 2M slots fill without a move
-            cache_insert(cache, pos, kv)
+            cache_insert(cache, pos, kv, *rope(block, pos))
             assert np.shares_memory(cache.keys_rot, prev_keys)
             assert np.shares_memory(cache.values, prev_values)
             prev_keys, prev_values = cache.keys_rot, cache.values
         base_keys, base_values = prev_keys.base, prev_values.base
-        cache_insert(cache, 2 * m, kv)  # compaction moves slots within the same buffers
+        cache_insert(cache, 2 * m, kv, *rope(block, 2 * m))  # compaction moves slots within the same buffers
         assert cache.keys_rot.base is base_keys and cache.values.base is base_values
 
     def test_out_of_order_insert_rejected(self):
         rng = np.random.default_rng(11)
         block = make_block(rng)
         cache = fresh_cache(block, window=4)
-        cache_insert(cache, 0, compute_expert_kv(rng.standard_normal(10), block))
+        cache_insert(cache, 0, compute_expert_kv(rng.standard_normal(10), block), *rope(block, 0))
         with pytest.raises(CacheStateError):
-            cache_insert(cache, 2, compute_expert_kv(rng.standard_normal(10), block))
+            cache_insert(cache, 2, compute_expert_kv(rng.standard_normal(10), block), *rope(block, 2))
 
     def test_empty_cache_starts_at_zero(self):
         rng = np.random.default_rng(12)
         block = make_block(rng)
         cache = fresh_cache(block, window=4)
         with pytest.raises(CacheStateError):
-            cache_insert(cache, 3, compute_expert_kv(rng.standard_normal(10), block))
+            cache_insert(cache, 3, compute_expert_kv(rng.standard_normal(10), block), *rope(block, 3))
 
     def test_param_count(self):
         rng = np.random.default_rng(13)
         block = make_block(rng, d=10, dk=6, n=2)
         cache = fresh_cache(block, window=8)
         for pos in range(5):
-            cache_insert(cache, pos, compute_expert_kv(rng.standard_normal(10), block))
+            cache_insert(cache, pos, compute_expert_kv(rng.standard_normal(10), block), *rope(block, pos))
         assert cache.param_count == 5 * 2 * (10 + 6)
 
 
@@ -233,9 +239,9 @@ class TestScoresAndSelection:
         block.new_routers.data[:] = 0.0
         cache = fresh_cache(block, window=4)
         for pos in range(3):
-            cache_insert(cache, pos, compute_expert_kv(rng.standard_normal(10), block))
+            cache_insert(cache, pos, compute_expert_kv(rng.standard_normal(10), block), *rope(block, pos))
         h = rng.standard_normal(10)
-        _, q_rot = molkv_query(h, block, 3)
+        _, q_rot = molkv_query(h, block, *rope(block, 3))
         scores = molkv_new_scores(q_rot, h, cache, block)
         want = (cache.keys_rot.reshape(-1, block.key_dim) @ q_rot) * block.qk_scale
         np.testing.assert_allclose(scores, want, atol=1e-15)
@@ -245,9 +251,9 @@ class TestScoresAndSelection:
         block = make_block(rng)
         cache = fresh_cache(block, window=6)
         for pos in range(5):
-            cache_insert(cache, pos, compute_expert_kv(rng.standard_normal(10), block))
+            cache_insert(cache, pos, compute_expert_kv(rng.standard_normal(10), block), *rope(block, pos))
         h = rng.standard_normal(10)
-        _, q_rot = molkv_query(h, block, 5)
+        _, q_rot = molkv_query(h, block, *rope(block, 5))
         scores = molkv_new_scores(q_rot, h, cache, block)
         router = h @ block.new_routers.data
         n = block.num_experts
@@ -300,7 +306,7 @@ class TestAugmentedRouting:
         for _ in range(25):
             h = rng.standard_normal(10)
             kv = compute_expert_kv(rng.standard_normal(10), block)
-            q, _ = molkv_query(h, block, 0)
+            q, _ = molkv_query(h, block, *rope(block, 0))
             assert molkv_augmented_routing(h, q, kv, block).sum() == pytest.approx(1.0, abs=1e-12)
 
 
@@ -383,7 +389,7 @@ class TestTrainInferEquivalence:
         from molkv.layers import sigmoid_np, swishglu_ffn_np
 
         kv = compute_expert_kv(emb.data[4], block)
-        q, _ = molkv_query(h[0], block, 0)
+        q, _ = molkv_query(h[0], block, *rope(block, 0))
         s_own = molkv_augmented_routing(h[0], q, kv, block)
         want = h[0] + swishglu_ffn_np(h[0], block.ffn) + sigmoid_np(h[0] @ block.gate.data) * (s_own @ kv.values)
         np.testing.assert_allclose(y[0], want, atol=1e-12)
@@ -393,14 +399,14 @@ class TestTrainInferEquivalence:
         block = make_block(rng)
         cache = fresh_cache(block, window=4)
         for pos in range(4):
-            cache_insert(cache, pos, compute_expert_kv(rng.standard_normal(10), block))
+            cache_insert(cache, pos, compute_expert_kv(rng.standard_normal(10), block), *rope(block, pos))
         h = rng.standard_normal(10)
         h = h * (-30.0 / (h @ block.new_gate.data))  # force h.u' = -30
         kv = compute_expert_kv(rng.standard_normal(10), block)
         y, _, k_eff = molkv_infer_forward(h.copy(), 0, 4, cache, kv, block)
         from molkv.layers import sigmoid_np, swishglu_ffn_np
 
-        q, _ = molkv_query(h, block, 4)
+        q, _ = molkv_query(h, block, *rope(block, 4))
         s_own = molkv_augmented_routing(h, q, kv, block)
         no_new = h + swishglu_ffn_np(h, block.ffn) + sigmoid_np(h @ block.gate.data) * (s_own @ kv.values)
         assert k_eff > 0  # experts were selected, the gate just silences them

@@ -129,7 +129,7 @@ class TestAttention:
         x = rng.standard_normal((s, d))
         batched = causal_attention(Tensor(x), p).data
         cache = AttentionCache(heads, d // heads, np.float64)
-        step = np.stack([causal_attention_step(x[t], p, cache, t) for t in range(s)])
+        step = np.stack([causal_attention_step(x[t], p, cache, *rope_tables(t, d // heads)) for t in range(s)])
         np.testing.assert_allclose(step, batched, atol=1e-10)
 
     def test_cache_appends_in_place_and_doubles(self):
@@ -142,7 +142,7 @@ class TestAttention:
         keys = []
         for t in range(s):
             prev = cache.k.base
-            step = causal_attention_step(x[t], p, cache, t)
+            step = causal_attention_step(x[t], p, cache, *rope_tables(t, d // heads))
             np.testing.assert_allclose(step, batched[t], atol=1e-10)
             keys.append(rope_np((x[t] @ p.wk.data).reshape(heads, d // heads), t))
             assert np.array_equal(cache.k, np.stack(keys))

@@ -34,3 +34,13 @@ def test_fp64_is_not_equal_to_fp32(tmp_path, capsys):
     np.savez(tmp_path / "b.npz", w=np.ones(3, dtype=np.float64))
     assert numerics_diff.main(["compare", str(tmp_path / "a.npz"), str(tmp_path / "b.npz")]) == 1
     assert "w: float32(3,) vs float64(3,)" in capsys.readouterr().out
+
+
+def test_decode_steps_reach_pruning_and_compaction():
+    steps = numerics_diff.DECODE_STEPS
+    for _, experts, kv, (b, span) in numerics_diff.SIZES.values():
+        assert steps <= b * span  # decode feeds the batch's ids row after row
+        # the last step scores more cached experts than top-k keeps
+        assert min(steps - 1, kv["cache_window"]) * experts["num_experts"] > kv["top_k"]
+    # the small model's 2M-slot expert cache compacts at insert 2M + 1
+    assert steps > 2 * numerics_diff.SIZES["small"][2]["cache_window"] + 1

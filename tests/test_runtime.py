@@ -87,6 +87,24 @@ class TestLogitEquivalence:
         with pytest.raises(IndexError):
             decode_step(state, cfg.vocab_size)
 
+    @pytest.mark.parametrize("token", [3.7, 3.0, np.float64(3.0), "3"])
+    def test_non_integer_token_id_rejected(self, molkv_setup, token):
+        _, model, reader = molkv_setup
+        state = DecoderState(model, reader)
+        with pytest.raises(TypeError):
+            decode_step(state, token)
+        assert state.position == 0 and len(state.attn_caches[0]) == 0 and reader.reads == 0
+        decode_step(state, np.int32(3))  # NumPy integers are ids
+        assert state.position == 1
+
+    @pytest.mark.parametrize("prompt", [[1.0, 2.0], np.array([1, 2.5]), [3.7]])
+    def test_non_integer_prompt_rejected(self, molkv_setup, prompt):
+        _, model, reader = molkv_setup
+        state = DecoderState(model, reader)
+        with pytest.raises(TypeError):
+            generate(state, prompt, steps=1)
+        assert state.position == 0 and reader.reads == 0
+
     def test_store_model_mismatch(self, tmp_path, molkv_setup):
         _, _, reader = molkv_setup
         other = init_model(small_config("mole"), seed=4)
@@ -176,6 +194,30 @@ def test_decode_calls_runtime_bindings(molkv_setup, monkeypatch):
     assert all(calls.values()), calls
     assert calls["decode_step"] == n_tokens
     assert calls["molkv_select"] == n_tokens * len(cfg.expert_layers)
+
+
+@pytest.mark.parametrize("key_dim", [6, 8])  # head_dim is 8: two tables per step, then one shared table
+def test_decode_builds_each_rope_table_once_per_step(tmp_path, monkeypatch, key_dim):
+    cfg = replace(small_config("molkv"), key_dim=key_dim)
+    model = init_model(cfg, seed=3, dtype=np.float64, init_std=0.3)
+    write_store(reparameterize(model), tmp_path / "store.mlkv", dtype="fp64")
+    calls = []
+    tables = runtime.rope_tables
+
+    def counted(positions, dim, theta, dtype):
+        calls.append((positions, dim, theta, dtype))
+        return tables(positions, dim, theta, dtype)
+
+    monkeypatch.setattr(runtime, "rope_tables", counted)
+    want = {(cfg.head_dim, cfg.rope_theta), (key_dim, cfg.rope_theta)}
+    with ExpertStoreReader(tmp_path / "store.mlkv") as reader:
+        state = DecoderState(model, reader)
+        for t, tok in enumerate([4, 1, 4, 7, 2, 9, 0, 4]):  # past the window, M = 5
+            calls.clear()
+            decode_step(state, tok)
+            assert len(calls) == len(want)
+            assert {(dim, theta) for _, dim, theta, _ in calls} == want
+            assert all(pos == t and dtype == np.float64 for pos, _, _, dtype in calls)
 
 
 class TestCostAccounting:

@@ -10,7 +10,10 @@ on a small model and on the benchmark's mid model:
 
 * the training loss and every leaf gradient of one taped batch;
 * the ``forward`` logits of that batch;
-* the logits of 8 decode steps over a store of the model's dtype;
+* the logits of ``DECODE_STEPS`` decode steps over a store of the model's
+  dtype, fed the batch's ids row after row. That is enough for the mid
+  model's top-k to prune (more than k / N cached positions) and for the
+  small model's expert cache to compact (more than 2M + 1 inserts);
 * the parameters and AdamW moments after 4 ``train_step`` calls.
 
 ``compare`` reports how many arrays differ in shape, dtype or any bit, and
@@ -29,7 +32,7 @@ import numpy as np
 
 KINDS = ("dense", "mole", "gated-mole", "molkv")
 DTYPES = {"fp32": np.float32, "fp64": np.float64}
-DECODE_STEPS = 8
+DECODE_STEPS = 24
 TRAIN_STEPS = 4
 
 
@@ -83,7 +86,7 @@ def dump(src: str, out: str) -> None:
                         reader = ExpertStoreReader(path)
                     try:
                         state = DecoderState(model, reader)
-                        steps = [decode_step(state, int(t))[0] for t in batch[0, :DECODE_STEPS]]
+                        steps = [decode_step(state, int(t))[0] for t in batch.reshape(-1)[:DECODE_STEPS]]
                         arrays[f"{key}/decode"] = np.stack(steps)
                     finally:
                         if reader is not None:
