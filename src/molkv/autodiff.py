@@ -483,36 +483,23 @@ def topk_mask(keyed: np.ndarray, k: int) -> np.ndarray:
     return keep
 
 
-def topk_indices(x, k: int, axis: int = -1, mask=None) -> np.ndarray:
-    """Indices of the k largest entries, largest first, ties broken by lowest index.
+def topk_indices(x: np.ndarray, k: int) -> np.ndarray:
+    """Indices of a 1-D array's k largest entries, largest first, ties broken by lowest index.
 
-    Entries that are masked out or non-finite never qualify; if fewer than
-    k remain, all of them are returned. For >1-D input every slice must
-    keep the same number of valid entries (the result stays rectangular).
-    Only ``topk_mask``'s k winners are sorted, with a stable sort.
+    Non-finite entries never qualify; if fewer than k remain, all of them
+    are returned. Only ``topk_mask``'s k winners are sorted, with a stable sort.
     """
     if k < 1:
         raise ShapeError("topk requires k >= 1")
-    arr = x.data if isinstance(x, Tensor) else np.asarray(x)
-    moved = axis not in (-1, arr.ndim - 1)
-    if moved:
-        arr = np.moveaxis(arr, axis, -1)
-    valid = np.isfinite(arr)
-    if mask is not None:
-        valid &= np.broadcast_to(np.asarray(mask, dtype=bool), arr.shape)
-    counts = np.add.reduce(valid, axis=-1)
-    if arr.ndim > 1 and counts.size and counts.min() != counts.max():
-        raise ShapeError("topk on >1-D input needs a uniform valid count per slice")
-    take = min(k, counts.item(0) if counts.size else 0)
-    if take:
-        keyed = np.where(valid, arr, -np.inf)
-        winners = np.nonzero(topk_mask(keyed, take))
-        out = winners[-1].reshape(arr.shape[:-1] + (take,))
-        order = np.argsort(-keyed[winners].reshape(out.shape), axis=-1, kind="stable")
-        out = np.take_along_axis(out, order, axis=-1) if arr.ndim > 1 else out[order]
-    else:
-        out = np.zeros(arr.shape[:-1] + (0,), dtype=np.intp)
-    return np.moveaxis(out, -1, axis) if moved else out
+    if x.ndim != 1:
+        raise ShapeError(f"topk takes a 1-D array, got shape {x.shape}")
+    valid = np.isfinite(x)
+    take = min(k, np.count_nonzero(valid))
+    if not take:
+        return np.zeros(0, dtype=np.intp)
+    keyed = np.where(valid, x, -np.inf)
+    (winners,) = np.nonzero(topk_mask(keyed, take))
+    return winners[np.argsort(-keyed[winners], kind="stable")]
 
 
 # ---------------------------------------------------------------------------

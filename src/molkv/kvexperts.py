@@ -178,11 +178,6 @@ class KVExpertCache:
     def positions(self) -> list[int]:
         return list(range(self.next_position - len(self), self.next_position))
 
-    @property
-    def param_count(self) -> int:
-        """Cached parameters currently resident: m * N * (d + d')."""
-        return len(self) * self.num_experts * (self.hidden_size + self.key_dim)
-
 
 def cache_insert(cache: KVExpertCache, position: int, kv: ExpertKV, cos, sin) -> KVExpertCache:
     """Rotate keys by ``cos``/``sin``, ``position``'s RoPE tables, append, evict the oldest beyond M."""

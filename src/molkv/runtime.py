@@ -9,14 +9,16 @@ expert term that ``decode_step`` and the ``*_infer_forward`` block forms
 complexity model budgets: multiply-accumulates of the large matrix
 operations (shared FFN, query projection, cached-key scoring, selected
 value mixing), parameters resident in RAM, offloaded parameters, and
-parameters/bytes loaded per token.
+parameters/bytes loaded per token. ``layer_costs`` is the one per-layer cost
+formula: ``decode_step`` charges it at the measured cache length and
+selection, ``closed_form_costs`` at the full window.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -117,8 +119,24 @@ class DecoderState:
         self.rope_keys = {(cfg.head_dim, cfg.rope_theta)} | {(b.key_dim, b.rope_theta) for b in kv_blocks}
 
 
-def _params_offloaded(cfg: ModelConfig) -> int:
-    return len(cfg.expert_layers) * cfg.num_experts * cfg.vocab_size * (cfg.hidden_size + cfg.key_dim)
+def layer_costs(cfg: ModelConfig, expert: bool, cache_len: int = 0, selected: int = 0) -> CostCounters:
+    """One layer's costs with ``cache_len`` cached tokens and ``selected`` cached experts mixed.
+
+    Every layer runs the shared FFN: 3dD MACs and parameters in RAM. An
+    expert layer adds the query projection dd', the cached-key scoring
+    cache_len * N d' and the value mixing selected * d MACs, keeps the
+    cached pairs cache_len * N(d + d') in RAM, offloads N|V|(d + d') and
+    loads one record of N(d + d'). Lookup layers have d' = 0 and no cache.
+    Bytes loaded are measured by the caller, not modelled here.
+    """
+    d, ffn = cfg.hidden_size, 3 * cfg.hidden_size * cfg.ffn_size
+    n, dk = (cfg.num_experts, cfg.key_dim) if expert else (0, 0)
+    return CostCounters(
+        macs=ffn + d * dk + cache_len * n * dk + selected * d,
+        params_in_ram=ffn + cache_len * n * (d + dk),
+        params_offloaded=n * cfg.vocab_size * (d + dk),
+        params_loaded=n * (d + dk),
+    )
 
 
 def decode_step(state: DecoderState, token_id: int):
@@ -131,9 +149,8 @@ def decode_step(state: DecoderState, token_id: int):
     token_id = operator.index(token_id)
     if not 0 <= token_id < cfg.vocab_size:
         raise IndexError(f"token id {token_id} outside vocabulary of {cfg.vocab_size}")
-    d, big_d = cfg.hidden_size, cfg.ffn_size
     layer_of = state.expert_layer_index
-    delta = CostCounters(params_offloaded=_params_offloaded(cfg))
+    delta = CostCounters()
     t = state.position
     rope = {key: rope_tables(t, *key, state.dtype) for key in state.rope_keys}
     attn_rope = rope[cfg.head_dim, cfg.rope_theta]
@@ -144,43 +161,29 @@ def decode_step(state: DecoderState, token_id: int):
         x = x + causal_attention_step(a, layer.attn, state.attn_caches[li], *attn_rope)
         hn = rmsnorm_np(x, layer.ffn_norm.data, cfg.norm_eps)
         y = swishglu_ffn_np(hn, layer.ffn)
-        layer_macs = 3 * d * big_d
-        layer_loaded = 0
-        layer_bytes = 0
-        cache_len = 0
+        cache_len = selected = nbytes = 0
 
         if layer.has_experts:
             block = layer.block
             record = state.store.read_record(layer_of[li], token_id)
-            layer_bytes = record.nbytes
-            layer_loaded = cfg.expert_record_width
+            nbytes = record.nbytes
             if isinstance(block, MoLEBlockParams):
                 y = y + mole_step(hn, record.values, block)
             else:
                 cache = state.expert_caches[li]
                 cache_len = len(cache)
                 kv = expert_kv(record, block, state.dtype)
-                term, k_eff = molkv_step(hn, t, cache, kv, block, *rope[block.key_dim, block.rope_theta])
+                term, selected = molkv_step(hn, t, cache, kv, block, *rope[block.key_dim, block.rope_theta])
                 y = y + term
-                layer_macs += d * cfg.key_dim + cache_len * cfg.num_experts * cfg.key_dim + k_eff * d
 
         x = x + y
-        delta.macs += layer_macs
-        delta.params_loaded += layer_loaded
-        delta.bytes_loaded += layer_bytes
-        delta.params_in_ram += 3 * d * big_d + (
-            cache_len * cfg.num_experts * (d + cfg.key_dim) if li in state.expert_caches else 0
-        )
-        state.rows.append(
-            CostRow(
-                token_index=t,
-                layer=li,
-                macs=layer_macs,
-                params_loaded=layer_loaded,
-                bytes_loaded=layer_bytes,
-                cache_len=cache_len,
-            )
-        )
+        costs = layer_costs(cfg, layer.has_experts, cache_len, selected)
+        delta.macs += costs.macs
+        delta.params_in_ram += costs.params_in_ram
+        delta.params_offloaded += costs.params_offloaded
+        delta.params_loaded += costs.params_loaded
+        delta.bytes_loaded += nbytes
+        state.rows.append(CostRow(t, li, costs.macs, costs.params_loaded, nbytes, cache_len))
 
     x = rmsnorm_np(x, params.final_norm.data, cfg.norm_eps)
     logits = x @ params.out_proj.data
@@ -201,22 +204,11 @@ def mole_step(h: np.ndarray, values: np.ndarray, params: MoLEBlockParams) -> np.
     return mix
 
 
-def _lookup_forward(h: np.ndarray, token_id: int, table: np.ndarray, params: MoLEBlockParams) -> np.ndarray:
+def mole_infer_forward(h: np.ndarray, token_id: int, table: np.ndarray, params: MoLEBlockParams) -> np.ndarray:
+    """Lookup form: y = h + FFN(h) + sum_n s_n v_{id,n}, the mix gated iff the block has a gate."""
     if not 0 <= token_id < table.shape[0]:
         raise IndexError(f"token id {token_id} outside value table with {table.shape[0]} ids")
     return h + swishglu_ffn_np(h, params.ffn) + mole_step(h, table[token_id], params)
-
-
-def mole_infer_forward(h: np.ndarray, token_id: int, table: np.ndarray, params: MoLEBlockParams) -> np.ndarray:
-    """Ungated lookup form: y = h + FFN(h) + sum_n s_n v_{id,n}; any gate is ignored."""
-    return _lookup_forward(h, token_id, table, replace(params, gate=None))
-
-
-def gated_mole_forward(h: np.ndarray, token_id: int, table: np.ndarray, params: MoLEBlockParams) -> np.ndarray:
-    """Gated lookup form: the expert mix is scaled by g = sigmoid(h . u)."""
-    if params.gate is None:
-        raise ValueError("gated forward needs gate parameters")
-    return _lookup_forward(h, token_id, table, params)
 
 
 def expert_kv(record: ExpertRecord, params: MoLKVBlockParams, dtype) -> ExpertKV:
@@ -248,14 +240,7 @@ def molkv_step(h: np.ndarray, position: int, cache: KVExpertCache, kv: ExpertKV,
     return term, int(idx.size)
 
 
-def molkv_infer_forward(
-    h: np.ndarray,
-    token_id: int,
-    position: int,
-    cache: KVExpertCache,
-    kv: ExpertKV,
-    params: MoLKVBlockParams,
-):
+def molkv_infer_forward(h: np.ndarray, position: int, cache: KVExpertCache, kv: ExpertKV, params: MoLKVBlockParams):
     """y = h + FFN(h) + molkv_step's term for one decoded token; returns (y, cache, k_eff)."""
     rope = rope_tables(position, params.key_dim, params.rope_theta, h.dtype)
     term, k_eff = molkv_step(h, position, cache, kv, params, *rope)
@@ -267,44 +252,16 @@ def molkv_infer_forward(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CostRowClosedForm:
-    """Steady-state per-layer budget: (macs, ram, offloaded, loaded)."""
+def closed_form_costs(config: ModelConfig) -> dict[str, CostCounters]:
+    """Steady-state per-layer costs: ``layer_costs`` at the full window M with min(k, MN) selected.
 
-    macs: int
-    params_in_ram: int
-    params_offloaded: int
-    params_loaded: int
-
-
-def closed_form_costs(config: ModelConfig) -> dict[str, CostRowClosedForm]:
-    """Steady-state per-layer costs, keyed by layer flavor.
-
-    ``expert`` covers expert-bearing layers, ``plain`` the rest. Values
-    follow the large-matrix accounting: dense and lookup layers cost 3dD
-    MACs; key-value layers add the query projection, the cached-key
-    scoring at full window, and the top-k value mixing.
+    ``expert`` covers expert-bearing layers, ``plain`` the rest.
     """
-    d, big_d = config.hidden_size, config.ffn_size
-    n, dk, m, k = config.num_experts, config.key_dim, config.cache_window, config.top_k
-    plain = CostRowClosedForm(macs=3 * d * big_d, params_in_ram=3 * d * big_d, params_offloaded=0, params_loaded=0)
-    if config.kind == "dense":
+    plain = layer_costs(config, False)
+    if not config.expert_layers:
         return {"plain": plain}
-    if config.kind in ("mole", "gated-mole"):
-        expert = CostRowClosedForm(
-            macs=3 * d * big_d,
-            params_in_ram=3 * d * big_d,
-            params_offloaded=n * config.vocab_size * d,
-            params_loaded=n * d,
-        )
-    else:
-        expert = CostRowClosedForm(
-            macs=3 * d * big_d + d * dk + m * n * dk + min(k, m * n) * d,
-            params_in_ram=3 * d * big_d + m * n * (d + dk),
-            params_offloaded=n * config.vocab_size * (d + dk),
-            params_loaded=n * (d + dk),
-        )
-    return {"plain": plain, "expert": expert}
+    m = config.cache_window
+    return {"plain": plain, "expert": layer_costs(config, True, m, min(config.top_k, m * config.num_experts))}
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import struct
 import time
 from dataclasses import dataclass, field
@@ -356,35 +357,43 @@ def save_checkpoint(path, state: TrainState, model_config_dict: dict, train_cfg:
 
 
 def load_checkpoint(path, model_config, train_cfg: TrainConfig) -> TrainState:
-    """Rebuild a TrainState that continues bit-identically; ConfigError if it does not fit the configs."""
+    """Rebuild a TrainState that continues bit-identically.
+
+    ConfigError if the file is not a checkpoint, is truncated or corrupt, or does not fit the configs.
+    """
     with open(path, "rb") as f:
-        magic = f.read(8)
-        if magic != CHECKPOINT_MAGIC:
-            raise ConfigError(f"not a checkpoint file: bad magic {magic!r}")
-        version, blob_len = struct.unpack("<IQ", f.read(12))
-        if version != CHECKPOINT_VERSION:
-            raise ConfigError(f"unsupported checkpoint version {version}")
-        header = json.loads(f.read(blob_len).decode())
-        payload = f.read()
+        data = f.read()
+    if data[:8] != CHECKPOINT_MAGIC:
+        raise ConfigError(f"not a checkpoint file: bad magic {data[:8]!r}")
+    if len(data) < 20:
+        raise ConfigError(f"truncated checkpoint: {len(data)} bytes, shorter than the 20-byte preamble")
+    version, blob_len = struct.unpack_from("<IQ", data, 8)
+    if version != CHECKPOINT_VERSION:
+        raise ConfigError(f"unsupported checkpoint version {version}")
+    if len(data) < 20 + blob_len:
+        raise ConfigError(f"truncated checkpoint: {len(data)} bytes, shorter than its {20 + blob_len}-byte header")
+    try:
+        header = json.loads(data[20 : 20 + blob_len].decode())
+        step, adam_t, rng = header["step"], header["adam_t"], _decode_rng_state(header["rng_state"])
+        by_name = {e["name"]: (np.dtype(e["dtype"]), tuple(e["shape"]), operator.index(e["offset"]))
+                   for e in header["entries"]}
+    except (KeyError, TypeError, ValueError) as e:  # JSON and UTF-8 decoding errors are ValueErrors
+        raise ConfigError(f"corrupt checkpoint header: {type(e).__name__}: {e}") from None
+    payload = memoryview(data)[20 + blob_len :]
 
     state = new_train_state(model_config, train_cfg)
-    state.step = header["step"]
-    state.optimizer.t = header["adam_t"]
-    state.rng = _decode_rng_state(header["rng_state"])
-
-    by_name = {e["name"]: e for e in header["entries"]}
+    state.step, state.optimizer.t, state.rng = step, adam_t, rng
 
     def fetch(name: str, like: np.ndarray) -> np.ndarray:
-        e = by_name.get(name)
-        if e is None or tuple(e["shape"]) != like.shape or np.dtype(e["dtype"]) != like.dtype:
-            found = "missing" if e is None else f"{e['dtype']} {tuple(e['shape'])}"
+        dtype, shape, offset = by_name.get(name, (None, None, 0))
+        if (dtype, shape) != (like.dtype, like.shape):
+            found = "missing" if dtype is None else f"{dtype.name} {shape}"
             raise ConfigError(
                 f"checkpoint entry {name!r} is {found}; the model configuration needs {like.dtype.name} {like.shape}"
             )
-        dt = np.dtype(e["dtype"])
-        size = int(np.prod(e["shape"], dtype=np.int64)) if e["shape"] else 1
-        arr = np.frombuffer(payload, dtype=dt, count=size, offset=e["offset"])
-        return arr.reshape(e["shape"]).copy()
+        if not 0 <= offset <= len(payload) - like.nbytes:
+            raise ConfigError(f"truncated checkpoint: entry {name!r} ends past the {len(payload)}-byte payload")
+        return np.frombuffer(payload, dtype=dtype, count=like.size, offset=offset).reshape(shape).copy()
 
     for name, p in state.model.named_parameters():
         p.data = fetch("param/" + name, p.data)

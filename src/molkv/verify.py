@@ -29,7 +29,6 @@ from .runtime import (
     closed_form_costs,
     decode_step,
     expert_kv,
-    gated_mole_forward,
     mole_infer_forward,
     molkv_infer_forward,
 )
@@ -110,11 +109,7 @@ def check_reparam_equivalence(n_configs: int = 20, tol: float = 1e-6):
                     Tensor(hs), np.full(10, token_id), model.embedding, block
                 ).data
                 for j in range(10):
-                    if kind == "mole":
-                        y_inf = mole_infer_forward(hs[j], token_id, table, block)
-                    else:
-                        y_inf = gated_mole_forward(hs[j], token_id, table, block)
-                    worst = max(worst, _rel_err(y_inf, y_train[j]))
+                    worst = max(worst, _rel_err(mole_infer_forward(hs[j], token_id, table, block), y_train[j]))
     passed = worst <= tol
     return "reparameterization equivalence", passed, f"max rel err {worst:.2e} over {n_configs} configs (tol {tol:g})"
 
@@ -170,7 +165,7 @@ def check_incremental_equivalence(tol: float = 1e-6):
                             )
                             for t in range(s):
                                 kv = expert_kv(reader.read_record(0, int(ids[t])), block, np.float64)
-                                y_t, cache, _ = molkv_infer_forward(h[t], int(ids[t]), t, cache, kv, block)
+                                y_t, cache, _ = molkv_infer_forward(h[t], t, cache, kv, block)
                                 worst = max(worst, _rel_err(y_t, y_batch[t]))
                                 cases += 1
     passed = worst <= tol
@@ -406,7 +401,7 @@ def check_window_edges():
     token = 7
     kv = compute_expert_kv(model.embedding.data[token], block)
     cache = KVExpertCache(window=cfg.cache_window, num_experts=2, key_dim=cfg.key_dim, hidden_size=cfg.hidden_size)
-    y0, cache, k_eff = molkv_infer_forward(h, token, 0, cache, kv, block)
+    y0, cache, k_eff = molkv_infer_forward(h, 0, cache, kv, block)
     q = h @ block.query_proj.data
     s_own = softmax_np(h @ block.routers.data + kv.keys @ q * block.qk_scale)
     y_manual = h + swishglu_ffn_np(h, block.ffn) + sigmoid_np(h @ block.gate.data) * (s_own @ kv.values)
@@ -428,7 +423,7 @@ def check_window_edges():
             failures.append(f"t={t}: weights sum to {weights.sum()}")
         if idx.size and (weights.min() < 0 or weights.max() > 1):
             failures.append(f"t={t}: weights outside [0, 1]")
-        molkv_infer_forward(h, t, t, cache, kv_t, block)
+        molkv_infer_forward(h, t, cache, kv_t, block)
 
     detail = "; ".join(failures) if failures else "zero term at t=0; short windows select all, weights sum to 1"
     return "empty/short window behavior", not failures, detail

@@ -294,6 +294,17 @@ class TestPipeline:
         expert_rows = [r for r in report if r["layer"] == 0]
         assert all(r["bytes_loaded"] == 2 * (16 + 4) * 2 for r in expert_rows)  # fp16 itemsize
 
+    @pytest.mark.parametrize("command", ["export", "decode"])
+    def test_truncated_checkpoint_exit_code(self, workspace, capsys, command):
+        tmp, manifest = workspace
+        assert main(["train", "--manifest", str(manifest), "--steps", "1"]) == 0
+        ckpt = tmp / "model.ckpt"
+        ckpt.write_bytes(ckpt.read_bytes()[:-8])
+        capsys.readouterr()
+        extra = ["--prompt", "a"] if command == "decode" else []
+        assert main([command, "--manifest", str(manifest), *extra]) == 2
+        assert "truncated checkpoint" in capsys.readouterr().err
+
     def test_fp16_overflow_export_exit_code(self, workspace, capsys):
         from molkv.training import new_train_state, save_checkpoint
 

@@ -214,14 +214,6 @@ class TestCache:
         with pytest.raises(CacheStateError):
             cache_insert(cache, 3, compute_expert_kv(rng.standard_normal(10), block), *rope(block, 3))
 
-    def test_param_count(self):
-        rng = np.random.default_rng(13)
-        block = make_block(rng, d=10, dk=6, n=2)
-        cache = fresh_cache(block, window=8)
-        for pos in range(5):
-            cache_insert(cache, pos, compute_expert_kv(rng.standard_normal(10), block), *rope(block, pos))
-        assert cache.param_count == 5 * 2 * (10 + 6)
-
 
 class TestScoresAndSelection:
     def test_empty_cache_empty_scores(self):
@@ -373,7 +365,7 @@ class TestTrainInferEquivalence:
         cache = fresh_cache(block, window)
         for t in range(s):
             kv = compute_expert_kv(emb.data[ids[t]], block)
-            y_t, cache, k_eff = molkv_infer_forward(h[t], int(ids[t]), t, cache, kv, block)
+            y_t, cache, k_eff = molkv_infer_forward(h[t], t, cache, kv, block)
             assert k_eff == min(top_k, min(t, window) * n)
             rel = np.abs(y_t - y_batch[t]).max() / (np.abs(y_batch[t]).max() + 1e-300)
             assert rel < 1e-12
@@ -403,7 +395,7 @@ class TestTrainInferEquivalence:
         h = rng.standard_normal(10)
         h = h * (-30.0 / (h @ block.new_gate.data))  # force h.u' = -30
         kv = compute_expert_kv(rng.standard_normal(10), block)
-        y, _, k_eff = molkv_infer_forward(h.copy(), 0, 4, cache, kv, block)
+        y, _, k_eff = molkv_infer_forward(h.copy(), 4, cache, kv, block)
         from molkv.layers import sigmoid_np, swishglu_ffn_np
 
         q, _ = molkv_query(h, block, *rope(block, 4))
@@ -457,15 +449,15 @@ class TestGatedLookupReduction:
         kv = compute_expert_kv(emb[token], block)
         cache = fresh_cache(block, window=4)
         h = rng.standard_normal(10)
-        y_kv, _, _ = molkv_infer_forward(h, token, 0, cache, kv, block)
+        y_kv, _, _ = molkv_infer_forward(h, 0, cache, kv, block)
 
         from molkv.mole import MoLEBlockParams
-        from molkv.runtime import gated_mole_forward
+        from molkv.runtime import mole_infer_forward
 
         lookup = MoLEBlockParams(ffn=block.ffn, routers=block.routers, experts=[], gate=block.gate)
         table = np.zeros((8, block.num_experts, 10))
         table[token] = kv.values
-        y_lookup = gated_mole_forward(h, token, table, lookup)
+        y_lookup = mole_infer_forward(h, token, table, lookup)
         np.testing.assert_array_equal(y_kv, y_lookup)
 
 

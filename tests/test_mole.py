@@ -1,5 +1,7 @@
 """Lookup-expert block: routing, both modes, gating, reparameterization."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from molkv.mole import (
     mole_routing,
     mole_train_forward,
 )
-from molkv.runtime import gated_mole_forward, mole_infer_forward
+from molkv.runtime import mole_infer_forward
 
 
 def make_block(rng, d=8, D=12, n=3, gated=False, scale=0.3):
@@ -134,8 +136,8 @@ class TestGated:
         table = build_value_table(rng.standard_normal((5, 8)), block)
         h = rng.standard_normal(8)
         mix = mole_routing(h, block) @ table[1]
-        base = mole_infer_forward(h, 1, table, block)
-        gated = gated_mole_forward(h, 1, table, block)
+        base = mole_infer_forward(h, 1, table, replace(block, gate=None))
+        gated = mole_infer_forward(h, 1, table, block)
         np.testing.assert_allclose(gated - base, -0.5 * mix, atol=1e-12)
 
     def test_gate_saturates_to_zero(self):
@@ -146,7 +148,7 @@ class TestGated:
         h = h * (-25.0 / (h @ block.gate.data))  # force h.u = -25
         assert sigmoid_np(h @ block.gate.data) < 1e-9
         want = h + swishglu_ffn_np(h, block.ffn)
-        np.testing.assert_allclose(gated_mole_forward(h, 0, table, block), want, atol=1e-8)
+        np.testing.assert_allclose(mole_infer_forward(h, 0, table, block), want, atol=1e-8)
 
     def test_gate_strictly_inside_unit_interval(self):
         rng = np.random.default_rng(12)
@@ -155,13 +157,6 @@ class TestGated:
             g = sigmoid_np(rng.standard_normal(8) @ block.gate.data)
             assert 0.0 < g < 1.0
 
-    def test_requires_gate(self):
-        rng = np.random.default_rng(13)
-        block = make_block(rng, gated=False)
-        table = build_value_table(rng.standard_normal((5, 8)), block)
-        with pytest.raises(ValueError):
-            gated_mole_forward(np.zeros(8), 0, table, block)
-
     def test_gated_equals_ungated_when_gate_forced_to_one(self):
         rng = np.random.default_rng(14)
         block = make_block(rng, gated=True)
@@ -169,8 +164,8 @@ class TestGated:
         h = rng.standard_normal(8)
         mix = mole_routing(h, block) @ table[2]
         g = sigmoid_np(h @ block.gate.data)
-        got = gated_mole_forward(h, 2, table, block)
-        want_if_g_one = mole_infer_forward(h, 2, table, block)
+        got = mole_infer_forward(h, 2, table, block)
+        want_if_g_one = mole_infer_forward(h, 2, table, replace(block, gate=None))
         np.testing.assert_allclose(got + (1.0 - g) * mix, want_if_g_one, atol=1e-12)
 
 
@@ -186,10 +181,6 @@ class TestReparamEquivalence:
                 for _ in range(3):
                     h = rng.standard_normal(6)
                     want = mole_train_forward(Tensor(h), token, emb, block).data
-                    got = (
-                        gated_mole_forward(h, token, table, block)
-                        if gated
-                        else mole_infer_forward(h, token, table, block)
-                    )
+                    got = mole_infer_forward(h, token, table, block)
                     rel = np.abs(got - want).max() / (np.abs(want).max() + 1e-300)
                     assert rel < 1e-12

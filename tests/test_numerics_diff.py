@@ -29,6 +29,14 @@ def test_compare_counts_arrays_that_differ(tmp_path, capsys):
     assert "grad/w: 0.125 ulps of the largest entry" in out
 
 
+def test_integer_arrays_report_the_largest_difference(tmp_path, capsys):
+    rows = np.array([[0, 1, 1164], [1, 0, 1180]], dtype=np.int64)
+    np.savez(tmp_path / "a.npz", rows=rows)
+    np.savez(tmp_path / "b.npz", rows=rows - [[0, 0, 0], [0, 0, 160]])
+    assert numerics_diff.main(["compare", str(tmp_path / "a.npz"), str(tmp_path / "b.npz")]) == 1
+    assert "rows: entries differ by up to 160" in capsys.readouterr().out
+
+
 def test_fp64_is_not_equal_to_fp32(tmp_path, capsys):
     np.savez(tmp_path / "a.npz", w=np.ones(3, dtype=np.float32))
     np.savez(tmp_path / "b.npz", w=np.ones(3, dtype=np.float64))
@@ -44,3 +52,17 @@ def test_decode_steps_reach_pruning_and_compaction():
         assert min(steps - 1, kv["cache_window"]) * experts["num_experts"] > kv["top_k"]
     # the small model's 2M-slot expert cache compacts at insert 2M + 1
     assert steps > 2 * numerics_diff.SIZES["small"][2]["cache_window"] + 1
+
+
+def test_small_model_decode_reaches_the_full_window():
+    _, _, kv, _ = numerics_diff.SIZES["small"]
+    assert numerics_diff.DECODE_STEPS > kv["cache_window"]  # the cost rows reach the closed forms
+
+
+def test_int_fields_reads_named_fields():
+    from types import SimpleNamespace
+
+    rows = [SimpleNamespace(macs=3, layer=1), SimpleNamespace(macs=2**40, layer=0)]
+    got = numerics_diff.int_fields(rows, ("layer", "macs"))
+    assert got.dtype == np.int64 and got.tolist() == [[1, 3], [0, 2**40]]
+    assert numerics_diff.int_fields([], ("layer", "macs")).shape == (0, 2)

@@ -10,7 +10,7 @@ from molkv.autodiff import Tape, backward
 from molkv.config import ModelConfig
 from molkv.model import forward, init_model, next_token_loss
 from molkv.runtime import CostCounters, DecoderState, closed_form_costs, decode_step, generate, sample_token
-from molkv.store import NUMPY_DTYPES, ExpertStoreReader, reparameterize, write_store
+from molkv.store import NUMPY_DTYPES, ExpertStoreReader, count_params, reparameterize, write_store
 
 
 def small_config(kind):
@@ -255,6 +255,31 @@ class TestCostAccounting:
         for delta in deltas:
             assert delta.bytes_loaded == per_layer_bytes * len(cfg.expert_layers)
             assert delta.params_loaded == cfg.expert_record_width * len(cfg.expert_layers)
+
+    @pytest.mark.parametrize("kind", ["dense", "mole", "gated-mole", "molkv"])
+    def test_step_totals_sum_the_layer_rows(self, tmp_path, kind):
+        # offloaded: every expert table, N|V|(d + d') per expert layer; in RAM: each
+        # layer's shared FFN 3dD plus its cached pairs cache_len * N(d + d')
+        cfg = small_config(kind)
+        model = init_model(cfg, seed=8, dtype=np.float64, init_std=0.3)
+        reader = None
+        if cfg.expert_layers:
+            write_store(reparameterize(model), tmp_path / "store.mlkv", dtype="fp64")
+            reader = ExpertStoreReader(tmp_path / "store.mlkv")
+        d, big_d, n, dk = cfg.hidden_size, cfg.ffn_size, cfg.num_experts, cfg.key_dim
+        ids = np.random.default_rng(9).integers(0, cfg.vocab_size, size=2 * 5 + 2)  # past the window, M = 5
+        state, _, deltas = run_decode(model, reader, ids)
+        if reader:
+            reader.close()
+        for t, delta in enumerate(deltas):
+            rows = [r for r in state.rows if r.token_index == t]
+            assert [r.layer for r in rows] == list(range(cfg.num_layers))
+            assert delta.params_offloaded == count_params(cfg, "experts-only")
+            assert delta.params_in_ram == sum(3 * d * big_d + r.cache_len * n * (d + dk) for r in rows)
+            assert delta.macs == sum(r.macs for r in rows)
+            assert delta.params_loaded == sum(r.params_loaded for r in rows)
+            assert delta.bytes_loaded == sum(r.bytes_loaded for r in rows)
+            assert max(r.cache_len for r in rows) == (min(t, cfg.cache_window) if kind == "molkv" else 0)
 
     def test_mole_row_formulas(self, tmp_path):
         cfg = small_config("mole")

@@ -1,6 +1,8 @@
 """Trainer: tokenizer round-trips, schedule, optimizer, checkpoints."""
 
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -322,6 +324,44 @@ class TestCheckpoint:
         p.write_bytes(b"JUNKJUNK" + b"\x00" * 64)
         with pytest.raises(ConfigError):
             load_checkpoint(p, TINY, tiny_train())
+
+    @pytest.mark.parametrize("cut", [10, 30, 8], ids=["in-preamble", "in-header", "8-short-payload"])
+    def test_truncated_checkpoint_rejected(self, tmp_path, cut):
+        cfg = tiny_train()
+        p = tmp_path / "t.ckpt"
+        save_checkpoint(p, new_train_state(TINY, cfg), {}, cfg)
+        data = p.read_bytes()
+        p.write_bytes(data[:cut] if cut > 8 else data[:-cut])
+        with pytest.raises(ConfigError, match="truncated checkpoint"):
+            load_checkpoint(p, TINY, cfg)
+
+    @pytest.mark.parametrize("key", ["step", "adam_t", "rng_state", "entries"])
+    def test_header_missing_key_rejected(self, tmp_path, key):
+        cfg = tiny_train()
+        p = tmp_path / "k.ckpt"
+        save_checkpoint(p, new_train_state(TINY, cfg), {}, cfg)
+        data = p.read_bytes()
+        (blob_len,) = struct.unpack_from("<Q", data, 12)
+        header = json.loads(data[20 : 20 + blob_len])
+        del header[key]
+        blob = json.dumps(header).encode()
+        p.write_bytes(data[:12] + struct.pack("<Q", len(blob)) + blob + data[20 + blob_len :])
+        with pytest.raises(ConfigError, match=f"corrupt checkpoint header: KeyError: '{key}'"):
+            load_checkpoint(p, TINY, cfg)
+
+    def test_corrupt_header_bytes_rejected(self, tmp_path):
+        cfg = tiny_train()
+        p = tmp_path / "c.ckpt"
+        save_checkpoint(p, new_train_state(TINY, cfg), {}, cfg)
+        data = bytearray(p.read_bytes())
+        data[20] = 0xFF  # not UTF-8
+        p.write_bytes(bytes(data))
+        with pytest.raises(ConfigError, match="corrupt checkpoint header"):
+            load_checkpoint(p, TINY, cfg)
+        data[20:22] = b"[1"  # UTF-8, not JSON
+        p.write_bytes(bytes(data))
+        with pytest.raises(ConfigError, match="corrupt checkpoint header"):
+            load_checkpoint(p, TINY, cfg)
 
     def test_checkpoint_restores_step_and_moments(self, tmp_path):
         cfg = tiny_train(steps=4)

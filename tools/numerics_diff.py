@@ -14,10 +14,14 @@ on a small model and on the benchmark's mid model:
   dtype, fed the batch's ids row after row. That is enough for the mid
   model's top-k to prune (more than k / N cached positions) and for the
   small model's expert cache to compact (more than 2M + 1 inserts);
+* those steps' cost rows and per-step counters, and each model's
+  ``closed_form_costs``, as int64 arrays; the small model's steps reach
+  the full window, where the rows equal the closed forms;
 * the parameters and AdamW moments after 4 ``train_step`` calls.
 
 ``compare`` reports how many arrays differ in shape, dtype or any bit, and
-for each one how many ulps of its largest entry the largest difference is.
+for each one how many ulps of its largest entry the largest difference is
+(for an integer array, the largest difference itself).
 It exits 0 when every array is bit-identical and 1 otherwise.
 """
 
@@ -34,6 +38,10 @@ KINDS = ("dense", "mole", "gated-mole", "molkv")
 DTYPES = {"fp32": np.float32, "fp64": np.float64}
 DECODE_STEPS = 24
 TRAIN_STEPS = 4
+# The fields dumped of a decode cost row, of a step's counters and of a closed-form row (which models no bytes).
+ROW_FIELDS = ("token_index", "layer", "macs", "params_loaded", "bytes_loaded", "cache_len")
+COUNTER_FIELDS = ("macs", "params_in_ram", "params_offloaded", "params_loaded", "bytes_loaded")
+CLOSED_FIELDS = COUNTER_FIELDS[:4]
 
 
 # size: (shared fields, expert fields, molkv fields, batch shape (b, s + 1)); "mid" is the benchmark's model
@@ -51,12 +59,17 @@ def model_config(ModelConfig, size: str, kind: str):
     return ModelConfig(kind=kind, vocab_size=257, **base, **extra)
 
 
+def int_fields(records, names) -> np.ndarray:
+    """(len(records), len(names)) int64 array of each record's named fields."""
+    return np.array([[getattr(r, n) for n in names] for r in records], dtype=np.int64).reshape(-1, len(names))
+
+
 def dump(src: str, out: str) -> None:
     sys.path.insert(0, str(Path(src).resolve()))
     from molkv import model as mm
     from molkv.autodiff import Tape, backward
     from molkv.config import ModelConfig
-    from molkv.runtime import DecoderState, decode_step
+    from molkv.runtime import DecoderState, closed_form_costs, decode_step
     from molkv.store import ExpertStoreReader, reparameterize, write_store
     from molkv.training import Corpus, TrainConfig, new_train_state, sample_batch, synthesize_corpus, train_step
 
@@ -67,6 +80,8 @@ def dump(src: str, out: str) -> None:
             batch = sample_batch(np.random.default_rng(5), corpus.train_ids, b, span - 1)
             for kind in KINDS:
                 cfg = model_config(ModelConfig, size, kind)
+                for name, row in closed_form_costs(cfg).items():
+                    arrays[f"{size}/{kind}/closed/{name}"] = int_fields([row], CLOSED_FIELDS)
                 for dname, dtype in DTYPES.items():
                     key = f"{size}/{kind}/{dname}"
                     model = mm.init_model(cfg, seed=11, dtype=dtype, init_std=0.3)
@@ -86,8 +101,10 @@ def dump(src: str, out: str) -> None:
                         reader = ExpertStoreReader(path)
                     try:
                         state = DecoderState(model, reader)
-                        steps = [decode_step(state, int(t))[0] for t in batch.reshape(-1)[:DECODE_STEPS]]
-                        arrays[f"{key}/decode"] = np.stack(steps)
+                        steps = [decode_step(state, int(t)) for t in batch.reshape(-1)[:DECODE_STEPS]]
+                        arrays[f"{key}/decode"] = np.stack([logits for logits, _ in steps])
+                        arrays[f"{key}/decode_counters"] = int_fields([delta for _, delta in steps], COUNTER_FIELDS)
+                        arrays[f"{key}/decode_rows"] = int_fields(state.rows, ROW_FIELDS)
                     finally:
                         if reader is not None:
                             reader.close()
@@ -127,7 +144,10 @@ def compare(path_a: str, path_b: str) -> int:
             print(f"{key}: {a[key].dtype}{a[key].shape} vs {b[key].dtype}{b[key].shape}")
         elif a[key].tobytes() != b[key].tobytes():
             differ += 1
-            print(f"{key}: {largest_entry_ulps(a[key], b[key]):.3g} ulps of the largest entry")
+            if np.issubdtype(a[key].dtype, np.integer):
+                print(f"{key}: entries differ by up to {np.abs(a[key] - b[key]).max()}")
+            else:
+                print(f"{key}: {largest_entry_ulps(a[key], b[key]):.3g} ulps of the largest entry")
     print(f"{differ} of {len(a.keys() | b.keys())} arrays differ")
     return 1 if differ else 0
 
