@@ -11,9 +11,11 @@ the normalized token embedding. A block combines three expert signals:
 * the ordinary shared FFN.
 
 Training runs ``molkv_expert_pairs`` taped once per distinct id in the
-batch and gathers its rows to the positions; export runs it untaped on
-every token id. The per-token step that consumes the pairs
-through a per-sequence cache is ``molkv_step`` in :mod:`molkv.runtime`.
+batch and gathers its rows to the positions; ``molkv_expert_terms`` is the
+own- plus cached-expert term that ``model.forward`` adds to the shared
+FFN's output. Export runs the pairs untaped on every token id. The
+per-token step that consumes them through a per-sequence cache is
+``molkv_step`` in :mod:`molkv.runtime`.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .autodiff import (
     topk_mask,
     transpose,
 )
-from .layers import NORM_EPS, ROPE_THETA, FFNParams, RowBuffer, lookup_distinct, rope_tables, swishglu_ffn
+from .layers import NORM_EPS, ROPE_THETA, FFNParams, RowBuffer, rope_tables, swishglu_ffn
 
 
 class CacheStateError(RuntimeError):
@@ -288,13 +290,3 @@ def molkv_expert_terms(h: Tensor, emb: Tensor, inverse: np.ndarray, params: MoLK
     new = mul(matmul(weights, v_flat), new_gate)
 
     return own + new
-
-
-def molkv_train_forward(h: Tensor, ids, embedding: Tensor, params: MoLKVBlockParams, window: int) -> Tensor:
-    """Batched block output: y = h + FFN(h) + own experts + cached experts."""
-    squeeze = h.ndim == 2
-    if squeeze:
-        h = reshape(h, (1,) + h.shape)
-    emb, inverse = lookup_distinct(embedding, np.reshape(ids, h.shape[:2]))
-    y = h + swishglu_ffn(h, params.ffn) + molkv_expert_terms(h, emb, inverse, params, window)
-    return reshape(y, y.shape[1:]) if squeeze else y

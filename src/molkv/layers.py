@@ -7,9 +7,10 @@ that the taped op runs for its forward; this module re-exports them. Two
 forms stay paired, and the tests hold each pair equal: the SwishGLU FFN,
 whose taped form is a chain of single-kernel ops and whose numpy form is
 one line, and attention, which is batched over a sequence in training and
-reads a KV cache in decoding. The per-token decoding functions here and in
-:mod:`molkv.kvexperts` take the current position's RoPE ``cos``/``sin``
-tables as arguments, so a decode step builds each table once.
+reads a KV cache in decoding. RoPE is ``rope_tables`` plus the rotation
+kernel: the per-token decoding functions here and in
+:mod:`molkv.kvexperts` take the current position's ``cos``/``sin`` tables
+as arguments, so a decode step builds each table once.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ __all__ = [
     "lookup_distinct",
     "rmsnorm",  # re-exports: the kernels and taped ops live in autodiff
     "rmsnorm_np",
-    "rope_np",
     "rope_tables",
     "swishglu_ffn",
     "swishglu_ffn_np",
@@ -108,10 +108,6 @@ def rope_tables(positions, dim: int, theta: float = ROPE_THETA, dtype=np.float64
     freqs = theta ** (-np.arange(0, dim, 2, dtype=np.float64) / dim)
     ang = pos[..., None] * freqs
     return np.cos(ang).astype(dtype), np.sin(ang).astype(dtype)
-
-
-def rope_np(x: np.ndarray, position, theta: float = ROPE_THETA) -> np.ndarray:
-    return rope_rotate_np(x, *rope_tables(position, x.shape[-1], theta, x.dtype))
 
 
 def lookup_distinct(table: Tensor, ids) -> tuple[Tensor, np.ndarray]:

@@ -1,10 +1,11 @@
 """Lookup-expert block: per-token-id FFN experts mixed by a learned router.
 
 Training runs N expert FFNs (``mole_expert_values``) once per distinct token
-id in the batch; export runs the same function untaped on every id to freeze
-a value table, so inference (``mole_step`` in :mod:`molkv.runtime`) is a
-table lookup plus a softmax-weighted sum. The gated variant scales the mix
-by sigmoid(h . u).
+id in the batch, and ``mole_expert_terms`` mixes them into the term that
+``model.forward`` adds to the shared FFN's output. Export runs the same
+function untaped on every id to freeze a value table, so inference
+(``mole_step`` in :mod:`molkv.runtime`) is a table lookup plus a
+softmax-weighted sum. The gated variant scales the mix by sigmoid(h . u).
 
 Token embeddings enter the expert FFNs raw here (no normalization); the
 key-value block in :mod:`molkv.kvexperts` normalizes first. The two blocks
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor, dense, embedding_lookup, mul, reshape, sigmoid, softmax, softmax_np, stack, tensor_sum
-from .layers import FFNParams, lookup_distinct, swishglu_ffn
+from .layers import FFNParams, swishglu_ffn
 
 
 @dataclass
@@ -72,12 +73,6 @@ def mole_expert_terms(h: Tensor, emb: Tensor, inverse: np.ndarray, params: MoLEB
     if params.gate is not None:
         mix = mul(mix, sigmoid(tensor_sum(mul(h, params.gate), axis=-1, keepdims=True)))
     return mix
-
-
-def mole_train_forward(h: Tensor, ids, embedding: Tensor, params: MoLEBlockParams) -> Tensor:
-    """y = h + FFN(h) + sum_n s_n FFN_n(e_id); embeddings used raw."""
-    emb, inverse = lookup_distinct(embedding, ids)
-    return h + swishglu_ffn(h, params.ffn) + mole_expert_terms(h, emb, inverse, params)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ Each decode step advances one token through embedding, every layer, the
 final norm and the output projection, reading the current token's expert
 record from the store in expert-bearing layers. ``mole_step`` and
 ``molkv_step``, the one per-token form of each expert block, return the
-expert term that ``decode_step`` and the ``*_infer_forward`` block forms
-(checked by the acceptance suite) add. Counters track only what the
+expert term that ``decode_step`` adds to the shared FFN's output; the
+acceptance suite holds ``decode_step``'s logits to ``model.forward``'s.
+Counters track only what the
 complexity model budgets: multiply-accumulates of the large matrix
 operations (shared FFN, query projection, cached-key scoring, selected
 value mixing), parameters resident in RAM, offloaded parameters, and
@@ -204,13 +205,6 @@ def mole_step(h: np.ndarray, values: np.ndarray, params: MoLEBlockParams) -> np.
     return mix
 
 
-def mole_infer_forward(h: np.ndarray, token_id: int, table: np.ndarray, params: MoLEBlockParams) -> np.ndarray:
-    """Lookup form: y = h + FFN(h) + sum_n s_n v_{id,n}, the mix gated iff the block has a gate."""
-    if not 0 <= token_id < table.shape[0]:
-        raise IndexError(f"token id {token_id} outside value table with {table.shape[0]} ids")
-    return h + swishglu_ffn_np(h, params.ffn) + mole_step(h, table[token_id], params)
-
-
 def expert_kv(record: ExpertRecord, params: MoLKVBlockParams, dtype) -> ExpertKV:
     """The expert pairs of one key-value store record, cast to ``dtype``."""
     values = record.values.astype(dtype, copy=False)  # read_record's arrays are private copies
@@ -238,13 +232,6 @@ def molkv_step(h: np.ndarray, position: int, cache: KVExpertCache, kv: ExpertKV,
         term = term + sigmoid_np(h @ params.new_gate.data) * (weights @ cached)
     cache_insert(cache, position, kv, cos, sin)
     return term, int(idx.size)
-
-
-def molkv_infer_forward(h: np.ndarray, position: int, cache: KVExpertCache, kv: ExpertKV, params: MoLKVBlockParams):
-    """y = h + FFN(h) + molkv_step's term for one decoded token; returns (y, cache, k_eff)."""
-    rope = rope_tables(position, params.key_dim, params.rope_theta, h.dtype)
-    term, k_eff = molkv_step(h, position, cache, kv, params, *rope)
-    return h + swishglu_ffn_np(h, params.ffn) + term, cache, k_eff
 
 
 # ---------------------------------------------------------------------------

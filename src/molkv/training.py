@@ -281,15 +281,12 @@ def train_step(state: TrainState, corpus: Corpus, cfg: TrainConfig) -> tuple[flo
 
 
 def train_run(state: TrainState, corpus: Corpus, cfg: TrainConfig, steps: int, log_file=None) -> float:
-    """Run ``steps`` optimizer steps; returns the last loss."""
+    """Run ``steps`` optimizer steps, writing each step's log record to ``log_file`` as JSON; returns the last loss."""
     loss = float("nan")
     for _ in range(steps):
-        loss, grad_norm = train_step(state, corpus, cfg)
+        loss, _ = train_step(state, corpus, cfg)
         if log_file is not None:
-            rec = state.log[-1]
-            log_file.write(f"step={rec['step']} lr={rec['lr']:.6e} loss={rec['loss']:.6f} grad_norm={rec['grad_norm']:.6f} "
-                           f"fwd_ms={rec['fwd_ms']:.1f} bwd_ms={rec['bwd_ms']:.1f} opt_ms={rec['opt_ms']:.1f} "
-                           f"tokens_per_s={rec['tokens_per_s']:.1f}\n")
+            log_file.write(json.dumps(state.log[-1]) + "\n")
             log_file.flush()
     return loss
 

@@ -18,20 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, grad_check, mul, tensor_sum
+from .autodiff import Tensor, grad_check, mul, rope_rotate_np, tensor_sum
 from .config import ModelConfig, published_config
-from .kvexperts import KVExpertCache, compute_expert_kv, molkv_new_scores, molkv_select, molkv_train_forward
-from .layers import rope_np, sigmoid_np, softmax_np, swishglu_ffn_np
-from .mole import mole_train_forward
-from .model import init_model
-from .runtime import (
-    DecoderState,
-    closed_form_costs,
-    decode_step,
-    expert_kv,
-    mole_infer_forward,
-    molkv_infer_forward,
-)
+from .kvexperts import (KVExpertCache, compute_expert_kv, molkv_expert_terms, molkv_new_scores, molkv_query,
+                        molkv_select)
+from .layers import lookup_distinct, rope_tables, sigmoid_np, softmax_np, swishglu_ffn
+from .model import forward, init_model
+from .runtime import DecoderState, closed_form_costs, decode_step, molkv_step
 from .store import ExpertStoreReader, count_params, reparameterize, write_store
 from .training import (
     Corpus,
@@ -78,38 +71,50 @@ def _rel_err(got: np.ndarray, want: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _decode_vs_forward(model, reader: ExpertStoreReader, batch: np.ndarray) -> float:
+    """Worst relative error of each token's ``decode_step`` logits against ``forward``'s over a (b, s) batch.
+
+    Each row decodes as a fresh sequence, reading its expert records through ``reader``.
+    """
+    want = forward(model, batch).data
+    worst = 0.0
+    for ids, logits in zip(batch, want):
+        state = DecoderState(model, reader)
+        for token_id, ref in zip(ids, logits):
+            worst = max(worst, _rel_err(decode_step(state, token_id)[0], ref))
+    return worst
+
+
 @_timed
 def check_reparam_equivalence(n_configs: int = 20, tol: float = 1e-6):
-    """Inference-mode lookup output matches training mode for every id."""
+    """Decoding from an exported store matches the training forward for every id in every expert layer.
+
+    Each config decodes 10 permutations of its vocabulary, so every id is seen in 10 contexts.
+    """
     rng = np.random.default_rng(101)
     worst = 0.0
-    for c in range(n_configs):
-        kind = "mole" if c % 2 == 0 else "gated-mole"
-        d = int(rng.integers(2, 17)) * 2
-        num_layers = int(rng.integers(1, 4))
-        n_expert_layers = int(rng.integers(1, num_layers + 1))
-        cfg = ModelConfig(
-            kind=kind,
-            num_layers=num_layers,
-            hidden_size=d,
-            ffn_size=int(rng.integers(4, 65)),
-            vocab_size=int(rng.integers(4, 65)),
-            num_experts=int(rng.integers(1, 5)),
-            expert_layers=tuple(rng.choice(num_layers, size=n_expert_layers, replace=False).tolist()),
-            num_heads=2 if d % 4 == 0 else 1,
-        )
-        model = init_model(cfg, seed=int(rng.integers(1 << 30)), dtype=np.float64, init_std=0.25)
-        tables = reparameterize(model)
-        hs = rng.standard_normal((10, cfg.hidden_size))
-        for slot, li in enumerate(cfg.expert_layers):
-            block = model.layers[li].block
-            table = tables.values[slot]
-            for token_id in range(cfg.vocab_size):
-                y_train = mole_train_forward(
-                    Tensor(hs), np.full(10, token_id), model.embedding, block
-                ).data
-                for j in range(10):
-                    worst = max(worst, _rel_err(mole_infer_forward(hs[j], token_id, table, block), y_train[j]))
+    with tempfile.TemporaryDirectory() as tmp:
+        for c in range(n_configs):
+            kind = "mole" if c % 2 == 0 else "gated-mole"
+            d = int(rng.integers(2, 17)) * 2
+            num_layers = int(rng.integers(1, 4))
+            n_expert_layers = int(rng.integers(1, num_layers + 1))
+            cfg = ModelConfig(
+                kind=kind,
+                num_layers=num_layers,
+                hidden_size=d,
+                ffn_size=int(rng.integers(4, 65)),
+                vocab_size=int(rng.integers(4, 65)),
+                num_experts=int(rng.integers(1, 5)),
+                expert_layers=tuple(rng.choice(num_layers, size=n_expert_layers, replace=False).tolist()),
+                num_heads=2 if d % 4 == 0 else 1,
+            )
+            model = init_model(cfg, seed=int(rng.integers(1 << 30)), dtype=np.float64, init_std=0.25)
+            batch = np.stack([rng.permutation(cfg.vocab_size) for _ in range(10)])
+            path = os.path.join(tmp, f"{c}.mlkv")
+            write_store(reparameterize(model), path, dtype="fp64")
+            with ExpertStoreReader(path) as reader:
+                worst = max(worst, _decode_vs_forward(model, reader, batch))
     passed = worst <= tol
     return "reparameterization equivalence", passed, f"max rel err {worst:.2e} over {n_configs} configs (tol {tol:g})"
 
@@ -137,7 +142,11 @@ def _tiny_molkv_config(n_experts: int, window: int, top_k: int) -> ModelConfig:
 
 @_timed
 def check_incremental_equivalence(tol: float = 1e-6):
-    """Store-backed incremental decode equals the batched training forward."""
+    """Store-backed incremental decode equals the batched training forward.
+
+    Two expert layers, so a layer reading another's records shows; d' = 4
+    differs from the head dim 6, so a RoPE table of the wrong width shows.
+    """
     rng = np.random.default_rng(202)
     worst = 0.0
     cases = 0
@@ -146,28 +155,15 @@ def check_incremental_equivalence(tol: float = 1e-6):
             for top_k in (2, 8):
                 for n_experts in (1, 2):
                     cfg = _tiny_molkv_config(n_experts, window, top_k)
+                    cfg = cfg.with_overrides(num_layers=2, expert_layers=(0, 1), key_dim=4)
                     model = init_model(cfg, seed=int(rng.integers(1 << 30)), dtype=np.float64, init_std=0.3)
-                    block = model.layers[0].block
                     path = os.path.join(tmp, f"{window}_{top_k}_{n_experts}.mlkv")
                     write_store(reparameterize(model), path, dtype="fp64")
                     with ExpertStoreReader(path) as reader:
                         for s in (1, 2, 3, 17, 64):
-                            ids = rng.integers(0, cfg.vocab_size, size=s)
-                            h = rng.standard_normal((s, cfg.hidden_size))
-                            y_batch = molkv_train_forward(
-                                Tensor(h), ids, model.embedding, block, cfg.cache_window
-                            ).data
-                            cache = KVExpertCache(
-                                window=cfg.cache_window,
-                                num_experts=cfg.num_experts,
-                                key_dim=cfg.key_dim,
-                                hidden_size=cfg.hidden_size,
-                            )
-                            for t in range(s):
-                                kv = expert_kv(reader.read_record(0, int(ids[t])), block, np.float64)
-                                y_t, cache, _ = molkv_infer_forward(h[t], t, cache, kv, block)
-                                worst = max(worst, _rel_err(y_t, y_batch[t]))
-                                cases += 1
+                            ids = rng.integers(0, cfg.vocab_size, size=(1, s))
+                            worst = max(worst, _decode_vs_forward(model, reader, ids))
+                            cases += s
     passed = worst <= tol
     return "incremental/batched equivalence", passed, f"max rel err {worst:.2e} over {cases} tokens (tol {tol:g})"
 
@@ -186,14 +182,14 @@ def check_block_gradients(tol: float = 1e-4):
     model = init_model(cfg, seed=11, dtype=np.float64, init_std=0.4)
     block = model.layers[0].block
     s = 5
-    ids = rng.integers(0, cfg.vocab_size, size=s)
-    h = Tensor(rng.standard_normal((s, cfg.hidden_size)))
-    w = Tensor(rng.standard_normal((s, cfg.hidden_size)))
+    ids = rng.integers(0, cfg.vocab_size, size=(1, s))
+    h = Tensor(rng.standard_normal((1, s, cfg.hidden_size)))
+    w = Tensor(rng.standard_normal((1, s, cfg.hidden_size)))
     leaves = [t for _, t in block.tensors()] + [model.embedding]
 
-    def f():
-        y = molkv_train_forward(h, ids, model.embedding, block, cfg.cache_window)
-        return tensor_sum(mul(y, w))
+    def f():  # the FFN sublayer as ``forward`` computes it
+        terms = molkv_expert_terms(h, *lookup_distinct(model.embedding, ids), block, cfg.cache_window)
+        return tensor_sum(mul(swishglu_ffn(h, block.ffn) + terms, w))
 
     err = grad_check(f, leaves, eps=1e-5, samples_per_leaf=8, seed=4)
     passed = err <= tol
@@ -376,8 +372,8 @@ def check_rope_relative(tol: float = 1e-10):
         delta = int(rng.integers(0, 64))
         p1 = int(rng.integers(delta, 2048))
         p2 = int(rng.integers(delta, 2048))
-        s1 = rope_np(q, p1) @ rope_np(k, p1 - delta) * scale
-        s2 = rope_np(q, p2) @ rope_np(k, p2 - delta) * scale
+        s1 = rope_rotate_np(q, *rope_tables(p1, dk)) @ rope_rotate_np(k, *rope_tables(p1 - delta, dk)) * scale
+        s2 = rope_rotate_np(q, *rope_tables(p2, dk)) @ rope_rotate_np(k, *rope_tables(p2 - delta, dk)) * scale
         worst = max(worst, abs(s1 - s2))
     passed = worst <= tol
     return "rope relative invariance", passed, f"max score drift {worst:.2e} over 100 draws (tol {tol:g})"
@@ -401,21 +397,20 @@ def check_window_edges():
     token = 7
     kv = compute_expert_kv(model.embedding.data[token], block)
     cache = KVExpertCache(window=cfg.cache_window, num_experts=2, key_dim=cfg.key_dim, hidden_size=cfg.hidden_size)
-    y0, cache, k_eff = molkv_infer_forward(h, 0, cache, kv, block)
+    term, k_eff = molkv_step(h, 0, cache, kv, block, *rope_tables(0, cfg.key_dim, block.rope_theta))
     q = h @ block.query_proj.data
     s_own = softmax_np(h @ block.routers.data + kv.keys @ q * block.qk_scale)
-    y_manual = h + swishglu_ffn_np(h, block.ffn) + sigmoid_np(h @ block.gate.data) * (s_own @ kv.values)
     if k_eff != 0:
         failures.append(f"position 0 selected {k_eff} cached experts")
-    if not np.array_equal(y0, y_manual):
-        failures.append("position 0 output is not exactly the windowless form")
+    if not np.array_equal(term, sigmoid_np(h @ block.gate.data) * (s_own @ kv.values)):
+        failures.append("position 0 term is not exactly the own-expert term")
 
     # Short window: fewer than k candidates selects all of them, weights sum to 1.
     for t in range(1, 5):
         kv_t = compute_expert_kv(model.embedding.data[t], block)
-        q_t = h @ block.query_proj.data
-        scores = molkv_new_scores(rope_np(q_t, t), h, cache, block)
-        idx, weights = molkv_select(scores, block.top_k)
+        rope = rope_tables(t, cfg.key_dim, block.rope_theta)
+        _, q_rot = molkv_query(h, block, *rope)
+        idx, weights = molkv_select(molkv_new_scores(q_rot, h, cache, block), block.top_k)
         avail = len(cache) * cfg.num_experts
         if avail < block.top_k and idx.size != avail:
             failures.append(f"t={t}: selected {idx.size} of {avail} available")
@@ -423,7 +418,7 @@ def check_window_edges():
             failures.append(f"t={t}: weights sum to {weights.sum()}")
         if idx.size and (weights.min() < 0 or weights.max() > 1):
             failures.append(f"t={t}: weights outside [0, 1]")
-        molkv_infer_forward(h, t, cache, kv_t, block)
+        molkv_step(h, t, cache, kv_t, block, *rope)
 
     detail = "; ".join(failures) if failures else "zero term at t=0; short windows select all, weights sum to 1"
     return "empty/short window behavior", not failures, detail

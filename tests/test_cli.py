@@ -217,13 +217,12 @@ class TestPipeline:
         assert (tmp / "model.ckpt").exists()
         log = (tmp / "model.ckpt.log").read_text().strip().splitlines()
         assert len(log) == 12
-        assert log[0].startswith("step=1 lr=")
-        fields = [dict(kv.split("=") for kv in line.split()) for line in log]
+        fields = [json.loads(line) for line in log]
         keys = ["step", "lr", "loss", "grad_norm", "fwd_ms", "bwd_ms", "opt_ms", "tokens_per_s"]
         assert all(list(rec) == keys for rec in fields)
-        assert [int(rec["step"]) for rec in fields] == list(range(1, 13))
-        assert all(float(rec[k]) >= 0 for rec in fields for k in keys[4:7])
-        assert all(float(rec["tokens_per_s"]) > 0 for rec in fields)
+        assert [rec["step"] for rec in fields] == list(range(1, 13))
+        assert all(rec[k] >= 0 for rec in fields for k in keys[4:7])
+        assert all(rec["tokens_per_s"] > 0 for rec in fields)
 
         assert main(["export", "--manifest", str(manifest), "--dtype", "fp32"]) == 0
         assert (tmp / "model.mlkv").exists()
@@ -244,7 +243,7 @@ class TestPipeline:
         tmp, manifest = workspace
         assert main(["train", "--manifest", str(manifest), "--steps", "2", "--seed", "9",
                      "--out", str(tmp / "alt.ckpt")]) == 0
-        log = (tmp / "alt.ckpt.log").read_text().strip().splitlines()
+        log = [json.loads(line) for line in (tmp / "alt.ckpt.log").read_text().strip().splitlines()]
         assert len(log) == 2
 
     def test_train_steps_runs_head_of_manifest_schedule(self, workspace):
@@ -254,7 +253,7 @@ class TestPipeline:
         manifest.write_text(json.dumps(doc))
         assert main(["train", "--manifest", str(manifest), "--steps", "3"]) == 0
         log = (tmp / "model.ckpt.log").read_text().strip().splitlines()
-        lrs = [float(line.split()[1].removeprefix("lr=")) for line in log]
+        lrs = [json.loads(line)["lr"] for line in log]
         want = [lr_at(step, parse_manifest(manifest).train) for step in range(3)]
         assert lrs == pytest.approx(want, rel=1e-6, abs=0)
         raw = (tmp / "model.ckpt").read_bytes()

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from molkv.autodiff import Tensor, grad_check, mul, parameter, tensor_sum
+from molkv.autodiff import Tensor, grad_check, mul, parameter, rope_rotate_np, tensor_sum
 from molkv.kvexperts import (
     CacheStateError,
     ExpertKV,
@@ -12,15 +12,16 @@ from molkv.kvexperts import (
     cache_insert,
     compute_expert_kv,
     molkv_augmented_routing,
+    molkv_expert_terms,
     molkv_new_scores,
     molkv_query,
     molkv_select,
-    molkv_train_forward,
     sliding_window_mask,
     window_topk_mask,
 )
-from molkv.layers import FFNParams, rmsnorm_np, rope_np, rope_tables, softmax_np
-from molkv.runtime import molkv_infer_forward
+from molkv.layers import FFNParams, lookup_distinct, rmsnorm_np, rope_tables, sigmoid_np, softmax_np, swishglu_ffn
+from molkv.mole import MoLEBlockParams
+from molkv.runtime import mole_step, molkv_step
 
 
 def make_block(rng, d=10, D=14, dk=6, n=2, top_k=3, scale=0.35):
@@ -50,6 +51,12 @@ def make_block(rng, d=10, D=14, dk=6, n=2, top_k=3, scale=0.35):
 def rope(block, position):
     """The fp64 RoPE tables of ``position`` for the block's queries and keys."""
     return rope_tables(position, block.key_dim, block.rope_theta)
+
+
+def sequence_terms(h, ids, emb, block, window):
+    """``molkv_expert_terms`` of one (s, d) sequence, (s, d) out."""
+    h = Tensor(h[None])
+    return molkv_expert_terms(h, *lookup_distinct(emb, np.reshape(ids, (1, -1))), block, window).data[0]
 
 
 def fresh_cache(block, window):
@@ -134,7 +141,7 @@ class TestCache:
         for pos in range(3):
             kv = compute_expert_kv(rng.standard_normal(10), block)
             cache_insert(cache, pos, kv, *rope(block, pos))
-            assert np.array_equal(cache.keys_rot[-1], rope_np(kv.keys, pos))
+            assert np.array_equal(cache.keys_rot[-1], rope_rotate_np(kv.keys, *rope(block, pos)))
             assert np.array_equal(cache.values[-1], kv.values_normed)
 
     def test_window_one_holds_previous_token(self):
@@ -154,7 +161,7 @@ class TestCache:
         for pos in range(3 * m + 3):  # past 2M + 1: the 2M-slot buffers compact twice
             kv = compute_expert_kv(rng.standard_normal(10), block)
             cache_insert(cache, pos, kv, *rope(block, pos))
-            keys.append(rope_np(kv.keys, pos))
+            keys.append(rope_rotate_np(kv.keys, *rope(block, pos)))
             values.append(kv.values_normed)
             assert np.array_equal(cache.keys_rot, np.stack(keys)[-m:])
             assert np.array_equal(cache.values, np.stack(values)[-m:])
@@ -361,11 +368,11 @@ class TestTrainInferEquivalence:
         s = 24
         ids = rng.integers(0, 15, size=s)
         h = rng.standard_normal((s, 10))
-        y_batch = molkv_train_forward(Tensor(h), ids, emb, block, window).data
+        y_batch = sequence_terms(h, ids, emb, block, window)
         cache = fresh_cache(block, window)
         for t in range(s):
             kv = compute_expert_kv(emb.data[ids[t]], block)
-            y_t, cache, k_eff = molkv_infer_forward(h[t], t, cache, kv, block)
+            y_t, k_eff = molkv_step(h[t], t, cache, kv, block, *rope(block, t))
             assert k_eff == min(top_k, min(t, window) * n)
             rel = np.abs(y_t - y_batch[t]).max() / (np.abs(y_batch[t]).max() + 1e-300)
             assert rel < 1e-12
@@ -376,14 +383,12 @@ class TestTrainInferEquivalence:
         emb = parameter(rng.standard_normal((15, 10)))
         h = rng.standard_normal((1, 10))
         ids = np.array([4])
-        y = molkv_train_forward(Tensor(h), ids, emb, block, window=8).data
+        y = sequence_terms(h, ids, emb, block, window=8)
         # reconstruct without the cached path
-        from molkv.layers import sigmoid_np, swishglu_ffn_np
-
         kv = compute_expert_kv(emb.data[4], block)
         q, _ = molkv_query(h[0], block, *rope(block, 0))
         s_own = molkv_augmented_routing(h[0], q, kv, block)
-        want = h[0] + swishglu_ffn_np(h[0], block.ffn) + sigmoid_np(h[0] @ block.gate.data) * (s_own @ kv.values)
+        want = sigmoid_np(h[0] @ block.gate.data) * (s_own @ kv.values)
         np.testing.assert_allclose(y[0], want, atol=1e-12)
 
     def test_new_gate_saturation_kills_cached_term(self):
@@ -395,12 +400,10 @@ class TestTrainInferEquivalence:
         h = rng.standard_normal(10)
         h = h * (-30.0 / (h @ block.new_gate.data))  # force h.u' = -30
         kv = compute_expert_kv(rng.standard_normal(10), block)
-        y, _, k_eff = molkv_infer_forward(h.copy(), 4, cache, kv, block)
-        from molkv.layers import sigmoid_np, swishglu_ffn_np
-
+        y, k_eff = molkv_step(h.copy(), 4, cache, kv, block, *rope(block, 4))
         q, _ = molkv_query(h, block, *rope(block, 4))
         s_own = molkv_augmented_routing(h, q, kv, block)
-        no_new = h + swishglu_ffn_np(h, block.ffn) + sigmoid_np(h @ block.gate.data) * (s_own @ kv.values)
+        no_new = sigmoid_np(h @ block.gate.data) * (s_own @ kv.values)
         assert k_eff > 0  # experts were selected, the gate just silences them
         np.testing.assert_allclose(y, no_new, atol=1e-10)
 
@@ -410,12 +413,12 @@ class TestTrainInferEquivalence:
         emb = parameter(rng.standard_normal((15, 10)))
         ids = rng.integers(0, 15, size=8)
         h = rng.standard_normal((8, 10))
-        base = molkv_train_forward(Tensor(h), ids, emb, block, window=4).data
+        base = sequence_terms(h, ids, emb, block, window=4)
         ids2 = ids.copy()
         ids2[6] = (ids2[6] + 1) % 15
         h2 = h.copy()
         h2[6] += 3.0
-        pert = molkv_train_forward(Tensor(h2), ids2, emb, block, window=4).data
+        pert = sequence_terms(h2, ids2, emb, block, window=4)
         assert np.array_equal(base[:6], pert[:6])
 
     def test_window_locality(self):
@@ -428,10 +431,10 @@ class TestTrainInferEquivalence:
         s = 10
         ids = rng.integers(0, 15, size=s)
         h = rng.standard_normal((s, 10))
-        base = molkv_train_forward(Tensor(h), ids, emb, block, window).data
+        base = sequence_terms(h, ids, emb, block, window)
         ids2 = ids.copy()
         ids2[2] = (ids2[2] + 5) % 15  # outside the window of t = 9 (window covers 6..8)
-        pert = molkv_train_forward(Tensor(h), ids2, emb, block, window).data
+        pert = sequence_terms(h, ids2, emb, block, window)
         assert np.array_equal(base[9], pert[9])
         assert not np.allclose(base[2], pert[2])
 
@@ -449,32 +452,30 @@ class TestGatedLookupReduction:
         kv = compute_expert_kv(emb[token], block)
         cache = fresh_cache(block, window=4)
         h = rng.standard_normal(10)
-        y_kv, _, _ = molkv_infer_forward(h, 0, cache, kv, block)
-
-        from molkv.mole import MoLEBlockParams
-        from molkv.runtime import mole_infer_forward
-
+        y_kv, _ = molkv_step(h, 0, cache, kv, block, *rope(block, 0))
         lookup = MoLEBlockParams(ffn=block.ffn, routers=block.routers, experts=[], gate=block.gate)
-        table = np.zeros((8, block.num_experts, 10))
-        table[token] = kv.values
-        y_lookup = mole_infer_forward(h, token, table, lookup)
-        np.testing.assert_array_equal(y_kv, y_lookup)
+        np.testing.assert_array_equal(y_kv, mole_step(h, kv.values, lookup))
 
 
 class TestGradients:
+    @staticmethod
+    def sublayer(h, ids, emb, block):
+        """The FFN sublayer as ``forward`` computes it, for a (1, s, d) h and (1, s) ids."""
+        return swishglu_ffn(h, block.ffn) + molkv_expert_terms(h, *lookup_distinct(emb, ids), block, window=3)
+
     def test_every_group_gets_gradient(self):
         rng = np.random.default_rng(26)
         block = make_block(rng, d=8, D=10, dk=4, n=2, top_k=2)
         emb = parameter(rng.standard_normal((12, 8)))
-        ids = rng.integers(0, 12, size=6)
-        h = Tensor(rng.standard_normal((6, 8)))
-        w = Tensor(rng.standard_normal((6, 8)))
+        ids = rng.integers(0, 12, size=(1, 6))
+        h = Tensor(rng.standard_normal((1, 6, 8)))
+        w = Tensor(rng.standard_normal((1, 6, 8)))
         from molkv.autodiff import Tape, backward
 
         leaves = dict(block.tensors())
         leaves["embedding"] = emb
         with Tape() as tape:
-            loss = tensor_sum(mul(molkv_train_forward(h, ids, emb, block, window=3), w))
+            loss = tensor_sum(mul(self.sublayer(h, ids, emb, block), w))
         backward(tape, loss)
         for name, t in leaves.items():
             assert t.grad is not None and np.abs(t.grad).max() > 0, f"no gradient reached {name}"
@@ -483,12 +484,12 @@ class TestGradients:
         rng = np.random.default_rng(27)
         block = make_block(rng, d=6, D=8, dk=4, n=2, top_k=2)
         emb = parameter(rng.standard_normal((8, 6)))
-        ids = rng.integers(0, 8, size=5)
-        h = Tensor(rng.standard_normal((5, 6)))
-        w = Tensor(rng.standard_normal((5, 6)))
+        ids = rng.integers(0, 8, size=(1, 5))
+        h = Tensor(rng.standard_normal((1, 5, 6)))
+        w = Tensor(rng.standard_normal((1, 5, 6)))
         leaves = [t for _, t in block.tensors()] + [emb]
         err = grad_check(
-            lambda: tensor_sum(mul(molkv_train_forward(h, ids, emb, block, window=3), w)),
+            lambda: tensor_sum(mul(self.sublayer(h, ids, emb, block), w)),
             leaves,
             samples_per_leaf=6,
             seed=2,

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from molkv.autodiff import ShapeError, Tensor, grad_check, mul, parameter, tensor_sum
+from molkv.autodiff import ShapeError, Tensor, grad_check, mul, parameter, rope_rotate_np, tensor_sum
 from molkv.layers import (
     AttentionCache,
     AttnParams,
@@ -11,7 +11,6 @@ from molkv.layers import (
     causal_attention,
     causal_attention_step,
     rmsnorm_np,
-    rope_np,
     rope_tables,
     swishglu_ffn,
     swishglu_ffn_np,
@@ -36,26 +35,31 @@ def make_attn(rng, d, heads):
     )
 
 
+def rope(x, position):
+    """x rotated to ``position`` with the default theta."""
+    return rope_rotate_np(x, *rope_tables(position, x.shape[-1], dtype=x.dtype))
+
+
 class TestRope:
     def test_position_zero_identity(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal(10)
-        assert np.array_equal(rope_np(x, 0), x)
+        assert np.array_equal(rope(x, 0), x)
 
     def test_norm_preserved(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal(16)
         for p in (1, 7, 123, 5000):
-            assert abs(np.linalg.norm(rope_np(x, p)) - np.linalg.norm(x)) < 1e-12
+            assert abs(np.linalg.norm(rope(x, p)) - np.linalg.norm(x)) < 1e-12
 
     def test_relative_dot_product(self):
         rng = np.random.default_rng(2)
         q = rng.standard_normal(12)
         k = rng.standard_normal(12)
         delta = 5
-        ref = rope_np(q, delta) @ rope_np(k, 0)
+        ref = rope(q, delta) @ rope(k, 0)
         for p in range(1, 40, 7):
-            got = rope_np(q, p + delta) @ rope_np(k, p)
+            got = rope(q, p + delta) @ rope(k, p)
             assert abs(got - ref) < 1e-10
 
     def test_odd_dim_rejected(self):
@@ -144,7 +148,7 @@ class TestAttention:
             prev = cache.k.base
             step = causal_attention_step(x[t], p, cache, *rope_tables(t, d // heads))
             np.testing.assert_allclose(step, batched[t], atol=1e-10)
-            keys.append(rope_np((x[t] @ p.wk.data).reshape(heads, d // heads), t))
+            keys.append(rope((x[t] @ p.wk.data).reshape(heads, d // heads), t))
             assert np.array_equal(cache.k, np.stack(keys))
             # the buffer doubles once full; every other append writes in place
             assert (cache.k.base is prev) == (t != AttentionCache.INITIAL_ROWS), t

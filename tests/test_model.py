@@ -9,6 +9,7 @@ from molkv import kvexperts, mole
 from molkv import model as model_module
 from molkv.autodiff import Tape, Tensor, backward, grad_check, mul, parameter, tensor_sum
 from molkv.config import ConfigError, ModelConfig, published_config
+from molkv.layers import lookup_distinct, swishglu_ffn
 from molkv.model import forward, init_model, next_token_loss
 from molkv.store import reparameterize
 
@@ -161,10 +162,10 @@ class TestPerIdExperts:
         h = Tensor(rng.standard_normal((2, 8, cfg.hidden_size)))
         w = Tensor(rng.standard_normal((2, 8, cfg.hidden_size)))
         if kind == "molkv":
-            y = lambda: kvexperts.molkv_train_forward(h, ids, emb, block, cfg.cache_window)
+            terms = lambda: kvexperts.molkv_expert_terms(h, *lookup_distinct(emb, ids), block, cfg.cache_window)
         else:
-            y = lambda: mole.mole_train_forward(h, ids, emb, block)
-        loss = lambda: tensor_sum(mul(y(), w))
+            terms = lambda: mole.mole_expert_terms(h, *lookup_distinct(emb, ids), block)
+        loss = lambda: tensor_sum(mul(swishglu_ffn(h, block.ffn) + terms(), w))  # the sublayer as forward runs it
         assert grad_check(loss, [t for _, t in block.tensors()], samples_per_leaf=6, seed=1) < 1e-4
         # Every coordinate of the table, so the rows the batch uses are all checked.
         assert grad_check(loss, [emb], samples_per_leaf=emb.data.size) < 1e-4

@@ -3,17 +3,11 @@
 from dataclasses import replace
 
 import numpy as np
-import pytest
 
 from molkv.autodiff import Tensor, grad_check, mul, parameter, tensor_sum
-from molkv.layers import FFNParams, sigmoid_np, swishglu_ffn_np
-from molkv.mole import (
-    MoLEBlockParams,
-    build_value_table,
-    mole_routing,
-    mole_train_forward,
-)
-from molkv.runtime import mole_infer_forward
+from molkv.layers import FFNParams, lookup_distinct, sigmoid_np, swishglu_ffn
+from molkv.mole import MoLEBlockParams, build_value_table, mole_expert_terms, mole_routing
+from molkv.runtime import mole_step
 
 
 def make_block(rng, d=8, D=12, n=3, gated=False, scale=0.3):
@@ -62,9 +56,8 @@ class TestRouting:
         table = build_value_table(rng.standard_normal((10, 8)), block)
         h = rng.standard_normal(8)
         s = mole_routing(h, block)
-        residues = [mole_infer_forward(h, i, table, block) - s @ table[i] for i in range(3)]
-        np.testing.assert_allclose(residues[0], residues[1], atol=1e-12)
-        np.testing.assert_allclose(residues[0], residues[2], atol=1e-12)
+        for i in range(3):
+            np.testing.assert_allclose(mole_step(h, table[i], block), s @ table[i], atol=1e-12)
 
 
 class TestInferenceMode:
@@ -74,8 +67,7 @@ class TestInferenceMode:
         block.routers.data[:] = 0.0
         emb = rng.standard_normal((5, 8))
         table = build_value_table(emb, block)
-        y = mole_infer_forward(np.zeros(8), 2, table, block)
-        np.testing.assert_allclose(y, table[2].mean(axis=0), atol=1e-12)
+        np.testing.assert_allclose(mole_step(np.zeros(8), table[2], block), table[2].mean(axis=0), atol=1e-12)
 
     def test_single_expert_form(self):
         rng = np.random.default_rng(5)
@@ -83,15 +75,7 @@ class TestInferenceMode:
         emb = rng.standard_normal((5, 8))
         table = build_value_table(emb, block)
         h = rng.standard_normal(8)
-        want = h + swishglu_ffn_np(h, block.ffn) + table[3, 0]
-        np.testing.assert_allclose(mole_infer_forward(h, 3, table, block), want, atol=1e-12)
-
-    def test_id_out_of_range(self):
-        rng = np.random.default_rng(6)
-        block = make_block(rng)
-        table = build_value_table(rng.standard_normal((5, 8)), block)
-        with pytest.raises(IndexError):
-            mole_infer_forward(np.zeros(8), 5, table, block)
+        np.testing.assert_allclose(mole_step(h, table[3], block), table[3, 0], atol=1e-12)
 
 
 class TestTrainingMode:
@@ -101,8 +85,8 @@ class TestTrainingMode:
         emb = parameter(rng.standard_normal((6, 8)))
         emb.data[4] = 0.0
         h = rng.standard_normal(8)
-        y = mole_train_forward(Tensor(h), 4, emb, block).data
-        np.testing.assert_allclose(y, h + swishglu_ffn_np(h, block.ffn), atol=1e-12)
+        term = mole_expert_terms(Tensor(h), *lookup_distinct(emb, 4), block).data
+        np.testing.assert_allclose(term, np.zeros(8), atol=1e-12)
 
     def test_identical_embeddings_identical_terms(self):
         rng = np.random.default_rng(8)
@@ -111,7 +95,8 @@ class TestTrainingMode:
         emb.data[3] = emb.data[1]
         h = Tensor(rng.standard_normal(8))
         np.testing.assert_array_equal(
-            mole_train_forward(h, 1, emb, block).data, mole_train_forward(h, 3, emb, block).data
+            mole_expert_terms(h, *lookup_distinct(emb, 1), block).data,
+            mole_expert_terms(h, *lookup_distinct(emb, 3), block).data,
         )
 
     def test_gradients_reach_everything(self):
@@ -122,9 +107,12 @@ class TestTrainingMode:
         h = Tensor(rng.standard_normal((4, 6)))
         w = Tensor(rng.standard_normal((4, 6)))
         leaves = [t for _, t in block.tensors()] + [emb]
-        err = grad_check(
-            lambda: tensor_sum(mul(mole_train_forward(h, ids, emb, block), w)), leaves, samples_per_leaf=6
-        )
+
+        def loss():  # the FFN sublayer as ``forward`` computes it
+            y = swishglu_ffn(h, block.ffn) + mole_expert_terms(h, *lookup_distinct(emb, ids), block)
+            return tensor_sum(mul(y, w))
+
+        err = grad_check(loss, leaves, samples_per_leaf=6)
         assert err < 1e-4
 
 
@@ -136,8 +124,8 @@ class TestGated:
         table = build_value_table(rng.standard_normal((5, 8)), block)
         h = rng.standard_normal(8)
         mix = mole_routing(h, block) @ table[1]
-        base = mole_infer_forward(h, 1, table, replace(block, gate=None))
-        gated = mole_infer_forward(h, 1, table, block)
+        base = mole_step(h, table[1], replace(block, gate=None))
+        gated = mole_step(h, table[1], block)
         np.testing.assert_allclose(gated - base, -0.5 * mix, atol=1e-12)
 
     def test_gate_saturates_to_zero(self):
@@ -147,8 +135,7 @@ class TestGated:
         h = rng.standard_normal(8)
         h = h * (-25.0 / (h @ block.gate.data))  # force h.u = -25
         assert sigmoid_np(h @ block.gate.data) < 1e-9
-        want = h + swishglu_ffn_np(h, block.ffn)
-        np.testing.assert_allclose(mole_infer_forward(h, 0, table, block), want, atol=1e-8)
+        np.testing.assert_allclose(mole_step(h, table[0], block), np.zeros(8), atol=1e-8)
 
     def test_gate_strictly_inside_unit_interval(self):
         rng = np.random.default_rng(12)
@@ -164,8 +151,8 @@ class TestGated:
         h = rng.standard_normal(8)
         mix = mole_routing(h, block) @ table[2]
         g = sigmoid_np(h @ block.gate.data)
-        got = mole_infer_forward(h, 2, table, block)
-        want_if_g_one = mole_infer_forward(h, 2, table, replace(block, gate=None))
+        got = mole_step(h, table[2], block)
+        want_if_g_one = mole_step(h, table[2], replace(block, gate=None))
         np.testing.assert_allclose(got + (1.0 - g) * mix, want_if_g_one, atol=1e-12)
 
 
@@ -180,7 +167,7 @@ class TestReparamEquivalence:
             for token in range(8):
                 for _ in range(3):
                     h = rng.standard_normal(6)
-                    want = mole_train_forward(Tensor(h), token, emb, block).data
-                    got = mole_infer_forward(h, token, table, block)
+                    want = mole_expert_terms(Tensor(h), *lookup_distinct(emb, token), block).data
+                    got = mole_step(h, table[token], block)
                     rel = np.abs(got - want).max() / (np.abs(want).max() + 1e-300)
                     assert rel < 1e-12

@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 from molkv.autodiff import Tensor
 from molkv.config import ModelConfig, published_config
 from molkv.kvexperts import compute_expert_kv
+from molkv.layers import lookup_distinct, swishglu_ffn_np
 from molkv.model import init_model
-from molkv.mole import mole_train_forward
-from molkv.runtime import mole_infer_forward
+from molkv.mole import mole_expert_terms
+from molkv.runtime import mole_step
 from molkv.store import (
     DTYPE_CODES,
     HEADER_SIZE,
@@ -181,8 +182,8 @@ class TestReparameterize:
         for _ in range(10):
             h = rng.standard_normal(12)
             token = int(rng.integers(0, 17))
-            want = mole_train_forward(Tensor(h), token, model.embedding, block).data
-            got = mole_infer_forward(h, token, tables.values[1], block)
+            want = mole_expert_terms(Tensor(h), *lookup_distinct(model.embedding, token), block).data
+            got = mole_step(h, tables.values[1][token], block)
             rel = np.abs(got - want).max() / (np.abs(want).max() + 1e-300)
             assert rel < 1e-6
 
@@ -280,10 +281,11 @@ class TestFileRoundTrip:
             for _ in range(10):
                 h = rng.standard_normal(12)
                 token = int(rng.integers(0, 17))
-                rec = reader.read_record(0, token)
-                table = rec.values.astype(np.float64)[None]  # single-id table
-                got = mole_infer_forward(h, 0, table, block)
-                want = mole_train_forward(Tensor(h), token, model.embedding, block).data
+                values = reader.read_record(0, token).values.astype(np.float64)
+                # the block outputs h + FFN(h) + expert term
+                shared = h + swishglu_ffn_np(h, block.ffn)
+                got = shared + mole_step(h, values, block)
+                want = shared + mole_expert_terms(Tensor(h), *lookup_distinct(model.embedding, token), block).data
                 rel = np.abs(got - want).max() / (np.abs(want).max() + 1e-300)
                 assert rel < 1e-2  # fp16 degrades gracefully
 
