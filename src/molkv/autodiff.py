@@ -2,10 +2,19 @@
 
 Arrays are row-major numpy buffers in fp32 or fp64. Every differentiable
 operation records a node on the active tape (a thread-local stack), and
-``backward`` replays the nodes in reverse to accumulate gradients into the
-leaves. Inference code simply runs with no tape active and pays no
-recording cost. Gradient kernels keep the bits of their plain numpy forms
-(``np.add.at`` for gathers, ``np.where`` chains for the masked softmax).
+``backward`` pops the nodes in reverse to accumulate gradients into the
+leaves. A popped node is dropped with what its VJP kept, so each
+activation is freed once its last consumer's VJP has run, and backward
+never holds more than the forward tape. Inference code simply runs with no
+tape active and pays no recording cost.
+
+Two fused ops keep the tape small: ``attention`` holds the softmax weights
+but not the two score arrays they come from, and ``swishglu`` holds its
+two pre-activations and recomputes the rest. Each one's gradient runs the
+numpy expressions of the op chain it replaced, in the same order, so it
+has that chain's bits. Gradient kernels keep the bits of their plain numpy
+forms (``np.add.at`` for gathers, ``np.where`` chains for the masked
+softmax).
 """
 
 from __future__ import annotations
@@ -25,7 +34,7 @@ __all__ = [
     "scale",
     "matmul",
     "dense",
-    "silu",
+    "swishglu",
     "sigmoid",
     "sigmoid_np",
     "silu_np",
@@ -35,7 +44,7 @@ __all__ = [
     "tensor_sum",
     "softmax",
     "softmax_np",
-    "masked_softmax",
+    "attention",
     "rmsnorm",
     "rmsnorm_np",
     "rope_rotate",
@@ -244,17 +253,6 @@ def sigmoid(x: Tensor) -> Tensor:
     return _record(out, (x,), vjp)
 
 
-def silu(x: Tensor) -> Tensor:
-    d = x.data
-    s = sigmoid_np(d)
-    out = Tensor(d * s)
-
-    def vjp(g):
-        return (g * (s + d * s * (1.0 - s)),)
-
-    return _record(out, (x,), vjp)
-
-
 # ---------------------------------------------------------------------------
 # linear algebra and structure
 # ---------------------------------------------------------------------------
@@ -267,13 +265,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: inner extents differ, {a.shape} @ {b.shape}")
     out = Tensor(a.data @ b.data)
+    return _record(out, (a, b), lambda g: _matmul_grads(g, a.data, b.data))
 
-    def vjp(g):
-        ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
-        gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
-        return ga, gb
 
-    return _record(out, (a, b), vjp)
+def _matmul_grads(g: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """``matmul``'s VJP for ``a @ b``: (g @ b^T, a^T @ g), each summed over the axes broadcasting added."""
+    return _unbroadcast(g @ np.swapaxes(b, -1, -2), a.shape), _unbroadcast(np.swapaxes(a, -1, -2) @ g, b.shape)
 
 
 def dense(x: Tensor, w: Tensor) -> Tensor:
@@ -283,6 +280,34 @@ def dense(x: Tensor, w: Tensor) -> Tensor:
     if x.ndim == 1:
         return reshape(matmul(reshape(x, (1, x.shape[0])), w), (w.shape[1],))
     return matmul(x, w)
+
+
+def swishglu(x: Tensor, wg: Tensor, wu: Tensor, wd: Tensor) -> Tensor:
+    """(silu(x @ wg) * (x @ wu)) @ wd as one taped op, for x of shape (..., d).
+
+    The tape keeps the two (..., D) pre-activations; the gradient recomputes
+    the sigmoid, SiLU and product from them. ``x`` is listed twice as an
+    input, with its up-branch gradient first: backward then sums x's
+    gradients in the order of the dense/SiLU/mul chain this op replaced. A
+    1-D ``x`` runs as one row, as ``dense`` does.
+    """
+    if x.shape[-1] != wg.shape[0] or wu.shape != wg.shape or wd.shape[0] != wg.shape[1]:
+        raise ShapeError(f"swishglu: {x.shape} with gate {wg.shape}, up {wu.shape}, down {wd.shape}")
+    xd = x.data.reshape(1, -1) if x.ndim == 1 else x.data
+    a = xd @ wg.data
+    u = xd @ wu.data
+    y = (silu_np(a) * u) @ wd.data
+    out = Tensor(y.reshape(wd.shape[1]) if x.ndim == 1 else y)
+
+    def vjp(g):
+        s = sigmoid_np(a)
+        sa = a * s
+        gm, gwd = _matmul_grads(g.reshape(a.shape[:-1] + (-1,)), sa * u, wd.data)
+        gx_up, gwu = _matmul_grads(gm * sa, xd, wu.data)
+        gx_gate, gwg = _matmul_grads(gm * u * (s + a * s * (1.0 - s)), xd, wg.data)
+        return gx_up.reshape(x.shape), gx_gate.reshape(x.shape), gwg, gwu, gwd
+
+    return _record(out, (x, x, wg, wu, wd), vjp)
 
 
 def reshape(x: Tensor, shape) -> Tensor:
@@ -368,21 +393,58 @@ def softmax_np(x: np.ndarray, axis: int = -1, mask=None) -> np.ndarray:
     return np.divide(e, tot, out=e)
 
 
-def masked_softmax(x: Tensor, mask, axis: int = -1) -> Tensor:
-    """Taped ``softmax_np``; ``mask=None`` lets every entry take part."""
-    y = softmax_np(x.data, axis, mask)
-    out = Tensor(y)
-
-    def vjp(g):
-        gy = g * y
-        np.subtract(g, gy.sum(axis=axis, keepdims=True), out=gy)
-        return (np.multiply(gy, y, out=gy),)
-
-    return _record(out, (x,), vjp)
+def _softmax_grad(g: np.ndarray, y: np.ndarray, axis: int) -> np.ndarray:
+    """(g - sum(g * y)) * y along ``axis``, in one new buffer."""
+    gy = g * y
+    np.subtract(g, gy.sum(axis=axis, keepdims=True), out=gy)
+    return np.multiply(gy, y, out=gy)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    return masked_softmax(x, None, axis=axis)
+    """Taped ``softmax_np`` over every entry; ``attention`` runs the masked form."""
+    y = softmax_np(x.data, axis)
+    return _record(Tensor(y), (x,), lambda g: (_softmax_grad(g, y, axis),))
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, mask, scale: float, bias: Tensor | None = None) -> Tensor:
+    """softmax(scale * q @ k^T [+ bias], over ``mask``) @ v as one taped op.
+
+    q is (..., s, e), k (..., t, e) and v (..., t, f); the softmax runs over
+    the t keys. ``mask`` is a boolean array broadcastable to the (..., s, t)
+    logits, or a function of the scaled and biased logits that returns one;
+    a query with no key left gets all-zero weights. ``bias`` (..., s, g),
+    with g dividing t, is added to every run of g consecutive keys: key
+    j * g + n gets bias[..., n]. ``scale`` is a Python float, so fp32 logits
+    stay fp32.
+
+    The tape keeps q, the contiguous k^T, v and the weights, not the logits.
+    The gradient runs the numpy expressions of the matmul, bias add, scale,
+    masked softmax and matmul chain, in that chain's order, and has its bits.
+    """
+    if q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2]:
+        raise ShapeError(f"attention: q {q.shape}, k {k.shape}, v {v.shape}")
+    kt = np.ascontiguousarray(np.swapaxes(k.data, -1, -2))
+    z = q.data @ kt
+    z *= scale
+    if bias is not None:
+        grouped = z.shape[:-1] + (-1, bias.shape[-1])  # (..., s, t / g, g)
+        zg = z.reshape(grouped)
+        zg += bias.data[..., None, :]
+    w = softmax_np(z, -1, mask(z) if callable(mask) else mask)
+    out = Tensor(w @ v.data)
+
+    def vjp(g):
+        gw, gv = _matmul_grads(g, w, v.data)
+        gz = _softmax_grad(gw, w, -1)
+        grads = ()
+        if bias is not None:  # a copy: with one key group, _unbroadcast returns gz itself, scaled in place below
+            gb = _unbroadcast(gz.reshape(grouped), bias.shape[:-1] + (1, bias.shape[-1]))
+            grads = (gb.reshape(bias.shape).copy(),)
+        gz *= scale
+        gq, gkt = _matmul_grads(gz, q.data, kt)
+        return (gq, np.swapaxes(gkt, -1, -2), gv) + grads
+
+    return _record(out, (q, k, v) + (() if bias is None else (bias,)), vjp)
 
 
 def cross_entropy_logits(logits: Tensor, targets) -> Tensor:
@@ -510,8 +572,11 @@ def topk_indices(x: np.ndarray, k: int) -> np.ndarray:
 def backward(tape: Tape, loss: Tensor):
     """Accumulate d(loss)/d(leaf) into each leaf's ``.grad``.
 
-    Returns {leaf: gradient array} for every leaf the loss reaches. A tape
-    can be walked once; build a fresh tape per step.
+    Returns {leaf: gradient array} for every leaf the loss reaches. Each
+    node is popped off ``tape.nodes`` as its VJP runs and then dropped, so
+    an intermediate's buffer is freed once its last consumer is done and
+    the tape is empty on return. A tape can be walked once; build a fresh
+    tape per step.
     """
     if loss.data.size != 1:
         raise GraphError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -522,22 +587,8 @@ def backward(tape: Tape, loss: Tensor):
     pending: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     holders: dict[int, Tensor] = {id(loss): loss}
     produced = {id(n.out) for n in tape.nodes}
-
-    for node in reversed(tape.nodes):
-        g = pending.pop(id(node.out), None)
-        holders.pop(id(node.out), None)
-        if g is None:
-            continue
-        grads = node.vjp(g)
-        for inp, gin in zip(node.inputs, grads):
-            if gin is None or not inp.requires_grad:
-                continue
-            key = id(inp)
-            if key in pending:
-                pending[key] = pending[key] + gin
-            else:
-                pending[key] = gin
-                holders[key] = inp
+    while tape.nodes:
+        _run_vjp(tape.nodes.pop(), pending, holders)
 
     leaf_grads: dict[Tensor, np.ndarray] = {}
     for key, g in pending.items():
@@ -547,6 +598,23 @@ def backward(tape: Tape, loss: Tensor):
         t.grad = g if t.grad is None else t.grad + g
         leaf_grads[t] = g
     return leaf_grads
+
+
+def _run_vjp(node: _Node, pending: dict, holders: dict) -> None:
+    """Pass the pending gradient of ``node``'s output on to its inputs; the caller holds no reference to ``node``."""
+    g = pending.pop(id(node.out), None)
+    holders.pop(id(node.out), None)
+    if g is None:
+        return
+    for inp, gin in zip(node.inputs, node.vjp(g)):
+        if gin is None or not inp.requires_grad:
+            continue
+        key = id(inp)
+        if key in pending:
+            pending[key] = pending[key] + gin
+        else:
+            pending[key] = gin
+            holders[key] = inp
 
 
 def grad_check(f, leaves, eps: float = 1e-5, samples_per_leaf: int = 24, seed: int = 0) -> float:

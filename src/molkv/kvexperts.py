@@ -13,9 +13,11 @@ the normalized token embedding. A block combines three expert signals:
 Training runs ``molkv_expert_pairs`` taped once per distinct id in the
 batch and gathers its rows to the positions; ``molkv_expert_terms`` is the
 own- plus cached-expert term that ``model.forward`` adds to the shared
-FFN's output. Export runs the pairs untaped on every token id. The
-per-token step that consumes them through a per-sequence cache is
-``molkv_step`` in :mod:`molkv.runtime`.
+FFN's output. Its cached-expert path is one ``autodiff.attention`` call:
+the second router is the bias and ``window_topk_mask`` the mask, so the
+tape holds the (b, s, s*N) softmax weights but not the scores. Export runs
+the pairs untaped on every token id. The per-token step that consumes them
+through a per-sequence cache is ``molkv_step`` in :mod:`molkv.runtime`.
 """
 
 from __future__ import annotations
@@ -27,10 +29,9 @@ import numpy as np
 
 from .autodiff import (
     Tensor,
+    attention,
     dense,
     embedding_lookup,
-    masked_softmax,
-    matmul,
     mul,
     reshape,
     rmsnorm,
@@ -43,7 +44,6 @@ from .autodiff import (
     tensor_sum,
     topk_indices,
     topk_mask,
-    transpose,
 )
 from .layers import NORM_EPS, ROPE_THETA, FFNParams, RowBuffer, rope_tables, swishglu_ffn
 
@@ -272,21 +272,17 @@ def molkv_expert_terms(h: Tensor, emb: Tensor, inverse: np.ndarray, params: MoLK
     gate = sigmoid(tensor_sum(mul(h, params.gate), axis=-1, keepdims=True))  # (b, s, 1)
     own = mul(tensor_sum(mul(values, reshape(s_own, (b, s, n, 1))), axis=2), gate)
 
-    # Cached-expert path: rotate queries and keys, score over all position
-    # pairs, mask to the strictly causal window, keep the top-k per query.
+    # Cached-expert path: rotate queries and keys, score every query against
+    # all s*N cached experts (slot-major, j*N + n) plus the second router,
+    # mask to the strictly causal window and keep the top-k per query.
     cos, sin = rope_tables(np.arange(s), dk, params.rope_theta, h.dtype)
     q_rot = rope_rotate(q, cos, sin)
     k_rot = rope_rotate(keys, cos[:, None, :], sin[:, None, :])  # (b, s, N, d')
-
-    k_flat = transpose(reshape(k_rot, (b, s * n, dk)), (0, 2, 1))  # (b, d', s*N)
-    scores = matmul(q_rot, k_flat) * params.qk_scale  # (b, t, j*N + n)
     new_router = dense(h, params.new_routers)  # (b, s, N)
-    scores = reshape(reshape(scores, (b, s, s, n)) + reshape(new_router, (b, s, 1, n)), (b, s, s * n))
-
     win = np.repeat(sliding_window_mask(s, window), n, axis=1)  # (s, s*N)
-    weights = masked_softmax(scores, window_topk_mask(scores.data, win, params.top_k), axis=-1)  # (b, s, s*N)
-    v_flat = reshape(values_normed, (b, s * n, d))
+    mixed = attention(q_rot, reshape(k_rot, (b, s * n, dk)), reshape(values_normed, (b, s * n, d)),
+                      lambda z: window_topk_mask(z, win, params.top_k), params.qk_scale, bias=new_router)
     new_gate = sigmoid(tensor_sum(mul(h, params.new_gate), axis=-1, keepdims=True))
-    new = mul(matmul(weights, v_flat), new_gate)
+    new = mul(mixed, new_gate)
 
     return own + new

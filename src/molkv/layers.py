@@ -5,10 +5,11 @@ Every formula below the block level is one numpy kernel in
 :mod:`molkv.autodiff` (RMSNorm, softmax, sigmoid, SiLU, the RoPE rotation)
 that the taped op runs for its forward; this module re-exports them. Two
 forms stay paired, and the tests hold each pair equal: the SwishGLU FFN,
-whose taped form is a chain of single-kernel ops and whose numpy form is
-one line, and attention, which is batched over a sequence in training and
-reads a KV cache in decoding. RoPE is ``rope_tables`` plus the rotation
-kernel: the per-token decoding functions here and in
+whose taped form is the fused ``autodiff.swishglu`` op and whose numpy
+form is one line, and attention, which is batched over a sequence in
+training (projections, RoPE and the fused ``autodiff.attention`` op under
+a causal mask) and reads a KV cache in decoding. RoPE is ``rope_tables``
+plus the rotation kernel: the per-token decoding functions here and in
 :mod:`molkv.kvexperts` take the current position's ``cos``/``sin`` tables
 as arguments, so a decode step builds each table once.
 """
@@ -23,21 +24,18 @@ import numpy as np
 from .autodiff import (
     ShapeError,
     Tensor,
+    attention,
     dense,
     embedding_lookup,
-    masked_softmax,
-    matmul,
-    mul,
     reshape,
     rmsnorm,
     rmsnorm_np,
     rope_rotate,
     rope_rotate_np,
-    scale,
     sigmoid_np,
-    silu,
     silu_np,
     softmax_np,
+    swishglu,
     transpose,
 )
 
@@ -123,7 +121,7 @@ def lookup_distinct(table: Tensor, ids) -> tuple[Tensor, np.ndarray]:
 
 def swishglu_ffn(x: Tensor, p: FFNParams) -> Tensor:
     """down(silu(x @ gate) * (x @ up)); maps (..., d) to (..., d_out)."""
-    return dense(mul(silu(dense(x, p.gate)), dense(x, p.up)), p.down)
+    return swishglu(x, p.gate, p.up, p.down)
 
 
 def swishglu_ffn_np(x: np.ndarray, p: FFNParams) -> np.ndarray:
@@ -158,11 +156,9 @@ def causal_attention(x: Tensor, p: AttnParams, theta: float = ROPE_THETA) -> Ten
     q = rope_rotate(q, cos, sin)
     k = rope_rotate(k, cos, sin)
 
-    # A Python float: a NumPy float64 scalar would promote fp32 scores to fp64.
-    logits = scale(matmul(q, transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(hd))  # (b, h, s, s)
     causal = np.tril(np.ones((s, s), dtype=bool))
-    w = masked_softmax(logits, causal, axis=-1)
-    ctx = matmul(w, v)  # (b, h, s, hd)
+    # A Python float: a NumPy float64 scalar would promote fp32 scores to fp64.
+    ctx = attention(q, k, v, causal, 1.0 / math.sqrt(hd))  # (b, h, s, hd)
     out = dense(reshape(transpose(ctx, (0, 2, 1, 3)), (b, s, d)), p.wo)
     return reshape(out, (s, d)) if squeeze else out
 

@@ -1,5 +1,8 @@
 """Tensor and tape behavior: forward values, gradients, selection rules."""
 
+import math
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,13 +13,14 @@ from molkv.autodiff import (
     ShapeError,
     Tape,
     Tensor,
+    _record,
     add,
+    attention,
     backward,
     cross_entropy_logits,
     dense,
     embedding_lookup,
     grad_check,
-    masked_softmax,
     matmul,
     mul,
     parameter,
@@ -25,16 +29,25 @@ from molkv.autodiff import (
     rmsnorm_np,
     rope_rotate,
     rope_rotate_np,
+    scale,
     sigmoid,
     sigmoid_np,
-    silu,
+    silu_np,
     softmax,
     softmax_np,
     stack,
+    swishglu,
     tensor_sum,
     topk_indices,
     transpose,
 )
+from molkv.kvexperts import sliding_window_mask, window_topk_mask
+
+
+def masked_weights(x: Tensor, mask) -> Tensor:
+    """The taped ``attention``'s softmax weights for logits ``x`` (..., s, t): q = x, k = v = I give them exactly."""
+    eye = Tensor(np.eye(x.shape[-1], dtype=x.dtype))
+    return attention(x, eye, eye, mask, 1.0)
 
 
 class TestMatmul:
@@ -80,7 +93,9 @@ class TestElementwise:
         assert sigmoid(Tensor([0.0])).data[0] == 0.5
 
     def test_silu_at_zero(self):
-        assert silu(Tensor([0.0])).data[0] == 0.0
+        assert silu_np(np.array([0.0]))[0] == 0.0
+        w = Tensor(np.ones((1, 1)))
+        assert swishglu(Tensor([0.0]), w, w, w).data.tolist() == [0.0]
 
     def test_sigmoid_symmetry(self):
         x = np.linspace(-20, 20, 41)
@@ -115,28 +130,30 @@ class TestElementwise:
 
 
 class TestMaskedSoftmax:
+    """The masked softmax inside ``attention``."""
+
     def test_uniform(self):
-        y = masked_softmax(Tensor([0.0, 0.0, 0.0]), np.ones(3, dtype=bool))
-        np.testing.assert_allclose(y.data, [1 / 3] * 3)
+        y = masked_weights(Tensor([[0.0, 0.0, 0.0]]), np.ones(3, dtype=bool))
+        np.testing.assert_allclose(y.data, [[1 / 3] * 3])
 
     def test_single_survivor(self):
-        y = masked_softmax(Tensor([5.0, 1.0]), np.array([False, True]))
-        assert y.data.tolist() == [0.0, 1.0]
+        y = masked_weights(Tensor([[5.0, 1.0]]), np.array([False, True]))
+        assert y.data.tolist() == [[0.0, 1.0]]
 
     def test_empty_slice_is_zero(self):
-        y = masked_softmax(Tensor([1.0, 2.0]), np.zeros(2, dtype=bool))
-        assert y.data.tolist() == [0.0, 0.0]
+        y = masked_weights(Tensor([[1.0, 2.0]]), np.zeros(2, dtype=bool))
+        assert y.data.tolist() == [[0.0, 0.0]]
 
     def test_masked_large_value_no_overflow(self):
-        y = masked_softmax(Tensor([1000.0, 1.0]), np.array([False, True]))
+        y = masked_weights(Tensor([[1000.0, 1.0]]), np.array([False, True]))
         assert np.all(np.isfinite(y.data))
-        assert y.data.tolist() == [0.0, 1.0]
+        assert y.data.tolist() == [[0.0, 1.0]]
 
     def test_rows_sum_to_one_or_zero(self):
         rng = np.random.default_rng(3)
         x = Tensor(rng.standard_normal((20, 7)))
         mask = rng.random((20, 7)) < 0.5
-        y = masked_softmax(x, mask).data
+        y = masked_weights(x, mask).data
         sums = y.sum(axis=-1)
         expect = (mask.sum(axis=-1) > 0).astype(float)
         np.testing.assert_allclose(sums, expect, atol=1e-12)
@@ -147,7 +164,7 @@ class TestMaskedSoftmax:
         x = parameter(rng.standard_normal((4, 6)))
         mask = rng.random((4, 6)) < 0.6
         w = rng.standard_normal((4, 6))
-        err = grad_check(lambda: tensor_sum(mul(masked_softmax(x, mask), Tensor(w))), [x])
+        err = grad_check(lambda: tensor_sum(mul(masked_weights(x, mask), Tensor(w))), [x])
         assert err < 1e-7
 
 
@@ -226,6 +243,31 @@ class TestBackward:
             loss = tensor_sum(add(y, y))
         backward(tape, loss)
         np.testing.assert_allclose(x.grad, [8.0])
+
+    def test_backward_empties_the_tape(self):
+        x = parameter(np.arange(4.0))
+        with Tape() as tape:
+            loss = tensor_sum(mul(sigmoid(x), x))
+        assert len(tape.nodes) == 3
+        backward(tape, loss)
+        assert tape.nodes == []
+
+    def test_intermediates_freed_before_the_leaves(self):
+        x = parameter(np.linspace(-1.0, 1.0, 6))
+        with Tape() as tape:
+            y = scale(x, 2.0)
+            z = sigmoid(y)
+            loss = tensor_sum(mul(z, z))
+        alive = weakref.ref(z.data)
+        del y, z
+        first = tape.nodes[0]  # scale's node: the last VJP backward runs
+        seen = []
+        vjp = first.vjp
+        first.vjp = lambda g: (seen.append(alive() is None), vjp(g))[1]
+        del first
+        backward(tape, loss)
+        assert seen == [True]
+        np.testing.assert_allclose(x.grad, 4.0 * sigmoid_np(2.0 * x.data) ** 2 * (1.0 - sigmoid_np(2.0 * x.data)))
 
 
 class TestGradCheck:
@@ -366,7 +408,7 @@ class TestAxisAndThreads:
     def test_masked_softmax_axis_zero(self):
         x = Tensor(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
         m = np.array([[True, False], [True, True], [False, True]])
-        y = masked_softmax(x, m, axis=0).data
+        y = softmax_np(x.data, 0, m)
         np.testing.assert_allclose(y.sum(axis=0), 1.0, atol=1e-12)
         assert y[2, 0] == 0.0 and y[0, 1] == 0.0
 
@@ -409,14 +451,15 @@ def test_softmax_matches_masked_all_true():
     rng = np.random.default_rng(13)
     x = rng.standard_normal((4, 5))
     np.testing.assert_array_equal(
-        softmax(Tensor(x)).data, masked_softmax(Tensor(x), np.ones((4, 5), bool)).data
+        softmax(Tensor(x)).data, masked_weights(Tensor(x), np.ones((4, 5), bool)).data
     )
 
 
 def test_forward_values_stay_finite():
     rng = np.random.default_rng(14)
     x = Tensor(rng.standard_normal((5, 8)) * 50)
-    for y in (sigmoid(x), silu(x), softmax(x), rmsnorm(x, Tensor(np.ones(8)))):
+    eye = Tensor(np.eye(8))
+    for y in (sigmoid(x), swishglu(x, eye, eye, eye), softmax(x), rmsnorm(x, Tensor(np.ones(8)))):
         assert np.all(np.isfinite(y.data))
 
 
@@ -440,9 +483,10 @@ class TestOneKernel:
         mask = rng.random((5, 6)) < 0.6
         mask[2, :] = False  # a fully masked slice along either axis
         mask[:, 3] = False
-        for m in (mask, None):
-            np.testing.assert_array_equal(softmax_np(x, axis, m), masked_softmax(Tensor(x), m, axis).data)
         np.testing.assert_array_equal(softmax_np(x, axis), softmax(Tensor(x), axis).data)
+        last = (lambda a: a.T) if axis == 0 else (lambda a: a)  # attention's softmax runs over the last axis
+        for m in (mask, np.ones_like(mask)):
+            np.testing.assert_array_equal(softmax_np(x, axis, m), last(masked_weights(Tensor(last(x)), last(m)).data))
         empty = (slice(None), 3) if axis == 0 else (2, slice(None))
         assert softmax_np(x, axis, mask)[empty].tolist() == [0.0] * len(x[empty])
 
@@ -538,11 +582,156 @@ class TestOldFormulas:
         mask[2] = False
         g = rng.standard_normal((3, 7, 7)).astype(dtype)
         with Tape() as tape:
-            y = masked_softmax(x, mask, axis=-1)
+            y = masked_weights(x, mask)
             loss = tensor_sum(mul(y, Tensor(g)))
         got = backward(tape, loss)[x]
         inner = (g * y.data).sum(axis=-1, keepdims=True)
         np.testing.assert_array_equal(got, y.data * (g - inner))
+
+
+def _old_masked_softmax(x: Tensor, mask) -> Tensor:
+    """The taped masked softmax that ``attention`` replaced, last axis."""
+    y = softmax_np(x.data, -1, mask)
+
+    def vjp(g):
+        gy = g * y
+        np.subtract(g, gy.sum(axis=-1, keepdims=True), out=gy)
+        return (np.multiply(gy, y, out=gy),)
+
+    return _record(Tensor(y), (x,), vjp)
+
+
+def _old_silu(x: Tensor) -> Tensor:
+    """The taped SiLU that ``swishglu`` replaced."""
+    d = x.data
+    s = sigmoid_np(d)
+    return _record(Tensor(d * s), (x,), lambda g: (g * (s + d * s * (1.0 - s)),))
+
+
+def _old_attention(q, k, v, mask, c, bias=None):
+    """The op chain ``attention`` replaced: the causal path's, or with ``bias`` the cached-expert path's."""
+    perm = tuple(range(k.ndim - 2)) + (k.ndim - 1, k.ndim - 2)
+    z = scale(matmul(q, transpose(k, perm)), c)
+    if bias is not None:
+        n = bias.shape[-1]
+        z = reshape(reshape(z, z.shape[:-1] + (z.shape[-1] // n, n)) + reshape(bias, bias.shape[:-1] + (1, n)), z.shape)
+    return matmul(_old_masked_softmax(z, mask(z.data) if callable(mask) else mask), v)
+
+
+def _old_swishglu(x, wg, wu, wd):
+    return dense(mul(_old_silu(dense(x, wg)), dense(x, wu)), wd)
+
+
+def _taped(f, inputs, g, extra=None):
+    """f(*inputs)'s output and every input's gradient for loss sum(out * g) [+ sum(extra(inputs[0]))]."""
+    leaves = [parameter(a) for a in inputs]
+    with Tape() as tape:
+        out = f(*leaves)
+        loss = tensor_sum(mul(out, Tensor(g)))
+        if extra is not None:
+            loss = loss + tensor_sum(extra(leaves[0]))
+    grads = backward(tape, loss)
+    return [out.data] + [grads[t] for t in leaves]
+
+
+def _molkv_case(rng, dtype, ties=True, b=2, s=9, n=2, dk=4, dv=6, window=3, k=3):
+    """Cached-expert scoring inputs: q, k, v, bias and the window top-k mask function."""
+    q = rng.standard_normal((b, s, dk)).astype(dtype)
+    keys = rng.standard_normal((b, s * n, dk)).astype(dtype)
+    if ties:  # equal scores: top-k ties go to the oldest slot
+        keys[:, 2:4] = keys[:, 6:8]
+    v = rng.standard_normal((b, s * n, dv)).astype(dtype)
+    bias = rng.standard_normal((b, s, n)).astype(dtype)
+    win = np.repeat(sliding_window_mask(s, window), n, axis=1)
+    return (q, keys, v, bias), lambda z: window_topk_mask(z, win, k)
+
+
+class TestFusedOps:
+    """``attention`` and ``swishglu`` give the bits of the op chains they replaced, output and gradients."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_attention_causal_is_old_chain(self, dtype):
+        rng = np.random.default_rng(31)
+        b, h, s, hd = 2, 3, 7, 4
+        q, k, v = (rng.standard_normal((b, h, s, hd)).astype(dtype) for _ in range(3))
+        g = rng.standard_normal((b, h, s, hd)).astype(dtype)
+        causal = np.tril(np.ones((s, s), dtype=bool))
+        c = 1.0 / math.sqrt(hd)
+        got = _taped(lambda *t: attention(*t, causal, c), (q, k, v), g)
+        want = _taped(lambda *t: _old_attention(*t, causal, c), (q, k, v), g)
+        for a, w in zip(got, want):
+            assert a.dtype == dtype
+            np.testing.assert_array_equal(a, w)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_attention_window_topk_with_bias_is_old_chain(self, dtype):
+        rng = np.random.default_rng(32)
+        inputs, mask = _molkv_case(rng, dtype)
+        g = rng.standard_normal(inputs[0].shape[:-1] + (inputs[2].shape[-1],)).astype(dtype)
+        c = 0.5
+        got = _taped(lambda q, k, v, bias: attention(q, k, v, mask, c, bias=bias), inputs, g)
+        want = _taped(lambda q, k, v, bias: _old_attention(q, k, v, mask, c, bias), inputs, g)
+        for a, w in zip(got, want):
+            assert a.dtype == dtype
+            np.testing.assert_array_equal(a, w)
+        assert not any(np.isnan(a).any() for a in got)
+        assert not got[0][:, 0].any()  # position 0 has no cached expert: zero weights, zero term
+
+    def test_attention_bias_gradient_with_one_key_group(self):
+        # t == g: the bias gradient is the unsummed logit gradient, which must not share the scaled buffer
+        rng = np.random.default_rng(33)
+        inputs = (rng.standard_normal((2, 3, 4)), rng.standard_normal((2, 2, 4)), rng.standard_normal((2, 2, 5)),
+                  rng.standard_normal((2, 3, 2)))
+        g = rng.standard_normal((2, 3, 5))
+        mask = np.ones((3, 2), dtype=bool)
+        got = _taped(lambda q, k, v, bias: attention(q, k, v, mask, 0.3, bias=bias), inputs, g)
+        want = _taped(lambda q, k, v, bias: _old_attention(q, k, v, mask, 0.3, bias), inputs, g)
+        for a, w in zip(got, want):
+            np.testing.assert_array_equal(a, w)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(6,), (5, 6), (2, 5, 6)])
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_swishglu_is_old_chain(self, dtype, shape, shared):
+        # shared: x also feeds a later op, so backward sums three gradients into x, in the old chain's order
+        rng = np.random.default_rng(34)
+        x = (3.0 * rng.standard_normal(shape)).astype(dtype)
+        ws = [rng.standard_normal(ws).astype(dtype) for ws in ((6, 11), (6, 11), (11, 4))]
+        g = rng.standard_normal(shape[:-1] + (4,)).astype(dtype)
+        h = Tensor(rng.standard_normal(shape).astype(dtype))
+        extra = (lambda t: mul(t, h)) if shared else None
+        got = _taped(swishglu, [x] + ws, g, extra)
+        want = _taped(_old_swishglu, [x] + ws, g, extra)
+        for a, w in zip(got, want):
+            assert a.dtype == dtype and a.shape == w.shape
+            np.testing.assert_array_equal(a, w)
+
+    def test_swishglu_shape_mismatch(self):
+        w = Tensor(np.ones((3, 4)))
+        with pytest.raises(ShapeError):
+            swishglu(Tensor(np.ones((2, 5))), w, w, Tensor(np.ones((4, 3))))
+        with pytest.raises(ShapeError):
+            swishglu(Tensor(np.ones((2, 3))), w, w, Tensor(np.ones((3, 3))))
+
+    def test_attention_gradients(self):
+        rng = np.random.default_rng(35)
+        q, k, v = (parameter(rng.standard_normal((2, 2, 5, 4))) for _ in range(3))
+        w = Tensor(rng.standard_normal((2, 2, 5, 4)))
+        causal = np.tril(np.ones((5, 5), dtype=bool))
+        assert grad_check(lambda: tensor_sum(mul(attention(q, k, v, causal, 0.5), w)), [q, k, v]) < 1e-7
+
+        inputs, mask = _molkv_case(rng, np.float64, ties=False)  # a tie would flip under central differences
+        leaves = [parameter(a) for a in inputs]
+        w = Tensor(rng.standard_normal((2, 9, 6)))
+        loss = lambda: tensor_sum(mul(attention(*leaves[:3], mask, 0.5, bias=leaves[3]), w))  # noqa: E731
+        assert grad_check(loss, leaves) < 1e-6
+
+    @pytest.mark.parametrize("shape", [(6,), (2, 5, 6)])
+    def test_swishglu_gradients(self, shape):
+        rng = np.random.default_rng(36)
+        leaves = [parameter(rng.standard_normal(s)) for s in (shape, (6, 11), (6, 11), (11, 4))]
+        w = Tensor(rng.standard_normal(shape[:-1] + (4,)))
+        assert grad_check(lambda: tensor_sum(mul(swishglu(*leaves), w)), leaves) < 1e-7
 
 
 @st.composite
