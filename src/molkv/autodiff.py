@@ -3,18 +3,21 @@
 Arrays are row-major numpy buffers in fp32 or fp64. Every differentiable
 operation records a node on the active tape (a thread-local stack), and
 ``backward`` pops the nodes in reverse to accumulate gradients into the
-leaves. A popped node is dropped with what its VJP kept, so each
+leaves. A node holds a handle for its output, not the output tensor, so an
+output that no VJP reads is freed during the forward. A popped node is
+dropped with what its VJP kept, so each
 activation is freed once its last consumer's VJP has run, and backward
 never holds more than the forward tape. Inference code simply runs with no
 tape active and pays no recording cost.
 
-Two fused ops keep the tape small: ``attention`` holds the softmax weights
-but not the two score arrays they come from, and ``swishglu`` holds its
-two pre-activations and recomputes the rest. Each one's gradient runs the
-numpy expressions of the op chain it replaced, in the same order, so it
-has that chain's bits. Gradient kernels keep the bits of their plain numpy
-forms (``np.add.at`` for gathers, ``np.where`` chains for the masked
-softmax).
+Two fused ops keep the tape small: ``attention`` holds, per block of
+queries, the softmax weights over the keys its mask reaches but not the
+scores, and ``swishglu`` holds its two pre-activations and recomputes the
+rest. Each one's gradient runs the numpy expressions of the op chain it
+replaced, in the same order: it has that chain's bits, except that over
+several blocks attention sums softmax rows and k, v gradients in another
+order. Gradient kernels keep the bits of their plain numpy forms
+(``np.add.at`` for gathers, ``np.where`` chains for the masked softmax).
 """
 
 from __future__ import annotations
@@ -53,11 +56,13 @@ __all__ = [
     "cross_entropy_logits",
     "topk_indices",
     "topk_mask",
+    "window_topk_mask",
     "backward",
     "grad_check",
 ]
 
 FLOAT_DTYPES = (np.float32, np.float64)
+ATTENTION_BLOCK = 64  # query rows per block of ``attention``
 GRAD_NOISE_FLOOR = 1e-6  # grad_check: a 1e-4 check reads rounding below it (1 ulp of loss / 2eps ~ 1e-11-1e-10)
 
 
@@ -77,7 +82,7 @@ class Tensor:
     backward calls, cleared by the caller).
     """
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad", "grad", "handle")
 
     def __init__(self, data, dtype=None, requires_grad: bool = False):
         arr = np.asarray(data, dtype=dtype)
@@ -86,6 +91,7 @@ class Tensor:
         self.data = np.ascontiguousarray(arr)
         self.requires_grad = requires_grad
         self.grad = None
+        self.handle = None  # set by the op that records this tensor on a tape
 
     @property
     def shape(self):
@@ -141,6 +147,8 @@ def parameter(data, dtype=None) -> Tensor:
 
 
 class _Node:
+    """One taped op: its output's handle, each input's ``Tape.key`` (None if it needs no gradient) and its VJP."""
+
     __slots__ = ("out", "inputs", "vjp")
 
     def __init__(self, out, inputs, vjp):
@@ -156,6 +164,7 @@ class Tape:
 
     def __init__(self):
         self.nodes: list[_Node] = []
+        self.produced: set[object] = set()  # the handles of the outputs recorded here
         self._consumed = False
 
     @classmethod
@@ -174,12 +183,18 @@ class Tape:
         Tape._local.stack.pop()
         return False
 
+    def key(self, t: Tensor):
+        """What backward files ``t``'s gradient under: its handle if recorded here, else the tensor, a leaf."""
+        return t.handle if t.handle in self.produced else t
+
 
 def _record(out: Tensor, inputs, vjp) -> Tensor:
     tape = Tape.active()
     if tape is not None and any(t.requires_grad for t in inputs):
         out.requires_grad = True
-        tape.nodes.append(_Node(out, tuple(inputs), vjp))
+        out.handle = object()
+        tape.produced.add(out.handle)
+        tape.nodes.append(_Node(out.handle, tuple(tape.key(t) if t.requires_grad else None for t in inputs), vjp))
     return out
 
 
@@ -233,10 +248,11 @@ def scale(a: Tensor, c: float) -> Tensor:
 def sigmoid_np(x: np.ndarray) -> np.ndarray:
     """Overflow-safe logistic function: exp only ever sees -|x|; one division, in place."""
     e = np.exp(-np.abs(x))
-    s = np.where(x >= 0, 1.0, e)
-    e += 1.0
-    s /= e
-    return s
+    d = e + 1.0
+    e *= x < 0
+    e += x >= 0  # e * (x < 0) + (x >= 0): np.where(x >= 0, 1.0, e) without a data-dependent select
+    e /= d
+    return e
 
 
 def silu_np(x: np.ndarray) -> np.ndarray:
@@ -304,7 +320,9 @@ def swishglu(x: Tensor, wg: Tensor, wu: Tensor, wd: Tensor) -> Tensor:
         sa = a * s
         gm, gwd = _matmul_grads(g.reshape(a.shape[:-1] + (-1,)), sa * u, wd.data)
         gx_up, gwu = _matmul_grads(gm * sa, xd, wu.data)
-        gx_gate, gwg = _matmul_grads(gm * u * (s + a * s * (1.0 - s)), xd, wg.data)
+        dsilu = np.subtract(1.0, s)  # s + a * s * (1 - s), the SiLU derivative, in one buffer
+        np.add(np.multiply(dsilu, sa, out=dsilu), s, out=dsilu)
+        gx_gate, gwg = _matmul_grads(np.multiply(gm * u, dsilu, out=dsilu), xd, wg.data)
         return gx_up.reshape(x.shape), gx_gate.reshape(x.shape), gwg, gwu, gwd
 
     return _record(out, (x, x, wg, wu, wd), vjp)
@@ -384,7 +402,8 @@ def softmax_np(x: np.ndarray, axis: int = -1, mask=None) -> np.ndarray:
     if mask is None:
         e = np.exp(x - x.max(axis=axis, keepdims=True))
         return e / e.sum(axis=axis, keepdims=True)
-    e = np.where(mask, x, -np.inf)
+    e = x.copy()
+    np.copyto(e, -np.inf, where=~mask)  # np.where(mask, x, -np.inf) in half its time on an attention block
     hi = e.max(axis=axis, keepdims=True)
     hi[~(hi > np.finfo(x.dtype).min / 2)] = 0.0  # fully masked slice: any finite pivot
     np.exp(np.subtract(e, hi, out=e), out=e)
@@ -406,43 +425,63 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return _record(Tensor(y), (x,), lambda g: (_softmax_grad(g, y, axis),))
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, mask, scale: float, bias: Tensor | None = None) -> Tensor:
-    """softmax(scale * q @ k^T [+ bias], over ``mask``) @ v as one taped op.
+def attention(q: Tensor, k: Tensor, v: Tensor, mask, scale: float, bias: Tensor | None = None,
+              top_k: int | None = None) -> Tensor:
+    """softmax(scale * q @ k^T [+ bias], over ``mask`` [and each row's top_k]) @ v as one taped op.
 
     q is (..., s, e), k (..., t, e) and v (..., t, f); the softmax runs over
-    the t keys. ``mask`` is a boolean array broadcastable to the (..., s, t)
-    logits, or a function of the scaled and biased logits that returns one;
-    a query with no key left gets all-zero weights. ``bias`` (..., s, g),
-    with g dividing t, is added to every run of g consecutive keys: key
-    j * g + n gets bias[..., n]. ``scale`` is a Python float, so fp32 logits
-    stay fp32.
+    the t keys. ``mask`` is an (s, t) boolean array, or one that broadcasts
+    to it, shared by the leading axes. With ``top_k``, a query keeps only its
+    top_k largest unmasked logits, lowest key index first among ties. A query
+    with no key left gets all-zero weights. ``bias`` (..., s, g), with g
+    dividing t, is added to every run of g consecutive keys: key j * g + n
+    gets bias[..., n]. ``scale`` is a Python float, so fp32 logits stay fp32.
 
-    The tape keeps q, the contiguous k^T, v and the weights, not the logits.
-    The gradient runs the numpy expressions of the matmul, bias add, scale,
-    masked softmax and matmul chain, in that chain's order, and has its bits.
+    Queries run in blocks of ``ATTENTION_BLOCK`` rows; a block scores only
+    the keys [lo, hi) that its rows of ``mask`` reach (in whole bias groups),
+    and the tape keeps q, the contiguous k^T, v and the blocks' weights. The
+    gradient runs each block through the op chain's numpy expressions, in order.
     """
     if q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2]:
         raise ShapeError(f"attention: q {q.shape}, k {k.shape}, v {v.shape}")
+    s, t = q.shape[-2], k.shape[-2]
+    mask = np.broadcast_to(mask, (s, t))
+    group = 1 if bias is None else bias.shape[-1]
     kt = np.ascontiguousarray(np.swapaxes(k.data, -1, -2))
-    z = q.data @ kt
-    z *= scale
-    if bias is not None:
-        grouped = z.shape[:-1] + (-1, bias.shape[-1])  # (..., s, t / g, g)
-        zg = z.reshape(grouped)
-        zg += bias.data[..., None, :]
-    w = softmax_np(z, -1, mask(z) if callable(mask) else mask)
-    out = Tensor(w @ v.data)
+    blocks, outs = [], []  # blocks: (first row, end row, first key, end key, weights)
+    for r0 in range(0, s, ATTENTION_BLOCK):
+        r1 = min(r0 + ATTENTION_BLOCK, s)
+        cols = np.flatnonzero(mask[r0:r1].any(axis=0))
+        lo, hi = (cols[0], cols[-1] + 1) if cols.size else (0, 0)
+        lo, hi = lo - lo % group, hi + -hi % group  # whole bias groups
+        w = q.data[..., r0:r1, :] @ kt[..., lo:hi]
+        w *= scale
+        if bias is not None:
+            wg = w.reshape(w.shape[:-1] + ((hi - lo) // group, group))  # (..., rows, keys / g, g)
+            wg += bias.data[..., r0:r1, None, :]
+        if hi > lo:
+            m = mask[r0:r1, lo:hi]
+            w = softmax_np(w, -1, m if top_k is None else window_topk_mask(w, m, top_k))
+        outs.append(w @ v.data[..., lo:hi, :])
+        blocks.append((r0, r1, lo, hi, w))
+    out = Tensor(np.concatenate(outs, axis=-2))
 
     def vjp(g):
-        gw, gv = _matmul_grads(g, w, v.data)
-        gz = _softmax_grad(gw, w, -1)
-        grads = ()
-        if bias is not None:  # a copy: with one key group, _unbroadcast returns gz itself, scaled in place below
-            gb = _unbroadcast(gz.reshape(grouped), bias.shape[:-1] + (1, bias.shape[-1]))
-            grads = (gb.reshape(bias.shape).copy(),)
-        gz *= scale
-        gq, gkt = _matmul_grads(gz, q.data, kt)
-        return (gq, np.swapaxes(gkt, -1, -2), gv) + grads
+        gq, gb = [], []
+        gkt, gv = np.zeros_like(kt), np.zeros_like(v.data)
+        for r0, r1, lo, hi, w in blocks:
+            gw, gvb = _matmul_grads(g[..., r0:r1, :], w, v.data[..., lo:hi, :])
+            gv[..., lo:hi, :] += gvb
+            gz = _softmax_grad(gw, w, -1)
+            if bias is not None:  # a new array, so scaling gz in place below leaves it be
+                gzg = gz.reshape(gz.shape[:-1] + ((hi - lo) // group, group))
+                gb.append(_unbroadcast(gzg.sum(axis=-2), bias.shape[:-2] + (r1 - r0, group)))
+            gz *= scale
+            gqb, gktb = _matmul_grads(gz, q.data[..., r0:r1, :], kt[..., lo:hi])
+            gq.append(gqb)
+            gkt[..., lo:hi] += gktb
+        grads = (np.concatenate(gq, axis=-2), np.swapaxes(gkt, -1, -2), gv)
+        return grads + (() if bias is None else (np.concatenate(gb, axis=-2),))
 
     return _record(out, (q, k, v) + (() if bias is None else (bias,)), vjp)
 
@@ -545,6 +584,12 @@ def topk_mask(keyed: np.ndarray, k: int) -> np.ndarray:
     return keep
 
 
+def window_topk_mask(scores: np.ndarray, win: np.ndarray, k: int) -> np.ndarray:
+    """Each row's k largest scores where ``win`` is True, lowest index first among ties: a stable argsort's top k."""
+    masked = np.where(win, scores, -np.inf)
+    return topk_mask(masked, min(k, masked.shape[-1])) & win
+
+
 def topk_indices(x: np.ndarray, k: int) -> np.ndarray:
     """Indices of a 1-D array's k largest entries, largest first, ties broken by lowest index.
 
@@ -584,37 +629,28 @@ def backward(tape: Tape, loss: Tensor):
         raise GraphError("tape already consumed; gradient accumulation without reset")
     tape._consumed = True
 
-    pending: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    holders: dict[int, Tensor] = {id(loss): loss}
-    produced = {id(n.out) for n in tape.nodes}
+    pending = {tape.key(loss): np.ones_like(loss.data)}  # handle or leaf tensor -> gradient
     while tape.nodes:
-        _run_vjp(tape.nodes.pop(), pending, holders)
+        _run_vjp(tape.nodes.pop(), pending)
 
     leaf_grads: dict[Tensor, np.ndarray] = {}
     for key, g in pending.items():
-        t = holders[key]
-        if id(t) in produced:
+        if key in tape.produced:
             continue  # unreached intermediate
-        t.grad = g if t.grad is None else t.grad + g
-        leaf_grads[t] = g
+        key.grad = g if key.grad is None else key.grad + g
+        leaf_grads[key] = g
     return leaf_grads
 
 
-def _run_vjp(node: _Node, pending: dict, holders: dict) -> None:
+def _run_vjp(node: _Node, pending: dict) -> None:
     """Pass the pending gradient of ``node``'s output on to its inputs; the caller holds no reference to ``node``."""
-    g = pending.pop(id(node.out), None)
-    holders.pop(id(node.out), None)
+    g = pending.pop(node.out, None)
     if g is None:
         return
-    for inp, gin in zip(node.inputs, node.vjp(g)):
-        if gin is None or not inp.requires_grad:
+    for key, gin in zip(node.inputs, node.vjp(g)):
+        if key is None or gin is None:
             continue
-        key = id(inp)
-        if key in pending:
-            pending[key] = pending[key] + gin
-        else:
-            pending[key] = gin
-            holders[key] = inp
+        pending[key] = pending[key] + gin if key in pending else gin
 
 
 def grad_check(f, leaves, eps: float = 1e-5, samples_per_leaf: int = 24, seed: int = 0) -> float:

@@ -13,9 +13,9 @@ the normalized token embedding. A block combines three expert signals:
 Training runs ``molkv_expert_pairs`` taped once per distinct id in the
 batch and gathers its rows to the positions; ``molkv_expert_terms`` is the
 own- plus cached-expert term that ``model.forward`` adds to the shared
-FFN's output. Its cached-expert path is one ``autodiff.attention`` call:
-the second router is the bias and ``window_topk_mask`` the mask, so the
-tape holds the (b, s, s*N) softmax weights but not the scores. Export runs
+FFN's output. Its cached-expert path is one ``autodiff.attention`` call
+with the window mask, the second router as bias and a top-k; each query
+block scores and keeps on the tape only its band of M*N slots. Export runs
 the pairs untaped on every token id. The per-token step that consumes them
 through a per-sequence cache is ``molkv_step`` in :mod:`molkv.runtime`.
 """
@@ -43,7 +43,6 @@ from .autodiff import (
     stack,
     tensor_sum,
     topk_indices,
-    topk_mask,
 )
 from .layers import NORM_EPS, ROPE_THETA, FFNParams, RowBuffer, rope_tables, swishglu_ffn
 
@@ -244,12 +243,6 @@ def sliding_window_mask(s: int, window: int) -> np.ndarray:
     return (j < t) & (j >= t - window)
 
 
-def window_topk_mask(scores: np.ndarray, win: np.ndarray, k: int) -> np.ndarray:
-    """Each row's k largest in-window scores, lowest index first among ties: a stable argsort's top k."""
-    masked = np.where(win, scores, -np.inf)
-    return topk_mask(masked, min(k, masked.shape[-1])) & win
-
-
 def molkv_expert_terms(h: Tensor, emb: Tensor, inverse: np.ndarray, params: MoLKVBlockParams, window: int) -> Tensor:
     """Own-expert plus cached-expert contributions for a whole batch.
 
@@ -281,7 +274,7 @@ def molkv_expert_terms(h: Tensor, emb: Tensor, inverse: np.ndarray, params: MoLK
     new_router = dense(h, params.new_routers)  # (b, s, N)
     win = np.repeat(sliding_window_mask(s, window), n, axis=1)  # (s, s*N)
     mixed = attention(q_rot, reshape(k_rot, (b, s * n, dk)), reshape(values_normed, (b, s * n, d)),
-                      lambda z: window_topk_mask(z, win, params.top_k), params.qk_scale, bias=new_router)
+                      win, params.qk_scale, bias=new_router, top_k=params.top_k)
     new_gate = sigmoid(tensor_sum(mul(h, params.new_gate), axis=-1, keepdims=True))
     new = mul(mixed, new_gate)
 

@@ -40,8 +40,9 @@ from molkv.autodiff import (
     tensor_sum,
     topk_indices,
     transpose,
+    window_topk_mask,
 )
-from molkv.kvexperts import sliding_window_mask, window_topk_mask
+from molkv.kvexperts import sliding_window_mask
 
 
 def masked_weights(x: Tensor, mask) -> Tensor:
@@ -116,6 +117,26 @@ class TestElementwise:
         assert got.dtype == dtype
         np.testing.assert_array_equal(got, want)
         assert sigmoid_np(x[3]) == want[3]  # a scalar input too
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+    def test_sigmoid_np_is_where_form(self, dtype):
+        # the branch-free select against the np.where form it replaced, bit for bit, NaN signs included
+        def where_form(x):
+            e = np.exp(-np.abs(x))
+            s = np.where(x >= 0, 1.0, e)
+            e += 1.0
+            s /= e
+            return s
+
+        fi = np.finfo(dtype)
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, fi.tiny / 4, -fi.tiny / 4, fi.tiny, fi.max, -fi.max]
+        x = np.concatenate([np.array(special), 20.0 * np.random.default_rng(6).standard_normal(229)]).astype(dtype)
+        bits = np.dtype(f"u{x.itemsize}")
+        with np.errstate(all="ignore"):
+            for arr in [x, x.reshape(2, 5, 24)] + [x[i, ...] for i in range(len(special))]:
+                got, want = np.asarray(sigmoid_np(arr)), np.asarray(where_form(arr))
+                assert got.dtype == want.dtype == dtype and got.shape == want.shape
+                np.testing.assert_array_equal(got.reshape(-1).view(bits), want.reshape(-1).view(bits))
 
     def test_broadcast_mul_gradients(self):
         rng = np.random.default_rng(2)
@@ -268,6 +289,46 @@ class TestBackward:
         backward(tape, loss)
         assert seen == [True]
         np.testing.assert_allclose(x.grad, 4.0 * sigmoid_np(2.0 * x.data) ** 2 * (1.0 - sigmoid_np(2.0 * x.data)))
+
+
+    def test_output_of_an_earlier_tape_is_a_leaf_of_a_later_one(self):
+        x = parameter(np.array([1.0, -2.0]))
+        with Tape():
+            y = mul(x, x)
+        with Tape() as tape:
+            loss = tensor_sum(mul(y, y))
+        assert set(backward(tape, loss)) == {y}
+        np.testing.assert_array_equal(y.grad, 2.0 * y.data)
+        assert x.grad is None
+
+    def test_unread_output_freed_during_the_forward(self):
+        # a transpose output that no VJP reads dies with its last reference, though the tape lives on
+        x = parameter(np.arange(12.0).reshape(3, 4))
+        with Tape() as tape:
+            y = transpose(x, (1, 0))
+            alive = weakref.ref(y.data)
+            loss = tensor_sum(scale(y, 2.0))
+        del y
+        assert alive() is None and len(tape.nodes) == 3
+        backward(tape, loss)
+        np.testing.assert_array_equal(x.grad, np.full((3, 4), 2.0))
+
+    def test_freed_output_id_reuse_is_harmless(self):
+        # tensors made after an output is freed may take its id; gradients are filed by handle, not id
+        x = parameter(np.arange(1.0, 7.0))
+        with Tape() as tape:
+            y = transpose(x, (0,))
+            z = scale(y, 3.0)
+            del y
+            later = [parameter(np.full(6, float(i))) for i in range(8)]  # in CPython, one likely takes y's id
+            loss = tensor_sum(mul(z, later[0]))
+            for c in later[1:]:
+                loss = add(loss, tensor_sum(mul(x, c)))
+        backward(tape, loss)
+        np.testing.assert_array_equal(x.grad, np.full(6, 28.0))  # 3 * later[0] + (1 + ... + 7)
+        np.testing.assert_array_equal(later[0].grad, 3.0 * x.data)
+        for c in later[1:]:
+            np.testing.assert_array_equal(c.grad, x.data)
 
 
 class TestGradCheck:
@@ -635,15 +696,14 @@ def _taped(f, inputs, g, extra=None):
 
 
 def _molkv_case(rng, dtype, ties=True, b=2, s=9, n=2, dk=4, dv=6, window=3, k=3):
-    """Cached-expert scoring inputs: q, k, v, bias and the window top-k mask function."""
+    """Cached-expert scoring inputs (q, k, v, bias), the window mask and top-k."""
     q = rng.standard_normal((b, s, dk)).astype(dtype)
     keys = rng.standard_normal((b, s * n, dk)).astype(dtype)
     if ties:  # equal scores: top-k ties go to the oldest slot
         keys[:, 2:4] = keys[:, 6:8]
     v = rng.standard_normal((b, s * n, dv)).astype(dtype)
     bias = rng.standard_normal((b, s, n)).astype(dtype)
-    win = np.repeat(sliding_window_mask(s, window), n, axis=1)
-    return (q, keys, v, bias), lambda z: window_topk_mask(z, win, k)
+    return (q, keys, v, bias), np.repeat(sliding_window_mask(s, window), n, axis=1), k
 
 
 class TestFusedOps:
@@ -666,10 +726,11 @@ class TestFusedOps:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_attention_window_topk_with_bias_is_old_chain(self, dtype):
         rng = np.random.default_rng(32)
-        inputs, mask = _molkv_case(rng, dtype)
+        inputs, win, top_k = _molkv_case(rng, dtype)
         g = rng.standard_normal(inputs[0].shape[:-1] + (inputs[2].shape[-1],)).astype(dtype)
         c = 0.5
-        got = _taped(lambda q, k, v, bias: attention(q, k, v, mask, c, bias=bias), inputs, g)
+        mask = lambda z: window_topk_mask(z, win, top_k)  # noqa: E731
+        got = _taped(lambda q, k, v, bias: attention(q, k, v, win, c, bias=bias, top_k=top_k), inputs, g)
         want = _taped(lambda q, k, v, bias: _old_attention(q, k, v, mask, c, bias), inputs, g)
         for a, w in zip(got, want):
             assert a.dtype == dtype
@@ -720,10 +781,10 @@ class TestFusedOps:
         causal = np.tril(np.ones((5, 5), dtype=bool))
         assert grad_check(lambda: tensor_sum(mul(attention(q, k, v, causal, 0.5), w)), [q, k, v]) < 1e-7
 
-        inputs, mask = _molkv_case(rng, np.float64, ties=False)  # a tie would flip under central differences
+        inputs, win, top_k = _molkv_case(rng, np.float64, ties=False)  # a tie would flip under central differences
         leaves = [parameter(a) for a in inputs]
         w = Tensor(rng.standard_normal((2, 9, 6)))
-        loss = lambda: tensor_sum(mul(attention(*leaves[:3], mask, 0.5, bias=leaves[3]), w))  # noqa: E731
+        loss = lambda: tensor_sum(mul(attention(*leaves[:3], win, 0.5, bias=leaves[3], top_k=top_k), w))  # noqa: E731
         assert grad_check(loss, leaves) < 1e-6
 
     @pytest.mark.parametrize("shape", [(6,), (2, 5, 6)])
@@ -732,6 +793,74 @@ class TestFusedOps:
         leaves = [parameter(rng.standard_normal(s)) for s in (shape, (6, 11), (6, 11), (11, 4))]
         w = Tensor(rng.standard_normal(shape[:-1] + (4,)))
         assert grad_check(lambda: tensor_sum(mul(swishglu(*leaves), w)), leaves) < 1e-7
+
+
+def _blocked_case(rng, dtype, s=150, n=2, window=40):
+    """A cached-expert case over three query blocks (the last partial) with integer scores, so top-k ties abound.
+
+    Rows 0-69 see no key, so the first block is empty and the second starts with empty rows.
+    """
+    q = rng.integers(-2, 3, (2, s, 4)).astype(dtype)
+    keys = rng.integers(-2, 3, (2, s * n, 4)).astype(dtype)
+    v = rng.standard_normal((2, s * n, 6)).astype(dtype)
+    bias = rng.integers(-2, 3, (2, s, n)).astype(dtype)
+    win = np.repeat(sliding_window_mask(s, window), n, axis=1)
+    win[:70] = False
+    return (q, keys, v, bias), win
+
+
+class TestBlockedAttention:
+    """``attention`` over several query blocks against the dense op chain it replaced.
+
+    Only summation order differs (softmax sums over fewer zeros, k and v gradients summed block by block), so
+    outputs and gradients agree to 1e-5 of each array's largest entry at fp32 and 1e-12 at fp64.
+    """
+
+    TOL = {np.float32: 1e-5, np.float64: 1e-12}
+
+    @staticmethod
+    def close(got, want, tol):
+        for a, w in zip(got, want):
+            assert a.dtype == w.dtype and a.shape == w.shape
+            np.testing.assert_allclose(a, w, rtol=0, atol=tol * np.abs(w).max())
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_causal_is_dense_chain(self, dtype):
+        rng = np.random.default_rng(37)
+        b, h, s, hd = 2, 2, 150, 4
+        q, k, v = (rng.standard_normal((b, h, s, hd)).astype(dtype) for _ in range(3))
+        g = rng.standard_normal((b, h, s, hd)).astype(dtype)
+        causal = np.tril(np.ones((s, s), dtype=bool))
+        got = _taped(lambda *t: attention(*t, causal, 0.5), (q, k, v), g)
+        want = _taped(lambda *t: _old_attention(*t, causal, 0.5), (q, k, v), g)
+        self.close(got, want, self.TOL[dtype])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_window_topk_with_bias_is_dense_chain(self, dtype):
+        rng = np.random.default_rng(38)
+        inputs, win = _blocked_case(rng, dtype)
+        g = rng.standard_normal((2, 150, 6)).astype(dtype)
+        mask = lambda z: window_topk_mask(z, win, 5)  # noqa: E731
+        got = _taped(lambda q, k, v, bias: attention(q, k, v, win, 0.5, bias=bias, top_k=5), inputs, g)
+        want = _taped(lambda q, k, v, bias: _old_attention(q, k, v, mask, 0.5, bias), inputs, g)
+        self.close(got, want, self.TOL[dtype])
+        assert not got[0][:, :70].any() and got[0][:, 70:].all(axis=-1).all()
+        scores = 0.5 * np.einsum("bse,bte->bst", inputs[0], inputs[1]) + np.tile(inputs[3], 150)
+        fifth, sixth = np.moveaxis(-np.sort(-np.where(win, scores, -np.inf), axis=-1)[..., 4:6], -1, 0)
+        assert (fifth == sixth)[:, [127, 128]].all()  # the k-th score ties on both sides of the second block edge
+
+    def test_gradients(self):
+        rng = np.random.default_rng(39)
+        inputs, win = _blocked_case(rng, np.float64)
+        leaves = [parameter(a + 0.1 * rng.standard_normal(a.shape)) for a in inputs]  # no ties to flip
+        w = Tensor(rng.standard_normal((2, 150, 6)))
+        loss = lambda: tensor_sum(mul(attention(*leaves[:3], win, 0.5, bias=leaves[3], top_k=5), w))  # noqa: E731
+        assert grad_check(loss, leaves, samples_per_leaf=12) < 1e-6
+        q, k, v = (parameter(rng.standard_normal((1, 2, 150, 4))) for _ in range(3))
+        causal = np.tril(np.ones((150, 150), dtype=bool))
+        w = Tensor(rng.standard_normal((1, 2, 150, 4)))
+        loss = lambda: tensor_sum(mul(attention(q, k, v, causal, 0.5), w))  # noqa: E731
+        assert grad_check(loss, [q, k, v], samples_per_leaf=12) < 1e-7
 
 
 @st.composite

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from molkv.autodiff import Tensor, grad_check, mul, parameter, rope_rotate_np, tensor_sum
+from molkv.autodiff import Tensor, grad_check, mul, parameter, rope_rotate_np, tensor_sum, window_topk_mask
 from molkv.kvexperts import (
     CacheStateError,
     ExpertKV,
@@ -17,7 +17,6 @@ from molkv.kvexperts import (
     molkv_query,
     molkv_select,
     sliding_window_mask,
-    window_topk_mask,
 )
 from molkv.layers import FFNParams, lookup_distinct, rmsnorm_np, rope_tables, sigmoid_np, softmax_np, swishglu_ffn
 from molkv.mole import MoLEBlockParams

@@ -202,7 +202,7 @@ def scaled_vjp(op, factor):
         out = op(*args, **kw)
         if Tape.active() is not None:  # central differences run untaped
             node = Tape.active().nodes[-1]
-            assert node.out is out
+            assert node.out is out.handle
             vjp = node.vjp
             node.vjp = lambda g: tuple(factor * gi for gi in vjp(g))
         return out

@@ -5,7 +5,10 @@ from pathlib import Path
 
 import numpy as np
 
-from molkv.autodiff import Tape, Tensor, mul, parameter, reshape, tensor_sum
+import pytest
+
+from molkv.autodiff import ATTENTION_BLOCK, Tape, Tensor, attention, mul, parameter, reshape, tensor_sum
+from molkv.kvexperts import sliding_window_mask
 from molkv.layers import AttnParams, causal_attention
 
 _spec = importlib.util.spec_from_file_location(
@@ -20,22 +23,56 @@ def test_each_buffer_counts_once_and_leaves_not_at_all():
     with Tape() as tape:
         y = reshape(x, (8, 4))  # a view of the leaf
         z = mul(y, y)  # 256 bytes, holding the leaf view in its VJP
-        w = reshape(z, (32,))  # a view of z
-        tensor_sum(w)  # an 8-byte scalar, holding w
+        w = reshape(z, (32,))  # a view of z, holding z in its VJP
+        tensor_sum(w)  # an 8-byte scalar that no VJP holds, holding w
     report = tape_bytes.tape_report(tape.nodes, Tensor)
-    assert report == {"reshape": [2, 0], "mul": [1, 256], "tensor_sum": [1, 8]}
+    assert report == {"reshape": [2, 256], "mul": [1, 0], "tensor_sum": [1, 0]}
 
 
-def test_causal_attention_keeps_one_score_array():
-    # the op chain before the fused attention op kept three: the raw, scaled and softmaxed scores
-    b, h, s, d = 2, 2, 5, 8
+def test_causal_attention_keeps_only_the_blocks_weights():
+    # the op chain before the fused attention op kept three (b, h, s, s) arrays: the raw, scaled and
+    # softmaxed scores; the unblocked op kept the last. Each block keeps its rows' causal prefix of keys.
+    b, h, s, d = 1, 2, 150, 8
     rng = np.random.default_rng(30)
     p = AttnParams(*(parameter(rng.standard_normal((d, d))) for _ in range(4)), n_heads=h)
     with Tape() as tape:
         causal_attention(parameter(rng.standard_normal((b, s, d))), p)
     bases = {id(a): a for node in tape.nodes
              for a in map(tape_bytes.base_of, tape_bytes.reachable_arrays((node.out, node.vjp), Tensor))}
-    assert [a.shape for a in bases.values()].count((b, h, s, s)) == 1
+    scores = sorted(a.shape for a in bases.values() if a.ndim == 4 and min(a.shape[-2:]) > d // h)  # not q, k^T, v
+    assert scores == [(b, h, 22, 150), (b, h, 64, 64), (b, h, 64, 128)]
+
+
+def _block_widths(mask, group):
+    """(rows, hi - lo) of each block of query rows: the key columns its mask rows reach, in whole groups."""
+    out = []
+    for r0 in range(0, mask.shape[0], ATTENTION_BLOCK):
+        cols = np.flatnonzero(mask[r0:r0 + ATTENTION_BLOCK].any(axis=0))
+        lo, hi = (cols[0] // group * group, -(-(cols[-1] + 1) // group) * group) if cols.size else (0, 0)
+        out.append((min(ATTENTION_BLOCK, mask.shape[0] - r0), hi - lo))
+    return out
+
+
+@pytest.mark.parametrize("case", ["causal", "window"])
+def test_attention_keeps_only_the_keys_each_block_reaches(case):
+    rng = np.random.default_rng(31)
+    s = 150  # three blocks, the last partial
+    if case == "causal":
+        inputs = [rng.standard_normal((2, 3, s, 4)) for _ in range(3)]
+        mask, group, extra = np.tril(np.ones((s, s), dtype=bool)), 1, {}
+    else:  # the cached-expert path: N=2 slots per position, window 40, top-k 5, the router as bias
+        inputs = [rng.standard_normal(shape) for shape in ((2, s, 4), (2, 2 * s, 4), (2, 2 * s, 6), (2, s, 2))]
+        mask, group, extra = np.repeat(sliding_window_mask(s, 40), 2, axis=1), 2, {"top_k": 5}
+        mask[:70] = False  # an empty first block
+    leaves = [parameter(a) for a in inputs]
+    with Tape() as tape:
+        attention(*leaves[:3], mask, 0.5, *leaves[3:], **extra)
+    (node,) = tape.nodes
+    held = {id(b): b for b in map(tape_bytes.base_of, tape_bytes.reachable_arrays(node.vjp, Tensor))}
+    widths = _block_widths(mask, group)
+    weights = sum(a.size for a in held.values()) - sum(a.size for a in inputs)  # all but q, k^T, v [, bias]
+    assert weights == np.prod(inputs[0].shape[:-2]) * sum(rows * width for rows, width in widths)
+    assert len(widths) == 3 and sum(rows * width for rows, width in widths) < mask.size
 
 
 def test_tiny_model_report(capsys):

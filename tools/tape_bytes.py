@@ -9,10 +9,11 @@ default this checkout's ``src``), so two source trees can be compared.
 
 After one taped forward of ``next_token_loss`` the tool prints the tape's
 node count and, per op kind (the op function that recorded the node), the
-bytes its nodes keep reachable: each node's output and the arrays its VJP
-closure holds. Each buffer counts once, by its numpy base, for the first
-node that reaches it, and no buffer of a tensor that no node produced (the
-parameters and constants) counts. A second forward and its backward then run under
+bytes its nodes keep reachable: the arrays its VJP closure holds, and its
+output where a node holds the output tensor (the ``molkv`` of a source tree
+from before nodes held a handle in its place). Each buffer counts once, by
+its numpy base, for the first node that reaches it, and no buffer of a
+leaf tensor that a node takes as input (the parameters) counts. A second forward and its backward then run under
 ``tracemalloc``, and the tool prints the peak traced bytes of the forward
 alone and of forward plus backward. MiB are 2**20 bytes.
 """
@@ -65,7 +66,8 @@ def op_kind(node) -> str:
 def tape_report(nodes, tensor_cls) -> dict[str, list[int]]:
     """{op kind: [nodes, bytes]} over ``nodes`` in tape order, each buffer counted once."""
     produced = {id(n.out) for n in nodes}
-    counted = {id(base_of(t.data)) for n in nodes for t in n.inputs if id(t) not in produced}
+    counted = {id(base_of(t.data)) for n in nodes for t in n.inputs
+               if isinstance(t, tensor_cls) and id(t) not in produced}
     report: dict[str, list[int]] = {}
     for node in nodes:
         row = report.setdefault(op_kind(node), [0, 0])
