@@ -67,7 +67,7 @@ def cmd_train(args) -> int:
     log_path = ckpt_path + ".log"
     with open(log_path, "a") as log_file:
         loss = train_run(state, corpus, man.train, steps, log_file=log_file)
-    save_checkpoint(ckpt_path, state, man.echo()["model"], man.train)
+    save_checkpoint(ckpt_path, state, man.train)
     val = evaluate(state.model, corpus.val_ids, man.train.seq_length, max_windows=man.train.eval_windows)
     print(f"trained {steps} steps: train loss {loss:.4f}, val loss {val:.4f}")
     print(f"checkpoint: {ckpt_path}\nmetrics log: {log_path}")

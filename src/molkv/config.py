@@ -90,11 +90,6 @@ class ModelConfig:
     def head_dim(self) -> int:
         return self.hidden_size // self.num_heads
 
-    @property
-    def expert_record_width(self) -> int:
-        """Parameters loaded from the store per (layer, id): N*(d+d')."""
-        return self.num_experts * (self.hidden_size + self.key_dim)
-
     def with_overrides(self, **kw) -> "ModelConfig":
         return replace(self, **kw)
 

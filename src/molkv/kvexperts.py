@@ -17,13 +17,15 @@ FFN's output. Its cached-expert path is one ``autodiff.attention`` call
 with the window mask, the second router as bias and a top-k; each query
 block scores and keeps on the tape only its band of M*N slots. Export runs
 the pairs untaped on every token id. The per-token step that consumes them
-through a per-sequence cache is ``molkv_step`` in :mod:`molkv.runtime`.
+is ``molkv_step`` in :mod:`molkv.runtime`; ``cache_insert`` appends each
+token's pairs to the sequence's :class:`~molkv.layers.KVCache` windowed to
+M positions, the same cache that backbone attention keeps unbounded.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,7 +46,7 @@ from .autodiff import (
     tensor_sum,
     topk_indices,
 )
-from .layers import NORM_EPS, ROPE_THETA, FFNParams, RowBuffer, rope_tables, swishglu_ffn
+from .layers import NORM_EPS, ROPE_THETA, FFNParams, KVCache, rope_tables, swishglu_ffn
 
 
 class CacheStateError(RuntimeError):
@@ -134,61 +136,17 @@ def compute_expert_kv(e_id: np.ndarray, params: MoLKVBlockParams) -> ExpertKV:
     return ExpertKV(keys=keys.data, values=values.data, values_normed=values_normed.data)
 
 
-# ---------------------------------------------------------------------------
-# sliding-window cache
-# ---------------------------------------------------------------------------
+def cache_insert(cache: KVCache, position: int, kv: ExpertKV, cos, sin) -> KVCache:
+    """Append ``position``'s keys rotated by its RoPE tables ``cos``/``sin`` and its normed values.
 
-
-@dataclass
-class KVExpertCache:
-    """RoPE-rotated keys and normalized values of the last M tokens.
-
-    Keys and values are rows of two :class:`~molkv.layers.RowBuffer` s of
-    2M slots. An insert writes one slot in place; once the buffers are full,
-    the newest M - 1 slots move to the front, one copy per M + 1 inserts.
-    ``keys_rot`` (m, N, d') and ``values`` (m, N, d) are contiguous views of
-    the live slots, oldest to newest, so a flat index into them is a
-    logical slot index. ``positions`` are consecutive and end one before
-    the token currently being decoded.
+    ``cache`` is the layer's windowed :class:`~molkv.layers.KVCache` of
+    (N, d') key and (N, d) value rows; it keeps the last M positions.
     """
-
-    window: int  # M
-    num_experts: int
-    key_dim: int
-    hidden_size: int
-    dtype: np.dtype = np.dtype(np.float64)
-    next_position: int = field(default=0, init=False)
-
-    def __post_init__(self):
-        slots = 2 * self.window
-        self._keys = RowBuffer((self.num_experts, self.key_dim), self.dtype, slots, self.window)
-        self._values = RowBuffer((self.num_experts, self.hidden_size), self.dtype, slots, self.window)
-
-    def __len__(self) -> int:
-        return len(self._keys)
-
-    @property
-    def keys_rot(self) -> np.ndarray:
-        return self._keys.view
-
-    @property
-    def values(self) -> np.ndarray:
-        return self._values.view
-
-    @property
-    def positions(self) -> list[int]:
-        return list(range(self.next_position - len(self), self.next_position))
-
-
-def cache_insert(cache: KVExpertCache, position: int, kv: ExpertKV, cos, sin) -> KVExpertCache:
-    """Rotate keys by ``cos``/``sin``, ``position``'s RoPE tables, append, evict the oldest beyond M."""
     if position != cache.next_position:
         if cache.next_position:
             raise CacheStateError(f"cache holds ..{cache.next_position - 1}, cannot insert position {position}")
         raise CacheStateError(f"empty cache starts at position 0, got {position}")
-    cache._keys.append(rope_rotate_np(kv.keys, cos, sin))
-    cache._values.append(kv.values_normed)
-    cache.next_position += 1
+    cache.append(rope_rotate_np(kv.keys, cos, sin), kv.values_normed)
     return cache
 
 
@@ -203,16 +161,15 @@ def molkv_query(h: np.ndarray, params: MoLKVBlockParams, cos, sin):
     return q, rope_rotate_np(q, cos, sin)
 
 
-def molkv_new_scores(q_rot: np.ndarray, h: np.ndarray, cache: KVExpertCache, params: MoLKVBlockParams) -> np.ndarray:
+def molkv_new_scores(q_rot: np.ndarray, h: np.ndarray, cache: KVCache, params: MoLKVBlockParams) -> np.ndarray:
     """Flattened (slot-major) scores over the cached experts.
 
     S[j*N + n] = (K_rot[j, n] . q_rot) / sqrt(d') + (h . new_router_n).
     """
-    m = len(cache)
+    m, n, dk = cache.k.shape
     if m == 0:
         return np.zeros(0, dtype=q_rot.dtype)
-    n = cache.num_experts
-    qk = cache.keys_rot.reshape(m * n, cache.key_dim) @ q_rot * params.qk_scale
+    qk = cache.k.reshape(m * n, dk) @ q_rot * params.qk_scale
     router = h @ params.new_routers.data  # (N,)
     return (qk.reshape(m, n) + router).reshape(m * n)
 

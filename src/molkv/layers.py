@@ -8,10 +8,12 @@ forms stay paired, and the tests hold each pair equal: the SwishGLU FFN,
 whose taped form is the fused ``autodiff.swishglu`` op and whose numpy
 form is one line, and attention, which is batched over a sequence in
 training (projections, RoPE and the fused ``autodiff.attention`` op under
-a causal mask) and reads a KV cache in decoding. RoPE is ``rope_tables``
-plus the rotation kernel: the per-token decoding functions here and in
-:mod:`molkv.kvexperts` take the current position's ``cos``/``sin`` tables
-as arguments, so a decode step builds each table once.
+a causal mask) and reads a :class:`KVCache` in decoding. The same cache,
+windowed to the last M positions, holds the cached key-value experts of
+:mod:`molkv.kvexperts`. RoPE is ``rope_tables`` plus the rotation kernel:
+the per-token decoding functions here and in :mod:`molkv.kvexperts` take
+the current position's ``cos``/``sin`` tables as arguments, so a decode
+step builds each table once.
 """
 
 from __future__ import annotations
@@ -42,8 +44,7 @@ from .autodiff import (
 __all__ = [
     "FFNParams",
     "AttnParams",
-    "AttentionCache",
-    "RowBuffer",
+    "KVCache",
     "lookup_distinct",
     "rmsnorm",  # re-exports: the kernels and taped ops live in autodiff
     "rmsnorm_np",
@@ -163,84 +164,67 @@ def causal_attention(x: Tensor, p: AttnParams, theta: float = ROPE_THETA) -> Ten
     return reshape(out, (s, d)) if squeeze else out
 
 
-class RowBuffer:
-    """Rows appended along axis 0 of a preallocated array, kept in arrival order.
+class KVCache:
+    """Keys and values of one decoding sequence, one row of each per position, oldest first.
 
-    ``view`` is the contiguous slice ``[start:end]`` of the live rows, oldest
-    first. An append writes one row in place. When the array is full, the
-    rows still needed after this append move to its front, or to a new
-    array of twice the capacity if they would fill more than half of it.
-    So an unbounded buffer doubles, amortized O(1) per append, and a buffer
-    with ``window`` M and capacity 2M keeps its array and moves M - 1 rows
-    once every M + 1 appends.
+    Two preallocated arrays share one ``start``/``end`` pair; ``k`` and ``v``
+    are contiguous views of the live rows, and ``next_position`` counts the
+    appends. An append writes one row of each in place. When the arrays are
+    full, the rows still needed after this append move to their front, or to
+    new arrays of twice the rows if they would fill more than half. So an
+    unbounded cache starts at ``INITIAL_ROWS`` and doubles, amortized O(1)
+    per append, and a cache with ``window`` M holds 2M rows and moves the
+    newest M - 1 to the front once every M + 1 appends.
     """
 
-    def __init__(self, row_shape, dtype, capacity: int, window: int | None = None):
-        self._buf = np.empty((capacity,) + tuple(row_shape), dtype=dtype)
+    INITIAL_ROWS = 32  # rows of an unbounded cache before the first doubling
+
+    def __init__(self, key_shape, value_shape, dtype, window: int | None = None):
+        rows = self.INITIAL_ROWS if window is None else 2 * window
+        self._k = np.empty((rows, *key_shape), dtype=dtype)
+        self._v = np.empty((rows, *value_shape), dtype=dtype)
         self.window = window
-        self.start = 0
-        self.end = 0
+        self.start = self.end = self.next_position = 0
 
     def __len__(self):
         return self.end - self.start
 
     @property
-    def view(self) -> np.ndarray:
-        return self._buf[self.start : self.end]
+    def k(self) -> np.ndarray:
+        return self._k[self.start : self.end]
 
-    def append(self, row: np.ndarray) -> None:
-        if self.end == len(self._buf):
+    @property
+    def v(self) -> np.ndarray:
+        return self._v[self.start : self.end]
+
+    def append(self, k: np.ndarray, v: np.ndarray) -> None:
+        rows = len(self._k)
+        if self.end == rows:
             keep = len(self) if self.window is None else min(len(self), self.window - 1)
-            buf = self._buf
-            if 2 * keep > len(buf):
-                buf = np.empty((2 * len(buf),) + buf.shape[1:], dtype=buf.dtype)
-            buf[:keep] = self._buf[self.end - keep : self.end]
-            self._buf, self.start, self.end = buf, 0, keep
-        self._buf[self.end] = row
+            old_k, old_v = self._k, self._v
+            if 2 * keep > rows:
+                self._k = np.empty((2 * rows, *old_k.shape[1:]), dtype=old_k.dtype)
+                self._v = np.empty((2 * rows, *old_v.shape[1:]), dtype=old_v.dtype)
+            self._k[:keep] = old_k[self.end - keep : self.end]
+            self._v[:keep] = old_v[self.end - keep : self.end]
+            self.start, self.end = 0, keep
+        self._k[self.end] = k
+        self._v[self.end] = v
         self.end += 1
+        self.next_position += 1
         if self.window is not None and len(self) > self.window:
             self.start += 1
 
 
-class AttentionCache:
-    """Backbone KV cache for one decoding sequence (RoPE-rotated keys).
-
-    Keys and values are slot-major (t, heads, head_dim) rows of two
-    unbounded :class:`RowBuffer` s, so an append is amortized O(1); ``k``
-    and ``v`` are contiguous views of the t cached positions in order.
-    """
-
-    INITIAL_ROWS = 32  # rows before the first doubling
-
-    def __init__(self, n_heads: int, head_dim: int, dtype):
-        self._k = RowBuffer((n_heads, head_dim), dtype, self.INITIAL_ROWS)
-        self._v = RowBuffer((n_heads, head_dim), dtype, self.INITIAL_ROWS)
-
-    def __len__(self):
-        return len(self._k)
-
-    @property
-    def k(self) -> np.ndarray:
-        return self._k.view
-
-    @property
-    def v(self) -> np.ndarray:
-        return self._v.view
-
-    def append(self, k: np.ndarray, v: np.ndarray) -> None:
-        self._k.append(k)
-        self._v.append(v)
-
-
 def causal_attention_step(
-    x: np.ndarray, p: AttnParams, cache: AttentionCache, cos: np.ndarray, sin: np.ndarray
+    x: np.ndarray, p: AttnParams, cache: KVCache, cos: np.ndarray, sin: np.ndarray
 ) -> np.ndarray:
     """One-token attention; appends this position's k/v to the cache.
 
     ``cos``/``sin`` are the position's RoPE tables, ``rope_tables(t, hd,
-    theta, dtype)`` with t = len(cache), which rotate q and k. Scores and
-    mixes per head with batched matmul over transposed views of the
-    slot-major cache: (h, 1, hd) @ (h, hd, t), then (h, 1, t) @ (h, t, hd).
+    theta, dtype)`` with t = ``cache.next_position``, which rotate q and k.
+    Scores and mixes per head with batched matmul over transposed views of
+    the slot-major cache: (h, 1, hd) @ (h, hd, t), then (h, 1, t) @ (h, t, hd).
     """
     d = x.shape[-1]
     h = p.n_heads

@@ -2,7 +2,9 @@
 
 Each decode step advances one token through embedding, every layer, the
 final norm and the output projection, reading the current token's expert
-record from the store in expert-bearing layers. ``mole_step`` and
+record from the store in expert-bearing layers. A ``DecoderState`` keeps
+one ``layers.KVCache`` per layer for backbone attention and one windowed to
+the last M tokens per key-value expert layer. ``mole_step`` and
 ``molkv_step``, the one per-token form of each expert block, return the
 expert term that ``decode_step`` adds to the shared FFN's output; the
 acceptance suite holds ``decode_step``'s logits to ``model.forward``'s.
@@ -26,7 +28,6 @@ import numpy as np
 from .config import ModelConfig
 from .kvexperts import (
     ExpertKV,
-    KVExpertCache,
     MoLKVBlockParams,
     cache_insert,
     molkv_augmented_routing,
@@ -34,8 +35,7 @@ from .kvexperts import (
     molkv_query,
     molkv_select,
 )
-from .layers import (AttentionCache, causal_attention_step, rmsnorm_np, rope_tables, sigmoid_np, softmax_np,
-                     swishglu_ffn_np)
+from .layers import KVCache, causal_attention_step, rmsnorm_np, rope_tables, sigmoid_np, softmax_np, swishglu_ffn_np
 from .mole import MoLEBlockParams, mole_routing
 from .model import ModelParams
 from .store import ExpertRecord, ExpertStoreReader, StoreFormatError
@@ -102,17 +102,12 @@ class DecoderState:
                     f"does not match the model configuration's {want}"
                 )
         self.position = 0
-        self.attn_caches = [AttentionCache(cfg.num_heads, cfg.head_dim, self.dtype) for _ in range(cfg.num_layers)]
-        self.expert_caches: dict[int, KVExpertCache] = {}
-        if cfg.kind == "molkv":
-            for li in cfg.expert_layers:
-                self.expert_caches[li] = KVExpertCache(
-                    window=cfg.cache_window,
-                    num_experts=cfg.num_experts,
-                    key_dim=cfg.key_dim,
-                    hidden_size=cfg.hidden_size,
-                    dtype=self.dtype,
-                )
+        heads = (cfg.num_heads, cfg.head_dim)
+        self.attn_caches = [KVCache(heads, heads, self.dtype) for _ in range(cfg.num_layers)]
+        # rotated (N, d') keys and normed (N, d) values of the last M tokens
+        expert_rows = (cfg.num_experts, cfg.key_dim), (cfg.num_experts, cfg.hidden_size)
+        self.expert_caches = {li: KVCache(*expert_rows, self.dtype, cfg.cache_window)
+                              for li in cfg.expert_layers} if cfg.kind == "molkv" else {}
         self.rows: list[CostRow] = []
         self.expert_layer_index = {li: i for i, li in enumerate(cfg.expert_layers)}  # model layer -> store layer
         # (dim, theta) of each RoPE table a step rotates with: attention heads, key-value queries and keys
@@ -215,7 +210,7 @@ def expert_kv(record: ExpertRecord, params: MoLKVBlockParams, dtype) -> ExpertKV
     )
 
 
-def molkv_step(h: np.ndarray, position: int, cache: KVExpertCache, kv: ExpertKV, params: MoLKVBlockParams, cos, sin):
+def molkv_step(h: np.ndarray, position: int, cache: KVCache, kv: ExpertKV, params: MoLKVBlockParams, cos, sin):
     """Own-expert plus cached-expert term of one token; returns (term, k_eff).
 
     ``cos``/``sin`` are ``position``'s RoPE tables of width d' / 2; they
@@ -228,7 +223,7 @@ def molkv_step(h: np.ndarray, position: int, cache: KVExpertCache, kv: ExpertKV,
     term = sigmoid_np(h @ params.gate.data) * (molkv_augmented_routing(h, q, kv, params) @ kv.values)
     idx, weights = molkv_select(molkv_new_scores(q_rot, h, cache, params), params.top_k)
     if idx.size:
-        cached = cache.values.reshape(-1, cache.hidden_size)[idx]
+        cached = cache.v.reshape(-1, cache.v.shape[-1])[idx]
         term = term + sigmoid_np(h @ params.new_gate.data) * (weights @ cached)
     cache_insert(cache, position, kv, cos, sin)
     return term, int(idx.size)

@@ -12,7 +12,7 @@ import math
 import operator
 import struct
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -146,6 +146,12 @@ class TrainConfig:
         self.betas = tuple(self.betas)
         if len(self.betas) != 2 or not all(0.0 <= b < 1.0 for b in self.betas):
             raise ConfigError(f"betas must be two values in [0, 1), got {self.betas}")
+        for name, least in (("seq_length", 1), ("batch_size", 1), ("grad_accum", 1), ("eval_windows", 1),
+                            ("steps", 0), ("warmup_steps", 0)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)}")
+        if not 0.0 < self.val_fraction < 1.0:  # NaN fails too
+            raise ConfigError(f"val_fraction must be finite and in (0, 1), got {self.val_fraction}")
         # grad_clip 0 means no clipping (AdamW.step)
         check_finite(self, positive=("lr", "init_std", "adam_eps"), nonnegative=("min_lr", "weight_decay", "grad_clip"))
         if self.warmup_steps > self.steps:
@@ -317,8 +323,8 @@ def evaluate(model: ModelParams, val_ids: np.ndarray, seq_length: int, max_windo
 # ---------------------------------------------------------------------------
 
 
-def save_checkpoint(path, state: TrainState, model_config_dict: dict, train_cfg: TrainConfig) -> None:
-    """Versioned binary container: JSON header plus raw little-endian arrays."""
+def save_checkpoint(path, state: TrainState, train_cfg: TrainConfig) -> None:
+    """Versioned binary container: JSON header, with the model's configuration, plus raw little-endian arrays."""
     arrays: list[tuple[str, np.ndarray]] = []
     for name, p in state.model.named_parameters():
         arrays.append(("param/" + name, p.data))
@@ -336,7 +342,7 @@ def save_checkpoint(path, state: TrainState, model_config_dict: dict, train_cfg:
         "version": CHECKPOINT_VERSION,
         "step": state.step,
         "adam_t": state.optimizer.t,
-        "model_config": model_config_dict,
+        "model_config": asdict(state.model.config),
         "train_config": {**train_cfg.__dict__, "betas": list(train_cfg.betas)},
         "rng_state": _encode_rng_state(state.rng),
         "entries": entries,
@@ -356,7 +362,9 @@ def save_checkpoint(path, state: TrainState, model_config_dict: dict, train_cfg:
 def load_checkpoint(path, model_config, train_cfg: TrainConfig) -> TrainState:
     """Rebuild a TrainState that continues bit-identically.
 
-    ConfigError if the file is not a checkpoint, is truncated or corrupt, or does not fit the configs.
+    ConfigError if the file is not a checkpoint, is truncated or corrupt, or does not fit the configs:
+    its arrays must have the shapes and dtypes they give, and its model configuration must equal
+    ``model_config`` field by field.
     """
     with open(path, "rb") as f:
         data = f.read()
@@ -372,6 +380,7 @@ def load_checkpoint(path, model_config, train_cfg: TrainConfig) -> TrainState:
     try:
         header = json.loads(data[20 : 20 + blob_len].decode())
         step, adam_t, rng = header["step"], header["adam_t"], _decode_rng_state(header["rng_state"])
+        saved_config = dict(header["model_config"])
         by_name = {e["name"]: (np.dtype(e["dtype"]), tuple(e["shape"]), operator.index(e["offset"]))
                    for e in header["entries"]}
     except (KeyError, TypeError, ValueError) as e:  # JSON and UTF-8 decoding errors are ValueErrors
@@ -396,6 +405,11 @@ def load_checkpoint(path, model_config, train_cfg: TrainConfig) -> TrainState:
         p.data = fetch("param/" + name, p.data)
         state.optimizer.m[name] = fetch("adam_m/" + name, state.optimizer.m[name])
         state.optimizer.v[name] = fetch("adam_v/" + name, state.optimizer.v[name])
+    given = json.loads(json.dumps(asdict(model_config)))  # tuples as lists, as saved
+    differ = [f"{k}: checkpoint {saved_config.get(k)!r}, given {v!r}"
+              for k, v in given.items() if saved_config.get(k) != v]
+    if differ:
+        raise ConfigError(f"checkpoint was saved under a different model configuration: {'; '.join(differ)}")
     return state
 
 

@@ -20,9 +20,8 @@ import numpy as np
 
 from .autodiff import Tensor, grad_check, mul, rope_rotate_np, tensor_sum
 from .config import ModelConfig, published_config
-from .kvexperts import (KVExpertCache, compute_expert_kv, molkv_expert_terms, molkv_new_scores, molkv_query,
-                        molkv_select)
-from .layers import lookup_distinct, rope_tables, sigmoid_np, softmax_np, swishglu_ffn
+from .kvexperts import compute_expert_kv, molkv_expert_terms, molkv_new_scores, molkv_query, molkv_select
+from .layers import KVCache, lookup_distinct, rope_tables, sigmoid_np, softmax_np, swishglu_ffn
 from .model import forward, init_model
 from .runtime import DecoderState, closed_form_costs, decode_step, molkv_step
 from .store import ExpertStoreReader, count_params, reparameterize, write_store
@@ -396,7 +395,7 @@ def check_window_edges():
     h = rng.standard_normal(cfg.hidden_size)
     token = 7
     kv = compute_expert_kv(model.embedding.data[token], block)
-    cache = KVExpertCache(window=cfg.cache_window, num_experts=2, key_dim=cfg.key_dim, hidden_size=cfg.hidden_size)
+    cache = KVCache((cfg.num_experts, cfg.key_dim), (cfg.num_experts, cfg.hidden_size), np.float64, cfg.cache_window)
     term, k_eff = molkv_step(h, 0, cache, kv, block, *rope_tables(0, cfg.key_dim, block.rope_theta))
     q = h @ block.query_proj.data
     s_own = softmax_np(h @ block.routers.data + kv.keys @ q * block.qk_scale)
@@ -520,7 +519,6 @@ def check_determinism():
         dtype="fp64",
     )
     corpus = Corpus.from_bytes(synthesize_corpus(40_000, seed=13))
-    cfg_dict = {"kind": cfg.kind}
     failures = []
     with tempfile.TemporaryDirectory() as tmp:
 
@@ -529,11 +527,11 @@ def check_determinism():
             train_run(state, corpus, tcfg, steps_a)
             if steps_b:
                 mid = os.path.join(tmp, name + ".mid")
-                save_checkpoint(mid, state, cfg_dict, tcfg)
+                save_checkpoint(mid, state, tcfg)
                 state = load_checkpoint(mid, cfg, tcfg)
                 train_run(state, corpus, tcfg, steps_b)
             path = os.path.join(tmp, name + ".ckpt")
-            save_checkpoint(path, state, cfg_dict, tcfg)
+            save_checkpoint(path, state, tcfg)
             with open(path, "rb") as f:
                 return f.read()
 

@@ -182,6 +182,16 @@ def test_nan_manifest_exit_code(tmp_path, capsys):
     assert "lr must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field,value", [("seq_length", 0), ("batch_size", 0), ("grad_accum", 0),
+                                         ("eval_windows", 0), ("steps", -3), ("warmup_steps", -5),
+                                         ("val_fraction", math.nan), ("val_fraction", 0.0), ("val_fraction", 1.0)])
+def test_train_count_or_fraction_out_of_range_exit_code(tmp_path, capsys, field, value):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**tiny_doc(), "train": {field: value}}))
+    assert main(["train", "--manifest", str(bad)]) == 2
+    assert f"error: {field} must be" in capsys.readouterr().err
+
+
 @pytest.fixture
 def workspace(tmp_path):
     """A manifest plus corpus wired to tmp_path, ready for the CLI."""
@@ -260,6 +270,20 @@ class TestPipeline:
         (blob_len,) = struct.unpack_from("<Q", raw, 12)
         assert json.loads(raw[20 : 20 + blob_len])["train_config"]["steps"] == 5
 
+    @pytest.mark.parametrize("field,value", [("top_k", 1), ("rope_theta", 500.0)])
+    def test_decode_refuses_checkpoint_of_another_config(self, workspace, capsys, field, value):
+        tmp, manifest = workspace
+        assert main(["train", "--manifest", str(manifest), "--steps", "1"]) == 0
+        raw = (tmp / "model.ckpt").read_bytes()
+        (blob_len,) = struct.unpack_from("<Q", raw, 12)
+        assert json.loads(raw[20 : 20 + blob_len])["model_config"] == parse_manifest(manifest).echo()["model"]
+        doc = json.loads(manifest.read_text())
+        doc["model"][field] = value
+        manifest.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["decode", "--manifest", str(manifest), "--prompt", "a"]) == 2
+        assert f"{field}: checkpoint" in capsys.readouterr().err
+
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(tiny_doc(top_k=0)))
@@ -313,7 +337,7 @@ class TestPipeline:
         doc["train"]["init_std"] = 8.0
         manifest.write_text(json.dumps(doc))
         man = parse_manifest(manifest)
-        save_checkpoint(man.paths["checkpoint"], new_train_state(man.model, man.train), man.echo()["model"], man.train)
+        save_checkpoint(man.paths["checkpoint"], new_train_state(man.model, man.train), man.train)
         capsys.readouterr()
         assert main(["export", "--manifest", str(manifest), "--dtype", "fp16"]) == 2
         assert "max |value|" in capsys.readouterr().err

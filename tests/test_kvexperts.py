@@ -7,7 +7,6 @@ from molkv.autodiff import Tensor, grad_check, mul, parameter, rope_rotate_np, t
 from molkv.kvexperts import (
     CacheStateError,
     ExpertKV,
-    KVExpertCache,
     MoLKVBlockParams,
     cache_insert,
     compute_expert_kv,
@@ -18,7 +17,8 @@ from molkv.kvexperts import (
     molkv_select,
     sliding_window_mask,
 )
-from molkv.layers import FFNParams, lookup_distinct, rmsnorm_np, rope_tables, sigmoid_np, softmax_np, swishglu_ffn
+from molkv.layers import (FFNParams, KVCache, lookup_distinct, rmsnorm_np, rope_tables, sigmoid_np, softmax_np,
+                          swishglu_ffn)
 from molkv.mole import MoLEBlockParams
 from molkv.runtime import mole_step, molkv_step
 
@@ -59,12 +59,12 @@ def sequence_terms(h, ids, emb, block, window):
 
 
 def fresh_cache(block, window):
-    return KVExpertCache(
-        window=window,
-        num_experts=block.num_experts,
-        key_dim=block.key_dim,
-        hidden_size=block.routers.shape[0],
-    )
+    n, d = block.num_experts, block.routers.shape[0]
+    return KVCache((n, block.key_dim), (n, d), np.float64, window)
+
+
+def positions(cache):
+    return list(range(cache.next_position - len(cache), cache.next_position))
 
 
 class TestExpertKV:
@@ -140,8 +140,8 @@ class TestCache:
         for pos in range(3):
             kv = compute_expert_kv(rng.standard_normal(10), block)
             cache_insert(cache, pos, kv, *rope(block, pos))
-            assert np.array_equal(cache.keys_rot[-1], rope_rotate_np(kv.keys, *rope(block, pos)))
-            assert np.array_equal(cache.values[-1], kv.values_normed)
+            assert np.array_equal(cache.k[-1], rope_rotate_np(kv.keys, *rope(block, pos)))
+            assert np.array_equal(cache.v[-1], kv.values_normed)
 
     def test_window_one_holds_previous_token(self):
         rng = np.random.default_rng(9)
@@ -149,7 +149,7 @@ class TestCache:
         cache = fresh_cache(block, window=1)
         for pos in range(5):
             cache_insert(cache, pos, compute_expert_kv(rng.standard_normal(10), block), *rope(block, pos))
-            assert cache.positions == [pos]
+            assert positions(cache) == [pos]
 
     def test_eviction_keeps_last_window(self):
         rng = np.random.default_rng(10)
@@ -162,10 +162,10 @@ class TestCache:
             cache_insert(cache, pos, kv, *rope(block, pos))
             keys.append(rope_rotate_np(kv.keys, *rope(block, pos)))
             values.append(kv.values_normed)
-            assert np.array_equal(cache.keys_rot, np.stack(keys)[-m:])
-            assert np.array_equal(cache.values, np.stack(values)[-m:])
-            assert cache.positions == list(range(max(0, pos + 1 - m), pos + 1))
-        assert cache.positions == list(range(2 * m + 3, 3 * m + 3))
+            assert np.array_equal(cache.k, np.stack(keys)[-m:])
+            assert np.array_equal(cache.v, np.stack(values)[-m:])
+            assert positions(cache) == list(range(max(0, pos + 1 - m), pos + 1))
+        assert positions(cache) == list(range(2 * m + 3, 3 * m + 3))
 
     def test_equal_scores_select_oldest_slots_after_compaction(self):
         rng = np.random.default_rng(19)
@@ -186,7 +186,7 @@ class TestCache:
         assert idx.tolist() == [0, 1, 2]
         oldest = inserted[m + 3]
         want = np.stack([oldest[0], oldest[1], inserted[m + 4][0]])
-        assert np.array_equal(cache.values.reshape(-1, 10)[idx], want)
+        assert np.array_equal(cache.v.reshape(-1, 10)[idx], want)
 
     def test_inserts_write_in_place_between_compactions(self):
         rng = np.random.default_rng(20)
@@ -195,15 +195,15 @@ class TestCache:
         cache = fresh_cache(block, window=m)
         kv = compute_expert_kv(rng.standard_normal(10), block)
         cache_insert(cache, 0, kv, *rope(block, 0))
-        prev_keys, prev_values = cache.keys_rot, cache.values
+        prev_keys, prev_values = cache.k, cache.v
         for pos in range(1, 2 * m):  # all 2M slots fill without a move
             cache_insert(cache, pos, kv, *rope(block, pos))
-            assert np.shares_memory(cache.keys_rot, prev_keys)
-            assert np.shares_memory(cache.values, prev_values)
-            prev_keys, prev_values = cache.keys_rot, cache.values
+            assert np.shares_memory(cache.k, prev_keys)
+            assert np.shares_memory(cache.v, prev_values)
+            prev_keys, prev_values = cache.k, cache.v
         base_keys, base_values = prev_keys.base, prev_values.base
         cache_insert(cache, 2 * m, kv, *rope(block, 2 * m))  # compaction moves slots within the same buffers
-        assert cache.keys_rot.base is base_keys and cache.values.base is base_values
+        assert cache.k.base is base_keys and cache.v.base is base_values
 
     def test_out_of_order_insert_rejected(self):
         rng = np.random.default_rng(11)
@@ -241,7 +241,7 @@ class TestScoresAndSelection:
         h = rng.standard_normal(10)
         _, q_rot = molkv_query(h, block, *rope(block, 3))
         scores = molkv_new_scores(q_rot, h, cache, block)
-        want = (cache.keys_rot.reshape(-1, block.key_dim) @ q_rot) * block.qk_scale
+        want = (cache.k.reshape(-1, block.key_dim) @ q_rot) * block.qk_scale
         np.testing.assert_allclose(scores, want, atol=1e-15)
 
     def test_matches_naive_double_loop(self):
@@ -257,7 +257,7 @@ class TestScoresAndSelection:
         n = block.num_experts
         for j in range(len(cache)):
             for e in range(n):
-                want = cache.keys_rot[j, e] @ q_rot * block.qk_scale + router[e]
+                want = cache.k[j, e] @ q_rot * block.qk_scale + router[e]
                 assert scores[j * n + e] == pytest.approx(want, abs=1e-15)
 
     def test_select_fewer_than_k(self):

@@ -5,9 +5,9 @@ import pytest
 
 from molkv.autodiff import ShapeError, Tensor, grad_check, mul, parameter, rope_rotate_np, tensor_sum
 from molkv.layers import (
-    AttentionCache,
     AttnParams,
     FFNParams,
+    KVCache,
     causal_attention,
     causal_attention_step,
     rmsnorm_np,
@@ -132,17 +132,17 @@ class TestAttention:
         p = make_attn(rng, d, heads)
         x = rng.standard_normal((s, d))
         batched = causal_attention(Tensor(x), p).data
-        cache = AttentionCache(heads, d // heads, np.float64)
+        cache = KVCache((heads, d // heads), (heads, d // heads), np.float64)
         step = np.stack([causal_attention_step(x[t], p, cache, *rope_tables(t, d // heads)) for t in range(s)])
         np.testing.assert_allclose(step, batched, atol=1e-10)
 
     def test_cache_appends_in_place_and_doubles(self):
         rng = np.random.default_rng(11)
-        d, heads, s = 12, 3, AttentionCache.INITIAL_ROWS + 8
+        d, heads, s = 12, 3, KVCache.INITIAL_ROWS + 8
         p = make_attn(rng, d, heads)
         x = rng.standard_normal((s, d))
         batched = causal_attention(Tensor(x), p).data
-        cache = AttentionCache(heads, d // heads, np.float64)
+        cache = KVCache((heads, d // heads), (heads, d // heads), np.float64)
         keys = []
         for t in range(s):
             prev = cache.k.base
@@ -151,7 +151,7 @@ class TestAttention:
             keys.append(rope((x[t] @ p.wk.data).reshape(heads, d // heads), t))
             assert np.array_equal(cache.k, np.stack(keys))
             # the buffer doubles once full; every other append writes in place
-            assert (cache.k.base is prev) == (t != AttentionCache.INITIAL_ROWS), t
+            assert (cache.k.base is prev) == (t != KVCache.INITIAL_ROWS), t
 
     def test_head_dim_must_be_even_for_tables(self):
         with pytest.raises(ShapeError):
@@ -166,6 +166,33 @@ class TestAttention:
         leaves = [x, p.wq, p.wk, p.wv, p.wo]
         err = grad_check(lambda: tensor_sum(mul(causal_attention(x, p), w)), leaves, samples_per_leaf=6)
         assert err < 1e-4
+
+
+@pytest.mark.parametrize("window", [None, 1, 4])
+def test_kv_cache_matches_concatenate_and_slice(window):
+    rng = np.random.default_rng(12)
+    cache = KVCache((2, 4), (2, 10), np.float32, window)
+    # unbounded: two doublings, at appends 33 and 65; windowed: three compactions, at 2M + 1, 3M + 2 and 4M + 3
+    appends = 2 * KVCache.INITIAL_ROWS + 1 if window is None else 4 * window + 3
+    keys, values = [], []
+    doubled, compacted = [], []  # 0-based append indices
+    for t in range(appends):
+        prev_k, prev_v, prev_end = cache.k.base, cache.v.base, cache.end
+        keys.append(rng.standard_normal((2, 4)).astype(np.float32))
+        values.append(rng.standard_normal((2, 10)).astype(np.float32))
+        cache.append(keys[-1], values[-1])
+        live = slice(-window if window else None, None)
+        assert np.array_equal(cache.k, np.stack(keys)[live]) and np.array_equal(cache.v, np.stack(values)[live])
+        assert cache.next_position == t + 1 and len(cache) == min(t + 1, window or t + 1)
+        assert (cache.k.base is prev_k) == (cache.v.base is prev_v)
+        if cache.k.base is not prev_k:
+            doubled.append(t)
+        elif cache.end != prev_end + 1:
+            compacted.append(t)
+    rows = KVCache.INITIAL_ROWS
+    assert doubled == ([rows, 2 * rows] if window is None else [])
+    assert compacted == ([] if window is None else [2 * window, 3 * window + 1, 4 * window + 2])
+    assert cache.k.dtype == cache.v.dtype == np.float32
 
 
 def test_rmsnorm_np_matches_definition():

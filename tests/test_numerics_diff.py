@@ -1,9 +1,12 @@
 """tools/numerics_diff.py: comparing two numerics records."""
 
 import importlib.util
+import shutil
+import subprocess
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 _spec = importlib.util.spec_from_file_location(
     "numerics_diff", Path(__file__).resolve().parents[1] / "tools" / "numerics_diff.py"
@@ -66,3 +69,24 @@ def test_int_fields_reads_named_fields():
     got = numerics_diff.int_fields(rows, ("layer", "macs"))
     assert got.dtype == np.int64 and got.tolist() == [[1, 3], [0, 2**40]]
     assert numerics_diff.int_fields([], ("layer", "macs")).shape == (0, 2)
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_against_extracts_the_named_commits_src(tmp_path):
+    repo = tmp_path / "repo"
+    (repo / "src" / "molkv").mkdir(parents=True)
+    (repo / "notes.txt").write_text("outside src\n")
+
+    def git(*args):
+        subprocess.run(["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@example.com", *args],
+                       check=True, capture_output=True)
+
+    git("init", "-q")
+    for version in ("first", "second"):
+        (repo / "src" / "molkv" / "__init__.py").write_text(f"VERSION = {version!r}\n")
+        git("add", "-A")
+        git("commit", "-q", "-m", version)
+    src = numerics_diff.extract_src(repo, "HEAD~1", tmp_path / "base")
+    assert src == tmp_path / "base" / "src"
+    assert (src / "molkv" / "__init__.py").read_text() == "VERSION = 'first'\n"
+    assert sorted(p.name for p in (tmp_path / "base").iterdir()) == ["src"]

@@ -9,7 +9,8 @@ from molkv import runtime
 from molkv.autodiff import Tape, backward
 from molkv.config import ModelConfig
 from molkv.model import forward, init_model, next_token_loss
-from molkv.runtime import CostCounters, DecoderState, closed_form_costs, decode_step, generate, sample_token
+from molkv.runtime import (CostCounters, DecoderState, closed_form_costs, decode_step, generate, layer_costs,
+                           sample_token)
 from molkv.store import NUMPY_DTYPES, ExpertStoreReader, count_params, reparameterize, write_store
 
 
@@ -154,7 +155,7 @@ def test_model_computes_in_its_parameter_dtype(tmp_path, kind, dtype):
     assert logits.dtype == dtype
     assert all(c.k.dtype == c.v.dtype == dtype for c in state.attn_caches)
     assert len(state.expert_caches) == (2 if kind == "molkv" else 0)
-    assert all(c.keys_rot.dtype == c.values.dtype == dtype for c in state.expert_caches.values())
+    assert all(c.k.dtype == c.v.dtype == dtype for c in state.expert_caches.values())
     if tables is not None:
 
         def rounded(arrays):
@@ -254,7 +255,7 @@ class TestCostAccounting:
         per_layer_bytes = reader.header.record_bytes
         for delta in deltas:
             assert delta.bytes_loaded == per_layer_bytes * len(cfg.expert_layers)
-            assert delta.params_loaded == cfg.expert_record_width * len(cfg.expert_layers)
+            assert delta.params_loaded == layer_costs(cfg, True).params_loaded * len(cfg.expert_layers)
 
     @pytest.mark.parametrize("kind", ["dense", "mole", "gated-mole", "molkv"])
     def test_step_totals_sum_the_layer_rows(self, tmp_path, kind):
@@ -323,7 +324,7 @@ class TestGenerate:
         out, totals = generate(state, [1, 2, 3], steps=0)
         assert out == []
         assert state.position == 3
-        assert totals.params_loaded == 3 * cfg.expert_record_width * len(cfg.expert_layers)
+        assert totals.params_loaded == 3 * layer_costs(cfg, True).params_loaded * len(cfg.expert_layers)
 
     def test_greedy_is_deterministic(self, molkv_setup):
         cfg, model, reader = molkv_setup

@@ -297,7 +297,7 @@ class TestCheckpoint:
             state = new_train_state(TINY, cfg)
             train_run(state, corpus, cfg, 3)
             p = tmp_path / name
-            save_checkpoint(p, state, {"kind": "dense"}, cfg)
+            save_checkpoint(p, state, cfg)
             return p.read_bytes()
 
         assert run("a.ckpt") == run("b.ckpt")
@@ -308,14 +308,14 @@ class TestCheckpoint:
 
         full = new_train_state(TINY, cfg)
         train_run(full, corpus, cfg, 6)
-        save_checkpoint(tmp_path / "full.ckpt", full, {}, cfg)
+        save_checkpoint(tmp_path / "full.ckpt", full, cfg)
 
         half = new_train_state(TINY, cfg)
         train_run(half, corpus, cfg, 3)
-        save_checkpoint(tmp_path / "half.ckpt", half, {}, cfg)
+        save_checkpoint(tmp_path / "half.ckpt", half, cfg)
         resumed = load_checkpoint(tmp_path / "half.ckpt", TINY, cfg)
         train_run(resumed, corpus, cfg, 3)
-        save_checkpoint(tmp_path / "resumed.ckpt", resumed, {}, cfg)
+        save_checkpoint(tmp_path / "resumed.ckpt", resumed, cfg)
 
         assert (tmp_path / "resumed.ckpt").read_bytes() == (tmp_path / "full.ckpt").read_bytes()
 
@@ -329,17 +329,17 @@ class TestCheckpoint:
     def test_truncated_checkpoint_rejected(self, tmp_path, cut):
         cfg = tiny_train()
         p = tmp_path / "t.ckpt"
-        save_checkpoint(p, new_train_state(TINY, cfg), {}, cfg)
+        save_checkpoint(p, new_train_state(TINY, cfg), cfg)
         data = p.read_bytes()
         p.write_bytes(data[:cut] if cut > 8 else data[:-cut])
         with pytest.raises(ConfigError, match="truncated checkpoint"):
             load_checkpoint(p, TINY, cfg)
 
-    @pytest.mark.parametrize("key", ["step", "adam_t", "rng_state", "entries"])
+    @pytest.mark.parametrize("key", ["step", "adam_t", "rng_state", "entries", "model_config"])
     def test_header_missing_key_rejected(self, tmp_path, key):
         cfg = tiny_train()
         p = tmp_path / "k.ckpt"
-        save_checkpoint(p, new_train_state(TINY, cfg), {}, cfg)
+        save_checkpoint(p, new_train_state(TINY, cfg), cfg)
         data = p.read_bytes()
         (blob_len,) = struct.unpack_from("<Q", data, 12)
         header = json.loads(data[20 : 20 + blob_len])
@@ -352,7 +352,7 @@ class TestCheckpoint:
     def test_corrupt_header_bytes_rejected(self, tmp_path):
         cfg = tiny_train()
         p = tmp_path / "c.ckpt"
-        save_checkpoint(p, new_train_state(TINY, cfg), {}, cfg)
+        save_checkpoint(p, new_train_state(TINY, cfg), cfg)
         data = bytearray(p.read_bytes())
         data[20] = 0xFF  # not UTF-8
         p.write_bytes(bytes(data))
@@ -368,7 +368,7 @@ class TestCheckpoint:
         corpus = Corpus.from_bytes(synthesize_corpus(3000, seed=8))
         state = new_train_state(TINY, cfg)
         train_run(state, corpus, cfg, 4)
-        save_checkpoint(tmp_path / "s.ckpt", state, {}, cfg)
+        save_checkpoint(tmp_path / "s.ckpt", state, cfg)
         loaded = load_checkpoint(tmp_path / "s.ckpt", TINY, cfg)
         assert loaded.step == 4 and loaded.optimizer.t == 4
         for name, _ in state.model.named_parameters():
@@ -379,13 +379,28 @@ class TestCheckpoint:
     def test_checkpoint_must_fit_config(self, tmp_path):
         cfg = tiny_train()
         p = tmp_path / "d8.ckpt"
-        save_checkpoint(p, new_train_state(TINY, cfg), {}, cfg)
+        save_checkpoint(p, new_train_state(TINY, cfg), cfg)
         with pytest.raises(ConfigError, match="needs float64 \\(257, 16\\)"):
             load_checkpoint(p, TINY.with_overrides(hidden_size=16), cfg)
         with pytest.raises(ConfigError, match="needs float32"):
             load_checkpoint(p, TINY, tiny_train(dtype="fp32"))
         with pytest.raises(ConfigError, match="'param/layers.1.*' is missing"):
             load_checkpoint(p, TINY.with_overrides(num_layers=2), cfg)
+
+    @pytest.mark.parametrize("overrides", [dict(cache_window=64, top_k=1), dict(rope_theta=500.0),
+                                           dict(norm_eps=1e-3)], ids=["window-top-k", "rope-theta", "norm-eps"])
+    def test_checkpoint_refuses_another_model_config(self, tmp_path, overrides):
+        # the same shapes, so every entry fits; only the stored configuration tells them apart
+        saved = ModelConfig(kind="molkv", num_layers=1, hidden_size=8, ffn_size=8, vocab_size=257, num_experts=2,
+                            key_dim=4, cache_window=8, top_k=4, expert_layers=(0,), num_heads=2)
+        cfg = tiny_train()
+        p = tmp_path / "m8k4.ckpt"
+        save_checkpoint(p, new_train_state(saved, cfg), cfg)
+        assert load_checkpoint(p, saved, cfg).model.config == saved
+        with pytest.raises(ConfigError, match="different model configuration") as err:
+            load_checkpoint(p, saved.with_overrides(**overrides), cfg)
+        for name, value in overrides.items():
+            assert f"{name}: checkpoint {getattr(saved, name)!r}, given {value!r}" in str(err.value)
 
 
 def test_trunc_normal_respects_bound():

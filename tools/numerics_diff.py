@@ -2,6 +2,7 @@
 
     python tools/numerics_diff.py dump <src> <out.npz>
     python tools/numerics_diff.py compare <a.npz> <b.npz>
+    python tools/numerics_diff.py against <git-ref>
 
 ``dump`` imports the ``molkv`` package found under ``<src>`` (the ``src``
 directory of a checkout, for example one made with ``git archive``) and
@@ -23,12 +24,20 @@ on a small model and on the benchmark's mid model:
 for each one how many ulps of its largest entry the largest difference is
 (for an integer array, the largest difference itself).
 It exits 0 when every array is bit-identical and 1 otherwise.
+
+``against`` checks this checkout's ``src`` against ``<git-ref>``'s: it
+extracts the ref's ``src`` with ``git archive``, dumps each tree in its own
+child process (so each process imports one ``molkv``) and returns
+``compare``'s exit status, the ref's record first.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
+import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -152,6 +161,25 @@ def compare(path_a: str, path_b: str) -> int:
     return 1 if differ else 0
 
 
+def extract_src(repo, ref: str, dest) -> Path:
+    """Write the ``src`` directory of ``ref`` in the git repository ``repo`` under ``dest``; returns ``dest/src``."""
+    archive = subprocess.run(["git", "-C", str(repo), "archive", ref, "src"], check=True, stdout=subprocess.PIPE)
+    with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+        tar.extractall(dest)
+    return Path(dest) / "src"
+
+
+def against(ref: str) -> int:
+    """Dump ``ref``'s ``src`` and this checkout's, then compare the two records."""
+    root = Path(__file__).resolve().parents[1]
+    with tempfile.TemporaryDirectory() as tmp:
+        records = []
+        for name, src in (("base", extract_src(root, ref, Path(tmp) / "base")), ("head", root / "src")):
+            records.append(str(Path(tmp) / f"{name}.npz"))
+            subprocess.run([sys.executable, __file__, "dump", str(src), records[-1]], check=True)
+        return compare(*records)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -161,10 +189,14 @@ def main(argv=None) -> int:
     p = sub.add_parser("compare", help="compare two records")
     p.add_argument("a")
     p.add_argument("b")
+    p = sub.add_parser("against", help="dump a git ref's src and this checkout's, then compare them")
+    p.add_argument("ref", help="git ref, e.g. HEAD~1")
     args = parser.parse_args(argv)
     if args.command == "dump":
         dump(args.src, args.out)
         return 0
+    if args.command == "against":
+        return against(args.ref)
     return compare(args.a, args.b)
 
 
