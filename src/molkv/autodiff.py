@@ -16,8 +16,9 @@ scores, and ``swishglu`` holds its two pre-activations and recomputes the
 rest. Each one's gradient runs the numpy expressions of the op chain it
 replaced, in the same order: it has that chain's bits, except that over
 several blocks attention sums softmax rows and k, v gradients in another
-order. Gradient kernels keep the bits of their plain numpy forms
-(``np.add.at`` for gathers, ``np.where`` chains for the masked softmax).
+order. Decoding runs attention's two forward kernels, ``attention_logits``
+and ``attention_weights``. Gradient kernels keep the bits of their plain
+numpy forms (``np.add.at`` for gathers, ``np.where`` chains for the masked softmax).
 """
 
 from __future__ import annotations
@@ -48,14 +49,14 @@ __all__ = [
     "softmax",
     "softmax_np",
     "attention",
+    "attention_logits",
+    "attention_weights",
     "rmsnorm",
     "rmsnorm_np",
     "rope_rotate",
     "rope_rotate_np",
     "embedding_lookup",
     "cross_entropy_logits",
-    "topk_indices",
-    "topk_mask",
     "window_topk_mask",
     "backward",
     "grad_check",
@@ -425,6 +426,29 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return _record(Tensor(y), (x,), lambda g: (_softmax_grad(g, y, axis),))
 
 
+def attention_logits(q: np.ndarray, kt: np.ndarray, scale: float, bias: np.ndarray | None = None) -> np.ndarray:
+    """scale * q @ kt for keys kt (..., e, t), plus ``bias`` (..., g): key j * g + n gets bias[..., n]."""
+    w = q @ kt
+    w *= scale
+    if bias is not None:
+        g = bias.shape[-1]
+        wg = w.reshape(w.shape[:-1] + (w.shape[-1] // g, g))  # a view of w: (..., t / g, g)
+        wg += bias[..., None, :]
+    return w
+
+
+def attention_weights(w: np.ndarray, mask=None, top_k: int | None = None) -> np.ndarray:
+    """Last-axis softmax of logits ``w`` over the keys ``mask`` marks (all if None), or each row's ``top_k`` of them.
+
+    Top-k ties go to the lowest key index (``window_topk_mask``); every other key gets weight 0.
+    """
+    if w.shape[-1] == 0:
+        return w
+    if top_k is not None:
+        mask = window_topk_mask(w, mask, top_k)
+    return softmax_np(w, -1, mask)
+
+
 def attention(q: Tensor, k: Tensor, v: Tensor, mask, scale: float, bias: Tensor | None = None,
               top_k: int | None = None) -> Tensor:
     """softmax(scale * q @ k^T [+ bias], over ``mask`` [and each row's top_k]) @ v as one taped op.
@@ -439,8 +463,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask, scale: float, bias: Tensor 
 
     Queries run in blocks of ``ATTENTION_BLOCK`` rows; a block scores only
     the keys [lo, hi) that its rows of ``mask`` reach (in whole bias groups),
-    and the tape keeps q, the contiguous k^T, v and the blocks' weights. The
-    gradient runs each block through the op chain's numpy expressions, in order.
+    with ``attention_logits`` and ``attention_weights``; the tape keeps q, the
+    contiguous k^T, v and the blocks' weights. The gradient runs each block
+    through the op chain's numpy expressions, in order.
     """
     if q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2]:
         raise ShapeError(f"attention: q {q.shape}, k {k.shape}, v {v.shape}")
@@ -454,14 +479,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask, scale: float, bias: Tensor 
         cols = np.flatnonzero(mask[r0:r1].any(axis=0))
         lo, hi = (cols[0], cols[-1] + 1) if cols.size else (0, 0)
         lo, hi = lo - lo % group, hi + -hi % group  # whole bias groups
-        w = q.data[..., r0:r1, :] @ kt[..., lo:hi]
-        w *= scale
-        if bias is not None:
-            wg = w.reshape(w.shape[:-1] + ((hi - lo) // group, group))  # (..., rows, keys / g, g)
-            wg += bias.data[..., r0:r1, None, :]
-        if hi > lo:
-            m = mask[r0:r1, lo:hi]
-            w = softmax_np(w, -1, m if top_k is None else window_topk_mask(w, m, top_k))
+        w = attention_logits(q.data[..., r0:r1, :], kt[..., lo:hi], scale,
+                             None if bias is None else bias.data[..., r0:r1, :])
+        w = attention_weights(w, mask[r0:r1, lo:hi], top_k)
         outs.append(w @ v.data[..., lo:hi, :])
         blocks.append((r0, r1, lo, hi, w))
     out = Tensor(np.concatenate(outs, axis=-2))
@@ -568,45 +588,22 @@ def rope_rotate(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def topk_mask(keyed: np.ndarray, k: int) -> np.ndarray:
-    """Each last-axis row's k largest entries (1 <= k <= row length), lowest index first among ties.
+def window_topk_mask(scores: np.ndarray, win, k: int) -> np.ndarray:
+    """Each last-axis row's k largest scores where ``win`` is True (all if None), lowest index first among ties.
 
     Keeps every entry at or above the k-th value from ``np.partition``; where
     a row has more ties at it than places, only its lowest-index ties: the k
     a stable descending argsort puts first.
     """
+    keyed = scores if win is None else np.where(win, scores, -np.inf)
+    k = min(k, keyed.shape[-1])
     kth = np.partition(keyed, keyed.shape[-1] - k, axis=-1)[..., -k, None]
     keep = keyed >= kth
     if np.count_nonzero(keep) > k * (keep.size // keep.shape[-1]):
         tie = keyed == kth
         places = k - np.add.reduce(keep ^ tie, axis=-1, keepdims=True)  # k minus the entries above the k-th value
         keep ^= tie & (np.add.accumulate(tie, axis=-1, dtype=np.int32) > places)
-    return keep
-
-
-def window_topk_mask(scores: np.ndarray, win: np.ndarray, k: int) -> np.ndarray:
-    """Each row's k largest scores where ``win`` is True, lowest index first among ties: a stable argsort's top k."""
-    masked = np.where(win, scores, -np.inf)
-    return topk_mask(masked, min(k, masked.shape[-1])) & win
-
-
-def topk_indices(x: np.ndarray, k: int) -> np.ndarray:
-    """Indices of a 1-D array's k largest entries, largest first, ties broken by lowest index.
-
-    Non-finite entries never qualify; if fewer than k remain, all of them
-    are returned. Only ``topk_mask``'s k winners are sorted, with a stable sort.
-    """
-    if k < 1:
-        raise ShapeError("topk requires k >= 1")
-    if x.ndim != 1:
-        raise ShapeError(f"topk takes a 1-D array, got shape {x.shape}")
-    valid = np.isfinite(x)
-    take = min(k, np.count_nonzero(valid))
-    if not take:
-        return np.zeros(0, dtype=np.intp)
-    keyed = np.where(valid, x, -np.inf)
-    (winners,) = np.nonzero(topk_mask(keyed, take))
-    return winners[np.argsort(-keyed[winners], kind="stable")]
+    return keep if win is None else keep & win
 
 
 # ---------------------------------------------------------------------------

@@ -224,7 +224,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, StoreFormatError, FileNotFoundError, TrainingError) as e:
+    except (ConfigError, StoreFormatError, OSError, TrainingError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -16,8 +16,9 @@ own- plus cached-expert term that ``model.forward`` adds to the shared
 FFN's output. Its cached-expert path is one ``autodiff.attention`` call
 with the window mask, the second router as bias and a top-k; each query
 block scores and keeps on the tape only its band of M*N slots. Export runs
-the pairs untaped on every token id. The per-token step that consumes them
-is ``molkv_step`` in :mod:`molkv.runtime`; ``cache_insert`` appends each
+the pairs untaped on every token id. Decoding's ``molkv_step`` (in
+:mod:`molkv.runtime`) runs that op's two kernels on one query, as
+``molkv_new_scores`` and ``molkv_select``; ``cache_insert`` appends each
 token's pairs to the sequence's :class:`~molkv.layers.KVCache` windowed to
 M positions, the same cache that backbone attention keeps unbounded.
 """
@@ -32,6 +33,8 @@ import numpy as np
 from .autodiff import (
     Tensor,
     attention,
+    attention_logits,
+    attention_weights,
     dense,
     embedding_lookup,
     mul,
@@ -44,7 +47,6 @@ from .autodiff import (
     softmax_np,
     stack,
     tensor_sum,
-    topk_indices,
 )
 from .layers import NORM_EPS, ROPE_THETA, FFNParams, KVCache, rope_tables, swishglu_ffn
 
@@ -167,19 +169,12 @@ def molkv_new_scores(q_rot: np.ndarray, h: np.ndarray, cache: KVCache, params: M
     S[j*N + n] = (K_rot[j, n] . q_rot) / sqrt(d') + (h . new_router_n).
     """
     m, n, dk = cache.k.shape
-    if m == 0:
-        return np.zeros(0, dtype=q_rot.dtype)
-    qk = cache.k.reshape(m * n, dk) @ q_rot * params.qk_scale
-    router = h @ params.new_routers.data  # (N,)
-    return (qk.reshape(m, n) + router).reshape(m * n)
+    return attention_logits(q_rot, cache.k.reshape(m * n, dk).T, params.qk_scale, h @ params.new_routers.data)
 
 
-def molkv_select(scores: np.ndarray, k: int):
-    """Top-min(k, |S|) indices and their softmax weights; empty in, empty out."""
-    if scores.size == 0:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=scores.dtype)
-    idx = topk_indices(scores, k)
-    return idx, softmax_np(scores[idx])
+def molkv_select(scores: np.ndarray, k: int) -> np.ndarray:
+    """Softmax weights of the top-min(k, |S|) scores, lowest slot first among ties; 0 on every other slot."""
+    return attention_weights(scores, None, k)
 
 
 def molkv_augmented_routing(h: np.ndarray, q: np.ndarray, kv: ExpertKV, params: MoLKVBlockParams) -> np.ndarray:

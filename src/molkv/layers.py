@@ -3,12 +3,11 @@
 Training runs taped ops, decoding plain numpy functions (suffix ``_np``).
 Every formula below the block level is one numpy kernel in
 :mod:`molkv.autodiff` (RMSNorm, softmax, sigmoid, SiLU, the RoPE rotation)
-that the taped op runs for its forward; this module re-exports them. Two
-forms stay paired, and the tests hold each pair equal: the SwishGLU FFN,
-whose taped form is the fused ``autodiff.swishglu`` op and whose numpy
-form is one line, and attention, which is batched over a sequence in
-training (projections, RoPE and the fused ``autodiff.attention`` op under
-a causal mask) and reads a :class:`KVCache` in decoding. The same cache,
+that the taped op runs for its forward; this module re-exports them.
+Attention's two, ``attention_logits`` and ``attention_weights``, run in
+the fused ``autodiff.attention`` op in training and over a :class:`KVCache`
+in decoding. The SwishGLU FFN keeps two forms, held equal by the tests: the
+fused ``autodiff.swishglu`` op and a one-line numpy form. The same cache,
 windowed to the last M positions, holds the cached key-value experts of
 :mod:`molkv.kvexperts`. RoPE is ``rope_tables`` plus the rotation kernel:
 the per-token decoding functions here and in :mod:`molkv.kvexperts` take
@@ -27,6 +26,8 @@ from .autodiff import (
     ShapeError,
     Tensor,
     attention,
+    attention_logits,
+    attention_weights,
     dense,
     embedding_lookup,
     reshape,
@@ -223,8 +224,8 @@ def causal_attention_step(
 
     ``cos``/``sin`` are the position's RoPE tables, ``rope_tables(t, hd,
     theta, dtype)`` with t = ``cache.next_position``, which rotate q and k.
-    Scores and mixes per head with batched matmul over transposed views of
-    the slot-major cache: (h, 1, hd) @ (h, hd, t), then (h, 1, t) @ (h, t, hd).
+    Scores, weights and mixes per head with batched matmul over transposed views
+    of the slot-major cache: (h, 1, hd) @ (h, hd, t), then (h, 1, t) @ (h, t, hd).
     """
     d = x.shape[-1]
     h = p.n_heads
@@ -235,7 +236,6 @@ def causal_attention_step(
     q = rope_rotate_np(q, cos, sin)
     k = rope_rotate_np(k, cos, sin)
     cache.append(k, v)
-    logits = (q[:, None, :] @ cache.k.transpose(1, 2, 0)) / math.sqrt(hd)  # (h, 1, t)
-    w = softmax_np(logits, axis=-1)
+    w = attention_weights(attention_logits(q[:, None, :], cache.k.transpose(1, 2, 0), 1.0 / math.sqrt(hd)))
     ctx = (w @ cache.v.transpose(1, 0, 2)).reshape(d)  # (h, 1, hd)
     return ctx @ p.wo.data

@@ -216,17 +216,15 @@ def molkv_step(h: np.ndarray, position: int, cache: KVCache, kv: ExpertKV, param
     ``cos``/``sin`` are ``position``'s RoPE tables of width d' / 2; they
     rotate the query and the token's keys. The token's own pairs ``kv``
     join the cache (which checks ``position``) only after the term is
-    computed, so position 0 sees an empty window and adds no cached term.
-    k_eff is the number of cached experts selected.
+    computed, so position 0 sees an empty window and its cached term is 0.
+    k_eff = min(k, cached experts) is the number of nonzero mixing weights.
     """
     q, q_rot = molkv_query(h, params, cos, sin)
     term = sigmoid_np(h @ params.gate.data) * (molkv_augmented_routing(h, q, kv, params) @ kv.values)
-    idx, weights = molkv_select(molkv_new_scores(q_rot, h, cache, params), params.top_k)
-    if idx.size:
-        cached = cache.v.reshape(-1, cache.v.shape[-1])[idx]
-        term = term + sigmoid_np(h @ params.new_gate.data) * (weights @ cached)
+    weights = molkv_select(molkv_new_scores(q_rot, h, cache, params), params.top_k)
+    term = term + sigmoid_np(h @ params.new_gate.data) * (weights @ cache.v.reshape(-1, cache.v.shape[-1]))
     cache_insert(cache, position, kv, cos, sin)
-    return term, int(idx.size)
+    return term, min(params.top_k, weights.size)
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ModelConfig
+from .config import ConfigError, ModelConfig
 from .kvexperts import compute_expert_kv
 from .mole import build_value_table
 
@@ -187,7 +187,7 @@ def reparameterize(model) -> ReparamTables:
     """
     cfg: ModelConfig = model.config
     if cfg.kind == "dense":
-        raise ValueError("dense models have no experts to reparameterize")
+        raise ConfigError("dense models have no experts to reparameterize")
     emb = model.embedding.data
     keys: list[np.ndarray] | None = [] if cfg.kind == "molkv" else None
     values: list[np.ndarray] = []

@@ -409,13 +409,13 @@ def check_window_edges():
         kv_t = compute_expert_kv(model.embedding.data[t], block)
         rope = rope_tables(t, cfg.key_dim, block.rope_theta)
         _, q_rot = molkv_query(h, block, *rope)
-        idx, weights = molkv_select(molkv_new_scores(q_rot, h, cache, block), block.top_k)
-        avail = len(cache) * cfg.num_experts
-        if avail < block.top_k and idx.size != avail:
-            failures.append(f"t={t}: selected {idx.size} of {avail} available")
-        if idx.size and not math.isclose(weights.sum(), 1.0, rel_tol=0, abs_tol=1e-12):
+        weights = molkv_select(molkv_new_scores(q_rot, h, cache, block), block.top_k)
+        avail, selected = len(cache) * cfg.num_experts, np.count_nonzero(weights)
+        if avail < block.top_k and selected != avail:
+            failures.append(f"t={t}: selected {selected} of {avail} available")
+        if selected and not math.isclose(weights.sum(), 1.0, rel_tol=0, abs_tol=1e-12):
             failures.append(f"t={t}: weights sum to {weights.sum()}")
-        if idx.size and (weights.min() < 0 or weights.max() > 1):
+        if selected and (weights.min() < 0 or weights.max() > 1):
             failures.append(f"t={t}: weights outside [0, 1]")
         molkv_step(h, t, cache, kv_t, block, *rope)
 

@@ -219,6 +219,21 @@ def workspace(tmp_path):
     return tmp_path, manifest_path
 
 
+def dense_manifest(tmp_path) -> Path:
+    """A one-layer dense manifest, its corpus and checkpoint in tmp_path."""
+    doc = {
+        "model": {"kind": "dense", "num_layers": 1, "hidden_size": 16, "ffn_size": 16,
+                  "vocab_size": 257, "num_heads": 2},
+        "train": {"seq_length": 16, "batch_size": 1, "grad_accum": 1, "steps": 2,
+                  "warmup_steps": 1, "lr": 1e-3, "min_lr": 1e-4},
+        "paths": {"corpus": str(tmp_path / "c.txt"), "checkpoint": str(tmp_path / "d.ckpt")},
+    }
+    (tmp_path / "c.txt").write_bytes(synthesize_corpus(5000, seed=1))
+    manifest = tmp_path / "dense.json"
+    manifest.write_text(json.dumps(doc))
+    return manifest
+
+
 class TestPipeline:
     def test_train_export_decode_cost(self, workspace, capsys):
         tmp, manifest = workspace
@@ -292,21 +307,32 @@ class TestPipeline:
     def test_missing_manifest_exit_code(self, tmp_path):
         assert main(["cost", "--manifest", str(tmp_path / "none.json")]) == 2
 
+    @pytest.mark.parametrize("flag", ["--manifest", "--store"])
+    def test_unreadable_path_exit_code(self, workspace, capsys, flag):
+        tmp, manifest = workspace
+        argv = ["cost", "--manifest", str(tmp)]
+        if flag == "--store":
+            assert main(["train", "--manifest", str(manifest), "--steps", "1"]) == 0
+            argv = ["decode", "--manifest", str(manifest), "--prompt", "a", "--store", str(tmp)]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Is a directory" in err
+
     def test_dense_decode_needs_no_store(self, tmp_path, capsys):
-        doc = {
-            "model": {"kind": "dense", "num_layers": 1, "hidden_size": 16, "ffn_size": 16,
-                      "vocab_size": 257, "num_heads": 2},
-            "train": {"seq_length": 16, "batch_size": 1, "grad_accum": 1, "steps": 2,
-                      "warmup_steps": 1, "lr": 1e-3, "min_lr": 1e-4},
-            "paths": {"corpus": str(tmp_path / "c.txt"), "checkpoint": str(tmp_path / "d.ckpt")},
-        }
-        (tmp_path / "c.txt").write_bytes(synthesize_corpus(5000, seed=1))
-        manifest = tmp_path / "dense.json"
-        manifest.write_text(json.dumps(doc))
+        manifest = dense_manifest(tmp_path)
         assert main(["train", "--manifest", str(manifest)]) == 0
         assert main(["decode", "--manifest", str(manifest), "--prompt", "a", "--steps", "3"]) == 0
         out = capsys.readouterr().out
         assert "params_loaded=0" in out and "params_offloaded=0" in out
+
+    def test_dense_export_exit_code(self, tmp_path, capsys):
+        manifest = dense_manifest(tmp_path)
+        assert main(["train", "--manifest", str(manifest)]) == 0
+        capsys.readouterr()
+        assert main(["export", "--manifest", str(manifest), "--out", str(tmp_path / "d.mlkv")]) == 2
+        assert "error: dense models" in capsys.readouterr().err
+        assert not (tmp_path / "d.mlkv").exists()
 
     def test_fp16_export_then_decode(self, workspace):
         tmp, manifest = workspace

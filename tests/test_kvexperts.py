@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from molkv.autodiff import Tensor, grad_check, mul, parameter, rope_rotate_np, tensor_sum, window_topk_mask
+from molkv.autodiff import Tensor, attention, grad_check, mul, parameter, rope_rotate_np, tensor_sum, window_topk_mask
 from molkv.kvexperts import (
     CacheStateError,
     ExpertKV,
@@ -182,7 +182,7 @@ class TestCache:
         h = rng.standard_normal(10)
         scores = molkv_new_scores(molkv_query(h, block, *rope(block, 2 * m + 3))[1], h, cache, block)
         assert np.array_equal(scores, np.zeros(m * n))
-        idx, _ = molkv_select(scores, block.top_k)
+        idx = np.flatnonzero(molkv_select(scores, block.top_k))
         assert idx.tolist() == [0, 1, 2]
         oldest = inserted[m + 3]
         want = np.stack([oldest[0], oldest[1], inserted[m + 4][0]])
@@ -228,8 +228,8 @@ class TestScoresAndSelection:
         cache = fresh_cache(block, window=4)
         scores = molkv_new_scores(rng.standard_normal(6), rng.standard_normal(10), cache, block)
         assert scores.size == 0
-        idx, w = molkv_select(scores, 5)
-        assert idx.size == 0 and w.size == 0
+        w = molkv_select(scores, 5)
+        assert w.size == 0
 
     def test_zero_new_router_leaves_qk_scores(self):
         rng = np.random.default_rng(15)
@@ -262,22 +262,43 @@ class TestScoresAndSelection:
 
     def test_select_fewer_than_k(self):
         scores = np.array([0.3, -0.2])
-        idx, w = molkv_select(scores, 32)
-        assert sorted(idx.tolist()) == [0, 1]
+        w = molkv_select(scores, 32)
+        assert np.flatnonzero(w).tolist() == [0, 1]
         assert w.sum() == pytest.approx(1.0, abs=1e-15)
 
     def test_select_dominant_score(self):
         scores = np.array([0.0, 50.0, 0.0, 0.0])
-        idx, w = molkv_select(scores, 2)
-        assert idx[0] == 1
-        assert w[0] > 1.0 - 1e-9
+        w = molkv_select(scores, 2)
+        assert np.count_nonzero(w) == 2 and w.argmax() == 1
+        assert w[1] > 1.0 - 1e-9
 
     def test_weights_nonnegative_sum_one(self):
         rng = np.random.default_rng(17)
         for _ in range(50):
             scores = rng.standard_normal(12)
-            idx, w = molkv_select(scores, 4)
+            w = molkv_select(scores, 4)
+            assert np.count_nonzero(w) == 4
             assert (w >= 0).all() and w.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+    def test_cached_mix_is_a_row_of_taped_attention(self):
+        rng = np.random.default_rng(23)
+        block = make_block(rng, top_k=3)
+        m, n, t = 4, block.num_experts, 6
+        cache = fresh_cache(block, window=m)
+        for pos in range(t):
+            cache_insert(cache, pos, compute_expert_kv(rng.standard_normal(10), block), *rope(block, pos))
+        h = rng.standard_normal(10)
+        kv = compute_expert_kv(rng.standard_normal(10), block)
+        q, q_rot = molkv_query(h, block, *rope(block, t))
+        keys, values = cache.k.reshape(m * n, -1).copy(), cache.v.reshape(m * n, -1).copy()  # before t joins
+        router = Tensor((h @ block.new_routers.data)[None, :])
+        mix = attention(Tensor(q_rot[None, :]), Tensor(keys), Tensor(values), np.ones((1, m * n), dtype=bool),
+                        block.qk_scale, bias=router, top_k=block.top_k).data[0]
+        own = sigmoid_np(h @ block.gate.data) * (molkv_augmented_routing(h, q, kv, block) @ kv.values)
+        term, selected = molkv_step(h, t, cache, kv, block, *rope(block, t))
+        assert selected == block.top_k
+        np.testing.assert_allclose(term, own + sigmoid_np(h @ block.new_gate.data) * mix, rtol=0, atol=1e-12)
 
 
 class TestAugmentedRouting:

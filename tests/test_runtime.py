@@ -1,6 +1,8 @@
 """Decoding runtime: logit equivalence, cost accounting, generation."""
 
+import importlib
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -195,6 +197,14 @@ def test_decode_calls_runtime_bindings(molkv_setup, monkeypatch):
     assert all(calls.values()), calls
     assert calls["decode_step"] == n_tokens
     assert calls["molkv_select"] == n_tokens * len(cfg.expert_layers)
+
+
+def test_benchmark_trace_targets_resolve(monkeypatch):
+    """Every function the benchmark's span recorder wraps is still defined where it looks."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    missing = [f"{span}: {attr}" for owner, attr, span in workloads.TRACE_TARGETS if attr not in vars(owner)]
+    assert not missing
 
 
 @pytest.mark.parametrize("key_dim", [6, 8])  # head_dim is 8: two tables per step, then one shared table
