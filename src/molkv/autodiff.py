@@ -4,11 +4,14 @@ Arrays are row-major numpy buffers in fp32 or fp64. Every differentiable
 operation records a node on the active tape (a thread-local stack), and
 ``backward`` pops the nodes in reverse to accumulate gradients into the
 leaves. A node holds a handle for its output, not the output tensor, so an
-output that no VJP reads is freed during the forward. A popped node is
-dropped with what its VJP kept, so each
-activation is freed once its last consumer's VJP has run, and backward
-never holds more than the forward tape. Inference code simply runs with no
-tape active and pays no recording cost.
+output that no VJP reads is freed during the forward. A VJP keeps only what
+it reads: ``add``, ``reshape``, ``transpose``, ``stack``, ``tensor_sum``
+and ``scale`` hold shapes, axes, a count or a constant, never an array. A
+popped node is dropped with what its VJP kept, so each activation is freed
+once its last consumer's VJP has run, and backward never holds more than
+the forward tape. Inference code simply runs with no tape active and pays
+no recording cost. ``matmul``'s gradient of a 2-D weight shared by every
+leading index of the other operand is one 2-D product over all its rows.
 
 Two fused ops keep the tape small: ``attention`` holds, per block of
 queries, the softmax weights over the keys its mask reaches but not the
@@ -223,10 +226,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     except ValueError as e:
         raise ShapeError(f"add: cannot broadcast {a.shape} with {b.shape}") from e
 
-    def vjp(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
-
-    return _record(out, (a, b), vjp)
+    a_shape, b_shape = a.shape, b.shape
+    return _record(out, (a, b), lambda g: (_unbroadcast(g, a_shape), _unbroadcast(g, b_shape)))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -286,7 +287,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def _matmul_grads(g: np.ndarray, a: np.ndarray, b: np.ndarray):
-    """``matmul``'s VJP for ``a @ b``: (g @ b^T, a^T @ g), each summed over the axes broadcasting added."""
+    """``matmul``'s VJP for ``a @ b``: (g @ b^T, a^T @ g), each summed over the axes broadcasting added.
+
+    A 2-D ``b`` shared by every leading index of ``a`` gets its gradient as one 2-D product.
+    """
+    if b.ndim == 2 and a.ndim > 2:
+        g2 = g.reshape(-1, b.shape[1])
+        return (g2 @ b.T).reshape(a.shape), a.reshape(-1, b.shape[0]).T @ g2
     return _unbroadcast(g @ np.swapaxes(b, -1, -2), a.shape), _unbroadcast(np.swapaxes(a, -1, -2) @ g, b.shape)
 
 
@@ -334,34 +341,36 @@ def reshape(x: Tensor, shape) -> Tensor:
     if int(np.prod(shape, dtype=np.int64)) != x.data.size:
         raise ShapeError(f"reshape {x.shape} -> {shape}: element counts differ")
     out = Tensor(x.data.reshape(shape))
-    return _record(out, (x,), lambda g: (g.reshape(x.shape),))
+    x_shape = x.shape
+    return _record(out, (x,), lambda g: (g.reshape(x_shape),))
 
 
 def transpose(x: Tensor, axes) -> Tensor:
     axes = tuple(axes)
-    inv = np.argsort(axes)
+    inv = tuple(np.argsort(axes).tolist())
     out = Tensor(np.transpose(x.data, axes))
     return _record(out, (x,), lambda g: (np.transpose(g, inv),))
 
 
 def stack(tensors, axis: int = 0) -> Tensor:
-    tensors = list(tensors)
+    tensors = tuple(tensors)
     out = Tensor(np.stack([t.data for t in tensors], axis=axis))
+    count = len(tensors)
 
     def vjp(g):
-        parts = np.split(g, len(tensors), axis=axis)
-        return tuple(np.squeeze(p, axis=axis) for p in parts)
+        return tuple(np.squeeze(p, axis=axis) for p in np.split(g, count, axis=axis))
 
-    return _record(out, tuple(tensors), vjp)
+    return _record(out, tensors, vjp)
 
 
 def tensor_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out = Tensor(x.data.sum(axis=axis, keepdims=keepdims))
+    x_shape, x_dtype = x.shape, x.dtype
 
     def vjp(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, x.shape).astype(x.dtype, copy=True),)
+        return (np.broadcast_to(g, x_shape).astype(x_dtype, copy=True),)
 
     return _record(out, (x,), vjp)
 

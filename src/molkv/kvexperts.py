@@ -13,11 +13,14 @@ the normalized token embedding. A block combines three expert signals:
 Training runs ``molkv_expert_pairs`` taped once per distinct id in the
 batch and gathers its rows to the positions; ``molkv_expert_terms`` is the
 own- plus cached-expert term that ``model.forward`` adds to the shared
-FFN's output. Its cached-expert path is one ``autodiff.attention`` call
-with the window mask, the second router as bias and a top-k; each query
-block scores and keeps on the tape only its band of M*N slots. Export runs
-the pairs untaped on every token id. Decoding's ``molkv_step`` (in
-:mod:`molkv.runtime`) runs that op's two kernels on one query, as
+FFN's output. Each path is one ``autodiff.attention`` call. The own-expert
+path attends from each position's unrotated query over its token's N pairs,
+with the router as bias. The cached-expert path uses the window mask, the
+second router as bias and a top-k; each query block scores and keeps on
+the tape only its band of M*N slots. Export runs the pairs untaped on
+every token id. Decoding's ``molkv_step`` (in :mod:`molkv.runtime`) mixes
+the own experts with ``molkv_augmented_routing`` and runs the attention
+op's two kernels on one query for the cached experts, as
 ``molkv_new_scores`` and ``molkv_select``; ``cache_insert`` appends each
 token's pairs to the sequence's :class:`~molkv.layers.KVCache` windowed to
 M positions, the same cache that backbone attention keeps unbounded.
@@ -43,7 +46,6 @@ from .autodiff import (
     rope_rotate,
     rope_rotate_np,
     sigmoid,
-    softmax,
     softmax_np,
     stack,
     tensor_sum,
@@ -210,12 +212,12 @@ def molkv_expert_terms(h: Tensor, emb: Tensor, inverse: np.ndarray, params: MoLK
 
     q = dense(h, params.query_proj)  # (b, s, d')
 
-    # Own-token path: router score plus unrotated query-key score.
-    router = dense(h, params.routers)  # (b, s, N)
-    qk_own = tensor_sum(mul(reshape(q, (b, s, 1, dk)), keys), axis=-1)  # (b, s, N)
-    s_own = softmax(router + qk_own * params.qk_scale, axis=-1)
+    # Own-token path: each position's query attends over its own N pairs, unrotated, with the router as bias.
+    router = reshape(dense(h, params.routers), (b, s, 1, n))
+    mixed_own = attention(reshape(q, (b, s, 1, dk)), keys, values, np.ones((1, n), dtype=bool), params.qk_scale,
+                          bias=router)  # (b, s, 1, d)
     gate = sigmoid(tensor_sum(mul(h, params.gate), axis=-1, keepdims=True))  # (b, s, 1)
-    own = mul(tensor_sum(mul(values, reshape(s_own, (b, s, n, 1))), axis=2), gate)
+    own = mul(reshape(mixed_own, (b, s, d)), gate)
 
     # Cached-expert path: rotate queries and keys, score every query against
     # all s*N cached experts (slot-major, j*N + n) plus the second router,

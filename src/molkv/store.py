@@ -28,7 +28,9 @@ and holds, for each expert n in order: d' key values, then d raw values.
 
 from __future__ import annotations
 
+import errno
 import os
+import stat
 import struct
 import threading
 from dataclasses import dataclass
@@ -268,6 +270,9 @@ class ExpertStoreReader:
     def __init__(self, path):
         self.path = str(path)
         self._fd = os.open(self.path, os.O_RDONLY)
+        if stat.S_ISDIR(os.fstat(self._fd).st_mode):  # opens without error; its first read would fail unnamed
+            os.close(self._fd)
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), self.path)
         try:
             self.header = ExpertStoreHeader.decode(os.pread(self._fd, HEADER_SIZE, 0))
         except Exception:

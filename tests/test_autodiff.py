@@ -87,6 +87,26 @@ class TestMatmul:
         err = grad_check(lambda: tensor_sum(matmul(a, b)), [a, b])
         assert err < 1e-8
 
+    @pytest.mark.parametrize("op,a_shape,b_shape", [
+        (dense, (2, 5, 4), (4, 3)), (dense, (2, 3, 5, 4), (4, 3)),
+        (matmul, (2, 5, 4), (4, 3)), (matmul, (2, 3, 5, 4), (4, 3)),
+        (matmul, (2, 5, 4), (2, 4, 3)),  # batched 3-D @ 3-D: the per-batch products
+    ])
+    def test_leading_axes_gradients(self, op, a_shape, b_shape):
+        # a 2-D weight's gradient is one 2-D product over every leading index of the activation
+        rng = np.random.default_rng(2)
+        a, b = parameter(rng.standard_normal(a_shape)), parameter(rng.standard_normal(b_shape))
+        w = Tensor(rng.standard_normal(a_shape[:-1] + b_shape[-1:]))
+        assert grad_check(lambda: tensor_sum(mul(op(a, b), w)), [a, b]) < 1e-8
+        with Tape() as tape:
+            loss = tensor_sum(mul(op(a, b), w))
+        grads = backward(tape, loss)
+        gb = np.swapaxes(a.data, -1, -2) @ w.data
+        np.testing.assert_allclose(grads[a], w.data @ np.swapaxes(b.data, -1, -2), rtol=1e-12)
+        np.testing.assert_allclose(grads[b], gb.reshape((-1,) + b_shape).sum(axis=0), rtol=1e-12)
+        if len(b_shape) == 3:
+            np.testing.assert_array_equal(grads[b], gb)
+
 
 class TestElementwise:
     def test_sigmoid_at_zero(self):

@@ -317,7 +317,7 @@ class TestPipeline:
         capsys.readouterr()
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "Is a directory" in err
+        assert err.startswith("error: ") and "Is a directory" in err and str(tmp) in err
 
     def test_dense_decode_needs_no_store(self, tmp_path, capsys):
         manifest = dense_manifest(tmp_path)

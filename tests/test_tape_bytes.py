@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from molkv.autodiff import ATTENTION_BLOCK, Tape, Tensor, attention, mul, parameter, reshape, tensor_sum
+from molkv.config import ModelConfig
 from molkv.kvexperts import sliding_window_mask
 from molkv.layers import AttnParams, causal_attention
+from molkv.model import init_model, next_token_loss
 
 _spec = importlib.util.spec_from_file_location(
     "tape_bytes", Path(__file__).resolve().parents[1] / "tools" / "tape_bytes.py"
@@ -21,12 +23,26 @@ _spec.loader.exec_module(tape_bytes)
 def test_each_buffer_counts_once_and_leaves_not_at_all():
     x = parameter(np.ones((4, 8)))
     with Tape() as tape:
-        y = reshape(x, (8, 4))  # a view of the leaf
+        y = reshape(x, (8, 4))  # a view of the leaf, holding only shapes in its VJP
         z = mul(y, y)  # 256 bytes, holding the leaf view in its VJP
-        w = reshape(z, (32,))  # a view of z, holding z in its VJP
-        tensor_sum(w)  # an 8-byte scalar that no VJP holds, holding w
+        w = mul(z, z)  # 256 bytes, holding z (twice) in its VJP
+        tensor_sum(mul(w, z))  # holding w and z again; the sum, an 8-byte scalar, holds only shapes
     report = tape_bytes.tape_report(tape.nodes, Tensor)
-    assert report == {"reshape": [2, 256], "mul": [1, 0], "tensor_sum": [1, 0]}
+    assert report == {"reshape": [1, 0], "mul": [3, 512], "tensor_sum": [1, 0]}
+
+
+def test_shape_ops_keep_no_arrays():
+    cfg = ModelConfig(kind="molkv", vocab_size=257, num_layers=2, hidden_size=16, ffn_size=12, num_heads=2,
+                      num_experts=2, expert_layers=(0,), key_dim=4, cache_window=4, top_k=2)
+    model = init_model(cfg, seed=3, dtype=np.float64)
+    with Tape() as tape:
+        ids = np.random.default_rng(3).integers(0, 257, size=(2, 13))
+        next_token_loss(model, ids) * 0.5  # the model itself records no scale
+    shape_only = {"add", "reshape", "tensor_sum", "stack", "transpose", "scale"}
+    assert shape_only <= {tape_bytes.op_kind(node) for node in tape.nodes}
+    for node in tape.nodes:
+        if tape_bytes.op_kind(node) in shape_only:
+            assert not list(tape_bytes.reachable_arrays(node.vjp, Tensor)), tape_bytes.op_kind(node)
 
 
 def test_causal_attention_keeps_only_the_blocks_weights():
@@ -82,7 +98,7 @@ def test_tiny_model_report(capsys):
     lines = capsys.readouterr().out.splitlines()
     nodes = int(lines[0].split(": ")[1].split()[0])
     rows = {line.split()[0]: line.split()[1:] for line in lines[2:-2]}
-    assert rows["attention"][0] == "3"  # two backbone layers and one cached-expert path
+    assert rows["attention"][0] == "4"  # two backbone layers, one cached-expert path and one own-expert term
     assert rows["swishglu"][0] == "6"  # two shared FFNs and the expert layer's 2 + 2 expert FFNs
     assert "masked_softmax" not in rows and "silu" not in rows
     total = rows.pop("total")
