@@ -13,13 +13,14 @@ the forward tape. Inference code simply runs with no tape active and pays
 no recording cost. ``matmul``'s gradient of a 2-D weight shared by every
 leading index of the other operand is one 2-D product over all its rows.
 
-Two fused ops keep the tape small: ``attention`` holds, per block of
-queries, the softmax weights over the keys its mask reaches but not the
-scores, and ``swishglu`` holds its two pre-activations and recomputes the
-rest. Each one's gradient runs the numpy expressions of the op chain it
-replaced, in the same order: it has that chain's bits, except that over
-several blocks attention sums softmax rows and k, v gradients in another
-order. Decoding runs attention's two forward kernels, ``attention_logits``
+Two fused ops keep the tape small: ``attention`` holds q, k^T, v, the
+bias and, per block of queries, its mask over the keys it reaches, and its
+gradient recomputes each block's softmax weights with the forward's calls;
+``swishglu`` holds its two pre-activations and recomputes the rest. So no
+(s, t) array of weights or scores stays on the tape. Each one's gradient
+runs the numpy expressions of the op chain it replaced, in the same order:
+it has that chain's bits, except that over several blocks attention sums
+softmax rows and k, v gradients in another order. Decoding runs attention's two forward kernels, ``attention_logits``
 and ``attention_weights``. Gradient kernels keep the bits of their plain
 numpy forms (``np.add.at`` for gathers, ``np.where`` chains for the masked softmax).
 """
@@ -472,9 +473,12 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask, scale: float, bias: Tensor 
 
     Queries run in blocks of ``ATTENTION_BLOCK`` rows; a block scores only
     the keys [lo, hi) that its rows of ``mask`` reach (in whole bias groups),
-    with ``attention_logits`` and ``attention_weights``; the tape keeps q, the
-    contiguous k^T, v and the blocks' weights. The gradient runs each block
-    through the op chain's numpy expressions, in order.
+    with ``attention_logits`` and ``attention_weights``. The tape keeps q, the
+    contiguous k^T, v, the bias and each block's copy of its mask rows over
+    [lo, hi); it keeps no weights and not the caller's mask. The gradient
+    recomputes each block's weights with the forward's calls, so they have
+    the forward's bits, and runs the block through the op chain's numpy
+    expressions, in order.
     """
     if q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2]:
         raise ShapeError(f"attention: q {q.shape}, k {k.shape}, v {v.shape}")
@@ -482,23 +486,29 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask, scale: float, bias: Tensor 
     mask = np.broadcast_to(mask, (s, t))
     group = 1 if bias is None else bias.shape[-1]
     kt = np.ascontiguousarray(np.swapaxes(k.data, -1, -2))
-    blocks, outs = [], []  # blocks: (first row, end row, first key, end key, weights)
+    b = None if bias is None else bias.data
+
+    def weights(block):
+        r0, r1, lo, hi, m = block
+        w = attention_logits(q.data[..., r0:r1, :], kt[..., lo:hi], scale, None if b is None else b[..., r0:r1, :])
+        return attention_weights(w, m, top_k)
+
+    blocks, outs = [], []  # blocks: (first row, end row, first key, end key, mask[r0:r1, lo:hi])
     for r0 in range(0, s, ATTENTION_BLOCK):
         r1 = min(r0 + ATTENTION_BLOCK, s)
         cols = np.flatnonzero(mask[r0:r1].any(axis=0))
         lo, hi = (cols[0], cols[-1] + 1) if cols.size else (0, 0)
         lo, hi = lo - lo % group, hi + -hi % group  # whole bias groups
-        w = attention_logits(q.data[..., r0:r1, :], kt[..., lo:hi], scale,
-                             None if bias is None else bias.data[..., r0:r1, :])
-        w = attention_weights(w, mask[r0:r1, lo:hi], top_k)
-        outs.append(w @ v.data[..., lo:hi, :])
-        blocks.append((r0, r1, lo, hi, w))
+        blocks.append((r0, r1, lo, hi, mask[r0:r1, lo:hi].copy()))  # a copy: the tape holds no view of mask
+        outs.append(weights(blocks[-1]) @ v.data[..., lo:hi, :])
     out = Tensor(np.concatenate(outs, axis=-2))
 
     def vjp(g):
         gq, gb = [], []
         gkt, gv = np.zeros_like(kt), np.zeros_like(v.data)
-        for r0, r1, lo, hi, w in blocks:
+        for block in blocks:
+            r0, r1, lo, hi, _ = block
+            w = weights(block)
             gw, gvb = _matmul_grads(g[..., r0:r1, :], w, v.data[..., lo:hi, :])
             gv[..., lo:hi, :] += gvb
             gz = _softmax_grad(gw, w, -1)

@@ -7,7 +7,8 @@ import numpy as np
 
 import pytest
 
-from molkv.autodiff import ATTENTION_BLOCK, Tape, Tensor, attention, mul, parameter, reshape, tensor_sum
+from molkv import autodiff
+from molkv.autodiff import ATTENTION_BLOCK, Tape, Tensor, attention, backward, mul, parameter, reshape, tensor_sum
 from molkv.config import ModelConfig
 from molkv.kvexperts import sliding_window_mask
 from molkv.layers import AttnParams, causal_attention
@@ -45,50 +46,96 @@ def test_shape_ops_keep_no_arrays():
             assert not list(tape_bytes.reachable_arrays(node.vjp, Tensor)), tape_bytes.op_kind(node)
 
 
-def test_causal_attention_keeps_only_the_blocks_weights():
+def _blocks(mask, group):
+    """(r0, r1, lo, hi) of each block of query rows: the key columns its mask rows reach, in whole groups."""
+    out = []
+    for r0 in range(0, mask.shape[0], ATTENTION_BLOCK):
+        cols = np.flatnonzero(mask[r0:r0 + ATTENTION_BLOCK].any(axis=0))
+        lo, hi = (cols[0] // group * group, -(-(cols[-1] + 1) // group) * group) if cols.size else (0, 0)
+        out.append((r0, min(r0 + ATTENTION_BLOCK, mask.shape[0]), lo, hi))
+    return out
+
+
+def _assert_keeps_no_weights(node, mask, group):
+    """The node keeps each block's own copy of its mask rows over [lo, hi), and no float array of a block's extent."""
+    blocks = _blocks(mask, group)
+    held = list(tape_bytes.reachable_arrays(node.vjp, Tensor))
+    masks = [a for a in held if a.dtype == bool]
+    assert len(masks) == len(blocks)
+    for kept, (r0, r1, lo, hi) in zip(masks, blocks):
+        assert tape_bytes.base_of(kept) is kept  # not a view of the caller's (s, t) mask
+        assert kept.shape == (r1 - r0, hi - lo) and np.array_equal(kept, mask[r0:r1, lo:hi])
+    extents = {(r1 - r0, hi - lo) for r0, r1, lo, hi in blocks}
+    assert not [a.shape for a in held if a.dtype.kind == "f" and a.shape[-2:] in extents]
+    return blocks, {id(a): a for a in held if a.dtype.kind == "f"}
+
+
+def test_causal_attention_keeps_no_weights():
     # the op chain before the fused attention op kept three (b, h, s, s) arrays: the raw, scaled and
-    # softmaxed scores; the unblocked op kept the last. Each block keeps its rows' causal prefix of keys.
+    # softmaxed scores; the unblocked op kept the last, the blocked op each block's weights.
     b, h, s, d = 1, 2, 150, 8
     rng = np.random.default_rng(30)
     p = AttnParams(*(parameter(rng.standard_normal((d, d))) for _ in range(4)), n_heads=h)
     with Tape() as tape:
         causal_attention(parameter(rng.standard_normal((b, s, d))), p)
-    bases = {id(a): a for node in tape.nodes
-             for a in map(tape_bytes.base_of, tape_bytes.reachable_arrays((node.out, node.vjp), Tensor))}
-    scores = sorted(a.shape for a in bases.values() if a.ndim == 4 and min(a.shape[-2:]) > d // h)  # not q, k^T, v
-    assert scores == [(b, h, 22, 150), (b, h, 64, 64), (b, h, 64, 128)]
+    (node,) = [n for n in tape.nodes if tape_bytes.op_kind(n) == "attention"]
+    blocks, floats = _assert_keeps_no_weights(node, np.tril(np.ones((s, s), dtype=bool)), 1)
+    assert [(r1 - r0, hi - lo) for r0, r1, lo, hi in blocks] == [(64, 64), (64, 128), (22, 150)]
+    hd = d // h
+    assert sorted(a.shape for a in floats.values()) == sorted([(b, h, s, hd), (b, h, hd, s), (b, h, s, hd)])  # q, k^T, v
 
 
-def _block_widths(mask, group):
-    """(rows, hi - lo) of each block of query rows: the key columns its mask rows reach, in whole groups."""
-    out = []
-    for r0 in range(0, mask.shape[0], ATTENTION_BLOCK):
-        cols = np.flatnonzero(mask[r0:r0 + ATTENTION_BLOCK].any(axis=0))
-        lo, hi = (cols[0] // group * group, -(-(cols[-1] + 1) // group) * group) if cols.size else (0, 0)
-        out.append((min(ATTENTION_BLOCK, mask.shape[0] - r0), hi - lo))
-    return out
+def _attention_case(case, rng, ints=False):
+    """(q, k, v[, bias]) arrays, mask, bias group and keyword arguments of one ``attention`` case over three blocks."""
+    s = 150  # three blocks, the last partial
+    draw = (lambda shape: rng.integers(-1, 2, size=shape).astype(np.float64)) if ints else rng.standard_normal
+    if case == "causal":
+        return [draw((2, 3, s, 4)) for _ in range(3)], np.tril(np.ones((s, s), dtype=bool)), 1, {}
+    # the cached-expert path: N=2 slots per position, window 40, top-k 5, the router as bias
+    inputs = [draw(shape) for shape in ((2, s, 4), (2, 2 * s, 4), (2, 2 * s, 6), (2, s, 2))]
+    mask = np.repeat(sliding_window_mask(s, 40), 2, axis=1)
+    mask[:70] = False  # an empty first block
+    return inputs, mask, 2, {"top_k": 5}
 
 
 @pytest.mark.parametrize("case", ["causal", "window"])
 def test_attention_keeps_only_the_keys_each_block_reaches(case):
-    rng = np.random.default_rng(31)
-    s = 150  # three blocks, the last partial
-    if case == "causal":
-        inputs = [rng.standard_normal((2, 3, s, 4)) for _ in range(3)]
-        mask, group, extra = np.tril(np.ones((s, s), dtype=bool)), 1, {}
-    else:  # the cached-expert path: N=2 slots per position, window 40, top-k 5, the router as bias
-        inputs = [rng.standard_normal(shape) for shape in ((2, s, 4), (2, 2 * s, 4), (2, 2 * s, 6), (2, s, 2))]
-        mask, group, extra = np.repeat(sliding_window_mask(s, 40), 2, axis=1), 2, {"top_k": 5}
-        mask[:70] = False  # an empty first block
+    inputs, mask, group, extra = _attention_case(case, np.random.default_rng(31))
     leaves = [parameter(a) for a in inputs]
     with Tape() as tape:
         attention(*leaves[:3], mask, 0.5, *leaves[3:], **extra)
     (node,) = tape.nodes
-    held = {id(b): b for b in map(tape_bytes.base_of, tape_bytes.reachable_arrays(node.vjp, Tensor))}
-    widths = _block_widths(mask, group)
-    weights = sum(a.size for a in held.values()) - sum(a.size for a in inputs)  # all but q, k^T, v [, bias]
-    assert weights == np.prod(inputs[0].shape[:-2]) * sum(rows * width for rows, width in widths)
-    assert len(widths) == 3 and sum(rows * width for rows, width in widths) < mask.size
+    blocks, floats = _assert_keeps_no_weights(node, mask, group)
+    assert sum(a.size for a in floats.values()) == sum(a.size for a in inputs)  # q, k^T, v [, bias]: nothing else
+    assert len(blocks) == 3 and sum((r1 - r0) * (hi - lo) for r0, r1, lo, hi in blocks) < mask.size
+
+
+@pytest.mark.parametrize("case", ["causal", "window"])
+def test_backward_recomputes_the_forwards_weights(case, monkeypatch):
+    # integer scores tie often, so the window case's top-k breaks ties in most rows
+    inputs, mask, _, extra = _attention_case(case, np.random.default_rng(32), ints=True)
+    recorded = []
+
+    def recording(*args, **kwargs):
+        recorded.append(weights(*args, **kwargs).copy())
+        return recorded[-1]
+
+    weights = autodiff.attention_weights
+    monkeypatch.setattr(autodiff, "attention_weights", recording)
+    leaves = [parameter(a) for a in inputs]
+    with Tape() as tape:
+        out = attention(*leaves[:3], mask, 1.0, *leaves[3:], **extra)
+        loss = tensor_sum(mul(out, Tensor(np.random.default_rng(33).standard_normal(out.shape))))
+    forward = recorded[:]
+    backward(tape, loss)
+    assert len(forward) == 3 and len(recorded) == 6
+    for fw, bw in zip(forward, recorded[3:]):
+        assert fw.dtype == bw.dtype and np.array_equal(fw, bw)
+    if extra:  # some row's k-th and (k+1)-th largest reachable scores tie
+        q, k, _, bias = inputs
+        z = np.where(mask, autodiff.attention_logits(q, np.swapaxes(k, -1, -2), 1.0, bias), -np.inf)
+        kth = -np.sort(-z, axis=-1)[..., extra["top_k"] - 1:extra["top_k"] + 1]
+        assert np.any((kth[..., 0] == kth[..., 1]) & np.isfinite(kth[..., 1]))
 
 
 def test_tiny_model_report(capsys):
