@@ -579,27 +579,26 @@ def rmsnorm(x: Tensor, gain: Tensor, eps: float = 1e-8) -> Tensor:
     return _record(out, (x, gain), vjp)
 
 
-def rope_rotate_np(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
-    """Rotate interleaved pairs (x[2i], x[2i+1]) by cos/sin, of last extent x.shape[-1] // 2, broadcast."""
-    half = x.shape[-1] // 2
-    if x.shape[-1] % 2 or cos.shape[-1] != half or sin.shape[-1] != half:
-        raise ShapeError(f"rope of {x.shape} needs an even last axis and cos/sin of width {half}, "
-                         f"not {cos.shape}/{sin.shape}")
-    xe, xo = x[..., 0::2], x[..., 1::2]
-    out = np.empty_like(x)
-    out[..., 0::2] = xe * cos - xo * sin
-    out[..., 1::2] = xe * sin + xo * cos
-    return out
+def rope_rotate_np(x: np.ndarray, rot: np.ndarray) -> np.ndarray:
+    """Rotate interleaved pairs (x[2i], x[2i+1]) as complex numbers x[2i] + i x[2i+1], times ``rot``.
 
-
-def rope_rotate(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
-    """Rotate interleaved coordinate pairs of the last axis.
-
-    ``cos``/``sin`` are ``rope_rotate_np``'s tables, treated as constants.
-    The gradient is the inverse rotation.
+    ``rot`` is a complex table of last extent x.shape[-1] // 2, broadcast
+    against x's pairs. The result is a real view of one complex product.
     """
-    out = Tensor(rope_rotate_np(x.data, cos, sin))
-    return _record(out, (x,), lambda g: (rope_rotate_np(g, cos, -sin),))
+    half = x.shape[-1] // 2
+    if x.shape[-1] % 2 or rot.shape[-1] != half:
+        raise ShapeError(f"rope of {x.shape} needs an even last axis and a table of width {half}, not {rot.shape}")
+    out = np.ascontiguousarray(x).view(np.result_type(x.dtype, np.complex64)) * rot
+    return out.view(out.real.dtype)
+
+
+def rope_rotate(x: Tensor, rot: np.ndarray) -> Tensor:
+    """Rotate interleaved coordinate pairs of the last axis by ``rope_rotate_np``'s table ``rot``, a constant.
+
+    The gradient is the inverse rotation, by ``np.conj(rot)``.
+    """
+    out = Tensor(rope_rotate_np(x.data, rot))
+    return _record(out, (x,), lambda g: (rope_rotate_np(g, np.conj(rot)),))
 
 
 # ---------------------------------------------------------------------------

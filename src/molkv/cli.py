@@ -12,6 +12,7 @@ import contextlib
 import dataclasses
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -102,7 +103,7 @@ def cmd_decode(args) -> int:
             raise ConfigError("no store path: set paths.store or pass --store")
 
     tok = ByteTokenizer()
-    prompt = tok.tokenize(args.prompt.encode())
+    prompt = tok.tokenize(os.fsencode(args.prompt))  # the argument's own bytes, even where they are not UTF-8
     if prompt.size == 0:
         raise ConfigError("prompt must not be empty")
     rng = np.random.default_rng(args.seed if args.seed is not None else 0)
@@ -184,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a model from a manifest")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--seed", type=int, default=None, help="override train.seed")
+    p.add_argument("--seed", type=_checked(int, lambda n: n >= 0, ">= 0"), default=None, help="override train.seed")
     steps_help = "run the first N steps of the manifest's schedule; the lr schedule and the checkpoint's steps stay the manifest's"
     p.add_argument("--steps", type=_checked(int, lambda n: n >= 0, ">= 0"), default=None, metavar="N", help=steps_help)
     p.add_argument("--out", default=None, help="checkpoint output path")
@@ -203,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--store", default=None)
     p.add_argument("--prompt", default="The ")
     p.add_argument("--steps", type=_checked(int, lambda n: n >= 0, ">= 0"), default=32, help="tokens to generate")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_checked(int, lambda n: n >= 0, ">= 0"), default=None)
     p.add_argument("--sampler", choices=("greedy", "temperature"), default="greedy")
     p.add_argument("--temperature", type=_checked(float, lambda t: 0 < t < math.inf, "finite and > 0"), default=1.0)
     p.add_argument("--out", default=None, help="cost report path (JSON lines)")

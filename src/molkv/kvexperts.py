@@ -140,8 +140,8 @@ def compute_expert_kv(e_id: np.ndarray, params: MoLKVBlockParams) -> ExpertKV:
     return ExpertKV(keys=keys.data, values=values.data, values_normed=values_normed.data)
 
 
-def cache_insert(cache: KVCache, position: int, kv: ExpertKV, cos, sin) -> KVCache:
-    """Append ``position``'s keys rotated by its RoPE tables ``cos``/``sin`` and its normed values.
+def cache_insert(cache: KVCache, position: int, kv: ExpertKV, rot) -> KVCache:
+    """Append ``position``'s keys rotated by its RoPE table ``rot`` and its normed values.
 
     ``cache`` is the layer's windowed :class:`~molkv.layers.KVCache` of
     (N, d') key and (N, d) value rows; it keeps the last M positions.
@@ -150,7 +150,7 @@ def cache_insert(cache: KVCache, position: int, kv: ExpertKV, cos, sin) -> KVCac
         if cache.next_position:
             raise CacheStateError(f"cache holds ..{cache.next_position - 1}, cannot insert position {position}")
         raise CacheStateError(f"empty cache starts at position 0, got {position}")
-    cache.append(rope_rotate_np(kv.keys, cos, sin), kv.values_normed)
+    cache.append(rope_rotate_np(kv.keys, rot), kv.values_normed)
     return cache
 
 
@@ -159,10 +159,10 @@ def cache_insert(cache: KVCache, position: int, kv: ExpertKV, cos, sin) -> KVCac
 # ---------------------------------------------------------------------------
 
 
-def molkv_query(h: np.ndarray, params: MoLKVBlockParams, cos, sin):
-    """(q, q rotated by the current position's RoPE tables ``cos``/``sin``) for one hidden state."""
+def molkv_query(h: np.ndarray, params: MoLKVBlockParams, rot):
+    """(q, q rotated by the current position's RoPE table ``rot``) for one hidden state."""
     q = h @ params.query_proj.data
-    return q, rope_rotate_np(q, cos, sin)
+    return q, rope_rotate_np(q, rot)
 
 
 def molkv_new_scores(q_rot: np.ndarray, h: np.ndarray, cache: KVCache, params: MoLKVBlockParams) -> np.ndarray:
@@ -222,9 +222,9 @@ def molkv_expert_terms(h: Tensor, emb: Tensor, inverse: np.ndarray, params: MoLK
     # Cached-expert path: rotate queries and keys, score every query against
     # all s*N cached experts (slot-major, j*N + n) plus the second router,
     # mask to the strictly causal window and keep the top-k per query.
-    cos, sin = rope_tables(np.arange(s), dk, params.rope_theta, h.dtype)
-    q_rot = rope_rotate(q, cos, sin)
-    k_rot = rope_rotate(keys, cos[:, None, :], sin[:, None, :])  # (b, s, N, d')
+    rot = rope_tables(np.arange(s), dk, params.rope_theta, h.dtype)
+    q_rot = rope_rotate(q, rot)
+    k_rot = rope_rotate(keys, rot[:, None, :])  # (b, s, N, d')
     new_router = dense(h, params.new_routers)  # (b, s, N)
     win = np.repeat(sliding_window_mask(s, window), n, axis=1)  # (s, s*N)
     mixed = attention(q_rot, reshape(k_rot, (b, s * n, dk)), reshape(values_normed, (b, s * n, d)),

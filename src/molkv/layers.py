@@ -9,10 +9,12 @@ the fused ``autodiff.attention`` op in training and over a :class:`KVCache`
 in decoding. The SwishGLU FFN keeps two forms, held equal by the tests: the
 fused ``autodiff.swishglu`` op and a one-line numpy form. The same cache,
 windowed to the last M positions, holds the cached key-value experts of
-:mod:`molkv.kvexperts`. RoPE is ``rope_tables`` plus the rotation kernel:
-the per-token decoding functions here and in :mod:`molkv.kvexperts` take
-the current position's ``cos``/``sin`` tables as arguments, so a decode
-step builds each table once.
+:mod:`molkv.kvexperts`. RoPE is one complex table, ``rope_tables``'
+exp(i * position * freq), and the rotation kernel, which multiplies each
+interleaved coordinate pair, read as a complex number, by it. The
+per-token decoding functions here and in :mod:`molkv.kvexperts` take the
+current position's table ``rot`` as an argument, so a decode step builds
+each table once.
 """
 
 from __future__ import annotations
@@ -96,18 +98,21 @@ class AttnParams:
 # ---------------------------------------------------------------------------
 
 
-def rope_tables(positions, dim: int, theta: float = ROPE_THETA, dtype=np.float64):
-    """cos/sin tables of shape positions.shape + (dim // 2,).
+def rope_tables(positions, dim: int, theta: float = ROPE_THETA, dtype=np.float64) -> np.ndarray:
+    """The rotation table exp(i * position * freq) of shape positions.shape + (dim // 2,).
 
-    Computed in fp64 and cast down, so fp32 models still share the exact
-    same angles as the verification paths.
+    Complex64 for an fp32 ``dtype``, complex128 for fp64. Computed in fp64
+    (cos and sin of each angle) and cast down, so fp32 models still share
+    the exact same angles as the verification paths.
     """
     if dim % 2:
         raise ShapeError(f"rope dimension must be even, got {dim}")
     pos = np.asarray(positions, dtype=np.float64)
     freqs = theta ** (-np.arange(0, dim, 2, dtype=np.float64) / dim)
     ang = pos[..., None] * freqs
-    return np.cos(ang).astype(dtype), np.sin(ang).astype(dtype)
+    rot = np.empty(ang.shape, dtype=np.complex128)
+    rot.real, rot.imag = np.cos(ang), np.sin(ang)
+    return rot.astype(np.result_type(dtype, np.complex64), copy=False)
 
 
 def lookup_distinct(table: Tensor, ids) -> tuple[Tensor, np.ndarray]:
@@ -154,9 +159,9 @@ def causal_attention(x: Tensor, p: AttnParams, theta: float = ROPE_THETA) -> Ten
     k = heads(dense(x, p.wk))
     v = heads(dense(x, p.wv))
 
-    cos, sin = rope_tables(np.arange(s), hd, theta, x.dtype)  # (s, hd/2)
-    q = rope_rotate(q, cos, sin)
-    k = rope_rotate(k, cos, sin)
+    rot = rope_tables(np.arange(s), hd, theta, x.dtype)  # (s, hd/2)
+    q = rope_rotate(q, rot)
+    k = rope_rotate(k, rot)
 
     causal = np.tril(np.ones((s, s), dtype=bool))
     # A Python float: a NumPy float64 scalar would promote fp32 scores to fp64.
@@ -217,13 +222,11 @@ class KVCache:
             self.start += 1
 
 
-def causal_attention_step(
-    x: np.ndarray, p: AttnParams, cache: KVCache, cos: np.ndarray, sin: np.ndarray
-) -> np.ndarray:
+def causal_attention_step(x: np.ndarray, p: AttnParams, cache: KVCache, rot: np.ndarray) -> np.ndarray:
     """One-token attention; appends this position's k/v to the cache.
 
-    ``cos``/``sin`` are the position's RoPE tables, ``rope_tables(t, hd,
-    theta, dtype)`` with t = ``cache.next_position``, which rotate q and k.
+    ``rot`` is the position's RoPE table, ``rope_tables(t, hd, theta,
+    dtype)`` with t = ``cache.next_position``, which rotates q and k.
     Scores, weights and mixes per head with batched matmul over transposed views
     of the slot-major cache: (h, 1, hd) @ (h, hd, t), then (h, 1, t) @ (h, t, hd).
     """
@@ -233,8 +236,8 @@ def causal_attention_step(
     q = (x @ p.wq.data).reshape(h, hd)
     k = (x @ p.wk.data).reshape(h, hd)
     v = (x @ p.wv.data).reshape(h, hd)
-    q = rope_rotate_np(q, cos, sin)
-    k = rope_rotate_np(k, cos, sin)
+    q = rope_rotate_np(q, rot)
+    k = rope_rotate_np(k, rot)
     cache.append(k, v)
     w = attention_weights(attention_logits(q[:, None, :], cache.k.transpose(1, 2, 0), 1.0 / math.sqrt(hd)))
     ctx = (w @ cache.v.transpose(1, 0, 2)).reshape(d)  # (h, 1, hd)

@@ -149,12 +149,12 @@ def decode_step(state: DecoderState, token_id: int):
     delta = CostCounters()
     t = state.position
     rope = {key: rope_tables(t, *key, state.dtype) for key in state.rope_keys}
-    attn_rope = rope[cfg.head_dim, cfg.rope_theta]
+    attn_rot = rope[cfg.head_dim, cfg.rope_theta]
 
     x = params.embedding.data[token_id]
     for li, layer in enumerate(params.layers):
         a = rmsnorm_np(x, layer.attn_norm.data, cfg.norm_eps)
-        x = x + causal_attention_step(a, layer.attn, state.attn_caches[li], *attn_rope)
+        x = x + causal_attention_step(a, layer.attn, state.attn_caches[li], attn_rot)
         hn = rmsnorm_np(x, layer.ffn_norm.data, cfg.norm_eps)
         y = swishglu_ffn_np(hn, layer.ffn)
         cache_len = selected = nbytes = 0
@@ -169,7 +169,7 @@ def decode_step(state: DecoderState, token_id: int):
                 cache = state.expert_caches[li]
                 cache_len = len(cache)
                 kv = expert_kv(record, block, state.dtype)
-                term, selected = molkv_step(hn, t, cache, kv, block, *rope[block.key_dim, block.rope_theta])
+                term, selected = molkv_step(hn, t, cache, kv, block, rope[block.key_dim, block.rope_theta])
                 y = y + term
 
         x = x + y
@@ -210,20 +210,20 @@ def expert_kv(record: ExpertRecord, params: MoLKVBlockParams, dtype) -> ExpertKV
     )
 
 
-def molkv_step(h: np.ndarray, position: int, cache: KVCache, kv: ExpertKV, params: MoLKVBlockParams, cos, sin):
+def molkv_step(h: np.ndarray, position: int, cache: KVCache, kv: ExpertKV, params: MoLKVBlockParams, rot):
     """Own-expert plus cached-expert term of one token; returns (term, k_eff).
 
-    ``cos``/``sin`` are ``position``'s RoPE tables of width d' / 2; they
-    rotate the query and the token's keys. The token's own pairs ``kv``
+    ``rot`` is ``position``'s RoPE table of width d' / 2; it rotates the
+    query and the token's keys. The token's own pairs ``kv``
     join the cache (which checks ``position``) only after the term is
     computed, so position 0 sees an empty window and its cached term is 0.
     k_eff = min(k, cached experts) is the number of nonzero mixing weights.
     """
-    q, q_rot = molkv_query(h, params, cos, sin)
+    q, q_rot = molkv_query(h, params, rot)
     term = sigmoid_np(h @ params.gate.data) * (molkv_augmented_routing(h, q, kv, params) @ kv.values)
     weights = molkv_select(molkv_new_scores(q_rot, h, cache, params), params.top_k)
     term = term + sigmoid_np(h @ params.new_gate.data) * (weights @ cache.v.reshape(-1, cache.v.shape[-1]))
-    cache_insert(cache, position, kv, cos, sin)
+    cache_insert(cache, position, kv, rot)
     return term, min(params.top_k, weights.size)
 
 

@@ -147,7 +147,7 @@ class TrainConfig:
         if len(self.betas) != 2 or not all(0.0 <= b < 1.0 for b in self.betas):
             raise ConfigError(f"betas must be two values in [0, 1), got {self.betas}")
         for name, least in (("seq_length", 1), ("batch_size", 1), ("grad_accum", 1), ("eval_windows", 1),
-                            ("steps", 0), ("warmup_steps", 0)):
+                            ("steps", 0), ("warmup_steps", 0), ("seed", 0)):
             if getattr(self, name) < least:
                 raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)}")
         if not 0.0 < self.val_fraction < 1.0:  # NaN fails too

@@ -371,8 +371,8 @@ def check_rope_relative(tol: float = 1e-10):
         delta = int(rng.integers(0, 64))
         p1 = int(rng.integers(delta, 2048))
         p2 = int(rng.integers(delta, 2048))
-        s1 = rope_rotate_np(q, *rope_tables(p1, dk)) @ rope_rotate_np(k, *rope_tables(p1 - delta, dk)) * scale
-        s2 = rope_rotate_np(q, *rope_tables(p2, dk)) @ rope_rotate_np(k, *rope_tables(p2 - delta, dk)) * scale
+        s1 = rope_rotate_np(q, rope_tables(p1, dk)) @ rope_rotate_np(k, rope_tables(p1 - delta, dk)) * scale
+        s2 = rope_rotate_np(q, rope_tables(p2, dk)) @ rope_rotate_np(k, rope_tables(p2 - delta, dk)) * scale
         worst = max(worst, abs(s1 - s2))
     passed = worst <= tol
     return "rope relative invariance", passed, f"max score drift {worst:.2e} over 100 draws (tol {tol:g})"
@@ -396,7 +396,7 @@ def check_window_edges():
     token = 7
     kv = compute_expert_kv(model.embedding.data[token], block)
     cache = KVCache((cfg.num_experts, cfg.key_dim), (cfg.num_experts, cfg.hidden_size), np.float64, cfg.cache_window)
-    term, k_eff = molkv_step(h, 0, cache, kv, block, *rope_tables(0, cfg.key_dim, block.rope_theta))
+    term, k_eff = molkv_step(h, 0, cache, kv, block, rope_tables(0, cfg.key_dim, block.rope_theta))
     q = h @ block.query_proj.data
     s_own = softmax_np(h @ block.routers.data + kv.keys @ q * block.qk_scale)
     if k_eff != 0:
@@ -407,8 +407,8 @@ def check_window_edges():
     # Short window: fewer than k candidates selects all of them, weights sum to 1.
     for t in range(1, 5):
         kv_t = compute_expert_kv(model.embedding.data[t], block)
-        rope = rope_tables(t, cfg.key_dim, block.rope_theta)
-        _, q_rot = molkv_query(h, block, *rope)
+        rot = rope_tables(t, cfg.key_dim, block.rope_theta)
+        _, q_rot = molkv_query(h, block, rot)
         weights = molkv_select(molkv_new_scores(q_rot, h, cache, block), block.top_k)
         avail, selected = len(cache) * cfg.num_experts, np.count_nonzero(weights)
         if avail < block.top_k and selected != avail:
@@ -417,7 +417,7 @@ def check_window_edges():
             failures.append(f"t={t}: weights sum to {weights.sum()}")
         if selected and (weights.min() < 0 or weights.max() > 1):
             failures.append(f"t={t}: weights outside [0, 1]")
-        molkv_step(h, t, cache, kv_t, block, *rope)
+        molkv_step(h, t, cache, kv_t, block, rot)
 
     detail = "; ".join(failures) if failures else "zero term at t=0; short windows select all, weights sum to 1"
     return "empty/short window behavior", not failures, detail

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import struct
 from dataclasses import fields
 from pathlib import Path
@@ -184,7 +185,8 @@ def test_nan_manifest_exit_code(tmp_path, capsys):
 
 @pytest.mark.parametrize("field,value", [("seq_length", 0), ("batch_size", 0), ("grad_accum", 0),
                                          ("eval_windows", 0), ("steps", -3), ("warmup_steps", -5),
-                                         ("val_fraction", math.nan), ("val_fraction", 0.0), ("val_fraction", 1.0)])
+                                         ("val_fraction", math.nan), ("val_fraction", 0.0), ("val_fraction", 1.0),
+                                         ("seed", -1)])
 def test_train_count_or_fraction_out_of_range_exit_code(tmp_path, capsys, field, value):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({**tiny_doc(), "train": {field: value}}))
@@ -402,8 +404,11 @@ class TestPipeline:
             (["decode", "--sampler", "temperature", "--temperature", "-1"], "--temperature"),
             (["decode", "--sampler", "temperature", "--temperature", "0"], "--temperature"),
             (["train", "--steps", "-1"], "--steps"),
+            (["train", "--seed", "-5"], "--seed"),
+            (["decode", "--seed", "-1"], "--seed"),
         ],
-        ids=["decode-steps", "temperature-nan", "temperature-negative", "temperature-zero", "train-steps"],
+        ids=["decode-steps", "temperature-nan", "temperature-negative", "temperature-zero", "train-steps",
+             "train-seed", "decode-seed"],
     )
     def test_bad_flag_value_exit_code(self, workspace, capsys, argv, flag):
         tmp, manifest = workspace
@@ -441,3 +446,21 @@ class TestPipeline:
         gen1 = [l for l in first.splitlines() if l.startswith("generated:")]
         gen2 = [l for l in second.splitlines() if l.startswith("generated:")]
         assert gen1 == gen2
+
+    def test_decode_non_utf8_prompt(self, workspace, monkeypatch):
+        from molkv import cli
+
+        tmp, manifest = workspace
+        assert main(["train", "--manifest", str(manifest), "--steps", "1"]) == 0
+        assert main(["export", "--manifest", str(manifest)]) == 0
+        prompts, generate = [], cli.generate
+
+        def recording(state, prompt, *args, **kwargs):
+            prompts.append(prompt.tolist())
+            return generate(state, prompt, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "generate", recording)
+        prompt = os.fsdecode(b"a\xff\xfe")  # a non-UTF-8 argument as Python hands it over: surrogate escapes
+        assert main(["decode", "--manifest", str(manifest), "--prompt", prompt, "--steps", "2"]) == 0
+        assert prompts == [[ord("a"), 0xFF, 0xFE]]
+        assert len((tmp / "costs.jsonl").read_text().splitlines()) == (3 + 2) * 2

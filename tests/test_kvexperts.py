@@ -48,7 +48,7 @@ def make_block(rng, d=10, D=14, dk=6, n=2, top_k=3, scale=0.35):
 
 
 def rope(block, position):
-    """The fp64 RoPE tables of ``position`` for the block's queries and keys."""
+    """The fp64 RoPE table of ``position`` for the block's queries and keys."""
     return rope_tables(position, block.key_dim, block.rope_theta)
 
 
@@ -114,21 +114,21 @@ class TestQuery:
     def test_position_zero_identity(self):
         rng = np.random.default_rng(5)
         block = make_block(rng)
-        q, q_rot = molkv_query(rng.standard_normal(10), block, *rope(block, 0))
+        q, q_rot = molkv_query(rng.standard_normal(10), block, rope(block, 0))
         assert np.array_equal(q, q_rot)
 
     def test_norm_preserved(self):
         rng = np.random.default_rng(6)
         block = make_block(rng)
-        q, q_rot = molkv_query(rng.standard_normal(10), block, *rope(block, 11))
+        q, q_rot = molkv_query(rng.standard_normal(10), block, rope(block, 11))
         assert abs(np.linalg.norm(q) - np.linalg.norm(q_rot)) < 1e-12
 
     def test_linear_in_h(self):
         rng = np.random.default_rng(7)
         block = make_block(rng)
         h = rng.standard_normal(10)
-        q1, _ = molkv_query(h, block, *rope(block, 0))
-        q2, _ = molkv_query(2.5 * h, block, *rope(block, 0))
+        q1, _ = molkv_query(h, block, rope(block, 0))
+        q2, _ = molkv_query(2.5 * h, block, rope(block, 0))
         np.testing.assert_allclose(q2, 2.5 * q1, rtol=1e-12)
 
 
@@ -139,8 +139,8 @@ class TestCache:
         cache = fresh_cache(block, window=4)
         for pos in range(3):
             kv = compute_expert_kv(rng.standard_normal(10), block)
-            cache_insert(cache, pos, kv, *rope(block, pos))
-            assert np.array_equal(cache.k[-1], rope_rotate_np(kv.keys, *rope(block, pos)))
+            cache_insert(cache, pos, kv, rope(block, pos))
+            assert np.array_equal(cache.k[-1], rope_rotate_np(kv.keys, rope(block, pos)))
             assert np.array_equal(cache.v[-1], kv.values_normed)
 
     def test_window_one_holds_previous_token(self):
@@ -148,7 +148,7 @@ class TestCache:
         block = make_block(rng)
         cache = fresh_cache(block, window=1)
         for pos in range(5):
-            cache_insert(cache, pos, compute_expert_kv(rng.standard_normal(10), block), *rope(block, pos))
+            cache_insert(cache, pos, compute_expert_kv(rng.standard_normal(10), block), rope(block, pos))
             assert positions(cache) == [pos]
 
     def test_eviction_keeps_last_window(self):
@@ -159,8 +159,8 @@ class TestCache:
         keys, values = [], []  # concatenate-and-slice reference
         for pos in range(3 * m + 3):  # past 2M + 1: the 2M-slot buffers compact twice
             kv = compute_expert_kv(rng.standard_normal(10), block)
-            cache_insert(cache, pos, kv, *rope(block, pos))
-            keys.append(rope_rotate_np(kv.keys, *rope(block, pos)))
+            cache_insert(cache, pos, kv, rope(block, pos))
+            keys.append(rope_rotate_np(kv.keys, rope(block, pos)))
             values.append(kv.values_normed)
             assert np.array_equal(cache.k, np.stack(keys)[-m:])
             assert np.array_equal(cache.v, np.stack(values)[-m:])
@@ -177,10 +177,10 @@ class TestCache:
         for pos in range(2 * m + 3):  # the buffers compact at insert 2M + 1
             values = rng.standard_normal((n, 10))
             kv = ExpertKV(keys=np.zeros((n, block.key_dim)), values=values, values_normed=values)
-            cache_insert(cache, pos, kv, *rope(block, pos))
+            cache_insert(cache, pos, kv, rope(block, pos))
             inserted.append(values)
         h = rng.standard_normal(10)
-        scores = molkv_new_scores(molkv_query(h, block, *rope(block, 2 * m + 3))[1], h, cache, block)
+        scores = molkv_new_scores(molkv_query(h, block, rope(block, 2 * m + 3))[1], h, cache, block)
         assert np.array_equal(scores, np.zeros(m * n))
         idx = np.flatnonzero(molkv_select(scores, block.top_k))
         assert idx.tolist() == [0, 1, 2]
@@ -194,31 +194,31 @@ class TestCache:
         m = 4
         cache = fresh_cache(block, window=m)
         kv = compute_expert_kv(rng.standard_normal(10), block)
-        cache_insert(cache, 0, kv, *rope(block, 0))
+        cache_insert(cache, 0, kv, rope(block, 0))
         prev_keys, prev_values = cache.k, cache.v
         for pos in range(1, 2 * m):  # all 2M slots fill without a move
-            cache_insert(cache, pos, kv, *rope(block, pos))
+            cache_insert(cache, pos, kv, rope(block, pos))
             assert np.shares_memory(cache.k, prev_keys)
             assert np.shares_memory(cache.v, prev_values)
             prev_keys, prev_values = cache.k, cache.v
         base_keys, base_values = prev_keys.base, prev_values.base
-        cache_insert(cache, 2 * m, kv, *rope(block, 2 * m))  # compaction moves slots within the same buffers
+        cache_insert(cache, 2 * m, kv, rope(block, 2 * m))  # compaction moves slots within the same buffers
         assert cache.k.base is base_keys and cache.v.base is base_values
 
     def test_out_of_order_insert_rejected(self):
         rng = np.random.default_rng(11)
         block = make_block(rng)
         cache = fresh_cache(block, window=4)
-        cache_insert(cache, 0, compute_expert_kv(rng.standard_normal(10), block), *rope(block, 0))
+        cache_insert(cache, 0, compute_expert_kv(rng.standard_normal(10), block), rope(block, 0))
         with pytest.raises(CacheStateError):
-            cache_insert(cache, 2, compute_expert_kv(rng.standard_normal(10), block), *rope(block, 2))
+            cache_insert(cache, 2, compute_expert_kv(rng.standard_normal(10), block), rope(block, 2))
 
     def test_empty_cache_starts_at_zero(self):
         rng = np.random.default_rng(12)
         block = make_block(rng)
         cache = fresh_cache(block, window=4)
         with pytest.raises(CacheStateError):
-            cache_insert(cache, 3, compute_expert_kv(rng.standard_normal(10), block), *rope(block, 3))
+            cache_insert(cache, 3, compute_expert_kv(rng.standard_normal(10), block), rope(block, 3))
 
 
 class TestScoresAndSelection:
@@ -237,9 +237,9 @@ class TestScoresAndSelection:
         block.new_routers.data[:] = 0.0
         cache = fresh_cache(block, window=4)
         for pos in range(3):
-            cache_insert(cache, pos, compute_expert_kv(rng.standard_normal(10), block), *rope(block, pos))
+            cache_insert(cache, pos, compute_expert_kv(rng.standard_normal(10), block), rope(block, pos))
         h = rng.standard_normal(10)
-        _, q_rot = molkv_query(h, block, *rope(block, 3))
+        _, q_rot = molkv_query(h, block, rope(block, 3))
         scores = molkv_new_scores(q_rot, h, cache, block)
         want = (cache.k.reshape(-1, block.key_dim) @ q_rot) * block.qk_scale
         np.testing.assert_allclose(scores, want, atol=1e-15)
@@ -249,9 +249,9 @@ class TestScoresAndSelection:
         block = make_block(rng)
         cache = fresh_cache(block, window=6)
         for pos in range(5):
-            cache_insert(cache, pos, compute_expert_kv(rng.standard_normal(10), block), *rope(block, pos))
+            cache_insert(cache, pos, compute_expert_kv(rng.standard_normal(10), block), rope(block, pos))
         h = rng.standard_normal(10)
-        _, q_rot = molkv_query(h, block, *rope(block, 5))
+        _, q_rot = molkv_query(h, block, rope(block, 5))
         scores = molkv_new_scores(q_rot, h, cache, block)
         router = h @ block.new_routers.data
         n = block.num_experts
@@ -287,16 +287,16 @@ class TestScoresAndSelection:
         m, n, t = 4, block.num_experts, 6
         cache = fresh_cache(block, window=m)
         for pos in range(t):
-            cache_insert(cache, pos, compute_expert_kv(rng.standard_normal(10), block), *rope(block, pos))
+            cache_insert(cache, pos, compute_expert_kv(rng.standard_normal(10), block), rope(block, pos))
         h = rng.standard_normal(10)
         kv = compute_expert_kv(rng.standard_normal(10), block)
-        q, q_rot = molkv_query(h, block, *rope(block, t))
+        q, q_rot = molkv_query(h, block, rope(block, t))
         keys, values = cache.k.reshape(m * n, -1).copy(), cache.v.reshape(m * n, -1).copy()  # before t joins
         router = Tensor((h @ block.new_routers.data)[None, :])
         mix = attention(Tensor(q_rot[None, :]), Tensor(keys), Tensor(values), np.ones((1, m * n), dtype=bool),
                         block.qk_scale, bias=router, top_k=block.top_k).data[0]
         own = sigmoid_np(h @ block.gate.data) * (molkv_augmented_routing(h, q, kv, block) @ kv.values)
-        term, selected = molkv_step(h, t, cache, kv, block, *rope(block, t))
+        term, selected = molkv_step(h, t, cache, kv, block, rope(block, t))
         assert selected == block.top_k
         np.testing.assert_allclose(term, own + sigmoid_np(h @ block.new_gate.data) * mix, rtol=0, atol=1e-12)
 
@@ -325,7 +325,7 @@ class TestAugmentedRouting:
         for _ in range(25):
             h = rng.standard_normal(10)
             kv = compute_expert_kv(rng.standard_normal(10), block)
-            q, _ = molkv_query(h, block, *rope(block, 0))
+            q, _ = molkv_query(h, block, rope(block, 0))
             assert molkv_augmented_routing(h, q, kv, block).sum() == pytest.approx(1.0, abs=1e-12)
 
 
@@ -392,7 +392,7 @@ class TestTrainInferEquivalence:
         cache = fresh_cache(block, window)
         for t in range(s):
             kv = compute_expert_kv(emb.data[ids[t]], block)
-            y_t, k_eff = molkv_step(h[t], t, cache, kv, block, *rope(block, t))
+            y_t, k_eff = molkv_step(h[t], t, cache, kv, block, rope(block, t))
             assert k_eff == min(top_k, min(t, window) * n)
             rel = np.abs(y_t - y_batch[t]).max() / (np.abs(y_batch[t]).max() + 1e-300)
             assert rel < 1e-12
@@ -406,7 +406,7 @@ class TestTrainInferEquivalence:
         y = sequence_terms(h, ids, emb, block, window=8)
         # reconstruct without the cached path
         kv = compute_expert_kv(emb.data[4], block)
-        q, _ = molkv_query(h[0], block, *rope(block, 0))
+        q, _ = molkv_query(h[0], block, rope(block, 0))
         s_own = molkv_augmented_routing(h[0], q, kv, block)
         want = sigmoid_np(h[0] @ block.gate.data) * (s_own @ kv.values)
         np.testing.assert_allclose(y[0], want, atol=1e-12)
@@ -416,12 +416,12 @@ class TestTrainInferEquivalence:
         block = make_block(rng)
         cache = fresh_cache(block, window=4)
         for pos in range(4):
-            cache_insert(cache, pos, compute_expert_kv(rng.standard_normal(10), block), *rope(block, pos))
+            cache_insert(cache, pos, compute_expert_kv(rng.standard_normal(10), block), rope(block, pos))
         h = rng.standard_normal(10)
         h = h * (-30.0 / (h @ block.new_gate.data))  # force h.u' = -30
         kv = compute_expert_kv(rng.standard_normal(10), block)
-        y, k_eff = molkv_step(h.copy(), 4, cache, kv, block, *rope(block, 4))
-        q, _ = molkv_query(h, block, *rope(block, 4))
+        y, k_eff = molkv_step(h.copy(), 4, cache, kv, block, rope(block, 4))
+        q, _ = molkv_query(h, block, rope(block, 4))
         s_own = molkv_augmented_routing(h, q, kv, block)
         no_new = sigmoid_np(h @ block.gate.data) * (s_own @ kv.values)
         assert k_eff > 0  # experts were selected, the gate just silences them
@@ -472,7 +472,7 @@ class TestGatedLookupReduction:
         kv = compute_expert_kv(emb[token], block)
         cache = fresh_cache(block, window=4)
         h = rng.standard_normal(10)
-        y_kv, _ = molkv_step(h, 0, cache, kv, block, *rope(block, 0))
+        y_kv, _ = molkv_step(h, 0, cache, kv, block, rope(block, 0))
         lookup = MoLEBlockParams(ffn=block.ffn, routers=block.routers, experts=[], gate=block.gate)
         np.testing.assert_array_equal(y_kv, mole_step(h, kv.values, lookup))
 

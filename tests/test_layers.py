@@ -37,7 +37,7 @@ def make_attn(rng, d, heads):
 
 def rope(x, position):
     """x rotated to ``position`` with the default theta."""
-    return rope_rotate_np(x, *rope_tables(position, x.shape[-1], dtype=x.dtype))
+    return rope_rotate_np(x, rope_tables(position, x.shape[-1], dtype=x.dtype))
 
 
 class TestRope:
@@ -67,10 +67,32 @@ class TestRope:
             rope_tables(0, 7)
 
     def test_tables_fp64_then_cast(self):
-        cos64, _ = rope_tables(3, 8, dtype=np.float64)
-        cos32, _ = rope_tables(3, 8, dtype=np.float32)
-        assert cos32.dtype == np.float32
-        np.testing.assert_array_equal(cos32, cos64.astype(np.float32))
+        rot64 = rope_tables(3, 8, dtype=np.float64)
+        rot32 = rope_tables(3, 8, dtype=np.float32)
+        assert rot64.dtype == np.complex128 and rot32.dtype == np.complex64
+        np.testing.assert_array_equal(rot32, rot64.astype(np.complex64))
+        ang = 3 * 10000.0 ** (-np.arange(0, 8, 2) / 8)
+        assert np.array_equal(rot64.real, np.cos(ang)) and np.array_equal(rot64.imag, np.sin(ang))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_row_alone_rotates_as_in_a_batch(self, dtype):
+        # decoding rotates one position's row, training the whole sequence at once: the bits must agree
+        rng = np.random.default_rng(3)
+        s, n, dim = 300, 3, 12
+        x = rng.standard_normal((s, n, dim)).astype(dtype)
+        batch = rope_rotate_np(x, rope_tables(np.arange(s), dim, dtype=dtype)[:, None, :])
+        assert batch.dtype == dtype
+        for t in range(s):
+            assert np.array_equal(rope_rotate_np(x[t], rope_tables(t, dim, dtype=dtype)), batch[t]), t
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_conjugate_table_inverts_the_rotation(self, dtype):
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((50, 16)).astype(dtype)
+        rot = rope_tables(rng.integers(0, 5000, size=50), 16, dtype=dtype)
+        back = rope_rotate_np(rope_rotate_np(x, rot), np.conj(rot))
+        assert back.dtype == dtype
+        np.testing.assert_allclose(back, x, rtol=0, atol=8 * np.finfo(dtype).eps * np.abs(x).max())
 
 
 class TestSwishGLU:
@@ -133,7 +155,7 @@ class TestAttention:
         x = rng.standard_normal((s, d))
         batched = causal_attention(Tensor(x), p).data
         cache = KVCache((heads, d // heads), (heads, d // heads), np.float64)
-        step = np.stack([causal_attention_step(x[t], p, cache, *rope_tables(t, d // heads)) for t in range(s)])
+        step = np.stack([causal_attention_step(x[t], p, cache, rope_tables(t, d // heads)) for t in range(s)])
         np.testing.assert_allclose(step, batched, atol=1e-10)
 
     def test_cache_appends_in_place_and_doubles(self):
@@ -146,7 +168,7 @@ class TestAttention:
         keys = []
         for t in range(s):
             prev = cache.k.base
-            step = causal_attention_step(x[t], p, cache, *rope_tables(t, d // heads))
+            step = causal_attention_step(x[t], p, cache, rope_tables(t, d // heads))
             np.testing.assert_allclose(step, batched[t], atol=1e-10)
             keys.append(rope((x[t] @ p.wk.data).reshape(heads, d // heads), t))
             assert np.array_equal(cache.k, np.stack(keys))
