@@ -20,8 +20,9 @@ gradient recomputes each block's softmax weights with the forward's calls;
 (s, t) array of weights or scores stays on the tape. Each one's gradient
 runs the numpy expressions of the op chain it replaced, in the same order:
 it has that chain's bits, except that over several blocks attention sums
-softmax rows and k, v gradients in another order. Decoding runs attention's two forward kernels, ``attention_logits``
-and ``attention_weights``. Gradient kernels keep the bits of their plain
+softmax rows and k, v gradients in another order. Decoding runs
+attention's two forward kernels, ``attention_logits`` and
+``attention_weights``. Gradient kernels keep the bits of their plain
 numpy forms (``np.add.at`` for gathers, ``np.where`` chains for the masked softmax).
 """
 
@@ -486,12 +487,11 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask, scale: float, bias: Tensor 
     mask = np.broadcast_to(mask, (s, t))
     group = 1 if bias is None else bias.shape[-1]
     kt = np.ascontiguousarray(np.swapaxes(k.data, -1, -2))
-    b = None if bias is None else bias.data
 
     def weights(block):
         r0, r1, lo, hi, m = block
-        w = attention_logits(q.data[..., r0:r1, :], kt[..., lo:hi], scale, None if b is None else b[..., r0:r1, :])
-        return attention_weights(w, m, top_k)
+        bias_rows = None if bias is None else bias.data[..., r0:r1, :]
+        return attention_weights(attention_logits(q.data[..., r0:r1, :], kt[..., lo:hi], scale, bias_rows), m, top_k)
 
     blocks, outs = [], []  # blocks: (first row, end row, first key, end key, mask[r0:r1, lo:hi])
     for r0 in range(0, s, ATTENTION_BLOCK):

@@ -182,12 +182,13 @@ def _checked(kind, ok, rule: str):
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="molkv", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    nonnegative_int = _checked(int, lambda n: n >= 0, ">= 0")
 
     p = sub.add_parser("train", help="train a model from a manifest")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--seed", type=_checked(int, lambda n: n >= 0, ">= 0"), default=None, help="override train.seed")
+    p.add_argument("--seed", type=nonnegative_int, default=None, help="override train.seed")
     steps_help = "run the first N steps of the manifest's schedule; the lr schedule and the checkpoint's steps stay the manifest's"
-    p.add_argument("--steps", type=_checked(int, lambda n: n >= 0, ">= 0"), default=None, metavar="N", help=steps_help)
+    p.add_argument("--steps", type=nonnegative_int, default=None, metavar="N", help=steps_help)
     p.add_argument("--out", default=None, help="checkpoint output path")
     p.set_defaults(fn=cmd_train)
 
@@ -203,8 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--store", default=None)
     p.add_argument("--prompt", default="The ")
-    p.add_argument("--steps", type=_checked(int, lambda n: n >= 0, ">= 0"), default=32, help="tokens to generate")
-    p.add_argument("--seed", type=_checked(int, lambda n: n >= 0, ">= 0"), default=None)
+    p.add_argument("--steps", type=nonnegative_int, default=32, help="tokens to generate")
+    p.add_argument("--seed", type=nonnegative_int, default=None)
     p.add_argument("--sampler", choices=("greedy", "temperature"), default="greedy")
     p.add_argument("--temperature", type=_checked(float, lambda t: 0 < t < math.inf, "finite and > 0"), default=1.0)
     p.add_argument("--out", default=None, help="cost report path (JSON lines)")

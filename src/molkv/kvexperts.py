@@ -16,14 +16,15 @@ own- plus cached-expert term that ``model.forward`` adds to the shared
 FFN's output. Each path is one ``autodiff.attention`` call. The own-expert
 path attends from each position's unrotated query over its token's N pairs,
 with the router as bias. The cached-expert path uses the window mask, the
-second router as bias and a top-k; each query block scores and keeps on
-the tape only its band of M*N slots. Export runs the pairs untaped on
-every token id. Decoding's ``molkv_step`` (in :mod:`molkv.runtime`) mixes
-the own experts with ``molkv_augmented_routing`` and runs the attention
-op's two kernels on one query for the cached experts, as
-``molkv_new_scores`` and ``molkv_select``; ``cache_insert`` appends each
-token's pairs to the sequence's :class:`~molkv.layers.KVCache` windowed to
-M positions, the same cache that backbone attention keeps unbounded.
+second router as bias and a top-k; each query block scores only its band
+of M*N slots, and the tape keeps that band's mask, not its weights. Export
+runs the pairs untaped on every token id. Decoding's ``molkv_step`` (in
+:mod:`molkv.runtime`) mixes the own experts with
+``molkv_augmented_routing`` and runs the attention op's two kernels on one
+query for the cached experts, as ``molkv_new_scores`` and
+``molkv_select``; ``cache_insert`` appends each token's pairs to the
+sequence's :class:`~molkv.layers.KVCache` windowed to M positions, the
+same cache that backbone attention keeps unbounded.
 """
 
 from __future__ import annotations

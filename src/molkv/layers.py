@@ -94,7 +94,7 @@ class AttnParams:
 
 
 # ---------------------------------------------------------------------------
-# RoPE tables
+# RoPE table
 # ---------------------------------------------------------------------------
 
 
