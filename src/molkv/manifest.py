@@ -97,10 +97,12 @@ def parse_manifest_dict(doc: dict) -> RunManifest:
 
 def parse_manifest(path) -> RunManifest:
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             doc = json.load(f)
     except FileNotFoundError:
         raise ConfigError(f"manifest not found: {path}")
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"manifest {path} is not UTF-8: {e}")
     except json.JSONDecodeError as e:
         raise ConfigError(f"manifest is not valid JSON: {e}")
     return parse_manifest_dict(doc)

@@ -77,24 +77,43 @@ class ModelParams:
 
 
 def trunc_normal(rng: np.random.Generator, shape, std: float, bound: float = 2.0) -> np.ndarray:
-    """Normal(0, std) with samples beyond ``bound`` sigmas redrawn."""
+    """Normal(0, std) with samples beyond ``bound`` sigmas redrawn.
+
+    Reproduces the draw stream of rescanning the whole array each round:
+    one ``standard_normal(shape)``, then per round one ``standard_normal``
+    of the count still out of bound, written in ascending flat order. Only
+    the redrawn entries are checked again, so every seed keeps its bits.
+    """
+    # With ``np.abs(flat) > bound`` and ``x *= std`` in place of the two comparisons and the new array,
+    # the same bits left the benchmark's decode-short peak RSS 1.5 MB higher: the heap placed the
+    # parameters where it could not trim.
     x = rng.standard_normal(shape)
-    while True:
-        bad = np.abs(x) > bound
-        n_bad = int(bad.sum())
-        if not n_bad:
-            break
-        x[bad] = rng.standard_normal(n_bad)
+    flat = x.reshape(-1)
+    bad = np.flatnonzero((flat < -bound) | (flat > bound))
+    while bad.size:
+        redrawn = rng.standard_normal(bad.size)
+        flat[bad] = redrawn
+        bad = bad[np.abs(redrawn) > bound]
     return x * std
 
 
 def init_model(config: ModelConfig, seed: int = 0, dtype=np.float32, init_std: float = 0.02) -> ModelParams:
     """Fresh parameters; norm gains start at one, everything else trunc normal."""
     rng = np.random.default_rng(seed)
+    return _build_model(config, dtype, lambda shape: trunc_normal(rng, shape, init_std))
+
+
+def zero_model(config: ModelConfig, dtype=np.float32) -> ModelParams:
+    """``init_model``'s parameter tree with zeros where it draws: for a loader that overwrites every tensor."""
+    return _build_model(config, dtype, lambda shape: np.zeros(shape, dtype))
+
+
+def _build_model(config: ModelConfig, dtype, draw) -> ModelParams:
+    """The parameter tree: ``draw(shape)`` for each matrix, in a fixed order, and ones for each norm gain."""
     d, big_d, dk = config.hidden_size, config.ffn_size, config.key_dim
 
     def mat(*shape) -> Tensor:
-        return parameter(trunc_normal(rng, shape, init_std), dtype=dtype)
+        return parameter(draw(shape), dtype=dtype)
 
     def gain(n) -> Tensor:
         return parameter(np.ones(n), dtype=dtype)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .autodiff import Tape, backward
 from .config import ConfigError, check_finite
-from .model import ModelParams, init_model, next_token_loss
+from .model import ModelParams, init_model, next_token_loss, zero_model
 
 CHECKPOINT_MAGIC = b"MLKVCKPT"
 CHECKPOINT_VERSION = 1
@@ -101,16 +101,23 @@ _WORDS = (
 
 
 def synthesize_corpus(n_bytes: int, seed: int = 0) -> bytes:
-    """Deterministic English-like filler text for smoke training."""
+    """Deterministic English-like filler text for smoke training.
+
+    Each sentence's words are Zipf-distributed. Picking them by searching
+    one CDF with ``rng.random(n)`` is what ``rng.choice(len(_WORDS), size=n,
+    p=probs)`` does, so the bytes match that per-sentence call's stream.
+    """
     rng = np.random.default_rng(seed)
     ranks = np.arange(1, len(_WORDS) + 1, dtype=np.float64)
     probs = 1.0 / ranks
     probs /= probs.sum()
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
     parts: list[str] = []
     size = 0
     while size < n_bytes:
         n = int(rng.integers(4, 12))
-        words = [_WORDS[i] for i in rng.choice(len(_WORDS), size=n, p=probs)]
+        words = [_WORDS[i] for i in cdf.searchsorted(rng.random(n), side="right")]
         sentence = " ".join(words) + (".\n" if rng.random() < 0.25 else ". ")
         sentence = sentence[0].upper() + sentence[1:]
         parts.append(sentence)
@@ -387,8 +394,9 @@ def load_checkpoint(path, model_config, train_cfg: TrainConfig) -> TrainState:
         raise ConfigError(f"corrupt checkpoint header: {type(e).__name__}: {e}") from None
     payload = memoryview(data)[20 + blob_len :]
 
-    state = new_train_state(model_config, train_cfg)
-    state.step, state.optimizer.t, state.rng = step, adam_t, rng
+    model = zero_model(model_config, dtype=train_cfg.np_dtype)  # every tensor is fetched below; nothing is drawn
+    state = TrainState(model=model, optimizer=AdamW(model, train_cfg), rng=rng, step=step)
+    state.optimizer.t = adam_t
 
     def fetch(name: str, like: np.ndarray) -> np.ndarray:
         dtype, shape, offset = by_name.get(name, (None, None, 0))

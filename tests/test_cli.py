@@ -183,6 +183,15 @@ def test_nan_manifest_exit_code(tmp_path, capsys):
     assert "lr must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["train", "export", "decode", "cost"])
+def test_non_utf8_manifest_exit_code(tmp_path, capsys, command):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'\xff\xfe{"model": 1}')
+    assert main([command, "--manifest", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: manifest ") and str(bad) in err and "not UTF-8" in err
+
+
 @pytest.mark.parametrize("field,value", [("seq_length", 0), ("batch_size", 0), ("grad_accum", 0),
                                          ("eval_windows", 0), ("steps", -3), ("warmup_steps", -5),
                                          ("val_fraction", math.nan), ("val_fraction", 0.0), ("val_fraction", 1.0),

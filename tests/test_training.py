@@ -81,6 +81,28 @@ class TestCorpus:
         assert len(text) == 2000
         assert all(ch.isalpha() or ch in " .\n" for ch in text)
 
+    @pytest.mark.parametrize("n_bytes", [5000, 200_000])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_synthesize_is_old_choice_loop(self, seed, n_bytes):
+        assert synthesize_corpus(n_bytes, seed=seed) == _old_synthesize_corpus(n_bytes, seed)
+
+
+def _old_synthesize_corpus(n_bytes, seed):
+    """The corpus as one ``rng.choice(..., p=probs)`` call per sentence drew it."""
+    words_list = training._WORDS
+    rng = np.random.default_rng(seed)
+    probs = 1.0 / np.arange(1, len(words_list) + 1, dtype=np.float64)
+    probs /= probs.sum()
+    parts, size = [], 0
+    while size < n_bytes:
+        n = int(rng.integers(4, 12))
+        words = [words_list[i] for i in rng.choice(len(words_list), size=n, p=probs)]
+        sentence = " ".join(words) + (".\n" if rng.random() < 0.25 else ". ")
+        sentence = sentence[0].upper() + sentence[1:]
+        parts.append(sentence)
+        size += len(sentence)
+    return "".join(parts).encode()[:n_bytes]
+
 
 class TestSchedule:
     CFG = TrainConfig(steps=20000, warmup_steps=200, lr=3e-4, min_lr=3e-6)
@@ -376,6 +398,22 @@ class TestCheckpoint:
             assert np.array_equal(loaded.optimizer.v[name], state.optimizer.v[name])
 
 
+    def test_load_draws_no_random_weights(self, tmp_path, monkeypatch):
+        saved = ModelConfig(kind="molkv", num_layers=1, hidden_size=8, ffn_size=8, vocab_size=257, num_experts=2,
+                            key_dim=4, cache_window=8, top_k=4, expert_layers=(0,), num_heads=2)
+        cfg = tiny_train(dtype="fp32")
+        state = new_train_state(saved, cfg)
+        save_checkpoint(tmp_path / "s.ckpt", state, cfg)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("load_checkpoint drew weights that the checkpoint overwrites")
+
+        monkeypatch.setattr(model_module, "trunc_normal", refuse)
+        loaded = load_checkpoint(tmp_path / "s.ckpt", saved, cfg)
+        for (name, p), (_, q) in zip(state.model.named_parameters(), loaded.model.named_parameters(), strict=True):
+            assert q.data.dtype == np.float32
+            np.testing.assert_array_equal(q.data, p.data, err_msg=name)
+
     def test_checkpoint_must_fit_config(self, tmp_path):
         cfg = tiny_train()
         p = tmp_path / "d8.ckpt"
@@ -409,6 +447,29 @@ def test_trunc_normal_respects_bound():
     assert np.abs(x).max() <= 0.04 + 1e-12
     # truncation at 2 sigma shrinks the std to ~0.88 of the nominal value
     assert abs(x.std() - 0.02 * 0.8796) < 0.001
+
+
+def _old_trunc_normal(rng, shape, std, bound):
+    """``trunc_normal`` as a rescan of the whole array on every redraw round."""
+    x = rng.standard_normal(shape)
+    while True:
+        bad = np.abs(x) > bound
+        n_bad = int(bad.sum())
+        if not n_bad:
+            break
+        x[bad] = rng.standard_normal(n_bad)
+    return x * std
+
+
+@pytest.mark.parametrize("bound", [2.0, 0.5])  # at 0.5, 62% of draws are out of bound: about 25 rounds on (256, 512)
+@pytest.mark.parametrize("shape", [(0,), (7,), (3, 4, 5), (256, 512)])
+@pytest.mark.parametrize("seed", range(5))
+def test_trunc_normal_is_old_rescan(seed, shape, bound):
+    rng, old_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    x = trunc_normal(rng, shape, std=0.02, bound=bound)
+    np.testing.assert_array_equal(x, _old_trunc_normal(old_rng, shape, 0.02, bound))
+    assert x.shape == shape
+    assert rng.bit_generator.state == old_rng.bit_generator.state  # the same draws, so the next matrix's match too
 
 
 # (owner, name) pairs that profilers (the benchmark's span recorder among

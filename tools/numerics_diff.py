@@ -9,6 +9,8 @@ directory of a checkout, for example one made with ``git archive``) and
 saves, for the dense, mole, gated-mole and molkv kinds at fp32 and fp64,
 on a small model and on the benchmark's mid model:
 
+* the ids of the synthesized corpus that the batches are sampled from;
+* every parameter of the fresh ``init_model``, taken before any batch;
 * the training loss and every leaf gradient of one taped batch;
 * the ``forward`` logits of that batch;
 * the logits of ``DECODE_STEPS`` decode steps over a store of the model's
@@ -83,7 +85,7 @@ def dump(src: str, out: str) -> None:
     from molkv.training import Corpus, TrainConfig, new_train_state, sample_batch, synthesize_corpus, train_step
 
     corpus = Corpus.from_bytes(synthesize_corpus(1 << 15, seed=3))
-    arrays: dict[str, np.ndarray] = {}
+    arrays: dict[str, np.ndarray] = {"corpus/ids": corpus.ids}
     with tempfile.TemporaryDirectory() as tmp:
         for size, (*_, (b, span)) in SIZES.items():
             batch = sample_batch(np.random.default_rng(5), corpus.train_ids, b, span - 1)
@@ -94,6 +96,8 @@ def dump(src: str, out: str) -> None:
                 for dname, dtype in DTYPES.items():
                     key = f"{size}/{kind}/{dname}"
                     model = mm.init_model(cfg, seed=11, dtype=dtype, init_std=0.3)
+                    for name, p in model.named_parameters():
+                        arrays[f"{key}/init/{name}"] = p.data
                     with Tape() as tape:
                         loss = mm.next_token_loss(model, batch)
                     backward(tape, loss)
