@@ -24,6 +24,7 @@ softmax rows and k, v gradients in another order. Decoding runs
 attention's two forward kernels, ``attention_logits`` and
 ``attention_weights``. Gradient kernels keep the bits of their plain
 numpy forms (``np.add.at`` for gathers, ``np.where`` chains for the masked softmax).
+``attention`` is the only taped softmax: the expert blocks' own-expert mix runs it too.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ __all__ = [
     "transpose",
     "stack",
     "tensor_sum",
-    "softmax",
     "softmax_np",
     "attention",
     "attention_logits",
@@ -404,37 +404,24 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def softmax_np(x: np.ndarray, axis: int = -1, mask=None) -> np.ndarray:
-    """Softmax along ``axis``, over the entries ``mask`` marks True when given.
+def softmax_np(x: np.ndarray, mask=None) -> np.ndarray:
+    """Last-axis softmax, over the entries ``mask`` marks True when given.
 
-    ``mask`` is a boolean array broadcastable to ``x``. Fully masked slices
+    ``mask`` is a boolean array broadcastable to ``x``. Fully masked rows
     come out all-zero, and no NaN or inf ever reaches the output. The masked
     form runs in place on one buffer, with the bits of the ``np.where`` chain.
     """
     if mask is None:
-        e = np.exp(x - x.max(axis=axis, keepdims=True))
-        return e / e.sum(axis=axis, keepdims=True)
+        e = np.exp(x - x.max(axis=-1, keepdims=True))
+        return e / e.sum(axis=-1, keepdims=True)
     e = x.copy()
     np.copyto(e, -np.inf, where=~mask)  # np.where(mask, x, -np.inf) in half its time on an attention block
-    hi = e.max(axis=axis, keepdims=True)
-    hi[~(hi > np.finfo(x.dtype).min / 2)] = 0.0  # fully masked slice: any finite pivot
+    hi = e.max(axis=-1, keepdims=True)
+    hi[~(hi > np.finfo(x.dtype).min / 2)] = 0.0  # fully masked row: any finite pivot
     np.exp(np.subtract(e, hi, out=e), out=e)
-    tot = e.sum(axis=axis, keepdims=True)
+    tot = e.sum(axis=-1, keepdims=True)
     tot[tot == 0.0] = 1.0
     return np.divide(e, tot, out=e)
-
-
-def _softmax_grad(g: np.ndarray, y: np.ndarray, axis: int) -> np.ndarray:
-    """(g - sum(g * y)) * y along ``axis``, in one new buffer."""
-    gy = g * y
-    np.subtract(g, gy.sum(axis=axis, keepdims=True), out=gy)
-    return np.multiply(gy, y, out=gy)
-
-
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Taped ``softmax_np`` over every entry; ``attention`` runs the masked form."""
-    y = softmax_np(x.data, axis)
-    return _record(Tensor(y), (x,), lambda g: (_softmax_grad(g, y, axis),))
 
 
 def attention_logits(q: np.ndarray, kt: np.ndarray, scale: float, bias: np.ndarray | None = None) -> np.ndarray:
@@ -457,7 +444,7 @@ def attention_weights(w: np.ndarray, mask=None, top_k: int | None = None) -> np.
         return w
     if top_k is not None:
         mask = window_topk_mask(w, mask, top_k)
-    return softmax_np(w, -1, mask)
+    return softmax_np(w, mask)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, mask, scale: float, bias: Tensor | None = None,
@@ -511,7 +498,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask, scale: float, bias: Tensor 
             w = weights(block)
             gw, gvb = _matmul_grads(g[..., r0:r1, :], w, v.data[..., lo:hi, :])
             gv[..., lo:hi, :] += gvb
-            gz = _softmax_grad(gw, w, -1)
+            gz = gw * w  # the softmax VJP (gw - sum(gw * w)) * w, in one new buffer
+            np.subtract(gw, gz.sum(axis=-1, keepdims=True), out=gz)
+            gz *= w
             if bias is not None:  # a new array, so scaling gz in place below leaves it be
                 gzg = gz.reshape(gz.shape[:-1] + ((hi - lo) // group, group))
                 gb.append(_unbroadcast(gzg.sum(axis=-2), bias.shape[:-2] + (r1 - r0, group)))

@@ -64,6 +64,10 @@ def cmd_train(args) -> int:
 
     print(json.dumps({"resolved_manifest": man.echo()}, indent=2))
     corpus = Corpus.from_file(corpus_path, man.train.val_fraction)
+    n_train, n_val, span = len(corpus.train_ids), len(corpus.val_ids), man.train.seq_length + 1
+    if n_val < 2 or (steps and n_train < span):  # before training, so a failing run leaves any checkpoint alone
+        raise ConfigError(f"corpus {corpus_path} splits into {n_train} training and {n_val} validation tokens; "
+                          f"evaluation needs 2 validation tokens, and a training step a window of {span}")
     state = new_train_state(man.model, man.train)
     log_path = ckpt_path + ".log"
     with open(log_path, "a") as log_file:

@@ -14,14 +14,14 @@ Training runs ``molkv_expert_pairs`` taped once per distinct id in the
 batch and gathers its rows to the positions; ``molkv_expert_terms`` is the
 own- plus cached-expert term that ``model.forward`` adds to the shared
 FFN's output. Each path is one ``autodiff.attention`` call. The own-expert
-path attends from each position's unrotated query over its token's N pairs,
-with the router as bias. The cached-expert path uses the window mask, the
-second router as bias and a top-k; each query block scores only its band
-of M*N slots, and the tape keeps that band's mask, not its weights. Export
-runs the pairs untaped on every token id. Decoding's ``molkv_step`` (in
-:mod:`molkv.runtime`) mixes the own experts with
-``molkv_augmented_routing`` and runs the attention op's two kernels on one
-query for the cached experts, as ``molkv_new_scores`` and
+path, ``layers.own_expert_mix``, attends from each position's unrotated
+query over its token's N pairs, with the router as bias. The cached-expert
+path uses the window mask, the second router as bias and a top-k; each
+query block scores only its band of M*N slots, and the tape keeps that
+band's mask, not its weights. Export runs the pairs untaped on every token
+id. Decoding's ``molkv_step`` (in :mod:`molkv.runtime`) mixes the own
+experts with ``layers.own_expert_step`` and runs the attention op's two
+kernels on one query for the cached experts, as ``molkv_new_scores`` and
 ``molkv_select``; ``cache_insert`` appends each token's pairs to the
 sequence's :class:`~molkv.layers.KVCache` windowed to M positions, the
 same cache that backbone attention keeps unbounded.
@@ -47,11 +47,10 @@ from .autodiff import (
     rope_rotate,
     rope_rotate_np,
     sigmoid,
-    softmax_np,
     stack,
     tensor_sum,
 )
-from .layers import NORM_EPS, ROPE_THETA, FFNParams, KVCache, rope_tables, swishglu_ffn
+from .layers import NORM_EPS, ROPE_THETA, FFNParams, KVCache, own_expert_mix, rope_tables, swishglu_ffn
 
 
 class CacheStateError(RuntimeError):
@@ -180,12 +179,6 @@ def molkv_select(scores: np.ndarray, k: int) -> np.ndarray:
     return attention_weights(scores, None, k)
 
 
-def molkv_augmented_routing(h: np.ndarray, q: np.ndarray, kv: ExpertKV, params: MoLKVBlockParams) -> np.ndarray:
-    """softmax_n(h . r_n + (q . key_n)/sqrt(d')); q and keys unrotated."""
-    logits = h @ params.routers.data + kv.keys @ q * params.qk_scale
-    return softmax_np(logits)
-
-
 # ---------------------------------------------------------------------------
 # batched training mode
 # ---------------------------------------------------------------------------
@@ -212,13 +205,7 @@ def molkv_expert_terms(h: Tensor, emb: Tensor, inverse: np.ndarray, params: MoLK
     keys, values, values_normed = (embedding_lookup(t, inverse) for t in molkv_expert_pairs(emb, params))  # (b, s, N, ·)
 
     q = dense(h, params.query_proj)  # (b, s, d')
-
-    # Own-token path: each position's query attends over its own N pairs, unrotated, with the router as bias.
-    router = reshape(dense(h, params.routers), (b, s, 1, n))
-    mixed_own = attention(reshape(q, (b, s, 1, dk)), keys, values, np.ones((1, n), dtype=bool), params.qk_scale,
-                          bias=router)  # (b, s, 1, d)
-    gate = sigmoid(tensor_sum(mul(h, params.gate), axis=-1, keepdims=True))  # (b, s, 1)
-    own = mul(reshape(mixed_own, (b, s, d)), gate)
+    own = own_expert_mix(h, q, keys, values, params.routers, params.gate, params.qk_scale)  # q and keys unrotated
 
     # Cached-expert path: rotate queries and keys, score every query against
     # all s*N cached experts (slot-major, j*N + n) plus the second router,

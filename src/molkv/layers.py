@@ -1,4 +1,4 @@
-"""Backbone building blocks: RoPE, SwishGLU FFN, causal attention.
+"""Building blocks: RoPE, SwishGLU FFN, causal attention, the own-expert mix.
 
 Training runs taped ops, decoding plain numpy functions (suffix ``_np``).
 Every formula below the block level is one numpy kernel in
@@ -14,7 +14,8 @@ exp(i * position * freq), and the rotation kernel, which multiplies each
 interleaved coordinate pair, read as a complex number, by it. The
 per-token decoding functions here and in :mod:`molkv.kvexperts` take the
 current position's table ``rot`` as an argument, so a decode step builds
-each table once.
+each table once. Both expert blocks mix a token's own experts with
+``own_expert_mix`` in training and ``own_expert_step`` in decoding.
 """
 
 from __future__ import annotations
@@ -32,15 +33,18 @@ from .autodiff import (
     attention_weights,
     dense,
     embedding_lookup,
+    mul,
     reshape,
     rmsnorm,
     rmsnorm_np,
     rope_rotate,
     rope_rotate_np,
+    sigmoid,
     sigmoid_np,
     silu_np,
     softmax_np,
     swishglu,
+    tensor_sum,
     transpose,
 )
 
@@ -56,6 +60,8 @@ __all__ = [
     "swishglu_ffn_np",
     "causal_attention",
     "causal_attention_step",
+    "own_expert_mix",
+    "own_expert_step",
     "sigmoid_np",
     "silu_np",
     "softmax_np",
@@ -242,3 +248,25 @@ def causal_attention_step(x: np.ndarray, p: AttnParams, cache: KVCache, rot: np.
     w = attention_weights(attention_logits(q[:, None, :], cache.k.transpose(1, 2, 0), 1.0 / math.sqrt(hd)))
     ctx = (w @ cache.v.transpose(1, 0, 2)).reshape(d)  # (h, 1, hd)
     return ctx @ p.wo.data
+
+
+def own_expert_mix(h: Tensor, q: Tensor, keys: Tensor, values: Tensor, routers: Tensor, gate: Tensor | None,
+                   scale: float) -> Tensor:
+    """sum_n softmax_n(h . r_n + scale * q . k_n) v_n over each position's own N pairs, times sigmoid(h . u) if gated.
+
+    h is (..., d), q (..., e), keys (..., N, e) and values (..., N, f); out is (..., f). One ``attention`` call
+    runs each query over its N keys, with the router as bias. Lookup experts have no keys: they pass e = 0 and
+    scale 1.0, since 1/sqrt(0) is undefined, so the router alone scores them.
+    """
+    lead, n = h.shape[:-1], keys.shape[-2]
+    router = reshape(dense(h, routers), lead + (1, n))
+    mix = attention(reshape(q, lead + (1, q.shape[-1])), keys, values, np.ones((1, n), dtype=bool), scale, bias=router)
+    mix = reshape(mix, lead + (values.shape[-1],))
+    return mix if gate is None else mul(mix, sigmoid(tensor_sum(mul(h, gate), axis=-1, keepdims=True)))
+
+
+def own_expert_step(h: np.ndarray, q: np.ndarray, keys: np.ndarray, values: np.ndarray, routers: Tensor,
+                    gate: Tensor | None, scale: float) -> np.ndarray:
+    """``own_expert_mix`` of one token, on attention's two kernels: h (d,), q (e,), keys (N, e), values (N, f)."""
+    mix = attention_weights(attention_logits(q, keys.T, scale, h @ routers.data)) @ values
+    return mix if gate is None else sigmoid_np(h @ gate.data) * mix

@@ -6,6 +6,7 @@ id in the batch, and ``mole_expert_terms`` mixes them into the term that
 function untaped on every id to freeze a value table, so inference
 (``mole_step`` in :mod:`molkv.runtime`) is a table lookup plus a
 softmax-weighted sum. The gated variant scales the mix by sigmoid(h . u).
+Both modes mix with the key-value block's own-expert functions, given zero-width keys.
 
 Token embeddings enter the expert FFNs raw here (no normalization); the
 key-value block in :mod:`molkv.kvexperts` normalizes first. The two blocks
@@ -18,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, dense, embedding_lookup, mul, reshape, sigmoid, softmax, softmax_np, stack, tensor_sum
-from .layers import FFNParams, swishglu_ffn
+from .autodiff import Tensor, embedding_lookup, stack
+from .layers import FFNParams, own_expert_mix, swishglu_ffn
 
 
 @dataclass
@@ -31,10 +32,6 @@ class MoLEBlockParams:
     experts: list[FFNParams]  # N expert FFNs, d -> d
     gate: Tensor | None = None  # (d,), gated variant only
 
-    @property
-    def num_experts(self) -> int:
-        return len(self.experts)
-
     def tensors(self):
         out = [("ffn." + n, t) for n, t in self.ffn.tensors()]
         out.append(("routers", self.routers))
@@ -43,16 +40,6 @@ class MoLEBlockParams:
         if self.gate is not None:
             out.append(("gate", self.gate))
         return out
-
-
-# ---------------------------------------------------------------------------
-# routing
-# ---------------------------------------------------------------------------
-
-
-def mole_routing(h: np.ndarray, params: MoLEBlockParams) -> np.ndarray:
-    """softmax_n(h . r_n) for (..., d) hidden states."""
-    return softmax_np(h @ params.routers.data)
 
 
 # ---------------------------------------------------------------------------
@@ -66,13 +53,11 @@ def mole_expert_values(emb: Tensor, params: MoLEBlockParams) -> Tensor:
 
 
 def mole_expert_terms(h: Tensor, emb: Tensor, inverse: np.ndarray, params: MoLEBlockParams) -> Tensor:
-    """Sum_n s_n FFN_n(e_id), optionally gated; h is (..., d), (emb, inverse) from ``lookup_distinct``."""
-    s = softmax(dense(h, params.routers), axis=-1)  # (..., N)
+    """Sum_n softmax_n(h . r_n) FFN_n(e_id), optionally gated; h is (..., d), (emb, inverse) ``lookup_distinct``'s."""
     vals = embedding_lookup(mole_expert_values(emb, params), inverse)  # (..., N, d)
-    mix = tensor_sum(mul(vals, reshape(s, s.shape + (1,))), axis=-2)
-    if params.gate is not None:
-        mix = mul(mix, sigmoid(tensor_sum(mul(h, params.gate), axis=-1, keepdims=True)))
-    return mix
+    no_query = Tensor(np.zeros(h.shape[:-1] + (0,), h.dtype))
+    no_keys = Tensor(np.zeros(vals.shape[:-1] + (0,), h.dtype))
+    return own_expert_mix(h, no_query, no_keys, vals, params.routers, params.gate, 1.0)
 
 
 # ---------------------------------------------------------------------------

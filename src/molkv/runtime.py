@@ -30,13 +30,13 @@ from .kvexperts import (
     ExpertKV,
     MoLKVBlockParams,
     cache_insert,
-    molkv_augmented_routing,
     molkv_new_scores,
     molkv_query,
     molkv_select,
 )
-from .layers import KVCache, causal_attention_step, rmsnorm_np, rope_tables, sigmoid_np, softmax_np, swishglu_ffn_np
-from .mole import MoLEBlockParams, mole_routing
+from .layers import (KVCache, causal_attention_step, own_expert_step, rmsnorm_np, rope_tables, sigmoid_np, softmax_np,
+                     swishglu_ffn_np)
+from .mole import MoLEBlockParams
 from .model import ModelParams
 from .store import ExpertRecord, ExpertStoreReader, StoreFormatError
 
@@ -193,11 +193,9 @@ def decode_step(state: DecoderState, token_id: int):
 
 
 def mole_step(h: np.ndarray, values: np.ndarray, params: MoLEBlockParams) -> np.ndarray:
-    """Lookup-expert term sum_n s_n v_n of one token's (N, d) values, gated iff the block has a gate."""
-    mix = mole_routing(h, params) @ values
-    if params.gate is not None:
-        mix = sigmoid_np(h @ params.gate.data) * mix
-    return mix
+    """Lookup-expert term of one token's (N, d) values: ``own_expert_step`` with zero-width query and keys."""
+    no_query, no_keys = np.zeros(0, h.dtype), np.zeros((len(values), 0), h.dtype)
+    return own_expert_step(h, no_query, no_keys, values, params.routers, params.gate, 1.0)
 
 
 def expert_kv(record: ExpertRecord, params: MoLKVBlockParams, dtype) -> ExpertKV:
@@ -220,7 +218,7 @@ def molkv_step(h: np.ndarray, position: int, cache: KVCache, kv: ExpertKV, param
     k_eff = min(k, cached experts) is the number of nonzero mixing weights.
     """
     q, q_rot = molkv_query(h, params, rot)
-    term = sigmoid_np(h @ params.gate.data) * (molkv_augmented_routing(h, q, kv, params) @ kv.values)
+    term = own_expert_step(h, q, kv.keys, kv.values, params.routers, params.gate, params.qk_scale)
     weights = molkv_select(molkv_new_scores(q_rot, h, cache, params), params.top_k)
     term = term + sigmoid_np(h @ params.new_gate.data) * (weights @ cache.v.reshape(-1, cache.v.shape[-1]))
     cache_insert(cache, position, kv, rot)
@@ -257,7 +255,9 @@ def sample_token(logits: np.ndarray, sampler: str = "greedy", temperature: float
             raise ValueError("temperature sampling needs an rng")
         if not 0 < temperature < math.inf:
             raise ValueError(f"temperature must be finite and > 0, got {temperature}")
-        p = softmax_np(logits / temperature)
+        # The largest logit maps to 0, every other to <= 0 or -inf; in fp64, as fp32 rounds a temperature < 1e-45 to 0.
+        with np.errstate(over="ignore"):
+            p = softmax_np((logits - logits.max()) / np.float64(temperature))
         return int(rng.choice(len(p), p=p))
     raise ValueError(f"unknown sampler {sampler!r}")
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 import operator
+import os
 import struct
 import time
 from dataclasses import asdict, dataclass, field
@@ -371,48 +372,52 @@ def load_checkpoint(path, model_config, train_cfg: TrainConfig) -> TrainState:
 
     ConfigError if the file is not a checkpoint, is truncated or corrupt, or does not fit the configs:
     its arrays must have the shapes and dtypes they give, and its model configuration must equal
-    ``model_config`` field by field.
+    ``model_config`` field by field. Each entry is read straight into its own array, so the load
+    holds the file's bytes once.
     """
     with open(path, "rb") as f:
-        data = f.read()
-    if data[:8] != CHECKPOINT_MAGIC:
-        raise ConfigError(f"not a checkpoint file: bad magic {data[:8]!r}")
-    if len(data) < 20:
-        raise ConfigError(f"truncated checkpoint: {len(data)} bytes, shorter than the 20-byte preamble")
-    version, blob_len = struct.unpack_from("<IQ", data, 8)
-    if version != CHECKPOINT_VERSION:
-        raise ConfigError(f"unsupported checkpoint version {version}")
-    if len(data) < 20 + blob_len:
-        raise ConfigError(f"truncated checkpoint: {len(data)} bytes, shorter than its {20 + blob_len}-byte header")
-    try:
-        header = json.loads(data[20 : 20 + blob_len].decode())
-        step, adam_t, rng = header["step"], header["adam_t"], _decode_rng_state(header["rng_state"])
-        saved_config = dict(header["model_config"])
-        by_name = {e["name"]: (np.dtype(e["dtype"]), tuple(e["shape"]), operator.index(e["offset"]))
-                   for e in header["entries"]}
-    except (KeyError, TypeError, ValueError) as e:  # JSON and UTF-8 decoding errors are ValueErrors
-        raise ConfigError(f"corrupt checkpoint header: {type(e).__name__}: {e}") from None
-    payload = memoryview(data)[20 + blob_len :]
+        size = os.fstat(f.fileno()).st_size
+        preamble = f.read(20)
+        if preamble[:8] != CHECKPOINT_MAGIC:
+            raise ConfigError(f"not a checkpoint file: bad magic {preamble[:8]!r}")
+        if len(preamble) < 20:
+            raise ConfigError(f"truncated checkpoint: {size} bytes, shorter than the 20-byte preamble")
+        version, blob_len = struct.unpack_from("<IQ", preamble, 8)
+        if version != CHECKPOINT_VERSION:
+            raise ConfigError(f"unsupported checkpoint version {version}")
+        if size < 20 + blob_len:
+            raise ConfigError(f"truncated checkpoint: {size} bytes, shorter than its {20 + blob_len}-byte header")
+        try:
+            header = json.loads(f.read(blob_len).decode())
+            step, adam_t, rng = header["step"], header["adam_t"], _decode_rng_state(header["rng_state"])
+            saved_config = dict(header["model_config"])
+            by_name = {e["name"]: (np.dtype(e["dtype"]), tuple(e["shape"]), operator.index(e["offset"]))
+                       for e in header["entries"]}
+        except (KeyError, TypeError, ValueError) as e:  # JSON and UTF-8 decoding errors are ValueErrors
+            raise ConfigError(f"corrupt checkpoint header: {type(e).__name__}: {e}") from None
+        payload_start, payload_len = 20 + blob_len, size - 20 - blob_len
 
-    model = zero_model(model_config, dtype=train_cfg.np_dtype)  # every tensor is fetched below; nothing is drawn
-    state = TrainState(model=model, optimizer=AdamW(model, train_cfg), rng=rng, step=step)
-    state.optimizer.t = adam_t
+        model = zero_model(model_config, dtype=train_cfg.np_dtype)  # every tensor is read below; nothing is drawn
+        state = TrainState(model=model, optimizer=AdamW(model, train_cfg), rng=rng, step=step)
+        state.optimizer.t = adam_t
 
-    def fetch(name: str, like: np.ndarray) -> np.ndarray:
-        dtype, shape, offset = by_name.get(name, (None, None, 0))
-        if (dtype, shape) != (like.dtype, like.shape):
-            found = "missing" if dtype is None else f"{dtype.name} {shape}"
-            raise ConfigError(
-                f"checkpoint entry {name!r} is {found}; the model configuration needs {like.dtype.name} {like.shape}"
-            )
-        if not 0 <= offset <= len(payload) - like.nbytes:
-            raise ConfigError(f"truncated checkpoint: entry {name!r} ends past the {len(payload)}-byte payload")
-        return np.frombuffer(payload, dtype=dtype, count=like.size, offset=offset).reshape(shape).copy()
+        def read_into(name: str, arr: np.ndarray) -> None:
+            dtype, shape, offset = by_name.get(name, (None, None, 0))
+            if (dtype, shape) != (arr.dtype, arr.shape):
+                found = "missing" if dtype is None else f"{dtype.name} {shape}"
+                raise ConfigError(
+                    f"checkpoint entry {name!r} is {found}; the model configuration needs {arr.dtype.name} {arr.shape}"
+                )
+            if not 0 <= offset <= payload_len - arr.nbytes:
+                raise ConfigError(f"truncated checkpoint: entry {name!r} ends past the {payload_len}-byte payload")
+            f.seek(payload_start + offset)
+            if f.readinto(memoryview(arr).cast("B")) != arr.nbytes:  # the file shrank while it was read
+                raise ConfigError(f"truncated checkpoint: entry {name!r} ends past the end of the file")
 
-    for name, p in state.model.named_parameters():
-        p.data = fetch("param/" + name, p.data)
-        state.optimizer.m[name] = fetch("adam_m/" + name, state.optimizer.m[name])
-        state.optimizer.v[name] = fetch("adam_v/" + name, state.optimizer.v[name])
+        for name, p in state.model.named_parameters():
+            read_into("param/" + name, p.data)
+            read_into("adam_m/" + name, state.optimizer.m[name])
+            read_into("adam_v/" + name, state.optimizer.v[name])
     given = json.loads(json.dumps(asdict(model_config)))  # tuples as lists, as saved
     differ = [f"{k}: checkpoint {saved_config.get(k)!r}, given {v!r}"
               for k, v in given.items() if saved_config.get(k) != v]

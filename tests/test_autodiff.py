@@ -33,7 +33,6 @@ from molkv.autodiff import (
     sigmoid,
     sigmoid_np,
     silu_np,
-    softmax,
     softmax_np,
     stack,
     swishglu,
@@ -42,12 +41,21 @@ from molkv.autodiff import (
     window_topk_mask,
 )
 from molkv.kvexperts import molkv_select, sliding_window_mask
+from molkv.layers import own_expert_mix
 
 
 def masked_weights(x: Tensor, mask) -> Tensor:
     """The taped ``attention``'s softmax weights for logits ``x`` (..., s, t): q = x, k = v = I give them exactly."""
     eye = Tensor(np.eye(x.shape[-1], dtype=x.dtype))
     return attention(x, eye, eye, mask, 1.0)
+
+
+def own_weights(x: Tensor) -> Tensor:
+    """``own_expert_mix`` with zero-width keys, identity routers and identity values: the taped softmax of ``x``."""
+    n = x.shape[-1]
+    eye = Tensor(np.eye(n, dtype=x.dtype))
+    no_query, no_keys = Tensor(np.zeros(x.shape[:-1] + (0,), x.dtype)), Tensor(np.zeros((n, 0), x.dtype))
+    return own_expert_mix(x, no_query, no_keys, eye, eye, None, 1.0)
 
 
 class TestMatmul:
@@ -487,7 +495,7 @@ class TestAxisAndThreads:
     def test_masked_softmax_axis_zero(self):
         x = Tensor(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
         m = np.array([[True, False], [True, True], [False, True]])
-        y = softmax_np(x.data, 0, m)
+        y = softmax_np(x.data.T, m.T).T  # the kernel runs over the last axis
         np.testing.assert_allclose(y.sum(axis=0), 1.0, atol=1e-12)
         assert y[2, 0] == 0.0 and y[0, 1] == 0.0
 
@@ -519,16 +527,16 @@ class TestAxisAndThreads:
 def test_softmax_matches_masked_all_true():
     rng = np.random.default_rng(13)
     x = rng.standard_normal((4, 5))
-    np.testing.assert_array_equal(
-        softmax(Tensor(x)).data, masked_weights(Tensor(x), np.ones((4, 5), bool)).data
-    )
+    want = masked_weights(Tensor(x), np.ones((4, 5), bool)).data
+    np.testing.assert_array_equal(softmax_np(x), want)
+    np.testing.assert_array_equal(own_weights(Tensor(x)).data, want)
 
 
 def test_forward_values_stay_finite():
     rng = np.random.default_rng(14)
     x = Tensor(rng.standard_normal((5, 8)) * 50)
     eye = Tensor(np.eye(8))
-    for y in (sigmoid(x), swishglu(x, eye, eye, eye), softmax(x), rmsnorm(x, Tensor(np.ones(8)))):
+    for y in (sigmoid(x), swishglu(x, eye, eye, eye), own_weights(x), rmsnorm(x, Tensor(np.ones(8)))):
         assert np.all(np.isfinite(y.data))
 
 
@@ -552,12 +560,12 @@ class TestOneKernel:
         mask = rng.random((5, 6)) < 0.6
         mask[2, :] = False  # a fully masked slice along either axis
         mask[:, 3] = False
-        np.testing.assert_array_equal(softmax_np(x, axis), softmax(Tensor(x), axis).data)
-        last = (lambda a: a.T) if axis == 0 else (lambda a: a)  # attention's softmax runs over the last axis
+        x, mask = (x.T, mask.T) if axis == 0 else (x, mask)  # every softmax runs over the last axis
+        np.testing.assert_array_equal(softmax_np(x), own_weights(Tensor(x)).data)
         for m in (mask, np.ones_like(mask)):
-            np.testing.assert_array_equal(softmax_np(x, axis, m), last(masked_weights(Tensor(last(x)), last(m)).data))
-        empty = (slice(None), 3) if axis == 0 else (2, slice(None))
-        assert softmax_np(x, axis, mask)[empty].tolist() == [0.0] * len(x[empty])
+            np.testing.assert_array_equal(softmax_np(x, m), masked_weights(Tensor(x), m).data)
+        empty = 3 if axis == 0 else 2
+        assert softmax_np(x, mask)[empty].tolist() == [0.0] * x.shape[1]
 
     def test_cross_entropy_gradient(self):
         rng = np.random.default_rng(17)
@@ -572,14 +580,14 @@ class TestOneKernel:
         np.testing.assert_array_equal(grad, want.reshape(z.shape))
 
 
-def _old_softmax_np(x, axis, mask):
-    """The masked softmax as three ``np.where`` passes, the form the one-buffer kernel replaced."""
+def _old_softmax_np(x, mask):
+    """The masked last-axis softmax as three ``np.where`` passes, the form the one-buffer kernel replaced."""
     m = np.broadcast_to(np.asarray(mask, dtype=bool), x.shape)
     neg = np.finfo(x.dtype).min
-    hi = np.max(np.where(m, x, neg), axis=axis, keepdims=True)
+    hi = np.max(np.where(m, x, neg), axis=-1, keepdims=True)
     hi = np.where(hi > neg / 2, hi, 0.0)
     e = np.where(m, np.exp(np.where(m, x - hi, 0.0)), 0.0)
-    tot = e.sum(axis=axis, keepdims=True)
+    tot = e.sum(axis=-1, keepdims=True)
     return e / np.where(tot == 0.0, 1.0, tot)
 
 
@@ -625,23 +633,21 @@ class TestOldFormulas:
         np.testing.assert_allclose(self.lookup_grad(np.zeros(table_shape), ids, g), want, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("axis", [-2, -1])
-    def test_masked_softmax_is_where_chain(self, dtype, axis):
+    def test_masked_softmax_is_where_chain(self, dtype):
         rng = np.random.default_rng(22)
         x = (6.0 * rng.standard_normal((2, 3, 9, 9))).astype(dtype)
         causal = np.tril(np.ones((9, 9), dtype=bool))  # broadcast over leading axes, as attention does
-        causal[:, 4] = False  # a fully masked slice along either axis
-        causal[4, :] = False
+        causal[:, 4] = False
+        causal[4, :] = False  # a fully masked row
         full = rng.random(x.shape) < 0.5
         for mask in (causal, full):
-            got = softmax_np(x, axis, mask)
-            want = _old_softmax_np(x, axis, mask)
+            got = softmax_np(x, mask)
+            want = _old_softmax_np(x, mask)
             assert got.dtype == dtype
             np.testing.assert_array_equal(got, want)
             assert not np.isnan(got).any()
-        y = softmax_np(x, axis, causal)
-        empty = y[..., 4, :] if axis == -1 else y[..., 4]
-        assert np.array_equal(empty, np.zeros_like(empty))
+        y = softmax_np(x, causal)
+        assert np.array_equal(y[..., 4, :], np.zeros_like(y[..., 4, :]))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_masked_softmax_gradient_is_old_form(self, dtype):
@@ -660,7 +666,7 @@ class TestOldFormulas:
 
 def _old_masked_softmax(x: Tensor, mask) -> Tensor:
     """The taped masked softmax that ``attention`` replaced, last axis."""
-    y = softmax_np(x.data, -1, mask)
+    y = softmax_np(x.data, mask)
 
     def vjp(g):
         gy = g * y

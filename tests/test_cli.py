@@ -406,6 +406,38 @@ class TestPipeline:
         assert closed == [str(tmp / "other.mlkv")]
 
     @pytest.mark.parametrize(
+        "corpus_bytes, val_fraction, steps, message",
+        [(0, 0.05, "0", "0 training and 0 validation tokens"),
+         (3000, 0.0003, "2", "2999 training and 1 validation tokens"),
+         (30, 0.5, "2", "15 training and 15 validation tokens")],
+        ids=["empty-corpus", "one-validation-token", "short-training-slice"],
+    )
+    def test_failing_train_leaves_checkpoint_untouched(self, workspace, capsys, corpus_bytes, val_fraction, steps,
+                                                       message):
+        tmp, manifest = workspace
+        doc = json.loads(manifest.read_text())
+        doc["train"]["val_fraction"] = val_fraction
+        manifest.write_text(json.dumps(doc))
+        (tmp / "corpus.txt").write_bytes(synthesize_corpus(corpus_bytes, seed=2))
+        (tmp / "model.ckpt").write_bytes(b"an earlier checkpoint")
+        capsys.readouterr()
+        assert main(["train", "--manifest", str(manifest), "--steps", steps]) == 2
+        assert message in capsys.readouterr().err
+        assert (tmp / "model.ckpt").read_bytes() == b"an earlier checkpoint"
+        assert not (tmp / "model.ckpt.log").exists()
+
+    def test_tiny_temperature_decodes(self, workspace, capsys):
+        tmp, manifest = workspace
+        doc = json.loads(manifest.read_text())
+        doc["train"]["dtype"] = "fp32"  # where logits / 1e-39 overflowed and 1e-300 rounded to 0
+        manifest.write_text(json.dumps(doc))
+        assert main(["train", "--manifest", str(manifest), "--steps", "1"]) == 0
+        assert main(["export", "--manifest", str(manifest)]) == 0
+        for temperature in ("1e-39", "1e-300"):
+            argv = ["decode", "--manifest", str(manifest), "--sampler", "temperature", "--temperature", temperature]
+            assert main(argv) == 0
+
+    @pytest.mark.parametrize(
         "argv, flag",
         [
             (["decode", "--steps", "-1"], "--steps"),

@@ -10,15 +10,14 @@ from molkv.kvexperts import (
     MoLKVBlockParams,
     cache_insert,
     compute_expert_kv,
-    molkv_augmented_routing,
     molkv_expert_terms,
     molkv_new_scores,
     molkv_query,
     molkv_select,
     sliding_window_mask,
 )
-from molkv.layers import (FFNParams, KVCache, lookup_distinct, rmsnorm_np, rope_tables, sigmoid_np, softmax_np,
-                          swishglu_ffn)
+from molkv.layers import (FFNParams, KVCache, lookup_distinct, own_expert_step, rmsnorm_np, rope_tables, sigmoid_np,
+                          softmax_np, swishglu_ffn)
 from molkv.mole import MoLEBlockParams
 from molkv.runtime import mole_step, molkv_step
 
@@ -50,6 +49,17 @@ def make_block(rng, d=10, D=14, dk=6, n=2, top_k=3, scale=0.35):
 def rope(block, position):
     """The fp64 RoPE table of ``position`` for the block's queries and keys."""
     return rope_tables(position, block.key_dim, block.rope_theta)
+
+
+def augmented_routing(h, q, kv, block):
+    """softmax_n(h . r_n + q . k_n / sqrt(d')): ``own_expert_step``'s ungated mix of identity values."""
+    return own_expert_step(h, q, kv.keys, np.eye(block.num_experts), block.routers, None, block.qk_scale)
+
+
+def own_term(h, q, kv, block):
+    """The gated own-expert term of one token, written out; q and keys unrotated."""
+    s_own = softmax_np(h @ block.routers.data + kv.keys @ q * block.qk_scale)
+    return sigmoid_np(h @ block.gate.data) * (s_own @ kv.values)
 
 
 def sequence_terms(h, ids, emb, block, window):
@@ -295,7 +305,7 @@ class TestScoresAndSelection:
         router = Tensor((h @ block.new_routers.data)[None, :])
         mix = attention(Tensor(q_rot[None, :]), Tensor(keys), Tensor(values), np.ones((1, m * n), dtype=bool),
                         block.qk_scale, bias=router, top_k=block.top_k).data[0]
-        own = sigmoid_np(h @ block.gate.data) * (molkv_augmented_routing(h, q, kv, block) @ kv.values)
+        own = own_term(h, q, kv, block)
         term, selected = molkv_step(h, t, cache, kv, block, rope(block, t))
         assert selected == block.top_k
         np.testing.assert_allclose(term, own + sigmoid_np(h @ block.new_gate.data) * mix, rtol=0, atol=1e-12)
@@ -307,7 +317,7 @@ class TestAugmentedRouting:
         block = make_block(rng)
         h = rng.standard_normal(10)
         kv = compute_expert_kv(rng.standard_normal(10), block)
-        got = molkv_augmented_routing(h, np.zeros(block.key_dim), kv, block)
+        got = augmented_routing(h, np.zeros(block.key_dim), kv, block)
         want = softmax_np(h @ block.routers.data)
         np.testing.assert_allclose(got, want, atol=1e-15)
 
@@ -316,7 +326,7 @@ class TestAugmentedRouting:
         block = make_block(rng)
         block.routers.data[:] = 0.0
         kv = compute_expert_kv(np.zeros(10), block)  # zero keys
-        s = molkv_augmented_routing(rng.standard_normal(10), rng.standard_normal(block.key_dim), kv, block)
+        s = augmented_routing(rng.standard_normal(10), rng.standard_normal(block.key_dim), kv, block)
         np.testing.assert_allclose(s, 1.0 / block.num_experts)
 
     def test_sums_to_one(self):
@@ -326,7 +336,7 @@ class TestAugmentedRouting:
             h = rng.standard_normal(10)
             kv = compute_expert_kv(rng.standard_normal(10), block)
             q, _ = molkv_query(h, block, rope(block, 0))
-            assert molkv_augmented_routing(h, q, kv, block).sum() == pytest.approx(1.0, abs=1e-12)
+            assert augmented_routing(h, q, kv, block).sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestWindowMask:
@@ -407,8 +417,7 @@ class TestTrainInferEquivalence:
         # reconstruct without the cached path
         kv = compute_expert_kv(emb.data[4], block)
         q, _ = molkv_query(h[0], block, rope(block, 0))
-        s_own = molkv_augmented_routing(h[0], q, kv, block)
-        want = sigmoid_np(h[0] @ block.gate.data) * (s_own @ kv.values)
+        want = own_term(h[0], q, kv, block)
         np.testing.assert_allclose(y[0], want, atol=1e-12)
 
     def test_new_gate_saturation_kills_cached_term(self):
@@ -422,8 +431,7 @@ class TestTrainInferEquivalence:
         kv = compute_expert_kv(rng.standard_normal(10), block)
         y, k_eff = molkv_step(h.copy(), 4, cache, kv, block, rope(block, 4))
         q, _ = molkv_query(h, block, rope(block, 4))
-        s_own = molkv_augmented_routing(h, q, kv, block)
-        no_new = sigmoid_np(h @ block.gate.data) * (s_own @ kv.values)
+        no_new = own_term(h, q, kv, block)
         assert k_eff > 0  # experts were selected, the gate just silences them
         np.testing.assert_allclose(y, no_new, atol=1e-10)
 

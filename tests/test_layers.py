@@ -1,4 +1,4 @@
-"""Backbone blocks: RoPE properties, FFN, attention causality and caching."""
+"""Building blocks: RoPE properties, FFN, attention causality and caching, the own-expert mix."""
 
 import numpy as np
 import pytest
@@ -10,6 +10,8 @@ from molkv.layers import (
     KVCache,
     causal_attention,
     causal_attention_step,
+    own_expert_mix,
+    own_expert_step,
     rmsnorm_np,
     rope_tables,
     swishglu_ffn,
@@ -223,3 +225,28 @@ def test_rmsnorm_np_matches_definition():
     g = rng.standard_normal(5)
     want = g * (x / np.sqrt((x**2).mean(-1, keepdims=True) + 1e-8))
     np.testing.assert_array_equal(rmsnorm_np(x, g), want)
+
+
+@pytest.mark.parametrize("kind", ["mole", "gated-mole", "molkv"])
+def test_own_expert_step_is_a_row_of_own_expert_mix(kind):
+    # lookup experts are key-value experts with zero-width queries and keys, scored by the router alone
+    rng = np.random.default_rng(40)
+    b, s, n, d, e = 2, 3, 3, 5, (4 if kind == "molkv" else 0)
+    h, q, keys, values = (parameter(rng.standard_normal(shape)) for shape in ((b, s, d), (b, s, e), (b, s, n, e),
+                                                                              (b, s, n, d)))
+    routers = parameter(rng.standard_normal((d, n)))
+    gate = parameter(rng.standard_normal(d)) if kind != "mole" else None
+    scale = 1.0 / np.sqrt(e) if e else 1.0
+
+    def mix():
+        return own_expert_mix(h, q, keys, values, routers, gate, float(scale))
+
+    taped = mix().data
+    for i in range(b):
+        for t in range(s):
+            step = own_expert_step(h.data[i, t], q.data[i, t], keys.data[i, t], values.data[i, t], routers, gate,
+                                   float(scale))
+            np.testing.assert_allclose(step, taped[i, t], rtol=0, atol=1e-12)
+    w = Tensor(rng.standard_normal(taped.shape))
+    leaves = [h, values, routers] + ([q, keys] if e else []) + ([gate] if gate is not None else [])
+    assert grad_check(lambda: tensor_sum(mul(mix(), w)), leaves) < 1e-6

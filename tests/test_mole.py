@@ -5,8 +5,8 @@ from dataclasses import replace
 import numpy as np
 
 from molkv.autodiff import Tensor, grad_check, mul, parameter, tensor_sum
-from molkv.layers import FFNParams, lookup_distinct, sigmoid_np, swishglu_ffn
-from molkv.mole import MoLEBlockParams, build_value_table, mole_expert_terms, mole_routing
+from molkv.layers import FFNParams, lookup_distinct, own_expert_step, sigmoid_np, swishglu_ffn
+from molkv.mole import MoLEBlockParams, build_value_table, mole_expert_terms
 from molkv.runtime import mole_step
 
 
@@ -26,18 +26,24 @@ def make_block(rng, d=8, D=12, n=3, gated=False, scale=0.3):
     )
 
 
+def routing(h, block):
+    """softmax_n(h . r_n), the weights of ``mole_step``: ``own_expert_step``'s ungated mix of identity values."""
+    n = block.routers.shape[1]
+    return own_expert_step(h, np.zeros(0), np.zeros((n, 0)), np.eye(n), block.routers, None, 1.0)
+
+
 class TestRouting:
     def test_zero_routers_uniform(self):
         rng = np.random.default_rng(0)
         block = make_block(rng, n=4)
         block.routers.data[:] = 0.0
-        s = mole_routing(np.ones(8), block)
+        s = routing(np.ones(8), block)
         np.testing.assert_allclose(s, 0.25)
 
     def test_single_expert(self):
         rng = np.random.default_rng(1)
         block = make_block(rng, n=1)
-        s = mole_routing(rng.standard_normal(8), block)
+        s = routing(rng.standard_normal(8), block)
         np.testing.assert_allclose(s, [1.0])
 
     def test_argmax_matches_raw_logits(self):
@@ -45,7 +51,7 @@ class TestRouting:
         block = make_block(rng, n=4)
         for _ in range(50):
             h = rng.standard_normal(8)
-            s = mole_routing(h, block)
+            s = routing(h, block)
             assert np.argmax(s) == np.argmax(h @ block.routers.data)
             np.testing.assert_allclose(s.sum(), 1.0, atol=1e-12)
 
@@ -55,7 +61,7 @@ class TestRouting:
         block = make_block(rng)
         table = build_value_table(rng.standard_normal((10, 8)), block)
         h = rng.standard_normal(8)
-        s = mole_routing(h, block)
+        s = routing(h, block)
         for i in range(3):
             np.testing.assert_allclose(mole_step(h, table[i], block), s @ table[i], atol=1e-12)
 
@@ -123,7 +129,7 @@ class TestGated:
         block.gate.data[:] = 0.0  # g = sigmoid(0) = 0.5
         table = build_value_table(rng.standard_normal((5, 8)), block)
         h = rng.standard_normal(8)
-        mix = mole_routing(h, block) @ table[1]
+        mix = routing(h, block) @ table[1]
         base = mole_step(h, table[1], replace(block, gate=None))
         gated = mole_step(h, table[1], block)
         np.testing.assert_allclose(gated - base, -0.5 * mix, atol=1e-12)
@@ -149,7 +155,7 @@ class TestGated:
         block = make_block(rng, gated=True)
         table = build_value_table(rng.standard_normal((5, 8)), block)
         h = rng.standard_normal(8)
-        mix = mole_routing(h, block) @ table[2]
+        mix = routing(h, block) @ table[2]
         g = sigmoid_np(h @ block.gate.data)
         got = mole_step(h, table[2], block)
         want_if_g_one = mole_step(h, table[2], replace(block, gate=None))

@@ -1,6 +1,7 @@
 """Decoding runtime: logit equivalence, cost accounting, generation."""
 
 import importlib
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -359,6 +360,16 @@ class TestGenerate:
     def test_sample_token_rejects_bad_temperature(self, temperature):
         with pytest.raises(ValueError, match="temperature"):
             sample_token(np.array([1.0, 2.0]), "temperature", temperature, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("temperature", [1e-39, 1e-300])
+    def test_sample_token_tiny_temperature_is_argmax(self, dtype, temperature):
+        # logits / temperature overflowed to inf (and an fp32 1e-300 rounded to 0), giving NaN probabilities
+        logits = np.array([1.0, -2.0, 3.5, 3.25, -1e30], dtype=dtype)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for seed in range(5):
+                assert sample_token(logits, "temperature", temperature, np.random.default_rng(seed)) == 2
 
     def test_sample_token_greedy_tie_break(self):
         logits = np.array([1.0, 3.0, 3.0])

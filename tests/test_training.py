@@ -3,6 +3,7 @@
 import json
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -413,6 +414,21 @@ class TestCheckpoint:
         for (name, p), (_, q) in zip(state.model.named_parameters(), loaded.model.named_parameters(), strict=True):
             assert q.data.dtype == np.float32
             np.testing.assert_array_equal(q.data, p.data, err_msg=name)
+
+    def test_load_holds_the_file_once(self, tmp_path):
+        # reading the whole file and then copying every entry out of it peaked at about twice the file
+        saved = ModelConfig(kind="molkv", num_layers=2, hidden_size=64, ffn_size=96, vocab_size=257, num_experts=2,
+                            key_dim=8, cache_window=8, top_k=4, expert_layers=(0,), num_heads=2)
+        cfg = tiny_train(dtype="fp32")
+        p = tmp_path / "s.ckpt"
+        save_checkpoint(p, new_train_state(saved, cfg), cfg)
+        tracemalloc.start()
+        try:
+            load_checkpoint(p, saved, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * p.stat().st_size
 
     def test_checkpoint_must_fit_config(self, tmp_path):
         cfg = tiny_train()
