@@ -52,6 +52,13 @@ def _need_path(man: RunManifest, key: str, override=None) -> str:
     return path
 
 
+def _check_vocab(ids: np.ndarray, vocab_size: int, source: str) -> None:
+    """Refuse byte ids that the model's vocabulary has no row for."""
+    outside = ids[ids >= vocab_size]
+    if outside.size:
+        raise ConfigError(f"{source} holds byte {outside[0]}, outside the model's vocab_size {vocab_size}")
+
+
 def cmd_train(args) -> int:
     man = parse_manifest(args.manifest)
     if args.seed is not None:
@@ -64,6 +71,7 @@ def cmd_train(args) -> int:
 
     print(json.dumps({"resolved_manifest": man.echo()}, indent=2))
     corpus = Corpus.from_file(corpus_path, man.train.val_fraction)
+    _check_vocab(corpus.ids, man.model.vocab_size, f"corpus {corpus_path}")
     n_train, n_val, span = len(corpus.train_ids), len(corpus.val_ids), man.train.seq_length + 1
     if n_val < 2 or (steps and n_train < span):  # before training, so a failing run leaves any checkpoint alone
         raise ConfigError(f"corpus {corpus_path} splits into {n_train} training and {n_val} validation tokens; "
@@ -99,6 +107,11 @@ def cmd_decode(args) -> int:
     ckpt_path = args.checkpoint or man.paths.get("checkpoint")
     if not ckpt_path:
         raise ConfigError("no checkpoint path: set paths.checkpoint or pass --checkpoint")
+    tok = ByteTokenizer()
+    prompt = tok.tokenize(os.fsencode(args.prompt))  # the argument's own bytes, even where they are not UTF-8
+    if prompt.size == 0:
+        raise ConfigError("prompt must not be empty")
+    _check_vocab(prompt, man.model.vocab_size, "prompt")
     state = load_checkpoint(ckpt_path, man.model, man.train)
     store_path = None
     if man.model.kind != "dense":
@@ -106,10 +119,6 @@ def cmd_decode(args) -> int:
         if not store_path:
             raise ConfigError("no store path: set paths.store or pass --store")
 
-    tok = ByteTokenizer()
-    prompt = tok.tokenize(os.fsencode(args.prompt))  # the argument's own bytes, even where they are not UTF-8
-    if prompt.size == 0:
-        raise ConfigError("prompt must not be empty")
     rng = np.random.default_rng(args.seed if args.seed is not None else 0)
     with ExpertStoreReader(store_path) if store_path else contextlib.nullcontext() as reader:
         decoder = DecoderState(state.model, reader)

@@ -19,12 +19,14 @@ query over its token's N pairs, with the router as bias. The cached-expert
 path uses the window mask, the second router as bias and a top-k; each
 query block scores only its band of M*N slots, and the tape keeps that
 band's mask, not its weights. Export runs the pairs untaped on every token
-id. Decoding's ``molkv_step`` (in :mod:`molkv.runtime`) mixes the own
-experts with ``layers.own_expert_step`` and runs the attention op's two
-kernels on one query for the cached experts, as ``molkv_new_scores`` and
-``molkv_select``; ``cache_insert`` appends each token's pairs to the
-sequence's :class:`~molkv.layers.KVCache` windowed to M positions, the
-same cache that backbone attention keeps unbounded.
+id into the store's records of keys and raw values; the value norm runs
+where the cached path reads them. Decoding's ``molkv_step`` (in
+:mod:`molkv.runtime`) mixes the own experts with ``layers.own_expert_step``
+and runs the attention op's two kernels on one query for the cached
+experts, as ``molkv_new_scores`` and ``molkv_select``; ``cache_insert``
+appends each token's keys and normed values to the sequence's
+:class:`~molkv.layers.KVCache` windowed to M positions, the same cache that
+backbone attention keeps unbounded.
 """
 
 from __future__ import annotations
@@ -106,51 +108,25 @@ class MoLKVBlockParams:
         return out
 
 
-@dataclass
-class ExpertKV:
-    """The N expert pairs of one token id.
-
-    Keys are post-key-norm but not yet rotated (rotation happens at cache
-    insertion, where the absolute position is known). ``values_normed``
-    always equals rmsnorm(values, value_norm gain).
-    """
-
-    keys: np.ndarray  # (N, d')
-    values: np.ndarray  # (N, d), raw
-    values_normed: np.ndarray  # (N, d)
-
-
 def molkv_expert_pairs(emb: Tensor, params: MoLKVBlockParams):
-    """(post-norm keys, raw values, normed values) for (..., d) embeddings: (..., N, d'), (..., N, d) twice."""
+    """(post-norm keys, raw values) for (..., d) embeddings: (..., N, d'), (..., N, d); keys not yet rotated."""
     eh = rmsnorm(emb, params.vocab_norm, params.norm_eps)
     keys = stack(
         [rmsnorm(swishglu_ffn(eh, ke), params.key_norm, params.norm_eps) for ke in params.key_experts], axis=-2
     )
-    values = stack([swishglu_ffn(eh, ve) for ve in params.value_experts], axis=-2)
-    return keys, values, rmsnorm(values, params.value_norm, params.norm_eps)
+    return keys, stack([swishglu_ffn(eh, ve) for ve in params.value_experts], axis=-2)
 
 
-def compute_expert_kv(e_id: np.ndarray, params: MoLKVBlockParams) -> ExpertKV:
-    """Expert keys/values for one embedding row (or a batch of rows).
+def cache_insert(cache: KVCache, position: int, keys: np.ndarray, values_normed: np.ndarray, rot) -> KVCache:
+    """Append ``position``'s (N, d') keys rotated by its RoPE table ``rot`` and its (N, d) normed values.
 
-    e_id is (d,) or (..., d); outputs gain a leading N axis after the batch
-    axes: keys (..., N, d'), values (..., N, d). Call it with no tape active.
-    """
-    keys, values, values_normed = molkv_expert_pairs(Tensor(e_id), params)
-    return ExpertKV(keys=keys.data, values=values.data, values_normed=values_normed.data)
-
-
-def cache_insert(cache: KVCache, position: int, kv: ExpertKV, rot) -> KVCache:
-    """Append ``position``'s keys rotated by its RoPE table ``rot`` and its normed values.
-
-    ``cache`` is the layer's windowed :class:`~molkv.layers.KVCache` of
-    (N, d') key and (N, d) value rows; it keeps the last M positions.
+    ``cache`` is the layer's windowed :class:`~molkv.layers.KVCache`; it keeps the last M positions.
     """
     if position != cache.next_position:
         if cache.next_position:
             raise CacheStateError(f"cache holds ..{cache.next_position - 1}, cannot insert position {position}")
         raise CacheStateError(f"empty cache starts at position 0, got {position}")
-    cache.append(rope_rotate_np(kv.keys, rot), kv.values_normed)
+    cache.append(rope_rotate_np(keys, rot), values_normed)
     return cache
 
 
@@ -202,7 +178,9 @@ def molkv_expert_terms(h: Tensor, emb: Tensor, inverse: np.ndarray, params: MoLK
     n = params.num_experts
     dk = params.key_dim
 
-    keys, values, values_normed = (embedding_lookup(t, inverse) for t in molkv_expert_pairs(emb, params))  # (b, s, N, ·)
+    keys, values = molkv_expert_pairs(emb, params)  # (U, N, ·)
+    values_normed = rmsnorm(values, params.value_norm, params.norm_eps)
+    keys, values, values_normed = (embedding_lookup(t, inverse) for t in (keys, values, values_normed))  # (b, s, N, ·)
 
     q = dense(h, params.query_proj)  # (b, s, d')
     own = own_expert_mix(h, q, keys, values, params.routers, params.gate, params.qk_scale)  # q and keys unrotated

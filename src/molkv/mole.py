@@ -3,10 +3,11 @@
 Training runs N expert FFNs (``mole_expert_values``) once per distinct token
 id in the batch, and ``mole_expert_terms`` mixes them into the term that
 ``model.forward`` adds to the shared FFN's output. Export runs the same
-function untaped on every id to freeze a value table, so inference
-(``mole_step`` in :mod:`molkv.runtime`) is a table lookup plus a
-softmax-weighted sum. The gated variant scales the mix by sigmoid(h . u).
-Both modes mix with the key-value block's own-expert functions, given zero-width keys.
+function untaped on every id into the store's key-value records with
+zero-width keys, so inference (``mole_step`` in :mod:`molkv.runtime`) is a
+record read plus a softmax-weighted sum. The gated variant scales the mix
+by sigmoid(h . u). Both modes mix with the key-value block's own-expert
+functions, given zero-width keys.
 
 Token embeddings enter the expert FFNs raw here (no normalization); the
 key-value block in :mod:`molkv.kvexperts` normalizes first. The two blocks
@@ -59,12 +60,3 @@ def mole_expert_terms(h: Tensor, emb: Tensor, inverse: np.ndarray, params: MoLEB
     no_keys = Tensor(np.zeros(vals.shape[:-1] + (0,), h.dtype))
     return own_expert_mix(h, no_query, no_keys, vals, params.routers, params.gate, 1.0)
 
-
-# ---------------------------------------------------------------------------
-# export
-# ---------------------------------------------------------------------------
-
-
-def build_value_table(embedding: np.ndarray, params: MoLEBlockParams) -> np.ndarray:
-    """Freeze FFN_n(e_i) for all ids into a (|V|, N, d) table; call it with no tape active."""
-    return mole_expert_values(Tensor(embedding), params).data

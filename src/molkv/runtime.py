@@ -26,19 +26,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ModelConfig
-from .kvexperts import (
-    ExpertKV,
-    MoLKVBlockParams,
-    cache_insert,
-    molkv_new_scores,
-    molkv_query,
-    molkv_select,
-)
+from .kvexperts import MoLKVBlockParams, cache_insert, molkv_new_scores, molkv_query, molkv_select
 from .layers import (KVCache, causal_attention_step, own_expert_step, rmsnorm_np, rope_tables, sigmoid_np, softmax_np,
                      swishglu_ffn_np)
 from .mole import MoLEBlockParams
 from .model import ModelParams
-from .store import ExpertRecord, ExpertStoreReader, StoreFormatError
+from .store import ExpertStoreReader, StoreFormatError
 
 
 @dataclass
@@ -92,13 +85,12 @@ class DecoderState:
         if cfg.expert_layers and store is None:
             raise ValueError(f"{cfg.kind} decoding requires an expert store")
         if store is not None:
-            h = store.header
-            kind = "molkv" if cfg.kind == "molkv" else "mole"
-            got = (h.kind, h.vocab_size, h.num_experts, h.hidden_size, h.key_dim, h.num_expert_layers)
-            want = (kind, cfg.vocab_size, cfg.num_experts, cfg.hidden_size, cfg.key_dim, len(cfg.expert_layers))
+            h = store.header  # its kind follows from d'
+            got = (h.vocab_size, h.num_experts, h.hidden_size, h.key_dim, h.num_expert_layers)
+            want = (cfg.vocab_size, cfg.num_experts, cfg.hidden_size, cfg.key_dim, len(cfg.expert_layers))
             if got != want:
                 raise StoreFormatError(
-                    f"store header (kind, |V|, N, d, d', expert layers) = {got} "
+                    f"store header (|V|, N, d, d', expert layers) = {got} "
                     f"does not match the model configuration's {want}"
                 )
         self.position = 0
@@ -163,13 +155,14 @@ def decode_step(state: DecoderState, token_id: int):
             block = layer.block
             record = state.store.read_record(layer_of[li], token_id)
             nbytes = record.nbytes
+            # one cast per record; read_record returns private arrays, which copy=False may keep
+            keys, values = (a.astype(state.dtype, copy=False) for a in (record.keys, record.values))
             if isinstance(block, MoLEBlockParams):
-                y = y + mole_step(hn, record.values, block)
+                y = y + mole_step(hn, values, block)
             else:
                 cache = state.expert_caches[li]
                 cache_len = len(cache)
-                kv = expert_kv(record, block, state.dtype)
-                term, selected = molkv_step(hn, t, cache, kv, block, rope[block.key_dim, block.rope_theta])
+                term, selected = molkv_step(hn, t, cache, keys, values, block, rope[block.key_dim, block.rope_theta])
                 y = y + term
 
         x = x + y
@@ -198,30 +191,21 @@ def mole_step(h: np.ndarray, values: np.ndarray, params: MoLEBlockParams) -> np.
     return own_expert_step(h, no_query, no_keys, values, params.routers, params.gate, 1.0)
 
 
-def expert_kv(record: ExpertRecord, params: MoLKVBlockParams, dtype) -> ExpertKV:
-    """The expert pairs of one key-value store record, cast to ``dtype``."""
-    values = record.values.astype(dtype, copy=False)  # read_record's arrays are private copies
-    return ExpertKV(
-        keys=record.keys.astype(dtype, copy=False),
-        values=values,
-        values_normed=rmsnorm_np(values, params.value_norm.data, params.norm_eps),
-    )
-
-
-def molkv_step(h: np.ndarray, position: int, cache: KVCache, kv: ExpertKV, params: MoLKVBlockParams, rot):
-    """Own-expert plus cached-expert term of one token; returns (term, k_eff).
+def molkv_step(h: np.ndarray, position: int, cache: KVCache, keys: np.ndarray, values: np.ndarray,
+               params: MoLKVBlockParams, rot):
+    """Own-expert plus cached-expert term of one token's (N, d') keys and raw (N, d) values; returns (term, k_eff).
 
     ``rot`` is ``position``'s RoPE table of width d' / 2; it rotates the
-    query and the token's keys. The token's own pairs ``kv``
+    query and the token's keys. The token's keys and normed values
     join the cache (which checks ``position``) only after the term is
     computed, so position 0 sees an empty window and its cached term is 0.
     k_eff = min(k, cached experts) is the number of nonzero mixing weights.
     """
     q, q_rot = molkv_query(h, params, rot)
-    term = own_expert_step(h, q, kv.keys, kv.values, params.routers, params.gate, params.qk_scale)
+    term = own_expert_step(h, q, keys, values, params.routers, params.gate, params.qk_scale)
     weights = molkv_select(molkv_new_scores(q_rot, h, cache, params), params.top_k)
     term = term + sigmoid_np(h @ params.new_gate.data) * (weights @ cache.v.reshape(-1, cache.v.shape[-1]))
-    cache_insert(cache, position, kv, rot)
+    cache_insert(cache, position, keys, rmsnorm_np(values, params.value_norm.data, params.norm_eps), rot)
     return term, min(params.top_k, weights.size)
 
 

@@ -1,10 +1,11 @@
 """Reparameterized expert tables and their on-disk store.
 
-After training, every (layer, token id) pair owns a fixed expert record:
-raw expert values for lookup models, key/value pairs for the key-value
-variant (keys post-key-norm, values raw). The store file emulates expert
-offloading: records have a fixed size, live at computable offsets, and a
-read touches exactly one record's bytes, which the reader counts.
+After training, every (layer, token id) pair owns a fixed expert record of
+N key-value pairs, ``ExpertRecord``: keys post-key-norm, values raw. A
+lookup model's keys are zero-width, so its record is its N expert values.
+The store file emulates expert offloading: records have a fixed size, live
+at computable offsets, and a read touches exactly one record's bytes,
+which the reader counts.
 
 File layout (little-endian, documented in docs/formats.md):
 
@@ -32,14 +33,16 @@ import errno
 import os
 import stat
 import struct
+import tempfile
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 
+from .autodiff import Tensor
 from .config import ConfigError, ModelConfig
-from .kvexperts import compute_expert_kv
-from .mole import build_value_table
+from .kvexperts import molkv_expert_pairs
+from .mole import mole_expert_values
 
 MAGIC = b"MLKV"
 FORMAT_VERSION = 1
@@ -143,9 +146,9 @@ class ExpertStoreHeader:
 
 @dataclass
 class ExpertRecord:
-    """One (layer, id) record: keys may be None for lookup-value stores."""
+    """One (layer, id) record: N key-value pairs, keys zero-width (d' = 0) for lookup experts."""
 
-    keys: np.ndarray | None  # (N, d')
+    keys: np.ndarray  # (N, d')
     values: np.ndarray  # (N, d)
     nbytes: int = 0  # bytes read from the store file; 0 for in-memory tables
 
@@ -162,12 +165,7 @@ class ReparamTables:
     Arrays keep the training dtype; casting happens at write time.
     """
 
-    kind: str  # "mole" | "molkv"
-    vocab_size: int
-    num_experts: int
-    hidden_size: int
-    key_dim: int
-    keys: list[np.ndarray] | None  # per expert layer: (|V|, N, d')
+    keys: list[np.ndarray]  # per expert layer: (|V|, N, d'), d' = 0 for lookup experts
     values: list[np.ndarray]  # per expert layer: (|V|, N, d), raw
 
     @property
@@ -175,41 +173,29 @@ class ReparamTables:
         return len(self.values)
 
     def record(self, layer: int, token_id: int) -> ExpertRecord:
-        return ExpertRecord(
-            keys=None if self.keys is None else self.keys[layer][token_id],
-            values=self.values[layer][token_id],
-        )
+        return ExpertRecord(keys=self.keys[layer][token_id], values=self.values[layer][token_id])
 
 
 def reparameterize(model) -> ReparamTables:
-    """Freeze a trained model's expert FFNs into lookup tables.
+    """Freeze a trained model's expert FFNs into key-value tables; call it with no tape active.
 
-    Lookup models store FFN_n(e_i); key-value models store the post-norm
-    expert keys and the raw expert values from the normalized embedding.
+    Lookup models store FFN_n(e_i) under zero-width keys; key-value models
+    the post-norm expert keys and raw expert values of the normalized embedding.
     """
-    cfg: ModelConfig = model.config
-    if cfg.kind == "dense":
+    if model.config.kind == "dense":
         raise ConfigError("dense models have no experts to reparameterize")
-    emb = model.embedding.data
-    keys: list[np.ndarray] | None = [] if cfg.kind == "molkv" else None
-    values: list[np.ndarray] = []
-    for li in cfg.expert_layers:
+    emb = Tensor(model.embedding.data)
+    keys, values = [], []
+    for li in model.config.expert_layers:
         block = model.layers[li].block
-        if cfg.kind == "molkv":
-            kv = compute_expert_kv(emb, block)
-            keys.append(kv.keys)
-            values.append(kv.values)
+        if model.config.kind == "molkv":
+            k, v = (t.data for t in molkv_expert_pairs(emb, block))
         else:
-            values.append(build_value_table(emb, block))
-    return ReparamTables(
-        kind="molkv" if cfg.kind == "molkv" else "mole",
-        vocab_size=cfg.vocab_size,
-        num_experts=cfg.num_experts,
-        hidden_size=cfg.hidden_size,
-        key_dim=cfg.key_dim,
-        keys=keys,
-        values=values,
-    )
+            v = mole_expert_values(emb, block).data
+            k = v[..., :0]
+        keys.append(k)
+        values.append(v)
+    return ReparamTables(keys=keys, values=values)
 
 
 # ---------------------------------------------------------------------------
@@ -218,32 +204,31 @@ def reparameterize(model) -> ReparamTables:
 
 
 def write_store(tables: ReparamTables, path, dtype: str = "fp32") -> ExpertStoreHeader:
-    """Write tables to ``path``; returns the header that was written.
+    """Write tables to ``path``, of kind molkv when the keys are at least one wide; returns the header written.
 
-    Raises StoreFormatError, and leaves no file at ``path``, when a record
-    is not finite in ``dtype`` (a value beyond its range, or NaN).
+    Raises StoreFormatError when a record is not finite in ``dtype`` (a value beyond its range, or NaN).
+    ``path`` is replaced only by a complete store, written to a temporary file beside it.
     """
     if dtype not in NUMPY_DTYPES:
         raise StoreFormatError(f"unsupported store dtype {dtype!r}")
+    vocab, n, dk = tables.keys[0].shape
     header = ExpertStoreHeader(
-        kind=tables.kind,
+        kind="molkv" if dk else "mole",
         dtype=dtype,
         num_expert_layers=tables.num_expert_layers,
-        vocab_size=tables.vocab_size,
-        num_experts=tables.num_experts,
-        hidden_size=tables.hidden_size,
-        key_dim=tables.key_dim,
+        vocab_size=vocab,
+        num_experts=n,
+        hidden_size=tables.values[0].shape[-1],
+        key_dim=dk,
     )
     nd = NUMPY_DTYPES[dtype]
-    f = open(path, "wb")
+    path = os.fspath(path)
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=os.path.basename(path) + ".")
     try:
-        with f:
+        with open(fd, "wb") as f:
             f.write(header.encode())
             for li in range(tables.num_expert_layers):
-                if tables.keys is not None:
-                    rec = np.concatenate([tables.keys[li], tables.values[li]], axis=-1)
-                else:
-                    rec = tables.values[li]
+                rec = np.concatenate([tables.keys[li], tables.values[li]], axis=-1)
                 with np.errstate(over="ignore"):
                     cast = np.ascontiguousarray(rec, dtype=nd)
                 if not np.isfinite(cast).all():
@@ -252,8 +237,9 @@ def write_store(tables: ReparamTables, path, dtype: str = "fp32") -> ExpertStore
                         f"{dtype} max {np.finfo(nd).max:.4g}"
                     )
                 f.write(cast.tobytes())
+        os.replace(tmp, path)
     except BaseException:
-        os.unlink(path)
+        os.unlink(tmp)
         raise
     return header
 
@@ -296,9 +282,7 @@ class ExpertStoreReader:
             self.bytes_read += len(raw)
             self.reads += 1
         flat = np.frombuffer(raw, dtype=NUMPY_DTYPES[h.dtype]).reshape(h.num_experts, h.hidden_size + h.key_dim)
-        if h.key_dim:
-            return ExpertRecord(keys=flat[:, : h.key_dim].copy(), values=flat[:, h.key_dim :].copy(), nbytes=len(raw))
-        return ExpertRecord(keys=None, values=flat.copy(), nbytes=len(raw))
+        return ExpertRecord(keys=flat[:, : h.key_dim].copy(), values=flat[:, h.key_dim :].copy(), nbytes=len(raw))
 
     def close(self):
         if self._fd is not None:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .autodiff import Tensor, grad_check, mul, rope_rotate_np, tensor_sum
 from .config import ModelConfig, published_config
-from .kvexperts import compute_expert_kv, molkv_expert_terms, molkv_new_scores, molkv_query, molkv_select
+from .kvexperts import molkv_expert_pairs, molkv_expert_terms, molkv_new_scores, molkv_query, molkv_select
 from .layers import KVCache, lookup_distinct, rope_tables, sigmoid_np, softmax_np, swishglu_ffn
 from .model import forward, init_model
 from .runtime import DecoderState, closed_form_costs, decode_step, molkv_step
@@ -394,19 +394,19 @@ def check_window_edges():
     # Position 0: the cached-expert term must be exactly zero.
     h = rng.standard_normal(cfg.hidden_size)
     token = 7
-    kv = compute_expert_kv(model.embedding.data[token], block)
+    keys, values = (t.data for t in molkv_expert_pairs(Tensor(model.embedding.data), block))  # every id's pairs
     cache = KVCache((cfg.num_experts, cfg.key_dim), (cfg.num_experts, cfg.hidden_size), np.float64, cfg.cache_window)
-    term, k_eff = molkv_step(h, 0, cache, kv, block, rope_tables(0, cfg.key_dim, block.rope_theta))
+    rot = rope_tables(0, cfg.key_dim, block.rope_theta)
+    term, k_eff = molkv_step(h, 0, cache, keys[token], values[token], block, rot)
     q = h @ block.query_proj.data
-    s_own = softmax_np(h @ block.routers.data + kv.keys @ q * block.qk_scale)
+    s_own = softmax_np(h @ block.routers.data + keys[token] @ q * block.qk_scale)
     if k_eff != 0:
         failures.append(f"position 0 selected {k_eff} cached experts")
-    if not np.array_equal(term, sigmoid_np(h @ block.gate.data) * (s_own @ kv.values)):
+    if not np.array_equal(term, sigmoid_np(h @ block.gate.data) * (s_own @ values[token])):
         failures.append("position 0 term is not exactly the own-expert term")
 
     # Short window: fewer than k candidates selects all of them, weights sum to 1.
     for t in range(1, 5):
-        kv_t = compute_expert_kv(model.embedding.data[t], block)
         rot = rope_tables(t, cfg.key_dim, block.rope_theta)
         _, q_rot = molkv_query(h, block, rot)
         weights = molkv_select(molkv_new_scores(q_rot, h, cache, block), block.top_k)
@@ -417,7 +417,7 @@ def check_window_edges():
             failures.append(f"t={t}: weights sum to {weights.sum()}")
         if selected and (weights.min() < 0 or weights.max() > 1):
             failures.append(f"t={t}: weights outside [0, 1]")
-        molkv_step(h, t, cache, kv_t, block, rot)
+        molkv_step(h, t, cache, keys[t], values[t], block, rot)
 
     detail = "; ".join(failures) if failures else "zero term at t=0; short windows select all, weights sum to 1"
     return "empty/short window behavior", not failures, detail

@@ -380,6 +380,32 @@ class TestPipeline:
         assert "max |value|" in capsys.readouterr().err
         assert not (tmp / "model.mlkv").exists()
         assert main(["export", "--manifest", str(manifest), "--dtype", "fp32"]) == 0
+        fp32_store = (tmp / "model.mlkv").read_bytes()
+        assert main(["export", "--manifest", str(manifest), "--dtype", "fp16"]) == 2  # leaves the fp32 store alone
+        assert (tmp / "model.mlkv").read_bytes() == fp32_store
+        assert not [p for p in os.listdir(tmp) if p.startswith("model.mlkv.")]
+
+    def test_train_refuses_corpus_bytes_outside_vocab(self, workspace, capsys):
+        tmp, manifest = workspace
+        doc = json.loads(manifest.read_text())
+        doc["model"]["vocab_size"] = 100
+        manifest.write_text(json.dumps(doc))
+        (tmp / "corpus.txt").write_bytes(b"AB" * 500 + b"z" + b"AB" * 50)
+        capsys.readouterr()
+        assert main(["train", "--manifest", str(manifest), "--steps", "1"]) == 2
+        assert "holds byte 122, outside the model's vocab_size 100" in capsys.readouterr().err
+        assert not (tmp / "model.ckpt").exists()
+
+    def test_decode_refuses_prompt_bytes_outside_vocab(self, workspace, capsys):
+        tmp, manifest = workspace
+        doc = json.loads(manifest.read_text())
+        doc["model"]["vocab_size"] = 128
+        manifest.write_text(json.dumps(doc))
+        assert main(["train", "--manifest", str(manifest), "--steps", "1"]) == 0
+        assert main(["export", "--manifest", str(manifest)]) == 0
+        capsys.readouterr()
+        assert main(["decode", "--manifest", str(manifest), "--prompt", "é"]) == 2
+        assert "prompt holds byte 195, outside the model's vocab_size 128" in capsys.readouterr().err
 
     def test_decode_rejects_mismatched_store(self, workspace, monkeypatch, capsys):
         import numpy as np

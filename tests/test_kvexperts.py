@@ -6,10 +6,9 @@ import pytest
 from molkv.autodiff import Tensor, attention, grad_check, mul, parameter, rope_rotate_np, tensor_sum, window_topk_mask
 from molkv.kvexperts import (
     CacheStateError,
-    ExpertKV,
     MoLKVBlockParams,
     cache_insert,
-    compute_expert_kv,
+    molkv_expert_pairs,
     molkv_expert_terms,
     molkv_new_scores,
     molkv_query,
@@ -51,15 +50,27 @@ def rope(block, position):
     return rope_tables(position, block.key_dim, block.rope_theta)
 
 
-def augmented_routing(h, q, kv, block):
+def pairs(e, block):
+    """(keys, raw values) arrays of one embedding row (N, ·), or of a batch of rows (..., N, ·)."""
+    keys, values = molkv_expert_pairs(Tensor(e), block)
+    return keys.data, values.data
+
+
+def insert_row(cache, pos, e, block):
+    """``cache_insert`` of one embedding row's keys and normed values at ``pos``."""
+    keys, values = pairs(e, block)
+    cache_insert(cache, pos, keys, rmsnorm_np(values, block.value_norm.data, block.norm_eps), rope(block, pos))
+
+
+def augmented_routing(h, q, keys, block):
     """softmax_n(h . r_n + q . k_n / sqrt(d')): ``own_expert_step``'s ungated mix of identity values."""
-    return own_expert_step(h, q, kv.keys, np.eye(block.num_experts), block.routers, None, block.qk_scale)
+    return own_expert_step(h, q, keys, np.eye(block.num_experts), block.routers, None, block.qk_scale)
 
 
-def own_term(h, q, kv, block):
+def own_term(h, q, keys, values, block):
     """The gated own-expert term of one token, written out; q and keys unrotated."""
-    s_own = softmax_np(h @ block.routers.data + kv.keys @ q * block.qk_scale)
-    return sigmoid_np(h @ block.gate.data) * (s_own @ kv.values)
+    s_own = softmax_np(h @ block.routers.data + keys @ q * block.qk_scale)
+    return sigmoid_np(h @ block.gate.data) * (s_own @ values)
 
 
 def sequence_terms(h, ids, emb, block, window):
@@ -81,43 +92,43 @@ class TestExpertKV:
     def test_zero_embedding_gives_zero_experts(self):
         rng = np.random.default_rng(0)
         block = make_block(rng)
-        kv = compute_expert_kv(np.zeros(10), block)
-        assert np.array_equal(kv.keys, np.zeros_like(kv.keys))
-        assert np.array_equal(kv.values, np.zeros_like(kv.values))
-        assert np.array_equal(kv.values_normed, np.zeros_like(kv.values_normed))
+        keys, values = pairs(np.zeros(10), block)
+        assert np.array_equal(keys, np.zeros_like(keys))
+        assert np.array_equal(values, np.zeros_like(values))
 
     def test_deterministic(self):
         rng = np.random.default_rng(1)
         block = make_block(rng)
         e = rng.standard_normal(10)
-        a = compute_expert_kv(e, block)
-        b = compute_expert_kv(e, block)
-        assert np.array_equal(a.keys, b.keys) and np.array_equal(a.values, b.values)
+        (ka, va), (kb, vb) = pairs(e, block), pairs(e, block)
+        assert np.array_equal(ka, kb) and np.array_equal(va, vb)
 
     def test_normed_values_invariant(self):
+        # the pairs keep raw values; decoding caches them normed by the value norm
         rng = np.random.default_rng(2)
         block = make_block(rng)
-        kv = compute_expert_kv(rng.standard_normal(10), block)
-        want = rmsnorm_np(kv.values, block.value_norm.data, block.norm_eps)
-        assert np.array_equal(kv.values_normed, want)
+        keys, values = pairs(rng.standard_normal(10), block)
+        cache = fresh_cache(block, window=4)
+        molkv_step(rng.standard_normal(10), 0, cache, keys, values, block, rope(block, 0))
+        assert np.array_equal(cache.v[-1], rmsnorm_np(values, block.value_norm.data, block.norm_eps))
 
     def test_key_width_follows_key_dim(self):
         rng = np.random.default_rng(3)
         block = make_block(rng, d=16, dk=8)
-        kv = compute_expert_kv(rng.standard_normal(16), block)
-        assert kv.keys.shape == (block.num_experts, 8)
-        assert kv.values.shape == (block.num_experts, 16)
+        keys, values = pairs(rng.standard_normal(16), block)
+        assert keys.shape == (block.num_experts, 8)
+        assert values.shape == (block.num_experts, 16)
 
     def test_batched_matches_single(self):
         # gemm vs gemv reduction order differs, so equality is to rounding
         rng = np.random.default_rng(4)
         block = make_block(rng)
         e = rng.standard_normal((7, 10))
-        batched = compute_expert_kv(e, block)
+        keys, values = pairs(e, block)
         for i in range(7):
-            single = compute_expert_kv(e[i], block)
-            np.testing.assert_allclose(batched.keys[i], single.keys, rtol=1e-12, atol=1e-14)
-            np.testing.assert_allclose(batched.values[i], single.values, rtol=1e-12, atol=1e-14)
+            single_keys, single_values = pairs(e[i], block)
+            np.testing.assert_allclose(keys[i], single_keys, rtol=1e-12, atol=1e-14)
+            np.testing.assert_allclose(values[i], single_values, rtol=1e-12, atol=1e-14)
 
 
 class TestQuery:
@@ -148,17 +159,17 @@ class TestCache:
         block = make_block(rng)
         cache = fresh_cache(block, window=4)
         for pos in range(3):
-            kv = compute_expert_kv(rng.standard_normal(10), block)
-            cache_insert(cache, pos, kv, rope(block, pos))
-            assert np.array_equal(cache.k[-1], rope_rotate_np(kv.keys, rope(block, pos)))
-            assert np.array_equal(cache.v[-1], kv.values_normed)
+            keys, values = pairs(rng.standard_normal(10), block)
+            cache_insert(cache, pos, keys, values, rope(block, pos))
+            assert np.array_equal(cache.k[-1], rope_rotate_np(keys, rope(block, pos)))
+            assert np.array_equal(cache.v[-1], values)
 
     def test_window_one_holds_previous_token(self):
         rng = np.random.default_rng(9)
         block = make_block(rng)
         cache = fresh_cache(block, window=1)
         for pos in range(5):
-            cache_insert(cache, pos, compute_expert_kv(rng.standard_normal(10), block), rope(block, pos))
+            insert_row(cache, pos, rng.standard_normal(10), block)
             assert positions(cache) == [pos]
 
     def test_eviction_keeps_last_window(self):
@@ -168,10 +179,10 @@ class TestCache:
         cache = fresh_cache(block, window=m)
         keys, values = [], []  # concatenate-and-slice reference
         for pos in range(3 * m + 3):  # past 2M + 1: the 2M-slot buffers compact twice
-            kv = compute_expert_kv(rng.standard_normal(10), block)
-            cache_insert(cache, pos, kv, rope(block, pos))
-            keys.append(rope_rotate_np(kv.keys, rope(block, pos)))
-            values.append(kv.values_normed)
+            k, v = pairs(rng.standard_normal(10), block)
+            cache_insert(cache, pos, k, v, rope(block, pos))
+            keys.append(rope_rotate_np(k, rope(block, pos)))
+            values.append(v)
             assert np.array_equal(cache.k, np.stack(keys)[-m:])
             assert np.array_equal(cache.v, np.stack(values)[-m:])
             assert positions(cache) == list(range(max(0, pos + 1 - m), pos + 1))
@@ -186,8 +197,7 @@ class TestCache:
         inserted = []
         for pos in range(2 * m + 3):  # the buffers compact at insert 2M + 1
             values = rng.standard_normal((n, 10))
-            kv = ExpertKV(keys=np.zeros((n, block.key_dim)), values=values, values_normed=values)
-            cache_insert(cache, pos, kv, rope(block, pos))
+            cache_insert(cache, pos, np.zeros((n, block.key_dim)), values, rope(block, pos))
             inserted.append(values)
         h = rng.standard_normal(10)
         scores = molkv_new_scores(molkv_query(h, block, rope(block, 2 * m + 3))[1], h, cache, block)
@@ -203,32 +213,32 @@ class TestCache:
         block = make_block(rng)
         m = 4
         cache = fresh_cache(block, window=m)
-        kv = compute_expert_kv(rng.standard_normal(10), block)
-        cache_insert(cache, 0, kv, rope(block, 0))
+        keys, values = pairs(rng.standard_normal(10), block)
+        cache_insert(cache, 0, keys, values, rope(block, 0))
         prev_keys, prev_values = cache.k, cache.v
         for pos in range(1, 2 * m):  # all 2M slots fill without a move
-            cache_insert(cache, pos, kv, rope(block, pos))
+            cache_insert(cache, pos, keys, values, rope(block, pos))
             assert np.shares_memory(cache.k, prev_keys)
             assert np.shares_memory(cache.v, prev_values)
             prev_keys, prev_values = cache.k, cache.v
         base_keys, base_values = prev_keys.base, prev_values.base
-        cache_insert(cache, 2 * m, kv, rope(block, 2 * m))  # compaction moves slots within the same buffers
+        cache_insert(cache, 2 * m, keys, values, rope(block, 2 * m))  # compaction moves slots within the same buffers
         assert cache.k.base is base_keys and cache.v.base is base_values
 
     def test_out_of_order_insert_rejected(self):
         rng = np.random.default_rng(11)
         block = make_block(rng)
         cache = fresh_cache(block, window=4)
-        cache_insert(cache, 0, compute_expert_kv(rng.standard_normal(10), block), rope(block, 0))
+        insert_row(cache, 0, rng.standard_normal(10), block)
         with pytest.raises(CacheStateError):
-            cache_insert(cache, 2, compute_expert_kv(rng.standard_normal(10), block), rope(block, 2))
+            insert_row(cache, 2, rng.standard_normal(10), block)
 
     def test_empty_cache_starts_at_zero(self):
         rng = np.random.default_rng(12)
         block = make_block(rng)
         cache = fresh_cache(block, window=4)
         with pytest.raises(CacheStateError):
-            cache_insert(cache, 3, compute_expert_kv(rng.standard_normal(10), block), rope(block, 3))
+            insert_row(cache, 3, rng.standard_normal(10), block)
 
 
 class TestScoresAndSelection:
@@ -247,7 +257,7 @@ class TestScoresAndSelection:
         block.new_routers.data[:] = 0.0
         cache = fresh_cache(block, window=4)
         for pos in range(3):
-            cache_insert(cache, pos, compute_expert_kv(rng.standard_normal(10), block), rope(block, pos))
+            insert_row(cache, pos, rng.standard_normal(10), block)
         h = rng.standard_normal(10)
         _, q_rot = molkv_query(h, block, rope(block, 3))
         scores = molkv_new_scores(q_rot, h, cache, block)
@@ -259,7 +269,7 @@ class TestScoresAndSelection:
         block = make_block(rng)
         cache = fresh_cache(block, window=6)
         for pos in range(5):
-            cache_insert(cache, pos, compute_expert_kv(rng.standard_normal(10), block), rope(block, pos))
+            insert_row(cache, pos, rng.standard_normal(10), block)
         h = rng.standard_normal(10)
         _, q_rot = molkv_query(h, block, rope(block, 5))
         scores = molkv_new_scores(q_rot, h, cache, block)
@@ -297,16 +307,16 @@ class TestScoresAndSelection:
         m, n, t = 4, block.num_experts, 6
         cache = fresh_cache(block, window=m)
         for pos in range(t):
-            cache_insert(cache, pos, compute_expert_kv(rng.standard_normal(10), block), rope(block, pos))
+            insert_row(cache, pos, rng.standard_normal(10), block)
         h = rng.standard_normal(10)
-        kv = compute_expert_kv(rng.standard_normal(10), block)
+        keys, values = pairs(rng.standard_normal(10), block)
         q, q_rot = molkv_query(h, block, rope(block, t))
-        keys, values = cache.k.reshape(m * n, -1).copy(), cache.v.reshape(m * n, -1).copy()  # before t joins
+        cached_k, cached_v = cache.k.reshape(m * n, -1).copy(), cache.v.reshape(m * n, -1).copy()  # before t joins
         router = Tensor((h @ block.new_routers.data)[None, :])
-        mix = attention(Tensor(q_rot[None, :]), Tensor(keys), Tensor(values), np.ones((1, m * n), dtype=bool),
+        mix = attention(Tensor(q_rot[None, :]), Tensor(cached_k), Tensor(cached_v), np.ones((1, m * n), dtype=bool),
                         block.qk_scale, bias=router, top_k=block.top_k).data[0]
-        own = own_term(h, q, kv, block)
-        term, selected = molkv_step(h, t, cache, kv, block, rope(block, t))
+        own = own_term(h, q, keys, values, block)
+        term, selected = molkv_step(h, t, cache, keys, values, block, rope(block, t))
         assert selected == block.top_k
         np.testing.assert_allclose(term, own + sigmoid_np(h @ block.new_gate.data) * mix, rtol=0, atol=1e-12)
 
@@ -316,8 +326,8 @@ class TestAugmentedRouting:
         rng = np.random.default_rng(18)
         block = make_block(rng)
         h = rng.standard_normal(10)
-        kv = compute_expert_kv(rng.standard_normal(10), block)
-        got = augmented_routing(h, np.zeros(block.key_dim), kv, block)
+        keys, _ = pairs(rng.standard_normal(10), block)
+        got = augmented_routing(h, np.zeros(block.key_dim), keys, block)
         want = softmax_np(h @ block.routers.data)
         np.testing.assert_allclose(got, want, atol=1e-15)
 
@@ -325,8 +335,8 @@ class TestAugmentedRouting:
         rng = np.random.default_rng(19)
         block = make_block(rng)
         block.routers.data[:] = 0.0
-        kv = compute_expert_kv(np.zeros(10), block)  # zero keys
-        s = augmented_routing(rng.standard_normal(10), rng.standard_normal(block.key_dim), kv, block)
+        keys, _ = pairs(np.zeros(10), block)  # zero keys
+        s = augmented_routing(rng.standard_normal(10), rng.standard_normal(block.key_dim), keys, block)
         np.testing.assert_allclose(s, 1.0 / block.num_experts)
 
     def test_sums_to_one(self):
@@ -334,9 +344,9 @@ class TestAugmentedRouting:
         block = make_block(rng)
         for _ in range(25):
             h = rng.standard_normal(10)
-            kv = compute_expert_kv(rng.standard_normal(10), block)
+            keys, _ = pairs(rng.standard_normal(10), block)
             q, _ = molkv_query(h, block, rope(block, 0))
-            assert augmented_routing(h, q, kv, block).sum() == pytest.approx(1.0, abs=1e-12)
+            assert augmented_routing(h, q, keys, block).sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestWindowMask:
@@ -401,8 +411,7 @@ class TestTrainInferEquivalence:
         y_batch = sequence_terms(h, ids, emb, block, window)
         cache = fresh_cache(block, window)
         for t in range(s):
-            kv = compute_expert_kv(emb.data[ids[t]], block)
-            y_t, k_eff = molkv_step(h[t], t, cache, kv, block, rope(block, t))
+            y_t, k_eff = molkv_step(h[t], t, cache, *pairs(emb.data[ids[t]], block), block, rope(block, t))
             assert k_eff == min(top_k, min(t, window) * n)
             rel = np.abs(y_t - y_batch[t]).max() / (np.abs(y_batch[t]).max() + 1e-300)
             assert rel < 1e-12
@@ -415,9 +424,8 @@ class TestTrainInferEquivalence:
         ids = np.array([4])
         y = sequence_terms(h, ids, emb, block, window=8)
         # reconstruct without the cached path
-        kv = compute_expert_kv(emb.data[4], block)
         q, _ = molkv_query(h[0], block, rope(block, 0))
-        want = own_term(h[0], q, kv, block)
+        want = own_term(h[0], q, *pairs(emb.data[4], block), block)
         np.testing.assert_allclose(y[0], want, atol=1e-12)
 
     def test_new_gate_saturation_kills_cached_term(self):
@@ -425,13 +433,13 @@ class TestTrainInferEquivalence:
         block = make_block(rng)
         cache = fresh_cache(block, window=4)
         for pos in range(4):
-            cache_insert(cache, pos, compute_expert_kv(rng.standard_normal(10), block), rope(block, pos))
+            insert_row(cache, pos, rng.standard_normal(10), block)
         h = rng.standard_normal(10)
         h = h * (-30.0 / (h @ block.new_gate.data))  # force h.u' = -30
-        kv = compute_expert_kv(rng.standard_normal(10), block)
-        y, k_eff = molkv_step(h.copy(), 4, cache, kv, block, rope(block, 4))
+        keys, values = pairs(rng.standard_normal(10), block)
+        y, k_eff = molkv_step(h.copy(), 4, cache, keys, values, block, rope(block, 4))
         q, _ = molkv_query(h, block, rope(block, 4))
-        no_new = own_term(h, q, kv, block)
+        no_new = own_term(h, q, keys, values, block)
         assert k_eff > 0  # experts were selected, the gate just silences them
         np.testing.assert_allclose(y, no_new, atol=1e-10)
 
@@ -477,12 +485,12 @@ class TestGatedLookupReduction:
         block.query_proj.data[:] = 0.0
         token = 3
         emb = rng.standard_normal((8, 10))
-        kv = compute_expert_kv(emb[token], block)
+        keys, values = pairs(emb[token], block)
         cache = fresh_cache(block, window=4)
         h = rng.standard_normal(10)
-        y_kv, _ = molkv_step(h, 0, cache, kv, block, rope(block, 0))
+        y_kv, _ = molkv_step(h, 0, cache, keys, values, block, rope(block, 0))
         lookup = MoLEBlockParams(ffn=block.ffn, routers=block.routers, experts=[], gate=block.gate)
-        np.testing.assert_array_equal(y_kv, mole_step(h, kv.values, lookup))
+        np.testing.assert_array_equal(y_kv, mole_step(h, values, lookup))
 
 
 class TestGradients:

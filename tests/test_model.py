@@ -98,10 +98,8 @@ class TestInit:
         block = model.layers[1].block
         assert block.key_dim == 146
         assert block.key_experts[0].down.shape == (12, 146)
-        from molkv.kvexperts import compute_expert_kv
-
-        kv = compute_expert_kv(model.embedding.data[3].astype(np.float64), block)
-        assert kv.keys.shape == (2, 146)
+        keys, _ = kvexperts.molkv_expert_pairs(Tensor(model.embedding.data[3].astype(np.float64)), block)
+        assert keys.shape == (2, 146)
 
 
 class TestForward:

@@ -6,8 +6,13 @@ import numpy as np
 
 from molkv.autodiff import Tensor, grad_check, mul, parameter, tensor_sum
 from molkv.layers import FFNParams, lookup_distinct, own_expert_step, sigmoid_np, swishglu_ffn
-from molkv.mole import MoLEBlockParams, build_value_table, mole_expert_terms
+from molkv.mole import MoLEBlockParams, mole_expert_terms, mole_expert_values
 from molkv.runtime import mole_step
+
+
+def value_table(emb, block):
+    """The exported (|V|, N, d) table of FFN_n(e_i), untaped."""
+    return mole_expert_values(Tensor(emb), block).data
 
 
 def make_block(rng, d=8, D=12, n=3, gated=False, scale=0.3):
@@ -59,7 +64,7 @@ class TestRouting:
         # routing uses only h; ids differ solely through the looked-up values
         rng = np.random.default_rng(3)
         block = make_block(rng)
-        table = build_value_table(rng.standard_normal((10, 8)), block)
+        table = value_table(rng.standard_normal((10, 8)), block)
         h = rng.standard_normal(8)
         s = routing(h, block)
         for i in range(3):
@@ -72,14 +77,14 @@ class TestInferenceMode:
         block = make_block(rng, n=4)
         block.routers.data[:] = 0.0
         emb = rng.standard_normal((5, 8))
-        table = build_value_table(emb, block)
+        table = value_table(emb, block)
         np.testing.assert_allclose(mole_step(np.zeros(8), table[2], block), table[2].mean(axis=0), atol=1e-12)
 
     def test_single_expert_form(self):
         rng = np.random.default_rng(5)
         block = make_block(rng, n=1)
         emb = rng.standard_normal((5, 8))
-        table = build_value_table(emb, block)
+        table = value_table(emb, block)
         h = rng.standard_normal(8)
         np.testing.assert_allclose(mole_step(h, table[3], block), table[3, 0], atol=1e-12)
 
@@ -127,7 +132,7 @@ class TestGated:
         rng = np.random.default_rng(10)
         block = make_block(rng, gated=True)
         block.gate.data[:] = 0.0  # g = sigmoid(0) = 0.5
-        table = build_value_table(rng.standard_normal((5, 8)), block)
+        table = value_table(rng.standard_normal((5, 8)), block)
         h = rng.standard_normal(8)
         mix = routing(h, block) @ table[1]
         base = mole_step(h, table[1], replace(block, gate=None))
@@ -137,7 +142,7 @@ class TestGated:
     def test_gate_saturates_to_zero(self):
         rng = np.random.default_rng(11)
         block = make_block(rng, gated=True)
-        table = build_value_table(rng.standard_normal((5, 8)), block)
+        table = value_table(rng.standard_normal((5, 8)), block)
         h = rng.standard_normal(8)
         h = h * (-25.0 / (h @ block.gate.data))  # force h.u = -25
         assert sigmoid_np(h @ block.gate.data) < 1e-9
@@ -153,7 +158,7 @@ class TestGated:
     def test_gated_equals_ungated_when_gate_forced_to_one(self):
         rng = np.random.default_rng(14)
         block = make_block(rng, gated=True)
-        table = build_value_table(rng.standard_normal((5, 8)), block)
+        table = value_table(rng.standard_normal((5, 8)), block)
         h = rng.standard_normal(8)
         mix = routing(h, block) @ table[2]
         g = sigmoid_np(h @ block.gate.data)
@@ -169,7 +174,7 @@ class TestReparamEquivalence:
             gated = trial % 2 == 1
             block = make_block(rng, d=6, D=10, n=2, gated=gated)
             emb = parameter(rng.standard_normal((8, 6)))
-            table = build_value_table(emb.data, block)
+            table = value_table(emb.data, block)
             for token in range(8):
                 for _ in range(3):
                     h = rng.standard_normal(6)

@@ -162,7 +162,7 @@ def test_model_computes_in_its_parameter_dtype(tmp_path, kind, dtype):
     if tables is not None:
 
         def rounded(arrays):
-            return None if arrays is None else [a.astype(NUMPY_DTYPES[narrow]).astype(dtype) for a in arrays]
+            return [a.astype(NUMPY_DTYPES[narrow]).astype(dtype) for a in arrays]
 
         _, want = decode(replace(tables, keys=rounded(tables.keys), values=rounded(tables.values)), wide)
         np.testing.assert_array_equal(logits, want)

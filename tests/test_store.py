@@ -1,5 +1,6 @@
 """Expert store: reparameterization, binary round-trips, parameter counts."""
 
+import os
 import threading
 import warnings
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from molkv.autodiff import Tensor
 from molkv.config import ModelConfig, published_config
-from molkv.kvexperts import compute_expert_kv
+from molkv.kvexperts import molkv_expert_pairs
 from molkv.layers import lookup_distinct, swishglu_ffn_np
 from molkv.model import init_model
 from molkv.mole import mole_expert_terms
@@ -19,6 +20,7 @@ from molkv.store import (
     DTYPE_CODES,
     HEADER_SIZE,
     KIND_CODES,
+    NUMPY_DTYPES,
     ExpertStoreHeader,
     ExpertStoreReader,
     RecordLookupError,
@@ -170,9 +172,9 @@ class TestReparameterize:
         tables = reparameterize(model)
         block = model.layers[0].block
         for token in (0, 7, 16):
-            kv = compute_expert_kv(model.embedding.data[token], block)
-            np.testing.assert_allclose(tables.keys[0][token], kv.keys, rtol=1e-12, atol=1e-14)
-            np.testing.assert_allclose(tables.values[0][token], kv.values, rtol=1e-12, atol=1e-14)
+            keys, values = molkv_expert_pairs(Tensor(model.embedding.data[token]), block)
+            np.testing.assert_allclose(tables.keys[0][token], keys.data, rtol=1e-12, atol=1e-14)
+            np.testing.assert_allclose(tables.values[0][token], values.data, rtol=1e-12, atol=1e-14)
 
     def test_infer_equals_train_after_export(self):
         rng = np.random.default_rng(3)
@@ -195,19 +197,29 @@ class TestReparameterize:
 
 
 class TestFileRoundTrip:
+    @pytest.mark.parametrize("kind", ["mole", "molkv"])
     @pytest.mark.parametrize("dtype,np_dtype", [("fp32", np.float32), ("fp16", np.float16), ("fp64", np.float64)])
-    def test_bit_exact_roundtrip(self, tmp_path, dtype, np_dtype):
-        model = init_model(tiny_config("molkv"), seed=5, dtype=np.float64, init_std=0.3)
-        tables = reparameterize(model)
+    def test_bit_exact_roundtrip(self, tmp_path, dtype, np_dtype, kind):
+        cfg = tiny_config(kind)
+        tables = reparameterize(init_model(cfg, seed=5, dtype=np.float64, init_std=0.3))
         path = tmp_path / f"store_{dtype}.mlkv"
-        write_store(tables, path, dtype=dtype)
+        assert write_store(tables, path, dtype=dtype).kind == kind
         with ExpertStoreReader(path) as reader:
             for layer in range(tables.num_expert_layers):
                 for token in range(17):
                     rec = reader.read_record(layer, token)
-                    assert rec.keys.dtype == np_dtype
+                    assert rec.keys.shape == (cfg.num_experts, cfg.key_dim)  # (N, 0) for lookup experts
+                    assert rec.keys.dtype == rec.values.dtype == np_dtype
                     assert np.array_equal(rec.keys, tables.keys[layer][token].astype(np_dtype))
                     assert np.array_equal(rec.values, tables.values[layer][token].astype(np_dtype))
+
+    @pytest.mark.parametrize("dtype", ["fp16", "fp32", "fp64"])
+    def test_lookup_payload_is_the_value_tables(self, tmp_path, dtype):
+        # zero-width keys add no bytes: the records are the value tables, layer after layer
+        tables = reparameterize(init_model(tiny_config("mole"), seed=5, dtype=np.float64, init_std=0.3))
+        write_store(tables, tmp_path / "s.mlkv", dtype=dtype)
+        payload = b"".join(v.astype(NUMPY_DTYPES[dtype]).tobytes() for v in tables.values)
+        assert (tmp_path / "s.mlkv").read_bytes()[HEADER_SIZE:] == payload
 
     def test_byte_counter_counts_single_records(self, tmp_path):
         model = init_model(tiny_config("mole"), seed=6, dtype=np.float64, init_std=0.3)
@@ -293,12 +305,19 @@ class TestFileRoundTrip:
         tables = reparameterize(init_model(tiny_config("mole"), seed=0, dtype=np.float64, init_std=8.0))
         assert max(np.abs(v).max() for v in tables.values) > np.finfo(np.float16).max
         path = tmp_path / "big.mlkv"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # the error replaces numpy's cast warning
-            with pytest.raises(StoreFormatError, match=r"layer 0 .*max \|value\| .*fp16 max 6\.55e\+04"):
-                write_store(tables, path, dtype="fp16")
-        assert not path.exists()
+
+        def refused_fp16_export():
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # the error replaces numpy's cast warning
+                with pytest.raises(StoreFormatError, match=r"layer 0 .*max \|value\| .*fp16 max 6\.55e\+04"):
+                    write_store(tables, path, dtype="fp16")
+
+        refused_fp16_export()
+        assert os.listdir(tmp_path) == []  # no file at the path, and no partial file beside it
         write_store(tables, path, dtype="fp32")
+        fp32_store = path.read_bytes()
+        refused_fp16_export()
+        assert os.listdir(tmp_path) == ["big.mlkv"] and path.read_bytes() == fp32_store
         with ExpertStoreReader(path) as reader:
             assert reader.header.dtype == "fp32"
 

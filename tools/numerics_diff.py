@@ -13,6 +13,7 @@ on a small model and on the benchmark's mid model:
 * every parameter of the fresh ``init_model``, taken before any batch;
 * the training loss and every leaf gradient of one taped batch;
 * the ``forward`` logits of that batch;
+* the bytes of each expert kind's exported store, of the model's dtype;
 * the logits of ``DECODE_STEPS`` decode steps over a store of the model's
   dtype, fed the batch's ids row after row. That is enough for the mid
   model's top-k to prune (more than k / N cached positions) and for the
@@ -111,6 +112,7 @@ def dump(src: str, out: str) -> None:
                     if cfg.expert_layers:
                         path = Path(tmp) / f"{size}-{kind}-{dname}.mlkv"
                         write_store(reparameterize(model), path, dtype=dname)
+                        arrays[f"{key}/store"] = np.fromfile(path, np.uint8)
                         reader = ExpertStoreReader(path)
                     try:
                         state = DecoderState(model, reader)
