@@ -15,15 +15,17 @@ leading index of the other operand is one 2-D product over all its rows.
 
 Two fused ops keep the tape small: ``attention`` holds q, k^T, v, the
 bias and, per block of queries, its mask over the keys it reaches, and its
-gradient recomputes each block's softmax weights with the forward's calls;
-``swishglu`` holds its two pre-activations and recomputes the rest. So no
-(s, t) array of weights or scores stays on the tape. Each one's gradient
-runs the numpy expressions of the op chain it replaced, in the same order:
-it has that chain's bits, except that over several blocks attention sums
-softmax rows and k, v gradients in another order. Decoding runs
-attention's two forward kernels, ``attention_logits`` and
-``attention_weights``. Gradient kernels keep the bits of their plain
-numpy forms (``np.add.at`` for gathers, ``np.where`` chains for the masked softmax).
+gradient recomputes each block's softmax weights with the forward's calls,
+one block at a time; ``swishglu`` holds only its input x, and its gradient
+recomputes both pre-activations with the forward's products. So no (s, t)
+array of weights or scores and no (..., D) FFN activation stays on the
+tape. Each one's gradient runs the numpy expressions of the op chain it
+replaced, in the same order: it has that chain's bits, except that over
+several blocks attention sums softmax rows and k, v gradients in another
+order. Decoding runs attention's two forward kernels, ``attention_logits``
+and ``attention_weights``, and the FFN's, ``swishglu_np``. Gradient kernels
+keep the bits of their plain numpy forms (``np.add.at`` for gathers,
+``np.where`` chains for the masked softmax).
 ``attention`` is the only taped softmax: the expert blocks' own-expert mix runs it too.
 """
 
@@ -45,6 +47,7 @@ __all__ = [
     "matmul",
     "dense",
     "swishglu",
+    "swishglu_np",
     "sigmoid",
     "sigmoid_np",
     "silu_np",
@@ -308,31 +311,50 @@ def dense(x: Tensor, w: Tensor) -> Tensor:
     return matmul(x, w)
 
 
-def swishglu(x: Tensor, wg: Tensor, wu: Tensor, wd: Tensor) -> Tensor:
-    """(silu(x @ wg) * (x @ wu)) @ wd as one taped op, for x of shape (..., d).
+def swishglu_np(x: np.ndarray, wg: np.ndarray, wu: np.ndarray, wd: np.ndarray) -> np.ndarray:
+    """(silu(x @ wg) * (x @ wu)) @ wd: the SwishGLU FFN's one kernel, which training and decoding run."""
+    m = silu_np(x @ wg)
+    m *= x @ wu
+    return m @ wd
 
-    The tape keeps the two (..., D) pre-activations; the gradient recomputes
-    the sigmoid, SiLU and product from them. ``x`` is listed twice as an
-    input, with its up-branch gradient first: backward then sums x's
-    gradients in the order of the dense/SiLU/mul chain this op replaced. A
-    1-D ``x`` runs as one row, as ``dense`` does.
+
+def swishglu(x: Tensor, wg: Tensor, wu: Tensor, wd: Tensor) -> Tensor:
+    """Taped ``swishglu_np`` for x of shape (..., d); the tape keeps only x.
+
+    The gradient recomputes the pre-activations a = x @ wg and u = x @ wu
+    with the forward's products, then the sigmoid, SiLU and product from
+    them, in place and freeing each (..., D) buffer once it is read for the
+    last time, so at most four are live. ``x`` is listed twice as an input,
+    with its up-branch gradient first: backward then sums x's gradients in
+    the order of the dense/SiLU/mul chain this op replaced. A 1-D ``x`` runs
+    as one row, as ``dense`` does.
     """
     if x.shape[-1] != wg.shape[0] or wu.shape != wg.shape or wd.shape[0] != wg.shape[1]:
         raise ShapeError(f"swishglu: {x.shape} with gate {wg.shape}, up {wu.shape}, down {wd.shape}")
     xd = x.data.reshape(1, -1) if x.ndim == 1 else x.data
-    a = xd @ wg.data
-    u = xd @ wu.data
-    y = (silu_np(a) * u) @ wd.data
+    y = swishglu_np(xd, wg.data, wu.data, wd.data)
     out = Tensor(y.reshape(wd.shape[1]) if x.ndim == 1 else y)
+    x2 = xd.reshape(-1, xd.shape[-1])  # the rows of x: the gradient's products are 2-D, as ``_matmul_grads`` runs them
 
     def vjp(g):
-        s = sigmoid_np(a)
-        sa = a * s
-        gm, gwd = _matmul_grads(g.reshape(a.shape[:-1] + (-1,)), sa * u, wd.data)
-        gx_up, gwu = _matmul_grads(gm * sa, xd, wu.data)
+        g2 = g.reshape(len(x2), -1)
+        sa = (xd @ wg.data).reshape(len(x2), -1)  # a, by the forward's product
+        s = sigmoid_np(sa)
+        sa *= s  # silu(a), in a's buffer
         dsilu = np.subtract(1.0, s)  # s + a * s * (1 - s), the SiLU derivative, in one buffer
         np.add(np.multiply(dsilu, sa, out=dsilu), s, out=dsilu)
-        gx_gate, gwg = _matmul_grads(np.multiply(gm * u, dsilu, out=dsilu), xd, wg.data)
+        del s
+        u = (xd @ wu.data).reshape(sa.shape)
+        gwd = (sa * u).T @ g2
+        gm = g2 @ wd.data.T
+        gup = np.multiply(gm, sa, out=sa)  # in silu(a)'s buffer
+        del sa
+        gx_up, gwu = gup @ wu.data.T, x2.T @ gup
+        del gup
+        ggate = np.multiply(gm, u, out=u)  # in u's buffer
+        del gm, u
+        ggate *= dsilu
+        gx_gate, gwg = ggate @ wg.data.T, x2.T @ ggate
         return gx_up.reshape(x.shape), gx_gate.reshape(x.shape), gwg, gwu, gwd
 
     return _record(out, (x, x, wg, wu, wd), vjp)
@@ -493,21 +515,26 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask, scale: float, bias: Tensor 
     def vjp(g):
         gq, gb = [], []
         gkt, gv = np.zeros_like(kt), np.zeros_like(v.data)
-        for block in blocks:
+        for block in blocks:  # each block's arrays are freed before the next block recomputes its weights
             r0, r1, lo, hi, _ = block
             w = weights(block)
             gw, gvb = _matmul_grads(g[..., r0:r1, :], w, v.data[..., lo:hi, :])
             gv[..., lo:hi, :] += gvb
-            gz = gw * w  # the softmax VJP (gw - sum(gw * w)) * w, in one new buffer
-            np.subtract(gw, gz.sum(axis=-1, keepdims=True), out=gz)
-            gz *= w
-            if bias is not None:  # a new array, so scaling gz in place below leaves it be
-                gzg = gz.reshape(gz.shape[:-1] + ((hi - lo) // group, group))
-                gb.append(_unbroadcast(gzg.sum(axis=-2), bias.shape[:-2] + (r1 - r0, group)))
-            gz *= scale
-            gqb, gktb = _matmul_grads(gz, q.data[..., r0:r1, :], kt[..., lo:hi])
+            del gvb
+            # the softmax VJP (gw - sum(gw * w)) * w, in gw's buffer
+            np.subtract(gw, (gw * w).sum(axis=-1, keepdims=True), out=gw)
+            gw *= w
+            del w
+            if bias is not None:  # a new array, so scaling gw in place below leaves it be
+                gwg = gw.reshape(gw.shape[:-1] + ((hi - lo) // group, group))
+                gb.append(_unbroadcast(gwg.sum(axis=-2), bias.shape[:-2] + (r1 - r0, group)))
+                del gwg
+            gw *= scale
+            gqb, gktb = _matmul_grads(gw, q.data[..., r0:r1, :], kt[..., lo:hi])
+            del gw
             gq.append(gqb)
             gkt[..., lo:hi] += gktb
+            del gktb
         grads = (np.concatenate(gq, axis=-2), np.swapaxes(gkt, -1, -2), gv)
         return grads + (() if bias is None else (np.concatenate(gb, axis=-2),))
 

@@ -33,7 +33,7 @@ from .training import (
     Corpus,
     TrainingError,
     evaluate,
-    load_checkpoint,
+    load_parameters,
     new_train_state,
     save_checkpoint,
     train_run,
@@ -93,8 +93,8 @@ def cmd_export(args) -> int:
     if not ckpt_path:
         raise ConfigError("no checkpoint path: set paths.checkpoint or pass --checkpoint")
     store_path = _need_path(man, "store", args.out)
-    state = load_checkpoint(ckpt_path, man.model, man.train)
-    header = write_store(reparameterize(state.model), store_path, dtype=args.dtype)
+    model = load_parameters(ckpt_path, man.model, man.train)
+    header = write_store(reparameterize(model), store_path, dtype=args.dtype)
     print(
         f"store: {store_path} ({header.kind}, {args.dtype}, {header.num_expert_layers} layers x "
         f"{header.vocab_size} ids, {header.record_bytes} B/record)"
@@ -112,7 +112,7 @@ def cmd_decode(args) -> int:
     if prompt.size == 0:
         raise ConfigError("prompt must not be empty")
     _check_vocab(prompt, man.model.vocab_size, "prompt")
-    state = load_checkpoint(ckpt_path, man.model, man.train)
+    model = load_parameters(ckpt_path, man.model, man.train)
     store_path = None
     if man.model.kind != "dense":
         store_path = man.paths.get("store") if args.store is None else args.store
@@ -121,7 +121,7 @@ def cmd_decode(args) -> int:
 
     rng = np.random.default_rng(args.seed if args.seed is not None else 0)
     with ExpertStoreReader(store_path) if store_path else contextlib.nullcontext() as reader:
-        decoder = DecoderState(state.model, reader)
+        decoder = DecoderState(model, reader)
         out_ids, totals = generate(
             decoder, prompt, args.steps, sampler=args.sampler, temperature=args.temperature, rng=rng
         )

@@ -6,8 +6,8 @@ Every formula below the block level is one numpy kernel in
 that the taped op runs for its forward; this module re-exports them.
 Attention's two, ``attention_logits`` and ``attention_weights``, run in
 the fused ``autodiff.attention`` op in training and over a :class:`KVCache`
-in decoding. The SwishGLU FFN keeps two forms, held equal by the tests: the
-fused ``autodiff.swishglu`` op and a one-line numpy form. The same cache,
+in decoding. The SwishGLU FFN is one kernel too, ``autodiff.swishglu_np``,
+which the fused ``autodiff.swishglu`` op and decoding run. The same cache,
 windowed to the last M positions, holds the cached key-value experts of
 :mod:`molkv.kvexperts`. RoPE is one complex table, ``rope_tables``'
 exp(i * position * freq), and the rotation kernel, which multiplies each
@@ -44,6 +44,7 @@ from .autodiff import (
     silu_np,
     softmax_np,
     swishglu,
+    swishglu_np,
     tensor_sum,
     transpose,
 )
@@ -138,7 +139,7 @@ def swishglu_ffn(x: Tensor, p: FFNParams) -> Tensor:
 
 
 def swishglu_ffn_np(x: np.ndarray, p: FFNParams) -> np.ndarray:
-    return (silu_np(x @ p.gate.data) * (x @ p.up.data)) @ p.down.data
+    return swishglu_np(x, p.gate.data, p.up.data, p.down.data)
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,7 @@ from .autodiff import Tensor
 from .config import ConfigError, ModelConfig
 from .kvexperts import molkv_expert_pairs
 from .mole import mole_expert_values
+from .training import CHECKPOINT_MAGIC
 
 MAGIC = b"MLKV"
 FORMAT_VERSION = 1
@@ -122,6 +123,8 @@ class ExpertStoreHeader:
 
     @classmethod
     def decode(cls, raw: bytes) -> "ExpertStoreHeader":
+        if raw.startswith(CHECKPOINT_MAGIC):  # "MLKV" opens both, so the version would read "CKPT"
+            raise StoreFormatError("a molkv checkpoint, not an expert store: `molkv export` writes a store from it")
         if len(raw) < HEADER_SIZE:
             raise StoreFormatError(f"truncated header: {len(raw)} bytes")
         magic, version, kind, dtype, layout, layers, vocab, n, d, dk = _HEADER_STRUCT.unpack(raw[:HEADER_SIZE])

@@ -12,6 +12,7 @@ import math
 import operator
 import os
 import struct
+import tempfile
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -332,7 +333,10 @@ def evaluate(model: ModelParams, val_ids: np.ndarray, seq_length: int, max_windo
 
 
 def save_checkpoint(path, state: TrainState, train_cfg: TrainConfig) -> None:
-    """Versioned binary container: JSON header, with the model's configuration, plus raw little-endian arrays."""
+    """Versioned binary container: JSON header, with the model's configuration, plus raw little-endian arrays.
+
+    ``path`` is replaced only by a complete checkpoint, written to a temporary file beside it.
+    """
     arrays: list[tuple[str, np.ndarray]] = []
     for name, p in state.model.named_parameters():
         arrays.append(("param/" + name, p.data))
@@ -356,74 +360,109 @@ def save_checkpoint(path, state: TrainState, train_cfg: TrainConfig) -> None:
         "entries": entries,
     }
     blob = json.dumps(header).encode()
-    with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<IQ", CHECKPOINT_VERSION, len(blob)))
-        f.write(blob)
-        for _, arr in arrays:
-            data = np.ascontiguousarray(arr)
-            if data.dtype.byteorder == ">":
-                data = data.astype(data.dtype.newbyteorder("<"))
-            f.write(data.tobytes())
+    path = os.fspath(path)
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=os.path.basename(path) + ".")
+    try:
+        with open(fd, "wb") as f:
+            f.write(CHECKPOINT_MAGIC)
+            f.write(struct.pack("<IQ", CHECKPOINT_VERSION, len(blob)))
+            f.write(blob)
+            for _, arr in arrays:
+                data = np.ascontiguousarray(arr)
+                if data.dtype.byteorder == ">":
+                    data = data.astype(data.dtype.newbyteorder("<"))
+                f.write(data.tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def load_parameters(path, model_config, train_cfg: TrainConfig) -> ModelParams:
+    """The model of a checkpoint, without its AdamW moments: all that export and decoding read.
+
+    ConfigError if the file is not a checkpoint, is truncated or corrupt, or does not fit the configs:
+    its parameters must have the shapes and dtypes they give, and its model configuration must equal
+    ``model_config`` field by field. Each parameter is read straight into its own array, so the load
+    holds the parameters' bytes once.
+    """
+    with open(path, "rb") as f:
+        return _read_parameters(*_open_checkpoint(f), model_config, train_cfg)
 
 
 def load_checkpoint(path, model_config, train_cfg: TrainConfig) -> TrainState:
-    """Rebuild a TrainState that continues bit-identically.
+    """Rebuild a TrainState that continues bit-identically: ``load_parameters``' read, then the AdamW moments.
 
-    ConfigError if the file is not a checkpoint, is truncated or corrupt, or does not fit the configs:
-    its arrays must have the shapes and dtypes they give, and its model configuration must equal
-    ``model_config`` field by field. Each entry is read straight into its own array, so the load
-    holds the file's bytes once.
+    ConfigError as for ``load_parameters``, and where a moment does not fit. Each entry is read
+    straight into its own array, so the load holds the file's bytes once.
     """
     with open(path, "rb") as f:
-        size = os.fstat(f.fileno()).st_size
-        preamble = f.read(20)
-        if preamble[:8] != CHECKPOINT_MAGIC:
-            raise ConfigError(f"not a checkpoint file: bad magic {preamble[:8]!r}")
-        if len(preamble) < 20:
-            raise ConfigError(f"truncated checkpoint: {size} bytes, shorter than the 20-byte preamble")
-        version, blob_len = struct.unpack_from("<IQ", preamble, 8)
-        if version != CHECKPOINT_VERSION:
-            raise ConfigError(f"unsupported checkpoint version {version}")
-        if size < 20 + blob_len:
-            raise ConfigError(f"truncated checkpoint: {size} bytes, shorter than its {20 + blob_len}-byte header")
-        try:
-            header = json.loads(f.read(blob_len).decode())
-            step, adam_t, rng = header["step"], header["adam_t"], _decode_rng_state(header["rng_state"])
-            saved_config = dict(header["model_config"])
-            by_name = {e["name"]: (np.dtype(e["dtype"]), tuple(e["shape"]), operator.index(e["offset"]))
-                       for e in header["entries"]}
-        except (KeyError, TypeError, ValueError) as e:  # JSON and UTF-8 decoding errors are ValueErrors
-            raise ConfigError(f"corrupt checkpoint header: {type(e).__name__}: {e}") from None
-        payload_start, payload_len = 20 + blob_len, size - 20 - blob_len
-
-        model = zero_model(model_config, dtype=train_cfg.np_dtype)  # every tensor is read below; nothing is drawn
-        state = TrainState(model=model, optimizer=AdamW(model, train_cfg), rng=rng, step=step)
-        state.optimizer.t = adam_t
-
-        def read_into(name: str, arr: np.ndarray) -> None:
-            dtype, shape, offset = by_name.get(name, (None, None, 0))
-            if (dtype, shape) != (arr.dtype, arr.shape):
-                found = "missing" if dtype is None else f"{dtype.name} {shape}"
-                raise ConfigError(
-                    f"checkpoint entry {name!r} is {found}; the model configuration needs {arr.dtype.name} {arr.shape}"
-                )
-            if not 0 <= offset <= payload_len - arr.nbytes:
-                raise ConfigError(f"truncated checkpoint: entry {name!r} ends past the {payload_len}-byte payload")
-            f.seek(payload_start + offset)
-            if f.readinto(memoryview(arr).cast("B")) != arr.nbytes:  # the file shrank while it was read
-                raise ConfigError(f"truncated checkpoint: entry {name!r} ends past the end of the file")
-
-        for name, p in state.model.named_parameters():
-            read_into("param/" + name, p.data)
+        fields, read_into = _open_checkpoint(f)
+        model = _read_parameters(fields, read_into, model_config, train_cfg)
+        state = TrainState(model=model, optimizer=AdamW(model, train_cfg), rng=fields["rng"], step=fields["step"])
+        state.optimizer.t = fields["adam_t"]
+        for name, _ in model.named_parameters():
             read_into("adam_m/" + name, state.optimizer.m[name])
             read_into("adam_v/" + name, state.optimizer.v[name])
+    return state
+
+
+def _read_parameters(fields: dict, read_into, model_config, train_cfg: TrainConfig) -> ModelParams:
+    """Fill a zero parameter tree from an open checkpoint, then check its stored model configuration."""
+    model = zero_model(model_config, dtype=train_cfg.np_dtype)  # every tensor is read below; nothing is drawn
+    for name, p in model.named_parameters():
+        read_into("param/" + name, p.data)
+    saved_config = fields["model_config"]
     given = json.loads(json.dumps(asdict(model_config)))  # tuples as lists, as saved
     differ = [f"{k}: checkpoint {saved_config.get(k)!r}, given {v!r}"
               for k, v in given.items() if saved_config.get(k) != v]
     if differ:
         raise ConfigError(f"checkpoint was saved under a different model configuration: {'; '.join(differ)}")
-    return state
+    return model
+
+
+def _open_checkpoint(f):
+    """Check an open checkpoint's preamble and header; return its step, adam_t, rng and model_config, and a reader.
+
+    Every entry must lie inside the payload. The reader, ``read_into(name, arr)``, fills ``arr`` with
+    entry ``name`` from the file, after checking that the entry exists with ``arr``'s dtype and shape.
+    """
+    size = os.fstat(f.fileno()).st_size
+    preamble = f.read(20)
+    if preamble[:8] != CHECKPOINT_MAGIC:
+        raise ConfigError(f"not a checkpoint file: bad magic {preamble[:8]!r}")
+    if len(preamble) < 20:
+        raise ConfigError(f"truncated checkpoint: {size} bytes, shorter than the 20-byte preamble")
+    version, blob_len = struct.unpack_from("<IQ", preamble, 8)
+    if version != CHECKPOINT_VERSION:
+        raise ConfigError(f"unsupported checkpoint version {version}")
+    if size < 20 + blob_len:
+        raise ConfigError(f"truncated checkpoint: {size} bytes, shorter than its {20 + blob_len}-byte header")
+    try:
+        header = json.loads(f.read(blob_len).decode())
+        fields = {"step": header["step"], "adam_t": header["adam_t"], "rng": _decode_rng_state(header["rng_state"]),
+                  "model_config": dict(header["model_config"])}
+        by_name = {e["name"]: (np.dtype(e["dtype"]), tuple(map(operator.index, e["shape"])),
+                               operator.index(e["offset"])) for e in header["entries"]}
+    except (KeyError, TypeError, ValueError) as e:  # JSON and UTF-8 decoding errors are ValueErrors
+        raise ConfigError(f"corrupt checkpoint header: {type(e).__name__}: {e}") from None
+    payload_start, payload_len = 20 + blob_len, size - 20 - blob_len
+    for name, (dtype, shape, offset) in by_name.items():  # each entry, read or not: a cut file fails every load
+        if not 0 <= offset <= payload_len - dtype.itemsize * math.prod(shape):
+            raise ConfigError(f"truncated checkpoint: entry {name!r} ends past the {payload_len}-byte payload")
+
+    def read_into(name: str, arr: np.ndarray) -> None:
+        dtype, shape, offset = by_name.get(name, (None, None, 0))
+        if (dtype, shape) != (arr.dtype, arr.shape):
+            found = "missing" if dtype is None else f"{dtype.name} {shape}"
+            raise ConfigError(
+                f"checkpoint entry {name!r} is {found}; the model configuration needs {arr.dtype.name} {arr.shape}"
+            )
+        f.seek(payload_start + offset)
+        if f.readinto(memoryview(arr).cast("B")) != arr.nbytes:  # the file shrank while it was read
+            raise ConfigError(f"truncated checkpoint: entry {name!r} ends past the end of the file")
+
+    return fields, read_into
 
 
 def _encode_rng_state(rng: np.random.Generator) -> dict:

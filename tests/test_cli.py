@@ -330,6 +330,14 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Is a directory" in err and str(tmp) in err
 
+    def test_decode_refuses_a_checkpoint_as_its_store(self, workspace, capsys):
+        tmp, manifest = workspace
+        assert main(["train", "--manifest", str(manifest), "--steps", "1"]) == 0
+        capsys.readouterr()
+        assert main(["decode", "--manifest", str(manifest), "--prompt", "a", "--store", str(tmp / "model.ckpt")]) == 2
+        err = capsys.readouterr().err
+        assert "a molkv checkpoint, not an expert store" in err and "version" not in err
+
     def test_dense_decode_needs_no_store(self, tmp_path, capsys):
         manifest = dense_manifest(tmp_path)
         assert main(["train", "--manifest", str(manifest)]) == 0

@@ -127,6 +127,16 @@ class TestSwishGLU:
         x = rng.standard_normal((3, 5))
         np.testing.assert_array_equal(swishglu_ffn(Tensor(x), p).data, swishglu_ffn_np(x, p))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(3, 5), (2, 3, 5)])
+    def test_one_kernel_at_both_precisions(self, dtype, shape):
+        # the taped op's forward runs decoding's kernel, so the two agree bit for bit
+        rng = np.random.default_rng(5)
+        p = make_ffn(rng, 5, 7, 4, dtype=dtype)
+        x = rng.standard_normal(shape).astype(dtype)
+        out = swishglu_ffn(Tensor(x), p).data
+        assert out.dtype == dtype and np.array_equal(out, swishglu_ffn_np(x, p))
+
 
 class TestAttention:
     def test_single_token_is_projected_value(self):

@@ -29,6 +29,7 @@ from molkv.store import (
     reparameterize,
     write_store,
 )
+from molkv.training import TrainConfig, new_train_state, save_checkpoint
 
 U32 = 2**32 - 1
 VALID_HEADERS = st.sampled_from(sorted(KIND_CODES)).flatmap(
@@ -108,6 +109,14 @@ class TestHeader:
         raw[:4] = b"XXXX"
         with pytest.raises(StoreFormatError):
             ExpertStoreHeader.decode(bytes(raw))
+
+    def test_checkpoint_is_not_a_store(self, tmp_path):
+        # the store magic "MLKV" opens the checkpoint magic "MLKVCKPT", which read "CKPT" as the format version
+        model = ModelConfig(kind="molkv", num_layers=1, hidden_size=8, ffn_size=8, vocab_size=257, num_heads=2,
+                            num_experts=2, expert_layers=(0,), key_dim=4, cache_window=4, top_k=2)
+        save_checkpoint(tmp_path / "m.ckpt", new_train_state(model, TrainConfig()), TrainConfig())
+        with pytest.raises(StoreFormatError, match="a molkv checkpoint, not an expert store"):
+            ExpertStoreReader(tmp_path / "m.ckpt")
 
     def test_bad_version(self):
         h = ExpertStoreHeader(

@@ -1,6 +1,7 @@
 """tools/tape_bytes.py: what a taped forward keeps alive, per op kind."""
 
 import importlib.util
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,8 @@ import numpy as np
 import pytest
 
 from molkv import autodiff
-from molkv.autodiff import ATTENTION_BLOCK, Tape, Tensor, attention, backward, mul, parameter, reshape, tensor_sum
+from molkv.autodiff import (ATTENTION_BLOCK, Tape, Tensor, attention, backward, mul, parameter, reshape, swishglu,
+                            tensor_sum)
 from molkv.config import ModelConfig
 from molkv.kvexperts import sliding_window_mask
 from molkv.layers import AttnParams, causal_attention
@@ -44,6 +46,61 @@ def test_shape_ops_keep_no_arrays():
     for node in tape.nodes:
         if tape_bytes.op_kind(node) in shape_only:
             assert not list(tape_bytes.reachable_arrays(node.vjp, Tensor)), tape_bytes.op_kind(node)
+
+
+def test_swishglu_keeps_no_ffn_width_array():
+    # the op kept its two (b, s, D) pre-activations; now its VJP recomputes them from x
+    cfg = ModelConfig(kind="molkv", vocab_size=257, num_layers=2, hidden_size=16, ffn_size=12, num_heads=2,
+                      num_experts=2, expert_layers=(0,), key_dim=4, cache_window=4, top_k=2)
+    model = init_model(cfg, seed=3, dtype=np.float64)
+    params = {id(p.data) for _, p in model.named_parameters()}
+    with Tape() as tape:
+        next_token_loss(model, np.random.default_rng(3).integers(0, 257, size=(2, 13)))
+    nodes = [node for node in tape.nodes if tape_bytes.op_kind(node) == "swishglu"]
+    assert len(nodes) == 6  # two shared FFNs and the expert layer's 2 + 2 expert FFNs
+    for node in nodes:
+        held = [a for a in tape_bytes.reachable_arrays(node.vjp, Tensor) if id(a) not in params]
+        assert not [a.shape for a in held if a.dtype.kind == "f" and a.shape[-1] == cfg.ffn_size]
+        assert held and all(a.shape[-1] == cfg.hidden_size for a in held)  # x, and views of it
+
+
+def _vjp_peak(node, g):
+    """Peak traced bytes of one call of ``node``'s VJP above the bytes before it, and the bytes of its outputs."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        grads = node.vjp(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - start, sum(gr.nbytes for gr in grads)
+
+
+def test_swishglu_vjp_holds_at_most_four_ffn_width_arrays():
+    rng = np.random.default_rng(40)
+    b, s, d, big_d = 2, 64, 16, 192
+    leaves = [parameter(rng.standard_normal(shape)) for shape in ((b, s, d), (d, big_d), (d, big_d), (big_d, d))]
+    with Tape() as tape:
+        out = swishglu(*leaves)
+    (node,) = tape.nodes
+    rise, outputs = _vjp_peak(node, np.ones(out.shape))
+    ffn_array = b * s * big_d * 8  # one fp64 (b, s, D) array
+    assert outputs == 2 * b * s * d * 8 + 3 * d * big_d * 8
+    assert rise <= 4 * ffn_array + outputs  # at most four (b, s, D) arrays at once, and the outputs
+
+
+def test_causal_attention_vjp_frees_each_block_before_the_next():
+    rng = np.random.default_rng(41)
+    b, h, s, hd = 1, 2, 4 * ATTENTION_BLOCK, 4  # four blocks; the last reaches every key
+    q, k, v = (parameter(rng.standard_normal((b, h, s, hd))) for _ in range(3))
+    with Tape() as tape:
+        out = attention(q, k, v, np.tril(np.ones((s, s), dtype=bool)), 0.5)
+    (node,) = tape.nodes
+    rise, outputs = _vjp_peak(node, np.ones(out.shape))
+    block = b * h * ATTENTION_BLOCK * s * 8  # the last block's fp64 weights, the largest
+    gq = q.data.nbytes  # the gradient of q is concatenated from its blocks' parts at the end
+    assert outputs == 3 * q.data.nbytes  # gq, and k's and v's accumulators
+    assert rise <= 3 * block + block / 8 + outputs + gq  # weights, their gradient and one product, the masks
 
 
 def _blocks(mask, group):
@@ -145,13 +202,19 @@ def test_tiny_model_report(capsys):
     assert tape_bytes.main(argv) == 0
     lines = capsys.readouterr().out.splitlines()
     nodes = int(lines[0].split(": ")[1].split()[0])
-    rows = {line.split()[0]: line.split()[1:] for line in lines[2:-2]}
+    rows = {line.split()[0]: line.split()[1:] for line in lines[2:-3]}
     assert rows["attention"][0] == "4"  # two backbone layers, one cached-expert path and one own-expert term
     assert rows["swishglu"][0] == "6"  # two shared FFNs and the expert layer's 2 + 2 expert FFNs
     assert "masked_softmax" not in rows and "silu" not in rows
     total = rows.pop("total")
     assert int(total[0]) == nodes == sum(int(n) for n, _ in rows.values())
     assert abs(float(total[1]) - sum(float(mib) for _, mib in rows.values())) < 0.02
-    assert lines[-2].startswith("tracemalloc peak, forward: ")
-    forward, both = (float(line.split(": ")[1].split()[0]) for line in lines[-2:])
+    assert lines[-3].startswith("tracemalloc peak, forward: ")
+    forward, both = (float(line.split(": ")[1].split()[0]) for line in lines[-3:-1])
     assert 0 < forward <= both
+    head, span = lines[-1].split(": ", 1)[1].split(": ")  # "<kind> VJP, node <i> of <n>", "<before> -> <peak> MiB"
+    kind, position = head.split(" VJP, node ")
+    assert kind in rows and position.split(" of ") == [position.split()[0], str(nodes)]
+    assert 0 <= int(position.split()[0]) < nodes
+    before, peak = (float(x) for x in span.removesuffix(" MiB").split(" -> "))
+    assert 0 < before <= peak <= both

@@ -1,7 +1,9 @@
 """Trainer: tokenizer round-trips, schedule, optimizer, checkpoints."""
 
+import errno
 import json
 import math
+import os
 import struct
 import tracemalloc
 
@@ -21,6 +23,7 @@ from molkv.training import (
     TrainingError,
     evaluate,
     load_checkpoint,
+    load_parameters,
     lr_at,
     new_train_state,
     sample_batch,
@@ -429,6 +432,76 @@ class TestCheckpoint:
         finally:
             tracemalloc.stop()
         assert peak <= 1.1 * p.stat().st_size
+
+    def test_parameters_only_load_holds_the_parameters_once(self, tmp_path):
+        # export and decoding read no AdamW moment, two thirds of the file
+        saved = ModelConfig(kind="molkv", num_layers=2, hidden_size=64, ffn_size=96, vocab_size=257, num_experts=2,
+                            key_dim=8, cache_window=8, top_k=4, expert_layers=(0,), num_heads=2)
+        cfg = tiny_train(dtype="fp32")
+        state = new_train_state(saved, cfg)
+        p = tmp_path / "s.ckpt"
+        save_checkpoint(p, state, cfg)
+        tracemalloc.start()
+        try:
+            model = load_parameters(p, saved, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        nbytes = sum(q.data.nbytes for _, q in model.named_parameters())
+        assert peak <= 1.1 * nbytes and 3 * nbytes <= p.stat().st_size
+        assert model.config == saved
+        for (name, want), (_, got) in zip(state.model.named_parameters(), model.named_parameters(), strict=True):
+            assert got.data.dtype == np.float32 and np.array_equal(got.data, want.data), name
+
+    @pytest.mark.parametrize("cut", [8, 30])
+    def test_parameters_only_load_refuses_what_the_full_load_does(self, tmp_path, cut):
+        cfg = tiny_train()
+        p = tmp_path / "t.ckpt"
+        save_checkpoint(p, new_train_state(TINY, cfg), cfg)
+        data = p.read_bytes()
+        p.write_bytes(data[:-cut] if cut == 8 else data[:cut])  # a cut moment, or a cut header
+        with pytest.raises(ConfigError, match="truncated checkpoint"):
+            load_parameters(p, TINY, cfg)
+        p.write_bytes(data)
+        with pytest.raises(ConfigError, match="needs float32"):
+            load_parameters(p, TINY, tiny_train(dtype="fp32"))
+        with pytest.raises(ConfigError, match="different model configuration"):
+            load_parameters(p, TINY.with_overrides(rope_theta=500.0), cfg)
+
+    def test_failed_save_keeps_the_earlier_checkpoint(self, tmp_path, monkeypatch):
+        cfg = tiny_train(steps=2)
+        state = new_train_state(TINY, cfg)
+        p = tmp_path / "s.ckpt"
+        save_checkpoint(p, state, cfg)
+        before = p.read_bytes()
+        train_run(state, Corpus.from_bytes(synthesize_corpus(3000, seed=9)), cfg, 2)
+
+        class FullDisk:
+            """A binary file that takes ``room`` bytes, then fails as a full disk does."""
+
+            def __init__(self, f, room):
+                self.f, self.room = f, room
+
+            def write(self, data):
+                data = memoryview(data).cast("B")
+                self.f.write(data[: self.room])
+                if len(data) > self.room:
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                self.room -= len(data)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+        real_open = open
+        monkeypatch.setattr(training, "open", lambda file, mode="r": FullDisk(real_open(file, mode), len(before) // 2),
+                            raising=False)
+        with pytest.raises(OSError, match="No space left"):
+            save_checkpoint(p, state, cfg)
+        assert p.read_bytes() == before
+        assert os.listdir(tmp_path) == ["s.ckpt"]  # no temporary file left beside it
 
     def test_checkpoint_must_fit_config(self, tmp_path):
         cfg = tiny_train()

@@ -15,12 +15,16 @@ from before nodes held a handle in its place). Each buffer counts once, by
 its numpy base, for the first node that reaches it, and no buffer of a
 leaf tensor that a node takes as input (the parameters) counts. A second forward and its backward then run under
 ``tracemalloc``, and the tool prints the peak traced bytes of the forward
-alone and of forward plus backward. MiB are 2**20 bytes.
+alone and of forward plus backward. Last it prints the backward's largest
+transient: the VJP whose run rose furthest above the traced bytes before
+it, with its op kind, its position among the tape's nodes (0 is the first
+recorded) and the MiB before it and at its peak. MiB are 2**20 bytes.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 import tracemalloc
 from pathlib import Path
@@ -80,6 +84,35 @@ def tape_report(nodes, tensor_cls) -> dict[str, list[int]]:
     return report
 
 
+@contextlib.contextmanager
+def watch_vjps(autodiff, tape):
+    """Within the block, ``autodiff.backward`` records its largest VJP transient in the dict yielded.
+
+    Each VJP run, with the gradient sums after it, resets ``tracemalloc``'s
+    peak. The dict holds the run that rose furthest above the traced bytes
+    before it, as ``largest`` = (rise, op kind, position, bytes before, peak
+    bytes), and the highest peak seen so far, as ``peak``.
+    """
+    run_vjp = autodiff._run_vjp
+    seen = {"largest": None, "peak": 0}
+
+    def watched(node, pending):
+        position = len(tape.nodes)  # backward pops the node it runs off the end of the tape
+        before, since_last = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        run_vjp(node, pending)
+        peak = tracemalloc.get_traced_memory()[1]
+        seen["peak"] = max(seen["peak"], since_last, peak)
+        if seen["largest"] is None or peak - before > seen["largest"][0]:
+            seen["largest"] = (peak - before, op_kind(node), position, before, peak)
+
+    autodiff._run_vjp = watched
+    try:
+        yield seen
+    finally:
+        autodiff._run_vjp = run_vjp
+
+
 def parse_args(argv):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", default=str(SRC), help="directory that contains the molkv package")
@@ -103,6 +136,7 @@ def parse_args(argv):
 def main(argv=None) -> int:
     args = parse_args(argv)
     sys.path.insert(0, str(Path(args.src).resolve()))
+    from molkv import autodiff
     from molkv.autodiff import Tape, Tensor, backward
     from molkv.config import ModelConfig
     from molkv.model import init_model, next_token_loss
@@ -132,11 +166,16 @@ def main(argv=None) -> int:
     with Tape() as tape:
         loss = next_token_loss(model, batch)
     forward_peak = tracemalloc.get_traced_memory()[1]
-    backward(tape, loss)
-    total_peak = tracemalloc.get_traced_memory()[1]
+    n_nodes = len(tape.nodes)
+    with watch_vjps(autodiff, tape) as seen:
+        backward(tape, loss)
+    total_peak = max(forward_peak, seen["peak"], tracemalloc.get_traced_memory()[1])
     tracemalloc.stop()
     print(f"tracemalloc peak, forward: {forward_peak / MIB:.2f} MiB")
     print(f"tracemalloc peak, forward + backward: {total_peak / MIB:.2f} MiB")
+    _, kind, position, before, peak = seen["largest"]
+    print(f"largest backward transient: {kind} VJP, node {position} of {n_nodes}: "
+          f"{before / MIB:.2f} -> {peak / MIB:.2f} MiB")
     return 0
 
 
