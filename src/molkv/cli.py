@@ -45,10 +45,14 @@ EXIT_CONFIG = 2
 EXIT_VERIFY = 3
 
 
-def _need_path(man: RunManifest, key: str, override=None) -> str:
+def _need_path(man: RunManifest, key: str, override=None, flag: str | None = None) -> str:
+    """``override`` if it is not empty, else the manifest's ``paths.<key>``.
+
+    ``flag`` is the option that passes ``override``; the error for a missing path names it.
+    """
     path = override or man.paths.get(key)
     if not path:
-        raise ConfigError(f"no {key} path: set paths.{key} in the manifest or pass --out")
+        raise ConfigError(f"no {key} path: set paths.{key} in the manifest" + (f" or pass {flag}" if flag else ""))
     return path
 
 
@@ -64,10 +68,8 @@ def cmd_train(args) -> int:
     if args.seed is not None:
         man.train.seed = args.seed
     steps = args.steps if args.steps is not None else man.train.steps
-    corpus_path = man.paths.get("corpus")
-    if not corpus_path:
-        raise ConfigError("no corpus path: set paths.corpus in the manifest")
-    ckpt_path = _need_path(man, "checkpoint", args.out)
+    corpus_path = _need_path(man, "corpus")
+    ckpt_path = _need_path(man, "checkpoint", args.out, "--out")
 
     print(json.dumps({"resolved_manifest": man.echo()}, indent=2))
     corpus = Corpus.from_file(corpus_path, man.train.val_fraction)
@@ -89,10 +91,8 @@ def cmd_train(args) -> int:
 
 def cmd_export(args) -> int:
     man = parse_manifest(args.manifest)
-    ckpt_path = args.checkpoint or man.paths.get("checkpoint")
-    if not ckpt_path:
-        raise ConfigError("no checkpoint path: set paths.checkpoint or pass --checkpoint")
-    store_path = _need_path(man, "store", args.out)
+    ckpt_path = _need_path(man, "checkpoint", args.checkpoint, "--checkpoint")
+    store_path = _need_path(man, "store", args.out, "--out")
     model = load_parameters(ckpt_path, man.model, man.train)
     header = write_store(reparameterize(model), store_path, dtype=args.dtype)
     print(
@@ -104,20 +104,14 @@ def cmd_export(args) -> int:
 
 def cmd_decode(args) -> int:
     man = parse_manifest(args.manifest)
-    ckpt_path = args.checkpoint or man.paths.get("checkpoint")
-    if not ckpt_path:
-        raise ConfigError("no checkpoint path: set paths.checkpoint or pass --checkpoint")
+    ckpt_path = _need_path(man, "checkpoint", args.checkpoint, "--checkpoint")
+    store_path = None if man.model.kind == "dense" else _need_path(man, "store", args.store, "--store")
     tok = ByteTokenizer()
     prompt = tok.tokenize(os.fsencode(args.prompt))  # the argument's own bytes, even where they are not UTF-8
     if prompt.size == 0:
         raise ConfigError("prompt must not be empty")
     _check_vocab(prompt, man.model.vocab_size, "prompt")
     model = load_parameters(ckpt_path, man.model, man.train)
-    store_path = None
-    if man.model.kind != "dense":
-        store_path = man.paths.get("store") if args.store is None else args.store
-        if not store_path:
-            raise ConfigError("no store path: set paths.store or pass --store")
 
     rng = np.random.default_rng(args.seed if args.seed is not None else 0)
     with ExpertStoreReader(store_path) if store_path else contextlib.nullcontext() as reader:

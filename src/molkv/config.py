@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 MODEL_KINDS = ("dense", "mole", "gated-mole", "molkv")
 
@@ -89,9 +89,6 @@ class ModelConfig:
     @property
     def head_dim(self) -> int:
         return self.hidden_size // self.num_heads
-
-    def with_overrides(self, **kw) -> "ModelConfig":
-        return replace(self, **kw)
 
 
 def published_config(kind: str) -> ModelConfig:

@@ -1,14 +1,14 @@
 """Key-value lookup experts with a sliding window of cached experts.
 
 Each token id owns N (key, value) expert pairs produced by expert FFNs from
-the normalized token embedding. A block combines three expert signals:
+the normalized token embedding. A block adds two expert signals to the
+output of the layer's shared FFN, which the block does not hold:
 
 * the token's own experts, mixed by a router score augmented with the
   non-rotated query-key score (gated by sigmoid(h . u));
 * cached experts of the last M preceding tokens, scored with a RoPE-rotated
   query against RoPE-rotated keys plus a second router, pruned to the top-k
-  scores (ties to the oldest) and softmax-weighted (gated by sigmoid(h . u'));
-* the ordinary shared FFN.
+  scores (ties to the oldest) and softmax-weighted (gated by sigmoid(h . u')).
 
 Training runs ``molkv_expert_pairs`` taped once per distinct id in the
 batch and gathers its rows to the positions; ``molkv_expert_terms`` is the
@@ -61,9 +61,8 @@ class CacheStateError(RuntimeError):
 
 @dataclass
 class MoLKVBlockParams:
-    """One expert-bearing layer of the key-value variant."""
+    """The key-value expert path of one expert-bearing layer; the shared FFN beside it is the layer's."""
 
-    ffn: FFNParams  # shared path, d -> d
     query_proj: Tensor  # (d, d')
     routers: Tensor  # (d, N), own-expert path
     new_routers: Tensor  # (d, N), cached-expert path
@@ -90,22 +89,6 @@ class MoLKVBlockParams:
     def qk_scale(self) -> float:
         # A Python float: a NumPy float64 scalar would promote fp32 scores to fp64.
         return 1.0 / math.sqrt(self.key_dim)
-
-    def tensors(self):
-        out = [("ffn." + n, t) for n, t in self.ffn.tensors()]
-        out += [
-            ("query_proj", self.query_proj),
-            ("routers", self.routers),
-            ("new_routers", self.new_routers),
-            ("gate", self.gate),
-            ("new_gate", self.new_gate),
-        ]
-        for i, e in enumerate(self.key_experts):
-            out.extend((f"key_experts.{i}." + n, t) for n, t in e.tensors())
-        for i, e in enumerate(self.value_experts):
-            out.extend((f"value_experts.{i}." + n, t) for n, t in e.tensors())
-        out += [("vocab_norm", self.vocab_norm), ("key_norm", self.key_norm), ("value_norm", self.value_norm)]
-        return out
 
 
 def molkv_expert_pairs(emb: Tensor, params: MoLKVBlockParams):

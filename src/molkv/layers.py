@@ -82,9 +82,6 @@ class FFNParams:
     up: Tensor  # (d, D)
     down: Tensor  # (D, d_out)
 
-    def tensors(self):
-        return [("gate", self.gate), ("up", self.up), ("down", self.down)]
-
 
 @dataclass
 class AttnParams:
@@ -95,9 +92,6 @@ class AttnParams:
     wv: Tensor  # (d, d)
     wo: Tensor  # (d, d)
     n_heads: int
-
-    def tensors(self):
-        return [("wq", self.wq), ("wk", self.wk), ("wv", self.wv), ("wo", self.wo)]
 
 
 # ---------------------------------------------------------------------------

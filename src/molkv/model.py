@@ -9,7 +9,7 @@ batch's distinct ids, looked up once and threaded to every expert layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -22,28 +22,13 @@ from .mole import MoLEBlockParams, mole_expert_terms
 
 @dataclass
 class LayerParams:
-    """One transformer layer; ``block`` is set on expert-bearing layers."""
+    """One transformer layer; every layer runs ``ffn``, and expert-bearing layers add ``block`` beside it."""
 
     attn_norm: Tensor  # (d,)
     attn: AttnParams
     ffn_norm: Tensor  # (d,)
-    block: FFNParams | MoLEBlockParams | MoLKVBlockParams
-
-    @property
-    def ffn(self) -> FFNParams:
-        return self.block if isinstance(self.block, FFNParams) else self.block.ffn
-
-    @property
-    def has_experts(self) -> bool:
-        return not isinstance(self.block, FFNParams)
-
-    def tensors(self):
-        out = [("attn_norm", self.attn_norm)]
-        out.extend(("attn." + n, t) for n, t in self.attn.tensors())
-        out.append(("ffn_norm", self.ffn_norm))
-        prefix = "ffn." if isinstance(self.block, FFNParams) else "block."
-        out.extend((prefix + n, t) for n, t in self.block.tensors())
-        return out
+    ffn: FFNParams  # shared path, d -> d
+    block: MoLEBlockParams | MoLKVBlockParams | None = None
 
 
 @dataclass
@@ -59,16 +44,30 @@ class ModelParams:
         return self.embedding.dtype
 
     def named_parameters(self):
-        """Deterministic (name, tensor) walk; checkpoint and optimizer order."""
-        out = [("embedding", self.embedding)]
-        for li, layer in enumerate(self.layers):
-            out.extend((f"layers.{li}." + n, t) for n, t in layer.tensors())
-        out.append(("final_norm", self.final_norm))
-        out.append(("out_proj", self.out_proj))
-        return out
+        """``named_tensors`` of the whole model: the checkpoint and optimizer order."""
+        return list(named_tensors(self))
 
     def parameters(self):
         return [t for _, t in self.named_parameters()]
+
+
+def named_tensors(node, prefix: str = ""):
+    """Yield (dotted name, Tensor) for every Tensor under ``node``, in dataclass field order.
+
+    List items are named by their index. Scalars and ``None`` hold no tensor, and neither
+    does the model configuration, so the walk yields nothing for them.
+    """
+    if isinstance(node, Tensor):
+        yield prefix, node
+        return
+    if isinstance(node, list):
+        children = ((str(i), child) for i, child in enumerate(node))
+    elif is_dataclass(node):
+        children = ((f.name, getattr(node, f.name)) for f in fields(node))
+    else:
+        return
+    for name, child in children:
+        yield from named_tensors(child, f"{prefix}.{name}" if prefix else name)
 
 
 # ---------------------------------------------------------------------------
@@ -126,18 +125,18 @@ def _build_model(config: ModelConfig, dtype, draw) -> ModelParams:
     expert_set = set(config.expert_layers)
     for li in range(config.num_layers):
         attn = AttnParams(wq=mat(d, d), wk=mat(d, d), wv=mat(d, d), wo=mat(d, d), n_heads=config.num_heads)
+        shared = ffn(d)  # drawn before the block's matrices, so every seed keeps its init
+        block: MoLEBlockParams | MoLKVBlockParams | None
         if li not in expert_set:
-            block: FFNParams | MoLEBlockParams | MoLKVBlockParams = ffn(d)
+            block = None
         elif config.kind in ("mole", "gated-mole"):
             block = MoLEBlockParams(
-                ffn=ffn(d),
                 routers=mat(d, config.num_experts),
                 experts=[ffn(d) for _ in range(config.num_experts)],
                 gate=mat(d) if config.kind == "gated-mole" else None,
             )
         else:
             block = MoLKVBlockParams(
-                ffn=ffn(d),
                 query_proj=mat(d, dk),
                 routers=mat(d, config.num_experts),
                 new_routers=mat(d, config.num_experts),
@@ -152,7 +151,7 @@ def _build_model(config: ModelConfig, dtype, draw) -> ModelParams:
                 rope_theta=config.rope_theta,
                 norm_eps=config.norm_eps,
             )
-        layers.append(LayerParams(attn_norm=gain(d), attn=attn, ffn_norm=gain(d), block=block))
+        layers.append(LayerParams(attn_norm=gain(d), attn=attn, ffn_norm=gain(d), ffn=shared, block=block))
     return ModelParams(
         config=config,
         embedding=embedding,

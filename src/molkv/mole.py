@@ -26,21 +26,11 @@ from .layers import FFNParams, own_expert_mix, swishglu_ffn
 
 @dataclass
 class MoLEBlockParams:
-    """One expert-bearing layer: shared FFN plus the lookup-expert path."""
+    """The lookup-expert path of one expert-bearing layer; the shared FFN beside it is the layer's."""
 
-    ffn: FFNParams  # shared path, d -> d
     routers: Tensor  # (d, N), column n is router r_n
     experts: list[FFNParams]  # N expert FFNs, d -> d
     gate: Tensor | None = None  # (d,), gated variant only
-
-    def tensors(self):
-        out = [("ffn." + n, t) for n, t in self.ffn.tensors()]
-        out.append(("routers", self.routers))
-        for i, e in enumerate(self.experts):
-            out.extend((f"experts.{i}." + n, t) for n, t in e.tensors())
-        if self.gate is not None:
-            out.append(("gate", self.gate))
-        return out
 
 
 # ---------------------------------------------------------------------------

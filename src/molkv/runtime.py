@@ -151,8 +151,8 @@ def decode_step(state: DecoderState, token_id: int):
         y = swishglu_ffn_np(hn, layer.ffn)
         cache_len = selected = nbytes = 0
 
-        if layer.has_experts:
-            block = layer.block
+        block = layer.block
+        if block is not None:
             record = state.store.read_record(layer_of[li], token_id)
             nbytes = record.nbytes
             # one cast per record; read_record returns private arrays, which copy=False may keep
@@ -166,7 +166,7 @@ def decode_step(state: DecoderState, token_id: int):
                 y = y + term
 
         x = x + y
-        costs = layer_costs(cfg, layer.has_experts, cache_len, selected)
+        costs = layer_costs(cfg, block is not None, cache_len, selected)
         delta.macs += costs.macs
         delta.params_in_ram += costs.params_in_ram
         delta.params_offloaded += costs.params_offloaded

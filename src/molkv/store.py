@@ -33,7 +33,6 @@ import errno
 import os
 import stat
 import struct
-import tempfile
 import threading
 from dataclasses import dataclass
 
@@ -43,7 +42,7 @@ from .autodiff import Tensor
 from .config import ConfigError, ModelConfig
 from .kvexperts import molkv_expert_pairs
 from .mole import mole_expert_values
-from .training import CHECKPOINT_MAGIC
+from .training import CHECKPOINT_MAGIC, atomic_write
 
 MAGIC = b"MLKV"
 FORMAT_VERSION = 1
@@ -225,25 +224,18 @@ def write_store(tables: ReparamTables, path, dtype: str = "fp32") -> ExpertStore
         key_dim=dk,
     )
     nd = NUMPY_DTYPES[dtype]
-    path = os.fspath(path)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=os.path.basename(path) + ".")
-    try:
-        with open(fd, "wb") as f:
-            f.write(header.encode())
-            for li in range(tables.num_expert_layers):
-                rec = np.concatenate([tables.keys[li], tables.values[li]], axis=-1)
-                with np.errstate(over="ignore"):
-                    cast = np.ascontiguousarray(rec, dtype=nd)
-                if not np.isfinite(cast).all():
-                    raise StoreFormatError(
-                        f"expert layer {li} is not finite in {dtype}: max |value| {np.abs(rec).max():.4g}, "
-                        f"{dtype} max {np.finfo(nd).max:.4g}"
-                    )
-                f.write(cast.tobytes())
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+    with atomic_write(path) as f:
+        f.write(header.encode())
+        for li in range(tables.num_expert_layers):
+            rec = np.concatenate([tables.keys[li], tables.values[li]], axis=-1)
+            with np.errstate(over="ignore"):
+                cast = np.ascontiguousarray(rec, dtype=nd)
+            if not np.isfinite(cast).all():
+                raise StoreFormatError(
+                    f"expert layer {li} is not finite in {dtype}: max |value| {np.abs(rec).max():.4g}, "
+                    f"{dtype} max {np.finfo(nd).max:.4g}"
+                )
+            f.write(cast.tobytes())
     return header
 
 

@@ -7,6 +7,7 @@ checkpoint continues bit-identically at fp64.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import operator
@@ -23,7 +24,7 @@ from .config import ConfigError, check_finite
 from .model import ModelParams, init_model, next_token_loss, zero_model
 
 CHECKPOINT_MAGIC = b"MLKVCKPT"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2  # 2: every layer's shared FFN is layers.<i>.ffn.*
 
 
 class TrainingError(RuntimeError):
@@ -360,18 +361,29 @@ def save_checkpoint(path, state: TrainState, train_cfg: TrainConfig) -> None:
         "entries": entries,
     }
     blob = json.dumps(header).encode()
+    with atomic_write(path) as f:
+        f.write(CHECKPOINT_MAGIC)
+        f.write(struct.pack("<IQ", CHECKPOINT_VERSION, len(blob)))
+        f.write(blob)
+        for _, arr in arrays:
+            data = np.ascontiguousarray(arr)
+            if data.dtype.byteorder == ">":
+                data = data.astype(data.dtype.newbyteorder("<"))
+            f.write(data.tobytes())
+
+
+@contextlib.contextmanager
+def atomic_write(path):
+    """A binary file to write ``path``'s new contents to, which replaces ``path`` only if the block completes.
+
+    The file is a temporary one beside ``path``, of mode 0600 as ``mkstemp`` makes it. If the block
+    raises, the temporary file is removed and ``path`` keeps whatever it held.
+    """
     path = os.fspath(path)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=os.path.basename(path) + ".")
     try:
         with open(fd, "wb") as f:
-            f.write(CHECKPOINT_MAGIC)
-            f.write(struct.pack("<IQ", CHECKPOINT_VERSION, len(blob)))
-            f.write(blob)
-            for _, arr in arrays:
-                data = np.ascontiguousarray(arr)
-                if data.dtype.byteorder == ">":
-                    data = data.astype(data.dtype.newbyteorder("<"))
-                f.write(data.tobytes())
+            yield f
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

@@ -14,7 +14,7 @@ import math
 import os
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .autodiff import Tensor, grad_check, mul, rope_rotate_np, tensor_sum
 from .config import ModelConfig, published_config
 from .kvexperts import molkv_expert_pairs, molkv_expert_terms, molkv_new_scores, molkv_query, molkv_select
 from .layers import KVCache, lookup_distinct, rope_tables, sigmoid_np, softmax_np, swishglu_ffn
-from .model import forward, init_model
+from .model import forward, init_model, named_tensors
 from .runtime import DecoderState, closed_form_costs, decode_step, molkv_step
 from .store import ExpertStoreReader, count_params, reparameterize, write_store
 from .training import (
@@ -154,7 +154,7 @@ def check_incremental_equivalence(tol: float = 1e-6):
             for top_k in (2, 8):
                 for n_experts in (1, 2):
                     cfg = _tiny_molkv_config(n_experts, window, top_k)
-                    cfg = cfg.with_overrides(num_layers=2, expert_layers=(0, 1), key_dim=4)
+                    cfg = replace(cfg, num_layers=2, expert_layers=(0, 1), key_dim=4)
                     model = init_model(cfg, seed=int(rng.integers(1 << 30)), dtype=np.float64, init_std=0.3)
                     path = os.path.join(tmp, f"{window}_{top_k}_{n_experts}.mlkv")
                     write_store(reparameterize(model), path, dtype="fp64")
@@ -177,18 +177,19 @@ def check_block_gradients(tol: float = 1e-4):
     """Train-mode block gradients match central finite differences."""
     rng = np.random.default_rng(303)
     cfg = _tiny_molkv_config(n_experts=2, window=3, top_k=2)
-    cfg = cfg.with_overrides(hidden_size=6, ffn_size=8, key_dim=4, vocab_size=10, num_heads=1)
+    cfg = replace(cfg, hidden_size=6, ffn_size=8, key_dim=4, vocab_size=10, num_heads=1)
     model = init_model(cfg, seed=11, dtype=np.float64, init_std=0.4)
-    block = model.layers[0].block
+    layer = model.layers[0]
+    block = layer.block
     s = 5
     ids = rng.integers(0, cfg.vocab_size, size=(1, s))
     h = Tensor(rng.standard_normal((1, s, cfg.hidden_size)))
     w = Tensor(rng.standard_normal((1, s, cfg.hidden_size)))
-    leaves = [t for _, t in block.tensors()] + [model.embedding]
+    leaves = [t for node in (layer.ffn, block) for _, t in named_tensors(node)] + [model.embedding]
 
     def f():  # the FFN sublayer as ``forward`` computes it
         terms = molkv_expert_terms(h, *lookup_distinct(model.embedding, ids), block, cfg.cache_window)
-        return tensor_sum(mul(swishglu_ffn(h, block.ffn) + terms, w))
+        return tensor_sum(mul(swishglu_ffn(h, layer.ffn) + terms, w))
 
     err = grad_check(f, leaves, eps=1e-5, samples_per_leaf=8, seed=4)
     passed = err <= tol
@@ -506,7 +507,7 @@ def check_training_smoke(steps: int = 300, corpus_bytes: int = 2_000_000):
 
 @_timed
 def check_determinism():
-    cfg = smoke_model_config("molkv").with_overrides(hidden_size=32, ffn_size=48, num_heads=2, key_dim=6)
+    cfg = replace(smoke_model_config("molkv"), hidden_size=32, ffn_size=48, num_heads=2, key_dim=6)
     tcfg = TrainConfig(
         seq_length=32,
         batch_size=2,

@@ -4,7 +4,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -330,6 +330,31 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Is a directory" in err and str(tmp) in err
 
+    def test_decode_refuses_a_version_1_checkpoint(self, workspace, capsys):
+        tmp, manifest = workspace
+        assert main(["train", "--manifest", str(manifest), "--steps", "1"]) == 0
+        ckpt = tmp / "model.ckpt"
+        data = bytearray(ckpt.read_bytes())
+        struct.pack_into("<I", data, 8, 1)
+        ckpt.write_bytes(data)
+        capsys.readouterr()
+        assert main(["decode", "--manifest", str(manifest), "--prompt", "a"]) == 2
+        assert capsys.readouterr().err == "error: unsupported checkpoint version 1\n"
+
+    @pytest.mark.parametrize("command,key,flag", [
+        ("train", "corpus", None), ("train", "checkpoint", "--out"),
+        ("export", "checkpoint", "--checkpoint"), ("export", "store", "--out"),
+        ("decode", "checkpoint", "--checkpoint"), ("decode", "store", "--store"),
+    ])
+    def test_missing_path_exit_code(self, workspace, capsys, command, key, flag):
+        tmp, manifest = workspace
+        doc = json.loads(manifest.read_text())
+        del doc["paths"][key]
+        manifest.write_text(json.dumps(doc))
+        assert main([command, "--manifest", str(manifest)]) == 2
+        want = f"error: no {key} path: set paths.{key} in the manifest" + (f" or pass {flag}" if flag else "")
+        assert capsys.readouterr().err == want + "\n"
+
     def test_decode_refuses_a_checkpoint_as_its_store(self, workspace, capsys):
         tmp, manifest = workspace
         assert main(["train", "--manifest", str(manifest), "--steps", "1"]) == 0
@@ -424,7 +449,7 @@ class TestPipeline:
 
         tmp, manifest = workspace
         assert main(["train", "--manifest", str(manifest), "--steps", "1"]) == 0
-        other = parse_manifest(manifest).model.with_overrides(key_dim=8)
+        other = replace(parse_manifest(manifest).model, key_dim=8)
         write_store(reparameterize(init_model(other, seed=0, dtype=np.float64)), tmp / "other.mlkv")
         closed = []
 

@@ -17,27 +17,28 @@ from molkv.kvexperts import (
 )
 from molkv.layers import (FFNParams, KVCache, lookup_distinct, own_expert_step, rmsnorm_np, rope_tables, sigmoid_np,
                           softmax_np, swishglu_ffn)
+from molkv.model import named_tensors
 from molkv.mole import MoLEBlockParams
 from molkv.runtime import mole_step, molkv_step
 
 
-def make_block(rng, d=10, D=14, dk=6, n=2, top_k=3, scale=0.35):
-    def ffn(d_out):
-        return FFNParams(
-            gate=parameter(rng.standard_normal((d, D)) * scale),
-            up=parameter(rng.standard_normal((d, D)) * scale),
-            down=parameter(rng.standard_normal((D, d_out)) * scale),
-        )
+def make_ffn(rng, d, D, d_out, scale=0.35):
+    return FFNParams(
+        gate=parameter(rng.standard_normal((d, D)) * scale),
+        up=parameter(rng.standard_normal((d, D)) * scale),
+        down=parameter(rng.standard_normal((D, d_out)) * scale),
+    )
 
+
+def make_block(rng, d=10, D=14, dk=6, n=2, top_k=3, scale=0.35):
     return MoLKVBlockParams(
-        ffn=ffn(d),
         query_proj=parameter(rng.standard_normal((d, dk)) * scale),
         routers=parameter(rng.standard_normal((d, n)) * scale),
         new_routers=parameter(rng.standard_normal((d, n)) * scale),
         gate=parameter(rng.standard_normal(d) * scale),
         new_gate=parameter(rng.standard_normal(d) * scale),
-        key_experts=[ffn(dk) for _ in range(n)],
-        value_experts=[ffn(d) for _ in range(n)],
+        key_experts=[make_ffn(rng, d, D, dk, scale) for _ in range(n)],
+        value_experts=[make_ffn(rng, d, D, d, scale) for _ in range(n)],
         vocab_norm=parameter(np.ones(d)),
         key_norm=parameter(np.ones(dk)),
         value_norm=parameter(np.ones(d)),
@@ -489,29 +490,29 @@ class TestGatedLookupReduction:
         cache = fresh_cache(block, window=4)
         h = rng.standard_normal(10)
         y_kv, _ = molkv_step(h, 0, cache, keys, values, block, rope(block, 0))
-        lookup = MoLEBlockParams(ffn=block.ffn, routers=block.routers, experts=[], gate=block.gate)
+        lookup = MoLEBlockParams(routers=block.routers, experts=[], gate=block.gate)
         np.testing.assert_array_equal(y_kv, mole_step(h, values, lookup))
 
 
 class TestGradients:
     @staticmethod
-    def sublayer(h, ids, emb, block):
+    def sublayer(h, ids, emb, shared, block):
         """The FFN sublayer as ``forward`` computes it, for a (1, s, d) h and (1, s) ids."""
-        return swishglu_ffn(h, block.ffn) + molkv_expert_terms(h, *lookup_distinct(emb, ids), block, window=3)
+        return swishglu_ffn(h, shared) + molkv_expert_terms(h, *lookup_distinct(emb, ids), block, window=3)
 
     def test_every_group_gets_gradient(self):
         rng = np.random.default_rng(26)
         block = make_block(rng, d=8, D=10, dk=4, n=2, top_k=2)
+        shared = make_ffn(rng, 8, 10, 8)
         emb = parameter(rng.standard_normal((12, 8)))
         ids = rng.integers(0, 12, size=(1, 6))
         h = Tensor(rng.standard_normal((1, 6, 8)))
         w = Tensor(rng.standard_normal((1, 6, 8)))
         from molkv.autodiff import Tape, backward
 
-        leaves = dict(block.tensors())
-        leaves["embedding"] = emb
+        leaves = dict(named_tensors(shared, "ffn")) | dict(named_tensors(block)) | {"embedding": emb}
         with Tape() as tape:
-            loss = tensor_sum(mul(self.sublayer(h, ids, emb, block), w))
+            loss = tensor_sum(mul(self.sublayer(h, ids, emb, shared, block), w))
         backward(tape, loss)
         for name, t in leaves.items():
             assert t.grad is not None and np.abs(t.grad).max() > 0, f"no gradient reached {name}"
@@ -519,13 +520,14 @@ class TestGradients:
     def test_finite_differences(self):
         rng = np.random.default_rng(27)
         block = make_block(rng, d=6, D=8, dk=4, n=2, top_k=2)
+        shared = make_ffn(rng, 6, 8, 6)
         emb = parameter(rng.standard_normal((8, 6)))
         ids = rng.integers(0, 8, size=(1, 5))
         h = Tensor(rng.standard_normal((1, 5, 6)))
         w = Tensor(rng.standard_normal((1, 5, 6)))
-        leaves = [t for _, t in block.tensors()] + [emb]
+        leaves = [t for node in (shared, block) for _, t in named_tensors(node)] + [emb]
         err = grad_check(
-            lambda: tensor_sum(mul(self.sublayer(h, ids, emb, block), w)),
+            lambda: tensor_sum(mul(self.sublayer(h, ids, emb, shared, block), w)),
             leaves,
             samples_per_leaf=6,
             seed=2,

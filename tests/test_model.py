@@ -1,6 +1,7 @@
 """Model assembly: initialization, parameter walk, forward shapes."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from molkv import model as model_module
 from molkv.autodiff import Tape, Tensor, backward, grad_check, mul, parameter, tensor_sum
 from molkv.config import ConfigError, ModelConfig, published_config
 from molkv.layers import lookup_distinct, swishglu_ffn
-from molkv.model import forward, init_model, next_token_loss
+from molkv.model import forward, init_model, named_tensors, next_token_loss
 from molkv.store import reparameterize
 
 
@@ -59,7 +60,7 @@ class TestConfig:
     )
     def test_nonfinite_or_out_of_range_rejected(self, field, value):
         with pytest.raises(ConfigError, match=field):
-            cfg_of("molkv").with_overrides(**{field: value})
+            replace(cfg_of("molkv"), **{field: value})
 
     def test_expert_layers_bounds(self):
         with pytest.raises(ConfigError):
@@ -74,6 +75,38 @@ class TestInit:
         names = [n for n, _ in model.named_parameters()]
         assert len(names) == len(set(names))
         assert names[0] == "embedding" and names[-1] == "out_proj"
+
+    @pytest.mark.parametrize("kind", ["dense", "mole", "gated-mole", "molkv"])
+    def test_parameter_walk_order(self, kind):
+        # The checkpoint and optimizer order: field order of the dataclasses, list items by index.
+        def backbone(i):
+            return [f"layers.{i}.{n}" for n in ("attn_norm", "attn.wq", "attn.wk", "attn.wv", "attn.wo",
+                                                 "ffn_norm", "ffn.gate", "ffn.up", "ffn.down")]
+
+        mole_block = ["routers",
+                      "experts.0.gate", "experts.0.up", "experts.0.down",
+                      "experts.1.gate", "experts.1.up", "experts.1.down",
+                      "experts.2.gate", "experts.2.up", "experts.2.down"]
+        molkv_block = ["query_proj", "routers", "new_routers", "gate", "new_gate",
+                       "key_experts.0.gate", "key_experts.0.up", "key_experts.0.down",
+                       "key_experts.1.gate", "key_experts.1.up", "key_experts.1.down",
+                       "value_experts.0.gate", "value_experts.0.up", "value_experts.0.down",
+                       "value_experts.1.gate", "value_experts.1.up", "value_experts.1.down",
+                       "vocab_norm", "key_norm", "value_norm"]
+        blocks = {  # (expert layer, its block's names)
+            "dense": (None, []),
+            "mole": (0, mole_block),
+            "gated-mole": (0, mole_block + ["gate"]),
+            "molkv": (1, molkv_block),
+        }
+        li, block = blocks[kind]
+        want = ["embedding"]
+        for i in range(2):
+            want += backbone(i) + ([f"layers.{i}.block.{n}" for n in block] if i == li else [])
+        want += ["final_norm", "out_proj"]
+        model = init_model(cfg_of(kind), seed=0)
+        assert [n for n, _ in model.named_parameters()] == want
+        assert [layer.block is None for layer in model.layers] == [i != li for i in range(2)]
 
     def test_same_seed_same_init(self):
         a = init_model(cfg_of("molkv"), seed=4, dtype=np.float64)
@@ -93,7 +126,7 @@ class TestInit:
 
     def test_expert_key_width_follows_config(self):
         # published geometry uses 146-wide expert keys
-        cfg = cfg_of("molkv").with_overrides(key_dim=146)
+        cfg = replace(cfg_of("molkv"), key_dim=146)
         model = init_model(cfg, seed=2)
         block = model.layers[1].block
         assert block.key_dim == 146
@@ -153,7 +186,8 @@ class TestPerIdExperts:
         # Block level, with random hidden states; the whole-model check on a
         # one-id batch is TestWholeModelGradCheck.
         cfg = cfg_of(kind)
-        block = init_model(cfg, seed=5, dtype=np.float64, init_std=0.3).layers[cfg.expert_layers[0]].block
+        layer = init_model(cfg, seed=5, dtype=np.float64, init_std=0.3).layers[cfg.expert_layers[0]]
+        block = layer.block
         rng = np.random.default_rng(6)
         emb = parameter(rng.standard_normal((16, cfg.hidden_size)))
         ids = np.full((2, 8), 7) if batch == "one id everywhere" else rng.permutation(16).reshape(2, 8)
@@ -163,8 +197,9 @@ class TestPerIdExperts:
             terms = lambda: kvexperts.molkv_expert_terms(h, *lookup_distinct(emb, ids), block, cfg.cache_window)
         else:
             terms = lambda: mole.mole_expert_terms(h, *lookup_distinct(emb, ids), block)
-        loss = lambda: tensor_sum(mul(swishglu_ffn(h, block.ffn) + terms(), w))  # the sublayer as forward runs it
-        assert grad_check(loss, [t for _, t in block.tensors()], samples_per_leaf=6, seed=1) < 1e-4
+        loss = lambda: tensor_sum(mul(swishglu_ffn(h, layer.ffn) + terms(), w))  # the sublayer as forward runs it
+        leaves = [t for node in (layer.ffn, block) for _, t in named_tensors(node)]
+        assert grad_check(loss, leaves, samples_per_leaf=6, seed=1) < 1e-4
         # Every coordinate of the table, so the rows the batch uses are all checked.
         assert grad_check(loss, [emb], samples_per_leaf=emb.data.size) < 1e-4
 

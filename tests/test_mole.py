@@ -6,6 +6,7 @@ import numpy as np
 
 from molkv.autodiff import Tensor, grad_check, mul, parameter, tensor_sum
 from molkv.layers import FFNParams, lookup_distinct, own_expert_step, sigmoid_np, swishglu_ffn
+from molkv.model import named_tensors
 from molkv.mole import MoLEBlockParams, mole_expert_terms, mole_expert_values
 from molkv.runtime import mole_step
 
@@ -15,18 +16,18 @@ def value_table(emb, block):
     return mole_expert_values(Tensor(emb), block).data
 
 
-def make_block(rng, d=8, D=12, n=3, gated=False, scale=0.3):
-    def ffn(d_out):
-        return FFNParams(
-            gate=parameter(rng.standard_normal((d, D)) * scale),
-            up=parameter(rng.standard_normal((d, D)) * scale),
-            down=parameter(rng.standard_normal((D, d_out)) * scale),
-        )
+def make_ffn(rng, d, D, d_out, scale=0.3):
+    return FFNParams(
+        gate=parameter(rng.standard_normal((d, D)) * scale),
+        up=parameter(rng.standard_normal((d, D)) * scale),
+        down=parameter(rng.standard_normal((D, d_out)) * scale),
+    )
 
+
+def make_block(rng, d=8, D=12, n=3, gated=False, scale=0.3):
     return MoLEBlockParams(
-        ffn=ffn(d),
         routers=parameter(rng.standard_normal((d, n)) * scale),
-        experts=[ffn(d) for _ in range(n)],
+        experts=[make_ffn(rng, d, D, d, scale) for _ in range(n)],
         gate=parameter(rng.standard_normal(d) * scale) if gated else None,
     )
 
@@ -117,10 +118,11 @@ class TestTrainingMode:
         ids = rng.integers(0, 5, size=4)
         h = Tensor(rng.standard_normal((4, 6)))
         w = Tensor(rng.standard_normal((4, 6)))
-        leaves = [t for _, t in block.tensors()] + [emb]
+        shared = make_ffn(rng, 6, 8, 6)
+        leaves = [t for node in (shared, block) for _, t in named_tensors(node)] + [emb]
 
         def loss():  # the FFN sublayer as ``forward`` computes it
-            y = swishglu_ffn(h, block.ffn) + mole_expert_terms(h, *lookup_distinct(emb, ids), block)
+            y = swishglu_ffn(h, shared) + mole_expert_terms(h, *lookup_distinct(emb, ids), block)
             return tensor_sum(mul(y, w))
 
         err = grad_check(loss, leaves, samples_per_leaf=6)

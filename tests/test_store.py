@@ -13,7 +13,7 @@ from molkv.autodiff import Tensor
 from molkv.config import ModelConfig, published_config
 from molkv.kvexperts import molkv_expert_pairs
 from molkv.layers import lookup_distinct, swishglu_ffn_np
-from molkv.model import init_model
+from molkv.model import init_model, named_tensors
 from molkv.mole import mole_expert_terms
 from molkv.runtime import mole_step
 from molkv.store import (
@@ -297,14 +297,15 @@ class TestFileRoundTrip:
         tables = reparameterize(model)
         path = tmp_path / "s16.mlkv"
         write_store(tables, path, dtype="fp16")
-        block = model.layers[0].block
+        layer = model.layers[0]
+        block = layer.block
         with ExpertStoreReader(path) as reader:
             for _ in range(10):
                 h = rng.standard_normal(12)
                 token = int(rng.integers(0, 17))
                 values = reader.read_record(0, token).values.astype(np.float64)
                 # the block outputs h + FFN(h) + expert term
-                shared = h + swishglu_ffn_np(h, block.ffn)
+                shared = h + swishglu_ffn_np(h, layer.ffn)
                 got = shared + mole_step(h, values, block)
                 want = shared + mole_expert_terms(Tensor(h), *lookup_distinct(model.embedding, token), block).data
                 rel = np.abs(got - want).max() / (np.abs(want).max() + 1e-300)
@@ -380,5 +381,5 @@ class TestCountParams:
         for li in cfg.expert_layers:
             block = model.layers[li].block
             for e in block.key_experts + block.value_experts:
-                expert_ffns += sum(t.data.size for _, t in e.tensors())
+                expert_ffns += sum(t.data.size for _, t in named_tensors(e))
         assert count_params(cfg, "backbone-only") == total - expert_ffns

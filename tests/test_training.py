@@ -6,6 +6,7 @@ import math
 import os
 import struct
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -466,7 +467,7 @@ class TestCheckpoint:
         with pytest.raises(ConfigError, match="needs float32"):
             load_parameters(p, TINY, tiny_train(dtype="fp32"))
         with pytest.raises(ConfigError, match="different model configuration"):
-            load_parameters(p, TINY.with_overrides(rope_theta=500.0), cfg)
+            load_parameters(p, replace(TINY, rope_theta=500.0), cfg)
 
     def test_failed_save_keeps_the_earlier_checkpoint(self, tmp_path, monkeypatch):
         cfg = tiny_train(steps=2)
@@ -508,11 +509,23 @@ class TestCheckpoint:
         p = tmp_path / "d8.ckpt"
         save_checkpoint(p, new_train_state(TINY, cfg), cfg)
         with pytest.raises(ConfigError, match="needs float64 \\(257, 16\\)"):
-            load_checkpoint(p, TINY.with_overrides(hidden_size=16), cfg)
+            load_checkpoint(p, replace(TINY, hidden_size=16), cfg)
         with pytest.raises(ConfigError, match="needs float32"):
             load_checkpoint(p, TINY, tiny_train(dtype="fp32"))
         with pytest.raises(ConfigError, match="'param/layers.1.*' is missing"):
-            load_checkpoint(p, TINY.with_overrides(num_layers=2), cfg)
+            load_checkpoint(p, replace(TINY, num_layers=2), cfg)
+
+    def test_refuses_a_version_1_checkpoint(self, tmp_path):
+        # Version 1 named an expert layer's shared FFN layers.<i>.block.ffn.*; it is refused by its version.
+        cfg = tiny_train()
+        p = tmp_path / "v1.ckpt"
+        save_checkpoint(p, new_train_state(TINY, cfg), cfg)
+        data = bytearray(p.read_bytes())
+        struct.pack_into("<I", data, 8, 1)
+        p.write_bytes(data.replace(b'"version": 2', b'"version": 1', 1))
+        for load in (load_parameters, load_checkpoint):
+            with pytest.raises(ConfigError, match="^unsupported checkpoint version 1$"):
+                load(p, TINY, cfg)
 
     @pytest.mark.parametrize("overrides", [dict(cache_window=64, top_k=1), dict(rope_theta=500.0),
                                            dict(norm_eps=1e-3)], ids=["window-top-k", "rope-theta", "norm-eps"])
@@ -525,7 +538,7 @@ class TestCheckpoint:
         save_checkpoint(p, new_train_state(saved, cfg), cfg)
         assert load_checkpoint(p, saved, cfg).model.config == saved
         with pytest.raises(ConfigError, match="different model configuration") as err:
-            load_checkpoint(p, saved.with_overrides(**overrides), cfg)
+            load_checkpoint(p, replace(saved, **overrides), cfg)
         for name, value in overrides.items():
             assert f"{name}: checkpoint {getattr(saved, name)!r}, given {value!r}" in str(err.value)
 
