@@ -61,6 +61,7 @@ __all__ = [
     "attention_weights",
     "rmsnorm",
     "rmsnorm_np",
+    "NORM_EPS",
     "rope_rotate",
     "rope_rotate_np",
     "embedding_lookup",
@@ -72,6 +73,7 @@ __all__ = [
 
 FLOAT_DTYPES = (np.float32, np.float64)
 ATTENTION_BLOCK = 64  # query rows per block of ``attention``
+NORM_EPS = 1e-8  # RMSNorm's epsilon, in every norm of every model
 GRAD_NOISE_FLOOR = 1e-6  # grad_check: a 1e-4 check reads rounding below it (1 ulp of loss / 2eps ~ 1e-11-1e-10)
 
 
@@ -572,12 +574,12 @@ def _rms(x: np.ndarray, eps: float) -> np.ndarray:
     return np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=True) / x.shape[-1] + eps)
 
 
-def rmsnorm_np(x: np.ndarray, gain: np.ndarray, eps: float = 1e-8) -> np.ndarray:
+def rmsnorm_np(x: np.ndarray, gain: np.ndarray, eps: float = NORM_EPS) -> np.ndarray:
     """gain * (x / sqrt(mean(x^2, last axis) + eps))."""
     return gain * (x / _rms(x, eps))
 
 
-def rmsnorm(x: Tensor, gain: Tensor, eps: float = 1e-8) -> Tensor:
+def rmsnorm(x: Tensor, gain: Tensor, eps: float = NORM_EPS) -> Tensor:
     """Taped ``rmsnorm_np``; the gradient recomputes the norm from ``x``."""
     if gain.shape != (x.shape[-1],):
         raise ShapeError(f"rmsnorm gain {gain.shape} does not match last axis of {x.shape}")

@@ -29,6 +29,7 @@ from .store import (
     write_store,
 )
 from .training import (
+    EVAL_WINDOWS,
     ByteTokenizer,
     Corpus,
     TrainingError,
@@ -83,7 +84,7 @@ def cmd_train(args) -> int:
     with open(log_path, "a") as log_file:
         loss = train_run(state, corpus, man.train, steps, log_file=log_file)
     save_checkpoint(ckpt_path, state, man.train)
-    val = evaluate(state.model, corpus.val_ids, man.train.seq_length, max_windows=man.train.eval_windows)
+    val = evaluate(state.model, corpus.val_ids, man.train.seq_length, max_windows=EVAL_WINDOWS)
     print(f"trained {steps} steps: train loss {loss:.4f}, val loss {val:.4f}")
     print(f"checkpoint: {ckpt_path}\nmetrics log: {log_path}")
     return EXIT_OK

@@ -23,10 +23,12 @@ def check_finite(cfg, positive=(), nonnegative=()) -> None:
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """All architecture scalars of one model.
+    """All architecture scalars of one model, and their one home: parameter trees hold tensors only.
 
     key_dim, cache_window and top_k are zero for every kind except molkv;
-    expert_layers lists the layer indices that carry expert blocks.
+    expert_layers lists the layer indices that carry expert blocks. The RoPE
+    base and the RMSNorm epsilon are constants of the method,
+    ``layers.ROPE_THETA`` and ``autodiff.NORM_EPS``.
     """
 
     kind: str
@@ -40,8 +42,6 @@ class ModelConfig:
     top_k: int = 0  # k
     expert_layers: tuple[int, ...] = field(default_factory=tuple)
     num_heads: int = 16
-    rope_theta: float = 10000.0
-    norm_eps: float = 1e-8
 
     def __post_init__(self):
         object.__setattr__(self, "expert_layers", tuple(sorted(self.expert_layers)))
@@ -50,7 +50,6 @@ class ModelConfig:
     def validate(self) -> None:
         if self.kind not in MODEL_KINDS:
             raise ConfigError(f"unknown model kind {self.kind!r}; expected one of {MODEL_KINDS}")
-        check_finite(self, positive=("rope_theta", "norm_eps"))
         for name in ("num_layers", "hidden_size", "ffn_size", "vocab_size", "num_heads"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")

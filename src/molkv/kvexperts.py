@@ -26,7 +26,9 @@ and runs the attention op's two kernels on one query for the cached
 experts, as ``molkv_new_scores`` and ``molkv_select``; ``cache_insert``
 appends each token's keys and normed values to the sequence's
 :class:`~molkv.layers.KVCache` windowed to M positions, the same cache that
-backbone attention keeps unbounded.
+backbone attention keeps unbounded. A block's parameters are tensors
+only: M and k come from the model configuration with every call, and N and
+d' from the shapes of the routers and the query projection.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from .autodiff import (
     stack,
     tensor_sum,
 )
-from .layers import NORM_EPS, ROPE_THETA, FFNParams, KVCache, own_expert_mix, rope_tables, swishglu_ffn
+from .layers import FFNParams, KVCache, own_expert_mix, rope_tables, swishglu_ffn
 
 
 class CacheStateError(RuntimeError):
@@ -73,13 +75,10 @@ class MoLKVBlockParams:
     vocab_norm: Tensor  # (d,)
     key_norm: Tensor  # (d',)
     value_norm: Tensor  # (d,)
-    top_k: int = 1
-    rope_theta: float = ROPE_THETA
-    norm_eps: float = NORM_EPS
 
     @property
     def num_experts(self) -> int:
-        return len(self.key_experts)
+        return self.routers.shape[1]
 
     @property
     def key_dim(self) -> int:
@@ -93,10 +92,8 @@ class MoLKVBlockParams:
 
 def molkv_expert_pairs(emb: Tensor, params: MoLKVBlockParams):
     """(post-norm keys, raw values) for (..., d) embeddings: (..., N, d'), (..., N, d); keys not yet rotated."""
-    eh = rmsnorm(emb, params.vocab_norm, params.norm_eps)
-    keys = stack(
-        [rmsnorm(swishglu_ffn(eh, ke), params.key_norm, params.norm_eps) for ke in params.key_experts], axis=-2
-    )
+    eh = rmsnorm(emb, params.vocab_norm)
+    keys = stack([rmsnorm(swishglu_ffn(eh, ke), params.key_norm) for ke in params.key_experts], axis=-2)
     return keys, stack([swishglu_ffn(eh, ve) for ve in params.value_experts], axis=-2)
 
 
@@ -150,8 +147,9 @@ def sliding_window_mask(s: int, window: int) -> np.ndarray:
     return (j < t) & (j >= t - window)
 
 
-def molkv_expert_terms(h: Tensor, emb: Tensor, inverse: np.ndarray, params: MoLKVBlockParams, window: int) -> Tensor:
-    """Own-expert plus cached-expert contributions for a whole batch.
+def molkv_expert_terms(h: Tensor, emb: Tensor, inverse: np.ndarray, params: MoLKVBlockParams, window: int,
+                       top_k: int) -> Tensor:
+    """Own-expert plus cached-expert contributions for a whole batch, over a ``window`` of M tokens with ``top_k``.
 
     h is the (b, s, d) block input; emb (U, d) the raw embeddings of the U
     distinct ids and inverse (b, s) each position's index into them
@@ -162,7 +160,7 @@ def molkv_expert_terms(h: Tensor, emb: Tensor, inverse: np.ndarray, params: MoLK
     dk = params.key_dim
 
     keys, values = molkv_expert_pairs(emb, params)  # (U, N, ·)
-    values_normed = rmsnorm(values, params.value_norm, params.norm_eps)
+    values_normed = rmsnorm(values, params.value_norm)
     keys, values, values_normed = (embedding_lookup(t, inverse) for t in (keys, values, values_normed))  # (b, s, N, ·)
 
     q = dense(h, params.query_proj)  # (b, s, d')
@@ -171,13 +169,13 @@ def molkv_expert_terms(h: Tensor, emb: Tensor, inverse: np.ndarray, params: MoLK
     # Cached-expert path: rotate queries and keys, score every query against
     # all s*N cached experts (slot-major, j*N + n) plus the second router,
     # mask to the strictly causal window and keep the top-k per query.
-    rot = rope_tables(np.arange(s), dk, params.rope_theta, h.dtype)
+    rot = rope_tables(np.arange(s), dk, h.dtype)
     q_rot = rope_rotate(q, rot)
     k_rot = rope_rotate(keys, rot[:, None, :])  # (b, s, N, d')
     new_router = dense(h, params.new_routers)  # (b, s, N)
     win = np.repeat(sliding_window_mask(s, window), n, axis=1)  # (s, s*N)
     mixed = attention(q_rot, reshape(k_rot, (b, s * n, dk)), reshape(values_normed, (b, s * n, d)),
-                      win, params.qk_scale, bias=new_router, top_k=params.top_k)
+                      win, params.qk_scale, bias=new_router, top_k=top_k)
     new_gate = sigmoid(tensor_sum(mul(h, params.new_gate), axis=-1, keepdims=True))
     new = mul(mixed, new_gate)
 

@@ -3,19 +3,22 @@
 Training runs taped ops, decoding plain numpy functions (suffix ``_np``).
 Every formula below the block level is one numpy kernel in
 :mod:`molkv.autodiff` (RMSNorm, softmax, sigmoid, SiLU, the RoPE rotation)
-that the taped op runs for its forward; this module re-exports them.
+that the taped op runs for its forward; callers import them from there.
 Attention's two, ``attention_logits`` and ``attention_weights``, run in
 the fused ``autodiff.attention`` op in training and over a :class:`KVCache`
 in decoding. The SwishGLU FFN is one kernel too, ``autodiff.swishglu_np``,
 which the fused ``autodiff.swishglu`` op and decoding run. The same cache,
 windowed to the last M positions, holds the cached key-value experts of
 :mod:`molkv.kvexperts`. RoPE is one complex table, ``rope_tables``'
-exp(i * position * freq), and the rotation kernel, which multiplies each
-interleaved coordinate pair, read as a complex number, by it. The
-per-token decoding functions here and in :mod:`molkv.kvexperts` take the
-current position's table ``rot`` as an argument, so a decode step builds
-each table once. Both expert blocks mix a token's own experts with
-``own_expert_mix`` in training and ``own_expert_step`` in decoding.
+exp(i * position * freq) with the fixed base ``ROPE_THETA``, and the
+rotation kernel, which multiplies each interleaved coordinate pair, read
+as a complex number, by it. The per-token decoding functions here and in
+:mod:`molkv.kvexperts` take the current position's table ``rot`` as an
+argument, so a decode step builds each table once. Parameter dataclasses
+hold tensors only; the head count comes from the model configuration in
+training and from the cache's key shape in decoding. Both expert blocks
+mix a token's own experts with ``own_expert_mix`` in training and
+``own_expert_step`` in decoding.
 """
 
 from __future__ import annotations
@@ -35,14 +38,10 @@ from .autodiff import (
     embedding_lookup,
     mul,
     reshape,
-    rmsnorm,
-    rmsnorm_np,
     rope_rotate,
     rope_rotate_np,
     sigmoid,
     sigmoid_np,
-    silu_np,
-    softmax_np,
     swishglu,
     swishglu_np,
     tensor_sum,
@@ -54,8 +53,6 @@ __all__ = [
     "AttnParams",
     "KVCache",
     "lookup_distinct",
-    "rmsnorm",  # re-exports: the kernels and taped ops live in autodiff
-    "rmsnorm_np",
     "rope_tables",
     "swishglu_ffn",
     "swishglu_ffn_np",
@@ -63,15 +60,10 @@ __all__ = [
     "causal_attention_step",
     "own_expert_mix",
     "own_expert_step",
-    "sigmoid_np",
-    "silu_np",
-    "softmax_np",
-    "NORM_EPS",
     "ROPE_THETA",
 ]
 
-NORM_EPS = 1e-8
-ROPE_THETA = 10000.0
+ROPE_THETA = 10000.0  # RoPE's base, in every rotation of every model
 
 
 @dataclass
@@ -91,7 +83,6 @@ class AttnParams:
     wk: Tensor  # (d, d)
     wv: Tensor  # (d, d)
     wo: Tensor  # (d, d)
-    n_heads: int
 
 
 # ---------------------------------------------------------------------------
@@ -99,17 +90,18 @@ class AttnParams:
 # ---------------------------------------------------------------------------
 
 
-def rope_tables(positions, dim: int, theta: float = ROPE_THETA, dtype=np.float64) -> np.ndarray:
+def rope_tables(positions, dim: int, dtype=np.float64) -> np.ndarray:
     """The rotation table exp(i * position * freq) of shape positions.shape + (dim // 2,).
 
-    Complex64 for an fp32 ``dtype``, complex128 for fp64. Computed in fp64
-    (cos and sin of each angle) and cast down, so fp32 models still share
-    the exact same angles as the verification paths.
+    Coordinate pair i turns at freq = ROPE_THETA^(-2i / dim). Complex64 for
+    an fp32 ``dtype``, complex128 for fp64. Computed in fp64 (cos and sin of
+    each angle) and cast down, so fp32 models still share the exact same
+    angles as the verification paths.
     """
     if dim % 2:
         raise ShapeError(f"rope dimension must be even, got {dim}")
     pos = np.asarray(positions, dtype=np.float64)
-    freqs = theta ** (-np.arange(0, dim, 2, dtype=np.float64) / dim)
+    freqs = ROPE_THETA ** (-np.arange(0, dim, 2, dtype=np.float64) / dim)
     ang = pos[..., None] * freqs
     rot = np.empty(ang.shape, dtype=np.complex128)
     rot.real, rot.imag = np.cos(ang), np.sin(ang)
@@ -141,8 +133,8 @@ def swishglu_ffn_np(x: np.ndarray, p: FFNParams) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def causal_attention(x: Tensor, p: AttnParams, theta: float = ROPE_THETA) -> Tensor:
-    """Batched causal multi-head attention with RoPE on q and k.
+def causal_attention(x: Tensor, p: AttnParams, n_heads: int) -> Tensor:
+    """Batched causal multi-head attention over ``n_heads`` heads with RoPE on q and k.
 
     x is (b, s, d) or (s, d); position t attends to positions <= t.
     """
@@ -150,8 +142,7 @@ def causal_attention(x: Tensor, p: AttnParams, theta: float = ROPE_THETA) -> Ten
     if squeeze:
         x = reshape(x, (1,) + x.shape)
     b, s, d = x.shape
-    h = p.n_heads
-    hd = d // h
+    h, hd = n_heads, d // n_heads
 
     def heads(t: Tensor) -> Tensor:
         return transpose(reshape(t, (b, s, h, hd)), (0, 2, 1, 3))  # (b, h, s, hd)
@@ -160,7 +151,7 @@ def causal_attention(x: Tensor, p: AttnParams, theta: float = ROPE_THETA) -> Ten
     k = heads(dense(x, p.wk))
     v = heads(dense(x, p.wv))
 
-    rot = rope_tables(np.arange(s), hd, theta, x.dtype)  # (s, hd/2)
+    rot = rope_tables(np.arange(s), hd, x.dtype)  # (s, hd/2)
     q = rope_rotate(q, rot)
     k = rope_rotate(k, rot)
 
@@ -224,16 +215,15 @@ class KVCache:
 
 
 def causal_attention_step(x: np.ndarray, p: AttnParams, cache: KVCache, rot: np.ndarray) -> np.ndarray:
-    """One-token attention; appends this position's k/v to the cache.
+    """One-token attention; appends this position's k/v to the cache, whose (h, hd) key rows give the heads.
 
-    ``rot`` is the position's RoPE table, ``rope_tables(t, hd, theta,
-    dtype)`` with t = ``cache.next_position``, which rotates q and k.
+    ``rot`` is the position's RoPE table, ``rope_tables(t, hd, dtype)``
+    with t = ``cache.next_position``, which rotates q and k.
     Scores, weights and mixes per head with batched matmul over transposed views
     of the slot-major cache: (h, 1, hd) @ (h, hd, t), then (h, 1, t) @ (h, t, hd).
     """
     d = x.shape[-1]
-    h = p.n_heads
-    hd = d // h
+    h, hd = cache.k.shape[1:]
     q = (x @ p.wq.data).reshape(h, hd)
     k = (x @ p.wk.data).reshape(h, hd)
     v = (x @ p.wv.data).reshape(h, hd)

@@ -20,7 +20,6 @@ _JSON_TYPES = {
     int: "an integer",
     float: "a number",
     tuple[int, ...]: "a list of integers",
-    tuple[float, float]: "a list of numbers",
 }
 
 
@@ -74,11 +73,15 @@ def _section(doc: dict, name: str, hints: dict, required: list) -> dict:
             raise ConfigError(f"manifest is missing the required key: {name}.{key}")
     kw = {}
     for key, value in given.items():
-        if key == "expert_layers" and _fits(value, int):
-            value = list(range(value))  # "first n layers" shorthand
-        if not _fits(value, hints[key]):
+        shorthand = key == "expert_layers" and _fits(value, int)  # "the first n layers"
+        if not (shorthand or _fits(value, hints[key])):
             raise ConfigError(f"{name}.{key} must be {_JSON_TYPES[hints[key]]}, got {value!r}")
         kw[key] = tuple(value) if isinstance(value, list) else value
+    n = kw.get("expert_layers")
+    if isinstance(n, int):  # num_layers is required and type-checked with it
+        if not 0 <= n <= kw["num_layers"]:
+            raise ConfigError(f"{name}.expert_layers {n} is not a layer count in 0..num_layers ({kw['num_layers']})")
+        kw["expert_layers"] = tuple(range(n))
     return kw
 
 

@@ -13,10 +13,10 @@ from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, cross_entropy_logits, dense, embedding_lookup, parameter
+from .autodiff import Tensor, cross_entropy_logits, dense, embedding_lookup, parameter, rmsnorm
 from .config import ModelConfig
 from .kvexperts import MoLKVBlockParams, molkv_expert_terms
-from .layers import AttnParams, FFNParams, causal_attention, lookup_distinct, rmsnorm, swishglu_ffn
+from .layers import AttnParams, FFNParams, causal_attention, lookup_distinct, swishglu_ffn
 from .mole import MoLEBlockParams, mole_expert_terms
 
 
@@ -54,8 +54,8 @@ class ModelParams:
 def named_tensors(node, prefix: str = ""):
     """Yield (dotted name, Tensor) for every Tensor under ``node``, in dataclass field order.
 
-    List items are named by their index. Scalars and ``None`` hold no tensor, and neither
-    does the model configuration, so the walk yields nothing for them.
+    List items are named by their index. ``None`` holds no tensor, and neither does the
+    model configuration, so the walk yields nothing for them.
     """
     if isinstance(node, Tensor):
         yield prefix, node
@@ -124,7 +124,7 @@ def _build_model(config: ModelConfig, dtype, draw) -> ModelParams:
     layers = []
     expert_set = set(config.expert_layers)
     for li in range(config.num_layers):
-        attn = AttnParams(wq=mat(d, d), wk=mat(d, d), wv=mat(d, d), wo=mat(d, d), n_heads=config.num_heads)
+        attn = AttnParams(wq=mat(d, d), wk=mat(d, d), wv=mat(d, d), wo=mat(d, d))
         shared = ffn(d)  # drawn before the block's matrices, so every seed keeps its init
         block: MoLEBlockParams | MoLKVBlockParams | None
         if li not in expert_set:
@@ -147,9 +147,6 @@ def _build_model(config: ModelConfig, dtype, draw) -> ModelParams:
                 vocab_norm=gain(d),
                 key_norm=gain(dk),
                 value_norm=gain(d),
-                top_k=config.top_k,
-                rope_theta=config.rope_theta,
-                norm_eps=config.norm_eps,
             )
         layers.append(LayerParams(attn_norm=gain(d), attn=attn, ffn_norm=gain(d), ffn=shared, block=block))
     return ModelParams(
@@ -173,16 +170,16 @@ def forward(params: ModelParams, ids) -> Tensor:
     x = embedding_lookup(params.embedding, ids)  # (b, s, d)
     uniq_emb, inverse = lookup_distinct(params.embedding, ids)  # expert blocks run once per distinct id
     for layer in params.layers:
-        a = rmsnorm(x, layer.attn_norm, cfg.norm_eps)
-        x = x + causal_attention(a, layer.attn, cfg.rope_theta)
-        hn = rmsnorm(x, layer.ffn_norm, cfg.norm_eps)
+        a = rmsnorm(x, layer.attn_norm)
+        x = x + causal_attention(a, layer.attn, cfg.num_heads)
+        hn = rmsnorm(x, layer.ffn_norm)
         delta = swishglu_ffn(hn, layer.ffn)
         if isinstance(layer.block, MoLEBlockParams):
             delta = delta + mole_expert_terms(hn, uniq_emb, inverse, layer.block)
         elif isinstance(layer.block, MoLKVBlockParams):
-            delta = delta + molkv_expert_terms(hn, uniq_emb, inverse, layer.block, cfg.cache_window)
+            delta = delta + molkv_expert_terms(hn, uniq_emb, inverse, layer.block, cfg.cache_window, cfg.top_k)
         x = x + delta
-    x = rmsnorm(x, params.final_norm, cfg.norm_eps)
+    x = rmsnorm(x, params.final_norm)
     return dense(x, params.out_proj)
 
 

@@ -8,7 +8,10 @@ the last M tokens per key-value expert layer. ``mole_step`` and
 ``molkv_step``, the one per-token form of each expert block, return the
 expert term that ``decode_step`` adds to the shared FFN's output; the
 acceptance suite holds ``decode_step``'s logits to ``model.forward``'s.
-Counters track only what the
+The architecture numbers a step needs (heads, M, k) come from the model
+configuration, and the RoPE base and RMSNorm epsilon are the constants
+``layers.ROPE_THETA`` and ``autodiff.NORM_EPS``; a step builds one RoPE
+table per width, the head dim and d'. Counters track only what the
 complexity model budgets: multiply-accumulates of the large matrix
 operations (shared FFN, query projection, cached-key scoring, selected
 value mixing), parameters resident in RAM, offloaded parameters, and
@@ -25,10 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .autodiff import rmsnorm_np, sigmoid_np, softmax_np
 from .config import ModelConfig
 from .kvexperts import MoLKVBlockParams, cache_insert, molkv_new_scores, molkv_query, molkv_select
-from .layers import (KVCache, causal_attention_step, own_expert_step, rmsnorm_np, rope_tables, sigmoid_np, softmax_np,
-                     swishglu_ffn_np)
+from .layers import KVCache, causal_attention_step, own_expert_step, rope_tables, swishglu_ffn_np
 from .mole import MoLEBlockParams
 from .model import ModelParams
 from .store import ExpertStoreReader, StoreFormatError
@@ -102,9 +105,8 @@ class DecoderState:
                               for li in cfg.expert_layers} if cfg.kind == "molkv" else {}
         self.rows: list[CostRow] = []
         self.expert_layer_index = {li: i for i, li in enumerate(cfg.expert_layers)}  # model layer -> store layer
-        # (dim, theta) of each RoPE table a step rotates with: attention heads, key-value queries and keys
-        kv_blocks = [layer.block for layer in params.layers if isinstance(layer.block, MoLKVBlockParams)]
-        self.rope_keys = {(cfg.head_dim, cfg.rope_theta)} | {(b.key_dim, b.rope_theta) for b in kv_blocks}
+        # width of each RoPE table a step rotates with: attention heads, and key-value queries and keys
+        self.rope_keys = {cfg.head_dim, cfg.key_dim} - {0}
 
 
 def layer_costs(cfg: ModelConfig, expert: bool, cache_len: int = 0, selected: int = 0) -> CostCounters:
@@ -130,7 +132,7 @@ def layer_costs(cfg: ModelConfig, expert: bool, cache_len: int = 0, selected: in
 def decode_step(state: DecoderState, token_id: int):
     """Advance one integer (Python or NumPy) token id; returns (logits over |V|, CostCounters delta).
 
-    Builds the position's RoPE tables once, one per distinct (dim, theta), for every layer.
+    Builds the position's RoPE tables once, one per distinct width, for every layer.
     """
     cfg = state.config
     params = state.params
@@ -140,14 +142,14 @@ def decode_step(state: DecoderState, token_id: int):
     layer_of = state.expert_layer_index
     delta = CostCounters()
     t = state.position
-    rope = {key: rope_tables(t, *key, state.dtype) for key in state.rope_keys}
-    attn_rot = rope[cfg.head_dim, cfg.rope_theta]
+    rope = {dim: rope_tables(t, dim, state.dtype) for dim in state.rope_keys}
+    attn_rot = rope[cfg.head_dim]
 
     x = params.embedding.data[token_id]
     for li, layer in enumerate(params.layers):
-        a = rmsnorm_np(x, layer.attn_norm.data, cfg.norm_eps)
+        a = rmsnorm_np(x, layer.attn_norm.data)
         x = x + causal_attention_step(a, layer.attn, state.attn_caches[li], attn_rot)
-        hn = rmsnorm_np(x, layer.ffn_norm.data, cfg.norm_eps)
+        hn = rmsnorm_np(x, layer.ffn_norm.data)
         y = swishglu_ffn_np(hn, layer.ffn)
         cache_len = selected = nbytes = 0
 
@@ -162,7 +164,7 @@ def decode_step(state: DecoderState, token_id: int):
             else:
                 cache = state.expert_caches[li]
                 cache_len = len(cache)
-                term, selected = molkv_step(hn, t, cache, keys, values, block, rope[block.key_dim, block.rope_theta])
+                term, selected = molkv_step(hn, t, cache, keys, values, block, cfg.top_k, rope[cfg.key_dim])
                 y = y + term
 
         x = x + y
@@ -174,7 +176,7 @@ def decode_step(state: DecoderState, token_id: int):
         delta.bytes_loaded += nbytes
         state.rows.append(CostRow(t, li, costs.macs, costs.params_loaded, nbytes, cache_len))
 
-    x = rmsnorm_np(x, params.final_norm.data, cfg.norm_eps)
+    x = rmsnorm_np(x, params.final_norm.data)
     logits = x @ params.out_proj.data
     state.position += 1
     return logits, delta
@@ -192,21 +194,21 @@ def mole_step(h: np.ndarray, values: np.ndarray, params: MoLEBlockParams) -> np.
 
 
 def molkv_step(h: np.ndarray, position: int, cache: KVCache, keys: np.ndarray, values: np.ndarray,
-               params: MoLKVBlockParams, rot):
+               params: MoLKVBlockParams, top_k: int, rot):
     """Own-expert plus cached-expert term of one token's (N, d') keys and raw (N, d) values; returns (term, k_eff).
 
     ``rot`` is ``position``'s RoPE table of width d' / 2; it rotates the
     query and the token's keys. The token's keys and normed values
     join the cache (which checks ``position``) only after the term is
     computed, so position 0 sees an empty window and its cached term is 0.
-    k_eff = min(k, cached experts) is the number of nonzero mixing weights.
+    k_eff = min(top_k, cached experts) is the number of nonzero mixing weights.
     """
     q, q_rot = molkv_query(h, params, rot)
     term = own_expert_step(h, q, keys, values, params.routers, params.gate, params.qk_scale)
-    weights = molkv_select(molkv_new_scores(q_rot, h, cache, params), params.top_k)
+    weights = molkv_select(molkv_new_scores(q_rot, h, cache, params), top_k)
     term = term + sigmoid_np(h @ params.new_gate.data) * (weights @ cache.v.reshape(-1, cache.v.shape[-1]))
-    cache_insert(cache, position, keys, rmsnorm_np(values, params.value_norm.data, params.norm_eps), rot)
-    return term, min(params.top_k, weights.size)
+    cache_insert(cache, position, keys, rmsnorm_np(values, params.value_norm.data), rot)
+    return term, min(top_k, weights.size)
 
 
 # ---------------------------------------------------------------------------

@@ -51,7 +51,6 @@ HEADER_SIZE = 64
 _HEADER_STRUCT = struct.Struct("<4s5IQ3I20x")
 
 KIND_CODES = {"mole": 1, "molkv": 2}
-KIND_NAMES = {v: k for k, v in KIND_CODES.items()}
 DTYPE_CODES = {"fp32": 0, "fp16": 1, "fp64": 2}
 DTYPE_NAMES = {v: k for k, v in DTYPE_CODES.items()}
 NUMPY_DTYPES = {"fp32": np.dtype("<f4"), "fp16": np.dtype("<f2"), "fp64": np.dtype("<f8")}
@@ -69,7 +68,6 @@ class RecordLookupError(IndexError):
 
 @dataclass(frozen=True)
 class ExpertStoreHeader:
-    kind: str  # "mole" | "molkv"
     dtype: str  # "fp32" | "fp16" | "fp64"
     num_expert_layers: int
     vocab_size: int
@@ -78,17 +76,16 @@ class ExpertStoreHeader:
     key_dim: int  # 0 for mole
 
     def __post_init__(self):
-        if self.kind not in KIND_CODES:
-            raise StoreFormatError(f"unknown store kind {self.kind!r}")
         if self.dtype not in DTYPE_CODES:
             raise StoreFormatError(f"unknown store dtype {self.dtype!r}")
         for name in ("num_expert_layers", "vocab_size", "num_experts", "hidden_size"):
             if getattr(self, name) < 1:
                 raise StoreFormatError(f"header field {name} must be >= 1")
-        if self.kind == "mole" and self.key_dim != 0:
-            raise StoreFormatError("lookup-value store carries no keys, key_dim must be 0")
-        if self.kind == "molkv" and self.key_dim < 1:
-            raise StoreFormatError("key-value store requires key_dim >= 1")
+
+    @property
+    def kind(self) -> str:
+        """The store kind: molkv when the records carry keys (d' >= 1), else mole."""
+        return "molkv" if self.key_dim else "mole"
 
     @property
     def record_values(self) -> int:
@@ -133,17 +130,13 @@ class ExpertStoreHeader:
             raise StoreFormatError(f"unsupported format version {version}")
         if layout != LAYOUT_LAYER_MAJOR:
             raise StoreFormatError(f"unknown layout constant {layout}")
-        if kind not in KIND_NAMES or dtype not in DTYPE_NAMES:
-            raise StoreFormatError(f"unknown kind/dtype codes ({kind}, {dtype})")
-        return cls(
-            kind=KIND_NAMES[kind],
-            dtype=DTYPE_NAMES[dtype],
-            num_expert_layers=layers,
-            vocab_size=vocab,
-            num_experts=n,
-            hidden_size=d,
-            key_dim=dk,
-        )
+        if dtype not in DTYPE_NAMES:
+            raise StoreFormatError(f"unknown dtype code {dtype}")
+        header = cls(dtype=DTYPE_NAMES[dtype], num_expert_layers=layers, vocab_size=vocab, num_experts=n,
+                     hidden_size=d, key_dim=dk)
+        if kind != KIND_CODES[header.kind]:
+            raise StoreFormatError(f"kind code {kind} does not match the key size d' = {dk}")
+        return header
 
 
 @dataclass
@@ -215,7 +208,6 @@ def write_store(tables: ReparamTables, path, dtype: str = "fp32") -> ExpertStore
         raise StoreFormatError(f"unsupported store dtype {dtype!r}")
     vocab, n, dk = tables.keys[0].shape
     header = ExpertStoreHeader(
-        kind="molkv" if dk else "mole",
         dtype=dtype,
         num_expert_layers=tables.num_expert_layers,
         vocab_size=vocab,

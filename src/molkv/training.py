@@ -24,7 +24,12 @@ from .config import ConfigError, check_finite
 from .model import ModelParams, init_model, next_token_loss, zero_model
 
 CHECKPOINT_MAGIC = b"MLKVCKPT"
-CHECKPOINT_VERSION = 2  # 2: every layer's shared FFN is layers.<i>.ffn.*
+# 2: every layer's shared FFN is layers.<i>.ffn.*; 3: the saved configs lose rope_theta, norm_eps, betas,
+# adam_eps and eval_windows, now layers.ROPE_THETA, autodiff.NORM_EPS and the constants below
+CHECKPOINT_VERSION = 3
+ADAM_BETAS = (0.9, 0.95)
+ADAM_EPS = 1e-8
+EVAL_WINDOWS = 16  # validation windows that ``molkv train`` evaluates
 
 
 class TrainingError(RuntimeError):
@@ -44,22 +49,21 @@ class ByteTokenizer:
     """Bytes map to ids 0..255; one BOS special sits at 256.
 
     tokenize never emits specials, so detokenize(tokenize(x)) == x for any
-    byte string; specials fed to detokenize contribute nothing.
+    byte string. Ids past the bytes (BOS, or any id of a larger model
+    vocabulary) contribute nothing to detokenize's text; a negative id
+    raises TokenLookupError.
     """
 
     BOS = 256
-
-    def __init__(self, num_specials: int = 1):
-        self.num_specials = num_specials
-        self.vocab_size = 256 + num_specials
+    vocab_size = 257
 
     def tokenize(self, data: bytes) -> np.ndarray:
         return np.frombuffer(bytes(data), dtype=np.uint8).astype(np.int64)
 
     def detokenize(self, ids) -> bytes:
         ids = np.asarray(ids, dtype=np.int64).reshape(-1)
-        if ids.size and (ids.min() < 0 or ids.max() >= self.vocab_size):
-            raise TokenLookupError(f"id outside vocabulary of {self.vocab_size}")
+        if ids.size and ids.min() < 0:
+            raise TokenLookupError(f"negative token id {ids.min()}")
         return bytes(ids[ids < 256].astype(np.uint8).tobytes())
 
 
@@ -143,27 +147,21 @@ class TrainConfig:
     lr: float = 3e-4
     min_lr: float = 3e-6
     weight_decay: float = 0.1
-    betas: tuple[float, float] = (0.9, 0.95)
     grad_clip: float = 1.0
-    adam_eps: float = 1e-8
     init_std: float = 0.02
     seed: int = 0
     dtype: str = "fp32"
     val_fraction: float = 0.05
-    eval_windows: int = 16
 
     def __post_init__(self):
-        self.betas = tuple(self.betas)
-        if len(self.betas) != 2 or not all(0.0 <= b < 1.0 for b in self.betas):
-            raise ConfigError(f"betas must be two values in [0, 1), got {self.betas}")
-        for name, least in (("seq_length", 1), ("batch_size", 1), ("grad_accum", 1), ("eval_windows", 1),
+        for name, least in (("seq_length", 1), ("batch_size", 1), ("grad_accum", 1),
                             ("steps", 0), ("warmup_steps", 0), ("seed", 0)):
             if getattr(self, name) < least:
                 raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)}")
         if not 0.0 < self.val_fraction < 1.0:  # NaN fails too
             raise ConfigError(f"val_fraction must be finite and in (0, 1), got {self.val_fraction}")
         # grad_clip 0 means no clipping (AdamW.step)
-        check_finite(self, positive=("lr", "init_std", "adam_eps"), nonnegative=("min_lr", "weight_decay", "grad_clip"))
+        check_finite(self, positive=("lr", "init_std"), nonnegative=("min_lr", "weight_decay", "grad_clip"))
         if self.warmup_steps > self.steps:
             raise ConfigError("warmup_steps must not exceed steps")
         if self.min_lr > self.lr:
@@ -190,7 +188,7 @@ def lr_at(step: int, cfg: TrainConfig) -> float:
 
 
 class AdamW:
-    """Decoupled-weight-decay Adam; decay skips 1-D tensors (gains, gates)."""
+    """Decoupled-weight-decay Adam with ``ADAM_BETAS`` and ``ADAM_EPS``; decay skips 1-D tensors (gains, gates)."""
 
     def __init__(self, params: ModelParams, cfg: TrainConfig):
         self.cfg = cfg
@@ -210,7 +208,7 @@ class AdamW:
         clip_scale = cfg.grad_clip / norm if cfg.grad_clip > 0 and norm > cfg.grad_clip else 1.0
 
         self.t += 1
-        b1, b2 = cfg.betas
+        b1, b2 = ADAM_BETAS
         bias1 = 1.0 - b1**self.t
         bias2 = 1.0 - b2**self.t
         for name, p in self.named:
@@ -225,7 +223,7 @@ class AdamW:
             v *= b2
             v += buf
             np.sqrt(np.divide(v, bias2, out=buf), out=buf)
-            buf += cfg.adam_eps
+            buf += ADAM_EPS
             update = np.divide(m, bias1)
             update /= buf
             if cfg.weight_decay and p.data.ndim >= 2:
@@ -356,7 +354,7 @@ def save_checkpoint(path, state: TrainState, train_cfg: TrainConfig) -> None:
         "step": state.step,
         "adam_t": state.optimizer.t,
         "model_config": asdict(state.model.config),
-        "train_config": {**train_cfg.__dict__, "betas": list(train_cfg.betas)},
+        "train_config": asdict(train_cfg),
         "rng_state": _encode_rng_state(state.rng),
         "entries": entries,
     }

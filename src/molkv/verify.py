@@ -18,10 +18,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .autodiff import Tensor, grad_check, mul, rope_rotate_np, tensor_sum
+from .autodiff import Tensor, grad_check, mul, rope_rotate_np, sigmoid_np, softmax_np, tensor_sum
 from .config import ModelConfig, published_config
 from .kvexperts import molkv_expert_pairs, molkv_expert_terms, molkv_new_scores, molkv_query, molkv_select
-from .layers import KVCache, lookup_distinct, rope_tables, sigmoid_np, softmax_np, swishglu_ffn
+from .layers import KVCache, lookup_distinct, rope_tables, swishglu_ffn
 from .model import forward, init_model, named_tensors
 from .runtime import DecoderState, closed_form_costs, decode_step, molkv_step
 from .store import ExpertStoreReader, count_params, reparameterize, write_store
@@ -188,7 +188,7 @@ def check_block_gradients(tol: float = 1e-4):
     leaves = [t for node in (layer.ffn, block) for _, t in named_tensors(node)] + [model.embedding]
 
     def f():  # the FFN sublayer as ``forward`` computes it
-        terms = molkv_expert_terms(h, *lookup_distinct(model.embedding, ids), block, cfg.cache_window)
+        terms = molkv_expert_terms(h, *lookup_distinct(model.embedding, ids), block, cfg.cache_window, cfg.top_k)
         return tensor_sum(mul(swishglu_ffn(h, layer.ffn) + terms, w))
 
     err = grad_check(f, leaves, eps=1e-5, samples_per_leaf=8, seed=4)
@@ -397,8 +397,8 @@ def check_window_edges():
     token = 7
     keys, values = (t.data for t in molkv_expert_pairs(Tensor(model.embedding.data), block))  # every id's pairs
     cache = KVCache((cfg.num_experts, cfg.key_dim), (cfg.num_experts, cfg.hidden_size), np.float64, cfg.cache_window)
-    rot = rope_tables(0, cfg.key_dim, block.rope_theta)
-    term, k_eff = molkv_step(h, 0, cache, keys[token], values[token], block, rot)
+    rot = rope_tables(0, cfg.key_dim)
+    term, k_eff = molkv_step(h, 0, cache, keys[token], values[token], block, cfg.top_k, rot)
     q = h @ block.query_proj.data
     s_own = softmax_np(h @ block.routers.data + keys[token] @ q * block.qk_scale)
     if k_eff != 0:
@@ -408,17 +408,17 @@ def check_window_edges():
 
     # Short window: fewer than k candidates selects all of them, weights sum to 1.
     for t in range(1, 5):
-        rot = rope_tables(t, cfg.key_dim, block.rope_theta)
+        rot = rope_tables(t, cfg.key_dim)
         _, q_rot = molkv_query(h, block, rot)
-        weights = molkv_select(molkv_new_scores(q_rot, h, cache, block), block.top_k)
+        weights = molkv_select(molkv_new_scores(q_rot, h, cache, block), cfg.top_k)
         avail, selected = len(cache) * cfg.num_experts, np.count_nonzero(weights)
-        if avail < block.top_k and selected != avail:
+        if avail < cfg.top_k and selected != avail:
             failures.append(f"t={t}: selected {selected} of {avail} available")
         if selected and not math.isclose(weights.sum(), 1.0, rel_tol=0, abs_tol=1e-12):
             failures.append(f"t={t}: weights sum to {weights.sum()}")
         if selected and (weights.min() < 0 or weights.max() > 1):
             failures.append(f"t={t}: weights outside [0, 1]")
-        molkv_step(h, t, cache, keys[t], values[t], block, rot)
+        molkv_step(h, t, cache, keys[t], values[t], block, cfg.top_k, rot)
 
     detail = "; ".join(failures) if failures else "zero term at t=0; short windows select all, weights sum to 1"
     return "empty/short window behavior", not failures, detail

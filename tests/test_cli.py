@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from molkv.cli import main
 from molkv.config import ConfigError, ModelConfig
 from molkv.manifest import parse_manifest, parse_manifest_dict
+from molkv.runtime import generate
 from molkv.training import TrainConfig, lr_at, synthesize_corpus
 
 REPO = Path(__file__).resolve().parents[1]
@@ -49,7 +50,6 @@ class TestManifest:
     def test_defaults_filled_and_echoed(self):
         man = parse_manifest_dict(tiny_doc())
         assert man.train.warmup_steps == 200
-        assert man.train.betas == (0.9, 0.95)
         assert man.train.lr == 3e-4
         echo = man.echo()
         assert echo["train"]["warmup_steps"] == 200
@@ -82,6 +82,15 @@ class TestManifest:
         man = parse_manifest_dict(tiny_doc(expert_layers=2))
         assert man.model.expert_layers == (0, 1)
 
+    @pytest.mark.parametrize("count,kind", [(3, "molkv"), (10**12, "molkv"), (-1, "dense")])
+    def test_expert_layer_count_outside_the_layers_rejected(self, count, kind):
+        # refused before any list is built: 10**12 layer indices would not fit in memory
+        doc = tiny_doc(kind=kind, expert_layers=count)
+        if kind == "dense":  # which a negative count used to leave with no expert layers
+            doc["model"].update(num_experts=0, key_dim=0, cache_window=0, top_k=0)
+        with pytest.raises(ConfigError, match=f"^model.expert_layers {count} is not a layer count in 0..num_layers"):
+            parse_manifest_dict(doc)
+
     @pytest.mark.parametrize(
         "section,key,value",
         [
@@ -89,8 +98,8 @@ class TestManifest:
             ("train", None, 3),
             ("paths", None, ["corpus.txt"]),
             ("train", "lr", "x"),
-            ("train", "betas", 0.9),
-            ("train", "betas", [0.9, "0.95"]),
+            ("train", "seed", 1.5),
+            ("model", "expert_layers", 2.0),
             ("train", "steps", 10.0),
             ("model", "num_layers", 2.0),
             ("model", "num_layers", "2"),
@@ -142,7 +151,7 @@ def fuzzed_manifests(draw):
     """A valid document whose sections are kept, dropped, replaced, or edited key by key."""
     doc = {
         "model": tiny_doc()["model"],
-        "train": {"steps": 10, "warmup_steps": 2, "lr": 1e-3, "betas": [0.9, 0.95], "dtype": "fp64"},
+        "train": {"steps": 10, "warmup_steps": 2, "lr": 1e-3, "dtype": "fp64"},
         "paths": {"corpus": "c.txt"},
     }
     for name, keys in SECTION_KEYS.items():
@@ -193,7 +202,7 @@ def test_non_utf8_manifest_exit_code(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("field,value", [("seq_length", 0), ("batch_size", 0), ("grad_accum", 0),
-                                         ("eval_windows", 0), ("steps", -3), ("warmup_steps", -5),
+                                         ("steps", -3), ("warmup_steps", -5),
                                          ("val_fraction", math.nan), ("val_fraction", 0.0), ("val_fraction", 1.0),
                                          ("seed", -1)])
 def test_train_count_or_fraction_out_of_range_exit_code(tmp_path, capsys, field, value):
@@ -296,7 +305,7 @@ class TestPipeline:
         (blob_len,) = struct.unpack_from("<Q", raw, 12)
         assert json.loads(raw[20 : 20 + blob_len])["train_config"]["steps"] == 5
 
-    @pytest.mark.parametrize("field,value", [("top_k", 1), ("rope_theta", 500.0)])
+    @pytest.mark.parametrize("field,value", [("top_k", 1)])
     def test_decode_refuses_checkpoint_of_another_config(self, workspace, capsys, field, value):
         tmp, manifest = workspace
         assert main(["train", "--manifest", str(manifest), "--steps", "1"]) == 0
@@ -330,16 +339,48 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Is a directory" in err and str(tmp) in err
 
-    def test_decode_refuses_a_version_1_checkpoint(self, workspace, capsys):
+    @staticmethod
+    def decode_refuses_version(workspace, capsys, version):
         tmp, manifest = workspace
         assert main(["train", "--manifest", str(manifest), "--steps", "1"]) == 0
         ckpt = tmp / "model.ckpt"
         data = bytearray(ckpt.read_bytes())
-        struct.pack_into("<I", data, 8, 1)
+        struct.pack_into("<I", data, 8, version)
         ckpt.write_bytes(data)
         capsys.readouterr()
         assert main(["decode", "--manifest", str(manifest), "--prompt", "a"]) == 2
-        assert capsys.readouterr().err == "error: unsupported checkpoint version 1\n"
+        assert capsys.readouterr().err == f"error: unsupported checkpoint version {version}\n"
+
+    def test_decode_refuses_a_version_1_checkpoint(self, workspace, capsys):
+        self.decode_refuses_version(workspace, capsys, 1)
+
+    def test_decode_refuses_a_version_2_checkpoint(self, workspace, capsys):
+        self.decode_refuses_version(workspace, capsys, 2)
+
+    def test_decode_prints_what_a_large_vocabulary_model_samples(self, workspace, monkeypatch, capsys):
+        # ids past the byte range print nothing; they are still sampled, fed back and costed
+        from molkv import cli
+
+        tmp, manifest = workspace
+        doc = json.loads(manifest.read_text())
+        doc["model"]["vocab_size"] = 4000
+        manifest.write_text(json.dumps(doc))
+        sampled = []
+
+        def recorded(*args, **kwargs):
+            ids, totals = generate(*args, **kwargs)
+            sampled.extend(ids)
+            return ids, totals
+
+        monkeypatch.setattr(cli, "generate", recorded)
+        assert main(["train", "--manifest", str(manifest), "--steps", "0"]) == 0
+        assert main(["export", "--manifest", str(manifest)]) == 0
+        capsys.readouterr()
+        assert main(["decode", "--manifest", str(manifest), "--steps", "24"]) == 0
+        out = capsys.readouterr().out
+        assert len(sampled) == 24 and max(sampled) >= 256
+        text = bytes(i for i in sampled if i < 256).decode(errors="replace")
+        assert f"generated: {text}\n" in out
 
     @pytest.mark.parametrize("command,key,flag", [
         ("train", "corpus", None), ("train", "checkpoint", "--out"),

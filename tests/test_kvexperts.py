@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from molkv.autodiff import Tensor, attention, grad_check, mul, parameter, rope_rotate_np, tensor_sum, window_topk_mask
+from molkv.autodiff import (Tensor, attention, grad_check, mul, parameter, rmsnorm_np, rope_rotate_np, sigmoid_np,
+                            softmax_np, tensor_sum, window_topk_mask)
 from molkv.kvexperts import (
     CacheStateError,
     MoLKVBlockParams,
@@ -15,8 +16,7 @@ from molkv.kvexperts import (
     molkv_select,
     sliding_window_mask,
 )
-from molkv.layers import (FFNParams, KVCache, lookup_distinct, own_expert_step, rmsnorm_np, rope_tables, sigmoid_np,
-                          softmax_np, swishglu_ffn)
+from molkv.layers import FFNParams, KVCache, lookup_distinct, own_expert_step, rope_tables, swishglu_ffn
 from molkv.model import named_tensors
 from molkv.mole import MoLEBlockParams
 from molkv.runtime import mole_step, molkv_step
@@ -30,7 +30,10 @@ def make_ffn(rng, d, D, d_out, scale=0.35):
     )
 
 
-def make_block(rng, d=10, D=14, dk=6, n=2, top_k=3, scale=0.35):
+TOP_K = 3  # the cached-expert top-k of a test that gives none
+
+
+def make_block(rng, d=10, D=14, dk=6, n=2, scale=0.35):
     return MoLKVBlockParams(
         query_proj=parameter(rng.standard_normal((d, dk)) * scale),
         routers=parameter(rng.standard_normal((d, n)) * scale),
@@ -42,13 +45,12 @@ def make_block(rng, d=10, D=14, dk=6, n=2, top_k=3, scale=0.35):
         vocab_norm=parameter(np.ones(d)),
         key_norm=parameter(np.ones(dk)),
         value_norm=parameter(np.ones(d)),
-        top_k=top_k,
     )
 
 
 def rope(block, position):
     """The fp64 RoPE table of ``position`` for the block's queries and keys."""
-    return rope_tables(position, block.key_dim, block.rope_theta)
+    return rope_tables(position, block.key_dim)
 
 
 def pairs(e, block):
@@ -60,7 +62,7 @@ def pairs(e, block):
 def insert_row(cache, pos, e, block):
     """``cache_insert`` of one embedding row's keys and normed values at ``pos``."""
     keys, values = pairs(e, block)
-    cache_insert(cache, pos, keys, rmsnorm_np(values, block.value_norm.data, block.norm_eps), rope(block, pos))
+    cache_insert(cache, pos, keys, rmsnorm_np(values, block.value_norm.data), rope(block, pos))
 
 
 def augmented_routing(h, q, keys, block):
@@ -74,10 +76,10 @@ def own_term(h, q, keys, values, block):
     return sigmoid_np(h @ block.gate.data) * (s_own @ values)
 
 
-def sequence_terms(h, ids, emb, block, window):
+def sequence_terms(h, ids, emb, block, window, top_k=TOP_K):
     """``molkv_expert_terms`` of one (s, d) sequence, (s, d) out."""
     h = Tensor(h[None])
-    return molkv_expert_terms(h, *lookup_distinct(emb, np.reshape(ids, (1, -1))), block, window).data[0]
+    return molkv_expert_terms(h, *lookup_distinct(emb, np.reshape(ids, (1, -1))), block, window, top_k).data[0]
 
 
 def fresh_cache(block, window):
@@ -110,8 +112,8 @@ class TestExpertKV:
         block = make_block(rng)
         keys, values = pairs(rng.standard_normal(10), block)
         cache = fresh_cache(block, window=4)
-        molkv_step(rng.standard_normal(10), 0, cache, keys, values, block, rope(block, 0))
-        assert np.array_equal(cache.v[-1], rmsnorm_np(values, block.value_norm.data, block.norm_eps))
+        molkv_step(rng.standard_normal(10), 0, cache, keys, values, block, TOP_K, rope(block, 0))
+        assert np.array_equal(cache.v[-1], rmsnorm_np(values, block.value_norm.data))
 
     def test_key_width_follows_key_dim(self):
         rng = np.random.default_rng(3)
@@ -191,7 +193,7 @@ class TestCache:
 
     def test_equal_scores_select_oldest_slots_after_compaction(self):
         rng = np.random.default_rng(19)
-        block = make_block(rng, top_k=3)
+        block = make_block(rng)
         block.new_routers.data[:] = 0.0
         m, n = 4, block.num_experts
         cache = fresh_cache(block, window=m)
@@ -203,7 +205,7 @@ class TestCache:
         h = rng.standard_normal(10)
         scores = molkv_new_scores(molkv_query(h, block, rope(block, 2 * m + 3))[1], h, cache, block)
         assert np.array_equal(scores, np.zeros(m * n))
-        idx = np.flatnonzero(molkv_select(scores, block.top_k))
+        idx = np.flatnonzero(molkv_select(scores, TOP_K))
         assert idx.tolist() == [0, 1, 2]
         oldest = inserted[m + 3]
         want = np.stack([oldest[0], oldest[1], inserted[m + 4][0]])
@@ -304,7 +306,7 @@ class TestScoresAndSelection:
 
     def test_cached_mix_is_a_row_of_taped_attention(self):
         rng = np.random.default_rng(23)
-        block = make_block(rng, top_k=3)
+        block = make_block(rng)
         m, n, t = 4, block.num_experts, 6
         cache = fresh_cache(block, window=m)
         for pos in range(t):
@@ -315,10 +317,10 @@ class TestScoresAndSelection:
         cached_k, cached_v = cache.k.reshape(m * n, -1).copy(), cache.v.reshape(m * n, -1).copy()  # before t joins
         router = Tensor((h @ block.new_routers.data)[None, :])
         mix = attention(Tensor(q_rot[None, :]), Tensor(cached_k), Tensor(cached_v), np.ones((1, m * n), dtype=bool),
-                        block.qk_scale, bias=router, top_k=block.top_k).data[0]
+                        block.qk_scale, bias=router, top_k=TOP_K).data[0]
         own = own_term(h, q, keys, values, block)
-        term, selected = molkv_step(h, t, cache, keys, values, block, rope(block, t))
-        assert selected == block.top_k
+        term, selected = molkv_step(h, t, cache, keys, values, block, TOP_K, rope(block, t))
+        assert selected == TOP_K
         np.testing.assert_allclose(term, own + sigmoid_np(h @ block.new_gate.data) * mix, rtol=0, atol=1e-12)
 
 
@@ -404,15 +406,15 @@ class TestTrainInferEquivalence:
     @pytest.mark.parametrize("window,top_k,n", [(1, 2, 1), (4, 8, 2), (16, 2, 2), (3, 8, 1)])
     def test_per_token_match(self, window, top_k, n):
         rng = np.random.default_rng(21 + window + top_k + n)
-        block = make_block(rng, n=n, top_k=top_k)
+        block = make_block(rng, n=n)
         emb = parameter(rng.standard_normal((15, 10)) * 0.5)
         s = 24
         ids = rng.integers(0, 15, size=s)
         h = rng.standard_normal((s, 10))
-        y_batch = sequence_terms(h, ids, emb, block, window)
+        y_batch = sequence_terms(h, ids, emb, block, window, top_k)
         cache = fresh_cache(block, window)
         for t in range(s):
-            y_t, k_eff = molkv_step(h[t], t, cache, *pairs(emb.data[ids[t]], block), block, rope(block, t))
+            y_t, k_eff = molkv_step(h[t], t, cache, *pairs(emb.data[ids[t]], block), block, top_k, rope(block, t))
             assert k_eff == min(top_k, min(t, window) * n)
             rel = np.abs(y_t - y_batch[t]).max() / (np.abs(y_batch[t]).max() + 1e-300)
             assert rel < 1e-12
@@ -438,7 +440,7 @@ class TestTrainInferEquivalence:
         h = rng.standard_normal(10)
         h = h * (-30.0 / (h @ block.new_gate.data))  # force h.u' = -30
         keys, values = pairs(rng.standard_normal(10), block)
-        y, k_eff = molkv_step(h.copy(), 4, cache, keys, values, block, rope(block, 4))
+        y, k_eff = molkv_step(h.copy(), 4, cache, keys, values, block, TOP_K, rope(block, 4))
         q, _ = molkv_query(h, block, rope(block, 4))
         no_new = own_term(h, q, keys, values, block)
         assert k_eff > 0  # experts were selected, the gate just silences them
@@ -489,7 +491,7 @@ class TestGatedLookupReduction:
         keys, values = pairs(emb[token], block)
         cache = fresh_cache(block, window=4)
         h = rng.standard_normal(10)
-        y_kv, _ = molkv_step(h, 0, cache, keys, values, block, rope(block, 0))
+        y_kv, _ = molkv_step(h, 0, cache, keys, values, block, TOP_K, rope(block, 0))
         lookup = MoLEBlockParams(routers=block.routers, experts=[], gate=block.gate)
         np.testing.assert_array_equal(y_kv, mole_step(h, values, lookup))
 
@@ -498,11 +500,11 @@ class TestGradients:
     @staticmethod
     def sublayer(h, ids, emb, shared, block):
         """The FFN sublayer as ``forward`` computes it, for a (1, s, d) h and (1, s) ids."""
-        return swishglu_ffn(h, shared) + molkv_expert_terms(h, *lookup_distinct(emb, ids), block, window=3)
+        return swishglu_ffn(h, shared) + molkv_expert_terms(h, *lookup_distinct(emb, ids), block, window=3, top_k=2)
 
     def test_every_group_gets_gradient(self):
         rng = np.random.default_rng(26)
-        block = make_block(rng, d=8, D=10, dk=4, n=2, top_k=2)
+        block = make_block(rng, d=8, D=10, dk=4, n=2)
         shared = make_ffn(rng, 8, 10, 8)
         emb = parameter(rng.standard_normal((12, 8)))
         ids = rng.integers(0, 12, size=(1, 6))
@@ -519,7 +521,7 @@ class TestGradients:
 
     def test_finite_differences(self):
         rng = np.random.default_rng(27)
-        block = make_block(rng, d=6, D=8, dk=4, n=2, top_k=2)
+        block = make_block(rng, d=6, D=8, dk=4, n=2)
         shared = make_ffn(rng, 6, 8, 6)
         emb = parameter(rng.standard_normal((8, 6)))
         ids = rng.integers(0, 8, size=(1, 5))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from molkv.autodiff import ShapeError, Tensor, grad_check, mul, parameter, rope_rotate_np, tensor_sum
+from molkv.autodiff import ShapeError, Tensor, grad_check, mul, parameter, rmsnorm_np, rope_rotate_np, tensor_sum
 from molkv.layers import (
     AttnParams,
     FFNParams,
@@ -12,7 +12,6 @@ from molkv.layers import (
     causal_attention_step,
     own_expert_mix,
     own_expert_step,
-    rmsnorm_np,
     rope_tables,
     swishglu_ffn,
     swishglu_ffn_np,
@@ -27,18 +26,17 @@ def make_ffn(rng, d, D, d_out, dtype=np.float64):
     )
 
 
-def make_attn(rng, d, heads):
+def make_attn(rng, d):
     return AttnParams(
         wq=parameter(rng.standard_normal((d, d)) * 0.2),
         wk=parameter(rng.standard_normal((d, d)) * 0.2),
         wv=parameter(rng.standard_normal((d, d)) * 0.2),
         wo=parameter(rng.standard_normal((d, d)) * 0.2),
-        n_heads=heads,
     )
 
 
 def rope(x, position):
-    """x rotated to ``position`` with the default theta."""
+    """x rotated to ``position``."""
     return rope_rotate_np(x, rope_tables(position, x.shape[-1], dtype=x.dtype))
 
 
@@ -142,30 +140,30 @@ class TestAttention:
     def test_single_token_is_projected_value(self):
         rng = np.random.default_rng(6)
         d, heads = 8, 2
-        p = make_attn(rng, d, heads)
+        p = make_attn(rng, d)
         x = rng.standard_normal((1, d))
-        out = causal_attention(Tensor(x), p).data[0]
+        out = causal_attention(Tensor(x), p, heads).data[0]
         want = (x[0] @ p.wv.data) @ p.wo.data  # softmax over one key is 1
         np.testing.assert_allclose(out, want, atol=1e-12)
 
     def test_causality_exact(self):
         rng = np.random.default_rng(7)
         d, heads, s = 8, 2, 6
-        p = make_attn(rng, d, heads)
+        p = make_attn(rng, d)
         x = rng.standard_normal((s, d))
-        base = causal_attention(Tensor(x), p).data
+        base = causal_attention(Tensor(x), p, heads).data
         x2 = x.copy()
         x2[4] += 10.0
-        pert = causal_attention(Tensor(x2), p).data
+        pert = causal_attention(Tensor(x2), p, heads).data
         assert np.array_equal(base[:4], pert[:4])
         assert not np.allclose(base[4:], pert[4:])
 
     def test_incremental_matches_batched(self):
         rng = np.random.default_rng(8)
         d, heads, s = 12, 3, 9
-        p = make_attn(rng, d, heads)
+        p = make_attn(rng, d)
         x = rng.standard_normal((s, d))
-        batched = causal_attention(Tensor(x), p).data
+        batched = causal_attention(Tensor(x), p, heads).data
         cache = KVCache((heads, d // heads), (heads, d // heads), np.float64)
         step = np.stack([causal_attention_step(x[t], p, cache, rope_tables(t, d // heads)) for t in range(s)])
         np.testing.assert_allclose(step, batched, atol=1e-10)
@@ -173,9 +171,9 @@ class TestAttention:
     def test_cache_appends_in_place_and_doubles(self):
         rng = np.random.default_rng(11)
         d, heads, s = 12, 3, KVCache.INITIAL_ROWS + 8
-        p = make_attn(rng, d, heads)
+        p = make_attn(rng, d)
         x = rng.standard_normal((s, d))
-        batched = causal_attention(Tensor(x), p).data
+        batched = causal_attention(Tensor(x), p, heads).data
         cache = KVCache((heads, d // heads), (heads, d // heads), np.float64)
         keys = []
         for t in range(s):
@@ -194,11 +192,11 @@ class TestAttention:
     def test_gradients_flow(self):
         rng = np.random.default_rng(9)
         d, heads, s = 8, 2, 4
-        p = make_attn(rng, d, heads)
+        p = make_attn(rng, d)
         x = parameter(rng.standard_normal((s, d)))
         w = Tensor(rng.standard_normal((s, d)))
         leaves = [x, p.wq, p.wk, p.wv, p.wo]
-        err = grad_check(lambda: tensor_sum(mul(causal_attention(x, p), w)), leaves, samples_per_leaf=6)
+        err = grad_check(lambda: tensor_sum(mul(causal_attention(x, p, heads), w)), leaves, samples_per_leaf=6)
         assert err < 1e-4
 
 

@@ -4,8 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from molkv.autodiff import Tensor, grad_check, mul, parameter, tensor_sum
-from molkv.layers import FFNParams, lookup_distinct, own_expert_step, sigmoid_np, swishglu_ffn
+from molkv.autodiff import Tensor, grad_check, mul, parameter, sigmoid_np, tensor_sum
+from molkv.layers import FFNParams, lookup_distinct, own_expert_step, swishglu_ffn
 from molkv.model import named_tensors
 from molkv.mole import MoLEBlockParams, mole_expert_terms, mole_expert_values
 from molkv.runtime import mole_step

@@ -69,6 +69,22 @@ class TestLogitEquivalence:
         if reader:
             reader.close()
 
+    @pytest.mark.parametrize("kind", ["mole", "gated-mole", "molkv"])
+    def test_decode_reads_no_per_id_expert_ffn(self, tmp_path, kind):
+        # after export the store holds every expert output: a model without its per-id FFNs decodes the same bits
+        cfg = small_config(kind)
+        model = init_model(cfg, seed=4, dtype=np.float64, init_std=0.3)
+        write_store(reparameterize(model), tmp_path / "store.mlkv", dtype="fp64")
+        ids = np.random.default_rng(5).integers(0, cfg.vocab_size, size=12)  # past the window, M = 5
+        with ExpertStoreReader(tmp_path / "store.mlkv") as reader:
+            _, want, want_deltas = run_decode(model, reader, ids)
+            for block in (layer.block for layer in model.layers if layer.block is not None):
+                for experts in ("key_experts", "value_experts", "experts"):
+                    getattr(block, experts, []).clear()
+            _, got, deltas = run_decode(model, reader, ids)
+        np.testing.assert_array_equal(got, want)
+        assert deltas == want_deltas
+
     def test_sequences_are_private(self, molkv_setup):
         cfg, model, reader = molkv_setup
         rng = np.random.default_rng(3)
@@ -216,20 +232,21 @@ def test_decode_builds_each_rope_table_once_per_step(tmp_path, monkeypatch, key_
     calls = []
     tables = runtime.rope_tables
 
-    def counted(positions, dim, theta, dtype):
-        calls.append((positions, dim, theta, dtype))
-        return tables(positions, dim, theta, dtype)
+    def counted(positions, dim, dtype):
+        calls.append((positions, dim, dtype))
+        return tables(positions, dim, dtype)
 
     monkeypatch.setattr(runtime, "rope_tables", counted)
-    want = {(cfg.head_dim, cfg.rope_theta), (key_dim, cfg.rope_theta)}
+    want = {cfg.head_dim, key_dim}
     with ExpertStoreReader(tmp_path / "store.mlkv") as reader:
         state = DecoderState(model, reader)
+        assert state.rope_keys == want
         for t, tok in enumerate([4, 1, 4, 7, 2, 9, 0, 4]):  # past the window, M = 5
             calls.clear()
             decode_step(state, tok)
             assert len(calls) == len(want)
-            assert {(dim, theta) for _, dim, theta, _ in calls} == want
-            assert all(pos == t and dtype == np.float64 for pos, _, _, dtype in calls)
+            assert {dim for _, dim, _ in calls} == want
+            assert all(pos == t and dtype == np.float64 for pos, _, dtype in calls)
 
 
 class TestCostAccounting:

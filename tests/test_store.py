@@ -3,6 +3,7 @@
 import os
 import threading
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,17 +33,14 @@ from molkv.store import (
 from molkv.training import TrainConfig, new_train_state, save_checkpoint
 
 U32 = 2**32 - 1
-VALID_HEADERS = st.sampled_from(sorted(KIND_CODES)).flatmap(
-    lambda kind: st.builds(
-        ExpertStoreHeader,
-        kind=st.just(kind),
-        dtype=st.sampled_from(sorted(DTYPE_CODES)),
-        num_expert_layers=st.integers(1, U32),
-        vocab_size=st.integers(1, 2**64 - 1),
-        num_experts=st.integers(1, U32),
-        hidden_size=st.integers(1, U32),
-        key_dim=st.just(0) if kind == "mole" else st.integers(1, U32),
-    )
+VALID_HEADERS = st.builds(
+    ExpertStoreHeader,
+    dtype=st.sampled_from(sorted(DTYPE_CODES)),
+    num_expert_layers=st.integers(1, U32),
+    vocab_size=st.integers(1, 2**64 - 1),
+    num_experts=st.integers(1, U32),
+    hidden_size=st.integers(1, U32),
+    key_dim=st.one_of(st.just(0), st.integers(1, U32)),  # lookup and key-value stores alike
 )
 
 
@@ -93,7 +91,7 @@ def tiny_config(kind="molkv"):
 class TestHeader:
     def test_encode_decode_roundtrip(self):
         h = ExpertStoreHeader(
-            kind="molkv", dtype="fp16", num_expert_layers=14, vocab_size=50304, num_experts=2,
+            dtype="fp16", num_expert_layers=14, vocab_size=50304, num_experts=2,
             hidden_size=1024, key_dim=146,
         )
         raw = h.encode()
@@ -102,7 +100,7 @@ class TestHeader:
 
     def test_bad_magic(self):
         h = ExpertStoreHeader(
-            kind="mole", dtype="fp32", num_expert_layers=1, vocab_size=4, num_experts=1,
+            dtype="fp32", num_expert_layers=1, vocab_size=4, num_experts=1,
             hidden_size=4, key_dim=0,
         )
         raw = bytearray(h.encode())
@@ -120,7 +118,7 @@ class TestHeader:
 
     def test_bad_version(self):
         h = ExpertStoreHeader(
-            kind="mole", dtype="fp32", num_expert_layers=1, vocab_size=4, num_experts=1,
+            dtype="fp32", num_expert_layers=1, vocab_size=4, num_experts=1,
             hidden_size=4, key_dim=0,
         )
         raw = bytearray(h.encode())
@@ -130,7 +128,7 @@ class TestHeader:
 
     def test_record_arithmetic_published_geometry(self):
         h = ExpertStoreHeader(
-            kind="molkv", dtype="fp32", num_expert_layers=14, vocab_size=50304, num_experts=2,
+            dtype="fp32", num_expert_layers=14, vocab_size=50304, num_experts=2,
             hidden_size=1024, key_dim=146,
         )
         assert h.record_values == 2 * (1024 + 146) == 2340
@@ -152,12 +150,21 @@ class TestHeader:
         assert len(raw) == HEADER_SIZE
         assert ExpertStoreHeader.decode(raw) == h
 
+    @pytest.mark.parametrize("key_dim", [0, 2])
+    def test_kind_follows_key_dim(self, key_dim):
+        h = ExpertStoreHeader(dtype="fp32", num_expert_layers=1, vocab_size=4, num_experts=1, hidden_size=4,
+                              key_dim=key_dim)
+        assert h.kind == ("molkv" if key_dim else "mole")
+        assert h.encode()[8:12] == KIND_CODES[h.kind].to_bytes(4, "little")
+
     def test_mole_rejects_keys(self):
-        with pytest.raises(StoreFormatError):
-            ExpertStoreHeader(
-                kind="mole", dtype="fp32", num_expert_layers=1, vocab_size=4, num_experts=1,
-                hidden_size=4, key_dim=2,
-            )
+        # a kind code that disagrees with d' is refused: lookup (kind 1) records carry no keys, key-value ones do
+        h = ExpertStoreHeader(dtype="fp32", num_expert_layers=1, vocab_size=4, num_experts=1, hidden_size=4, key_dim=2)
+        for code, key_dim in ((KIND_CODES["mole"], 2), (KIND_CODES["molkv"], 0), (3, 2)):
+            raw = bytearray(replace(h, key_dim=key_dim).encode())
+            raw[8:12] = code.to_bytes(4, "little")
+            with pytest.raises(StoreFormatError, match=f"kind code {code} does not match the key size d' = {key_dim}"):
+                ExpertStoreHeader.decode(bytes(raw))
 
 
 class TestReparameterize:

@@ -132,9 +132,9 @@ def test_causal_attention_keeps_no_weights():
     # softmaxed scores; the unblocked op kept the last, the blocked op each block's weights.
     b, h, s, d = 1, 2, 150, 8
     rng = np.random.default_rng(30)
-    p = AttnParams(*(parameter(rng.standard_normal((d, d))) for _ in range(4)), n_heads=h)
+    p = AttnParams(*(parameter(rng.standard_normal((d, d))) for _ in range(4)))
     with Tape() as tape:
-        causal_attention(parameter(rng.standard_normal((b, s, d))), p)
+        causal_attention(parameter(rng.standard_normal((b, s, d))), p, h)
     (node,) = [n for n in tape.nodes if tape_bytes.op_kind(n) == "attention"]
     blocks, floats = _assert_keeps_no_weights(node, np.tril(np.ones((s, s), dtype=bool)), 1)
     assert [(r1 - r0, hi - lo) for r0, r1, lo, hi in blocks] == [(64, 64), (64, 128), (22, 150)]
