@@ -515,8 +515,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask, scale: float, bias: Tensor 
     out = Tensor(np.concatenate(outs, axis=-2))
 
     def vjp(g):
-        gq, gb = [], []
-        gkt, gv = np.zeros_like(kt), np.zeros_like(v.data)
+        gq, gkt, gv = np.empty_like(q.data), np.zeros_like(kt), np.zeros_like(v.data)
+        gb = None if bias is None else np.empty_like(bias.data)  # q's and the bias's rows are each one block's
         for block in blocks:  # each block's arrays are freed before the next block recomputes its weights
             r0, r1, lo, hi, _ = block
             w = weights(block)
@@ -527,18 +527,16 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask, scale: float, bias: Tensor 
             np.subtract(gw, (gw * w).sum(axis=-1, keepdims=True), out=gw)
             gw *= w
             del w
-            if bias is not None:  # a new array, so scaling gw in place below leaves it be
+            if bias is not None:  # written before gw is scaled in place below
                 gwg = gw.reshape(gw.shape[:-1] + ((hi - lo) // group, group))
-                gb.append(_unbroadcast(gwg.sum(axis=-2), bias.shape[:-2] + (r1 - r0, group)))
+                gb[..., r0:r1, :] = _unbroadcast(gwg.sum(axis=-2), gb[..., r0:r1, :].shape)
                 del gwg
             gw *= scale
-            gqb, gktb = _matmul_grads(gw, q.data[..., r0:r1, :], kt[..., lo:hi])
+            gq[..., r0:r1, :], gktb = _matmul_grads(gw, q.data[..., r0:r1, :], kt[..., lo:hi])
             del gw
-            gq.append(gqb)
             gkt[..., lo:hi] += gktb
             del gktb
-        grads = (np.concatenate(gq, axis=-2), np.swapaxes(gkt, -1, -2), gv)
-        return grads + (() if bias is None else (np.concatenate(gb, axis=-2),))
+        return (gq, np.swapaxes(gkt, -1, -2), gv) + (() if bias is None else (gb,))
 
     return _record(out, (q, k, v) + (() if bias is None else (bias,)), vjp)
 
@@ -569,26 +567,26 @@ def cross_entropy_logits(logits: Tensor, targets) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def _rms(x: np.ndarray, eps: float) -> np.ndarray:
+def _rms(x: np.ndarray) -> np.ndarray:
     # The bits of ``(x * x).mean(axis=-1, keepdims=True)``, without the method's per-call overhead.
-    return np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=True) / x.shape[-1] + eps)
+    return np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=True) / x.shape[-1] + NORM_EPS)
 
 
-def rmsnorm_np(x: np.ndarray, gain: np.ndarray, eps: float = NORM_EPS) -> np.ndarray:
-    """gain * (x / sqrt(mean(x^2, last axis) + eps))."""
-    return gain * (x / _rms(x, eps))
+def rmsnorm_np(x: np.ndarray, gain: np.ndarray) -> np.ndarray:
+    """gain * (x / sqrt(mean(x^2, last axis) + NORM_EPS))."""
+    return gain * (x / _rms(x))
 
 
-def rmsnorm(x: Tensor, gain: Tensor, eps: float = NORM_EPS) -> Tensor:
+def rmsnorm(x: Tensor, gain: Tensor) -> Tensor:
     """Taped ``rmsnorm_np``; the gradient recomputes the norm from ``x``."""
     if gain.shape != (x.shape[-1],):
         raise ShapeError(f"rmsnorm gain {gain.shape} does not match last axis of {x.shape}")
     d = x.data
-    out = Tensor(rmsnorm_np(d, gain.data, eps))
+    out = Tensor(rmsnorm_np(d, gain.data))
 
     def vjp(g):
         n = d.shape[-1]
-        r = _rms(d, eps)
+        r = _rms(d)
         gy = g * gain.data
         gx = gy / r - d * ((gy * d).sum(axis=-1, keepdims=True) / (n * r**3))
         ggain = (g * (d / r)).reshape(-1, n).sum(axis=0)

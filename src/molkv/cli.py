@@ -23,7 +23,6 @@ from .runtime import DecoderState, closed_form_costs, generate
 from .store import (
     PARAM_CONVENTIONS,
     ExpertStoreReader,
-    StoreFormatError,
     count_params,
     reparameterize,
     write_store,
@@ -122,6 +121,7 @@ def cmd_decode(args) -> int:
         )
     text = tok.detokenize(np.asarray(out_ids, dtype=np.int64))
     print("generated:", text.decode(errors="replace"))
+    print("generated ids:", *out_ids)  # the text holds only the byte ids, below 256
 
     report_path = args.out or man.paths.get("report")
     if report_path:
@@ -234,7 +234,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, StoreFormatError, OSError, TrainingError) as e:
+    except (ConfigError, OSError, TrainingError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
 

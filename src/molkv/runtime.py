@@ -29,12 +29,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import rmsnorm_np, sigmoid_np, softmax_np
-from .config import ModelConfig
+from .config import ConfigError, ModelConfig
 from .kvexperts import MoLKVBlockParams, cache_insert, molkv_new_scores, molkv_query, molkv_select
 from .layers import KVCache, causal_attention_step, own_expert_step, rope_tables, swishglu_ffn_np
 from .mole import MoLEBlockParams
 from .model import ModelParams
-from .store import ExpertStoreReader, StoreFormatError
+from .store import ExpertStoreReader
 
 
 @dataclass
@@ -76,7 +76,9 @@ class DecoderState:
     """All mutable state of one decoding sequence.
 
     Expert-bearing models need an open store reader; several states may
-    share one reader. Dense models run without a store.
+    share one reader. A store whose extents (|V|, N, d, d', expert layers)
+    are not the model configuration's is a ConfigError. Dense models run
+    without a store.
     """
 
     def __init__(self, params: ModelParams, store: ExpertStoreReader | None = None):
@@ -92,7 +94,7 @@ class DecoderState:
             got = (h.vocab_size, h.num_experts, h.hidden_size, h.key_dim, h.num_expert_layers)
             want = (cfg.vocab_size, cfg.num_experts, cfg.hidden_size, cfg.key_dim, len(cfg.expert_layers))
             if got != want:
-                raise StoreFormatError(
+                raise ConfigError(
                     f"store header (|V|, N, d, d', expert layers) = {got} "
                     f"does not match the model configuration's {want}"
                 )

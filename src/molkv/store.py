@@ -7,32 +7,17 @@ The store file emulates expert offloading: records have a fixed size, live
 at computable offsets, and a read touches exactly one record's bytes,
 which the reader counts.
 
-File layout (little-endian, documented in docs/formats.md):
-
-    offset  size  field
-    0       4     magic "MLKV"
-    4       4     u32 format version (1)
-    8       4     u32 model kind (1 = lookup values only, 2 = key-value)
-    12      4     u32 dtype code (0 = fp32, 1 = fp16, 2 = fp64)
-    16      4     u32 layout constant (1 = layer-major, id-major)
-    20      4     u32 expert layer count
-    24      8     u64 vocabulary size
-    32      4     u32 experts per id (N)
-    36      4     u32 hidden size (d)
-    40      4     u32 key size (d', 0 when absent)
-    44      20    zero padding
-    64      ...   records
-
-Record (layer L, id i) starts at 64 + (L * |V| + i) * N * (d + d') * itemsize
+A store is the checkpoint's container (``training.write_arrays``, documented
+in docs/formats.md) under the magic ``"MLKVSTOR"`` and ``STORE_VERSION``. Its
+header field ``key_dim`` is d', and expert layer L is the entry
+``experts.<L>``, of shape (|V|, N, d' + d) in the store dtype. Record
+(layer L, id i) starts at that entry's offset + i * N * (d' + d) * itemsize
 and holds, for each expert n in order: d' key values, then d raw values.
 """
 
 from __future__ import annotations
 
-import errno
 import os
-import stat
-import struct
 import threading
 from dataclasses import dataclass
 
@@ -42,24 +27,13 @@ from .autodiff import Tensor
 from .config import ConfigError, ModelConfig
 from .kvexperts import molkv_expert_pairs
 from .mole import mole_expert_values
-from .training import CHECKPOINT_MAGIC, atomic_write
+from .training import STORE_MAGIC, open_arrays, write_arrays
 
-MAGIC = b"MLKV"
-FORMAT_VERSION = 1
-LAYOUT_LAYER_MAJOR = 1
-HEADER_SIZE = 64
-_HEADER_STRUCT = struct.Struct("<4s5IQ3I20x")
-
-KIND_CODES = {"mole": 1, "molkv": 2}
-DTYPE_CODES = {"fp32": 0, "fp16": 1, "fp64": 2}
-DTYPE_NAMES = {v: k for k, v in DTYPE_CODES.items()}
+STORE_VERSION = 2  # 1 was a fixed 64-byte header of its own
 NUMPY_DTYPES = {"fp32": np.dtype("<f4"), "fp16": np.dtype("<f2"), "fp64": np.dtype("<f8")}
+DTYPE_NAMES = {nd: name for name, nd in NUMPY_DTYPES.items()}
 
 PARAM_CONVENTIONS = ("experts-only", "backbone-only", "experts+backbone")
-
-
-class StoreFormatError(ValueError):
-    """Bad magic, version, or header field."""
 
 
 class RecordLookupError(IndexError):
@@ -69,18 +43,15 @@ class RecordLookupError(IndexError):
 @dataclass(frozen=True)
 class ExpertStoreHeader:
     dtype: str  # "fp32" | "fp16" | "fp64"
-    num_expert_layers: int
     vocab_size: int
     num_experts: int
     hidden_size: int
     key_dim: int  # 0 for mole
+    layer_offsets: tuple[int, ...]  # file offset of each expert layer's entry
 
-    def __post_init__(self):
-        if self.dtype not in DTYPE_CODES:
-            raise StoreFormatError(f"unknown store dtype {self.dtype!r}")
-        for name in ("num_expert_layers", "vocab_size", "num_experts", "hidden_size"):
-            if getattr(self, name) < 1:
-                raise StoreFormatError(f"header field {name} must be >= 1")
+    @property
+    def num_expert_layers(self) -> int:
+        return len(self.layer_offsets)
 
     @property
     def kind(self) -> str:
@@ -101,42 +72,7 @@ class ExpertStoreHeader:
             raise RecordLookupError(f"layer {layer} outside 0..{self.num_expert_layers - 1}")
         if not 0 <= token_id < self.vocab_size:
             raise RecordLookupError(f"token id {token_id} outside 0..{self.vocab_size - 1}")
-        return HEADER_SIZE + (layer * self.vocab_size + token_id) * self.record_bytes
-
-    def encode(self) -> bytes:
-        return _HEADER_STRUCT.pack(
-            MAGIC,
-            FORMAT_VERSION,
-            KIND_CODES[self.kind],
-            DTYPE_CODES[self.dtype],
-            LAYOUT_LAYER_MAJOR,
-            self.num_expert_layers,
-            self.vocab_size,
-            self.num_experts,
-            self.hidden_size,
-            self.key_dim,
-        )
-
-    @classmethod
-    def decode(cls, raw: bytes) -> "ExpertStoreHeader":
-        if raw.startswith(CHECKPOINT_MAGIC):  # "MLKV" opens both, so the version would read "CKPT"
-            raise StoreFormatError("a molkv checkpoint, not an expert store: `molkv export` writes a store from it")
-        if len(raw) < HEADER_SIZE:
-            raise StoreFormatError(f"truncated header: {len(raw)} bytes")
-        magic, version, kind, dtype, layout, layers, vocab, n, d, dk = _HEADER_STRUCT.unpack(raw[:HEADER_SIZE])
-        if magic != MAGIC:
-            raise StoreFormatError(f"bad magic {magic!r}")
-        if version != FORMAT_VERSION:
-            raise StoreFormatError(f"unsupported format version {version}")
-        if layout != LAYOUT_LAYER_MAJOR:
-            raise StoreFormatError(f"unknown layout constant {layout}")
-        if dtype not in DTYPE_NAMES:
-            raise StoreFormatError(f"unknown dtype code {dtype}")
-        header = cls(dtype=DTYPE_NAMES[dtype], num_expert_layers=layers, vocab_size=vocab, num_experts=n,
-                     hidden_size=d, key_dim=dk)
-        if kind != KIND_CODES[header.kind]:
-            raise StoreFormatError(f"kind code {kind} does not match the key size d' = {dk}")
-        return header
+        return self.layer_offsets[layer] + token_id * self.record_bytes
 
 
 @dataclass
@@ -201,70 +137,73 @@ def reparameterize(model) -> ReparamTables:
 def write_store(tables: ReparamTables, path, dtype: str = "fp32") -> ExpertStoreHeader:
     """Write tables to ``path``, of kind molkv when the keys are at least one wide; returns the header written.
 
-    Raises StoreFormatError when a record is not finite in ``dtype`` (a value beyond its range, or NaN).
+    Raises ConfigError when a record is not finite in ``dtype`` (a value beyond its range, or NaN).
     ``path`` is replaced only by a complete store, written to a temporary file beside it.
     """
     if dtype not in NUMPY_DTYPES:
-        raise StoreFormatError(f"unsupported store dtype {dtype!r}")
-    vocab, n, dk = tables.keys[0].shape
-    header = ExpertStoreHeader(
-        dtype=dtype,
-        num_expert_layers=tables.num_expert_layers,
-        vocab_size=vocab,
-        num_experts=n,
-        hidden_size=tables.values[0].shape[-1],
-        key_dim=dk,
-    )
+        raise ConfigError(f"unsupported store dtype {dtype!r}")
     nd = NUMPY_DTYPES[dtype]
-    with atomic_write(path) as f:
-        f.write(header.encode())
+    vocab, n, dk = tables.keys[0].shape
+    d = tables.values[0].shape[-1]
+
+    def records():  # one expert layer at a time, cast and checked as it is written
         for li in range(tables.num_expert_layers):
             rec = np.concatenate([tables.keys[li], tables.values[li]], axis=-1)
             with np.errstate(over="ignore"):
                 cast = np.ascontiguousarray(rec, dtype=nd)
             if not np.isfinite(cast).all():
-                raise StoreFormatError(
+                raise ConfigError(
                     f"expert layer {li} is not finite in {dtype}: max |value| {np.abs(rec).max():.4g}, "
                     f"{dtype} max {np.finfo(nd).max:.4g}"
                 )
-            f.write(cast.tobytes())
-    return header
+            yield cast
+            del rec, cast  # freed before the next layer is built
+
+    entries = [(f"experts.{li}", nd, (vocab, n, dk + d)) for li in range(tables.num_expert_layers)]
+    offsets = write_arrays(path, STORE_MAGIC, STORE_VERSION, {"key_dim": dk}, entries, records())
+    return ExpertStoreHeader(dtype=dtype, vocab_size=vocab, num_experts=n, hidden_size=d, key_dim=dk,
+                             layer_offsets=tuple(offsets))
 
 
 class ExpertStoreReader:
     """Random-access reads with byte accounting; safe for concurrent readers.
 
-    Every read is a positioned read of exactly one record; each returned
-    record carries the bytes that read loaded (``nbytes``), the transfer
-    size the offloading model budgets for. ``bytes_read`` and ``reads`` are
-    running totals over all callers, updated under a lock.
+    Opening checks the whole container (``training.open_arrays``) and that its entries are the
+    expert layers ``experts.0``, ``experts.1``, ... of one store dtype and shape (|V|, N, d' + d),
+    no extent 0, with ``key_dim`` d' below the record width; anything else is a ConfigError.
+    Every read is a positioned read of exactly one record; each returned record carries the bytes
+    that read loaded (``nbytes``), the transfer size the offloading model budgets for.
+    ``bytes_read`` and ``reads`` are running totals over all callers, updated under a lock.
     """
 
     def __init__(self, path):
         self.path = str(path)
-        self._fd = os.open(self.path, os.O_RDONLY)
-        if stat.S_ISDIR(os.fstat(self._fd).st_mode):  # opens without error; its first read would fail unnamed
-            os.close(self._fd)
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), self.path)
+        self._file = open(self.path, "rb", buffering=0)
         try:
-            self.header = ExpertStoreHeader.decode(os.pread(self._fd, HEADER_SIZE, 0))
-        except Exception:
-            os.close(self._fd)
+            fields, entries = open_arrays(self._file, STORE_MAGIC, STORE_VERSION)
+            layers = [entries.get(f"experts.{li}") for li in range(len(entries))]
+            if not layers or None in layers or len({entry[:2] for entry in layers}) > 1:
+                raise ConfigError(f"expert store entries {list(entries)} are not experts.0.. of one dtype and shape")
+            (dtype, shape, _), dk = layers[0], fields.get("key_dim")
+            records = len(shape) == 3 and min(shape) >= 1 and type(dk) is int and 0 <= dk < shape[2]
+            if dtype not in DTYPE_NAMES or not records:
+                raise ConfigError(f"expert store layers of {dtype} {shape} with key_dim {dk!r} "
+                                  f"are not (|V|, N, d' + d) records")
+            self.header = ExpertStoreHeader(dtype=DTYPE_NAMES[dtype], vocab_size=shape[0], num_experts=shape[1],
+                                            hidden_size=shape[2] - dk, key_dim=dk,
+                                            layer_offsets=tuple(offset for _, _, offset in layers))
+        except BaseException:
+            self._file.close()
             raise
-        expected = HEADER_SIZE + self.header.num_expert_layers * self.header.vocab_size * self.header.record_bytes
-        actual = os.fstat(self._fd).st_size
-        if actual != expected:
-            os.close(self._fd)
-            raise StoreFormatError(f"store size {actual} does not match header-implied {expected}")
         self.bytes_read = 0
         self.reads = 0
         self._totals_lock = threading.Lock()
 
     def read_record(self, layer: int, token_id: int) -> ExpertRecord:
         h = self.header
-        raw = os.pread(self._fd, h.record_bytes, h.record_offset(layer, token_id))
+        raw = os.pread(self._file.fileno(), h.record_bytes, h.record_offset(layer, token_id))
         if len(raw) != h.record_bytes:
-            raise StoreFormatError(f"short read at (layer={layer}, id={token_id})")
+            raise ConfigError(f"short read at (layer={layer}, id={token_id})")
         with self._totals_lock:
             self.bytes_read += len(raw)
             self.reads += 1
@@ -272,9 +211,7 @@ class ExpertStoreReader:
         return ExpertRecord(keys=flat[:, : h.key_dim].copy(), values=flat[:, h.key_dim :].copy(), nbytes=len(raw))
 
     def close(self):
-        if self._fd is not None:
-            os.close(self._fd)
-            self._fd = None
+        self._file.close()
 
     def __enter__(self):
         return self

@@ -3,6 +3,10 @@
 The loop is deterministic given (seed, config, corpus): one RNG drives
 batch sampling, its state rides along in checkpoints, and resuming from a
 checkpoint continues bit-identically at fp64.
+
+Checkpoints and expert stores are one container, of named little-endian
+arrays behind a JSON header, which ``write_arrays`` writes and
+``open_arrays`` checks; each kind of file has its own magic and version.
 """
 
 from __future__ import annotations
@@ -24,6 +28,9 @@ from .config import ConfigError, check_finite
 from .model import ModelParams, init_model, next_token_loss, zero_model
 
 CHECKPOINT_MAGIC = b"MLKVCKPT"
+STORE_MAGIC = b"MLKVSTOR"  # the expert store's; its version is store.STORE_VERSION
+_CONTAINERS = {CHECKPOINT_MAGIC: "checkpoint", STORE_MAGIC: "expert store"}
+_PREAMBLE = struct.Struct("<8sIQ")  # magic, version, header length
 # 2: every layer's shared FFN is layers.<i>.ffn.*; 3: the saved configs lose rope_theta, norm_eps, betas,
 # adam_eps and eval_windows, now layers.ROPE_THETA, autodiff.NORM_EPS and the constants below
 CHECKPOINT_VERSION = 3
@@ -332,42 +339,49 @@ def evaluate(model: ModelParams, val_ids: np.ndarray, seq_length: int, max_windo
 
 
 def save_checkpoint(path, state: TrainState, train_cfg: TrainConfig) -> None:
-    """Versioned binary container: JSON header, with the model's configuration, plus raw little-endian arrays.
+    """The model, its AdamW moments, step, configurations and RNG state as one ``write_arrays`` container.
 
     ``path`` is replaced only by a complete checkpoint, written to a temporary file beside it.
     """
-    arrays: list[tuple[str, np.ndarray]] = []
-    for name, p in state.model.named_parameters():
-        arrays.append(("param/" + name, p.data))
-    for name, _ in state.model.named_parameters():
-        arrays.append(("adam_m/" + name, state.optimizer.m[name]))
-        arrays.append(("adam_v/" + name, state.optimizer.v[name]))
-
-    entries = []
-    offset = 0
-    for name, arr in arrays:
-        arr = np.ascontiguousarray(arr)
-        entries.append({"name": name, "dtype": arr.dtype.name, "shape": list(arr.shape), "offset": offset})
-        offset += arr.nbytes
-    header = {
-        "version": CHECKPOINT_VERSION,
+    named = state.model.named_parameters()
+    arrays = [("param/" + name, p.data) for name, p in named]
+    for name, _ in named:
+        arrays += [("adam_m/" + name, state.optimizer.m[name]), ("adam_v/" + name, state.optimizer.v[name])]
+    fields = {
         "step": state.step,
         "adam_t": state.optimizer.t,
         "model_config": asdict(state.model.config),
         "train_config": asdict(train_cfg),
         "rng_state": _encode_rng_state(state.rng),
-        "entries": entries,
     }
-    blob = json.dumps(header).encode()
+    write_arrays(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, fields,
+                 [(name, arr.dtype, arr.shape) for name, arr in arrays], (arr for _, arr in arrays))
+
+
+def write_arrays(path, magic: bytes, version: int, fields: dict, entries, arrays) -> list[int]:
+    """Write a container: the 20-byte preamble, the JSON header, then the arrays; returns each array's file offset.
+
+    The preamble is ``magic`` (8 bytes), a u32 ``version`` and the u64 length of the header,
+    ``{"version": version, **fields, "entries": [{name, dtype, shape, offset}, ...]}``. ``entries``
+    lists (name, dtype, shape); ``arrays`` yields one array per entry, in order and of that dtype and
+    shape, so a caller can build each as it is written. Each is stored little-endian in C order right
+    after the one before, and ``offset`` counts from the end of the header. ``path`` is replaced only
+    by a complete file, written to a temporary file beside it.
+    """
+    table, offset = [], 0
+    for name, dtype, shape in entries:
+        dtype = np.dtype(dtype)
+        table.append({"name": name, "dtype": dtype.name, "shape": list(shape), "offset": offset})
+        offset += dtype.itemsize * math.prod(shape)
+    blob = json.dumps({"version": version, **fields, "entries": table}).encode()
     with atomic_write(path) as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<IQ", CHECKPOINT_VERSION, len(blob)))
+        f.write(_PREAMBLE.pack(magic, version, len(blob)))
         f.write(blob)
-        for _, arr in arrays:
-            data = np.ascontiguousarray(arr)
-            if data.dtype.byteorder == ">":
-                data = data.astype(data.dtype.newbyteorder("<"))
-            f.write(data.tobytes())
+        for arr in arrays:  # not zipped with the table: zip would hold each array while the next is built
+            data = np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<"))
+            f.write(data.reshape(-1).view(np.uint8))  # its bytes, not a copy of them
+            del arr, data
+    return [_PREAMBLE.size + len(blob) + entry["offset"] for entry in table]
 
 
 @contextlib.contextmanager
@@ -431,44 +445,69 @@ def _read_parameters(fields: dict, read_into, model_config, train_cfg: TrainConf
     return model
 
 
-def _open_checkpoint(f):
-    """Check an open checkpoint's preamble and header; return its step, adam_t, rng and model_config, and a reader.
+def open_arrays(f, magic: bytes, version: int) -> tuple[dict, dict]:
+    """Check an open ``write_arrays`` container; return its header and its entries by name.
 
-    Every entry must lie inside the payload. The reader, ``read_into(name, arr)``, fills ``arr`` with
-    entry ``name`` from the file, after checking that the entry exists with ``arr``'s dtype and shape.
+    Each entry maps to (dtype, shape, offset), the offset from the start of the file. ConfigError,
+    naming the kind of file that ``magic`` opens, unless the file has that magic and ``version``, its
+    header is UTF-8 JSON with a list of entries, each entry starts where the one before it ends, and
+    the file ends where the last one does. A file of the other kind is refused by name.
     """
+    noun = _CONTAINERS[magic]
     size = os.fstat(f.fileno()).st_size
-    preamble = f.read(20)
-    if preamble[:8] != CHECKPOINT_MAGIC:
-        raise ConfigError(f"not a checkpoint file: bad magic {preamble[:8]!r}")
-    if len(preamble) < 20:
-        raise ConfigError(f"truncated checkpoint: {size} bytes, shorter than the 20-byte preamble")
-    version, blob_len = struct.unpack_from("<IQ", preamble, 8)
-    if version != CHECKPOINT_VERSION:
-        raise ConfigError(f"unsupported checkpoint version {version}")
-    if size < 20 + blob_len:
-        raise ConfigError(f"truncated checkpoint: {size} bytes, shorter than its {20 + blob_len}-byte header")
+    preamble = f.read(_PREAMBLE.size)
+    if preamble[:8] != magic:
+        if preamble[:8] in _CONTAINERS:
+            raise ConfigError(f"a molkv {_CONTAINERS[preamble[:8]]}, not a molkv {noun}")
+        raise ConfigError(f"not a molkv {noun}: bad magic {preamble[:8]!r}")
+    if len(preamble) < _PREAMBLE.size:
+        raise ConfigError(f"truncated {noun}: {size} bytes, shorter than the {_PREAMBLE.size}-byte preamble")
+    _, found, blob_len = _PREAMBLE.unpack(preamble)
+    if found != version:
+        raise ConfigError(f"unsupported {noun} version {found}")
+    start = _PREAMBLE.size + blob_len
+    if size < start:
+        raise ConfigError(f"truncated {noun}: {size} bytes, shorter than its {start}-byte header")
     try:
         header = json.loads(f.read(blob_len).decode())
+        listed = [(e["name"], np.dtype(e["dtype"]), tuple(map(operator.index, e["shape"])),
+                   operator.index(e["offset"])) for e in header["entries"]]
+    except (KeyError, TypeError, ValueError) as e:  # JSON and UTF-8 decoding errors are ValueErrors
+        raise ConfigError(f"corrupt {noun} header: {type(e).__name__}: {e}") from None
+    entries, end = {}, 0
+    for name, dtype, shape, offset in listed:
+        if type(name) is not str or name in entries or offset != end or min(shape, default=0) < 0:
+            raise ConfigError(f"corrupt {noun} header: entry {name!r} of shape {shape} at offset {offset}, "
+                              f"where the entries before it end at {end}")
+        entries[name] = (dtype, shape, start + offset)
+        end += dtype.itemsize * math.prod(shape)
+    if size != start + end:
+        problem = f"truncated {noun}" if size < start + end else f"{noun} with {size - start - end} trailing bytes"
+        raise ConfigError(f"{problem}: {size} bytes, where its header gives {start + end}")
+    return header, entries
+
+
+def _open_checkpoint(f):
+    """Check an open checkpoint; return its step, adam_t, rng and model_config, and a reader.
+
+    The reader, ``read_into(name, arr)``, fills ``arr`` with entry ``name`` from the file, after
+    checking that the entry exists with ``arr``'s dtype and shape.
+    """
+    header, entries = open_arrays(f, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
+    try:
         fields = {"step": header["step"], "adam_t": header["adam_t"], "rng": _decode_rng_state(header["rng_state"]),
                   "model_config": dict(header["model_config"])}
-        by_name = {e["name"]: (np.dtype(e["dtype"]), tuple(map(operator.index, e["shape"])),
-                               operator.index(e["offset"])) for e in header["entries"]}
-    except (KeyError, TypeError, ValueError) as e:  # JSON and UTF-8 decoding errors are ValueErrors
+    except (KeyError, TypeError, ValueError) as e:
         raise ConfigError(f"corrupt checkpoint header: {type(e).__name__}: {e}") from None
-    payload_start, payload_len = 20 + blob_len, size - 20 - blob_len
-    for name, (dtype, shape, offset) in by_name.items():  # each entry, read or not: a cut file fails every load
-        if not 0 <= offset <= payload_len - dtype.itemsize * math.prod(shape):
-            raise ConfigError(f"truncated checkpoint: entry {name!r} ends past the {payload_len}-byte payload")
 
     def read_into(name: str, arr: np.ndarray) -> None:
-        dtype, shape, offset = by_name.get(name, (None, None, 0))
+        dtype, shape, offset = entries.get(name, (None, None, 0))
         if (dtype, shape) != (arr.dtype, arr.shape):
             found = "missing" if dtype is None else f"{dtype.name} {shape}"
             raise ConfigError(
                 f"checkpoint entry {name!r} is {found}; the model configuration needs {arr.dtype.name} {arr.shape}"
             )
-        f.seek(payload_start + offset)
+        f.seek(offset)
         if f.readinto(memoryview(arr).cast("B")) != arr.nbytes:  # the file shrank while it was read
             raise ConfigError(f"truncated checkpoint: entry {name!r} ends past the end of the file")
 

@@ -229,19 +229,7 @@ def check_cost_counters():
 
     # Key-value layer at the published geometry; needs M+1 tokens to reach
     # the full window.
-    molkv = ModelConfig(
-        kind="molkv",
-        num_layers=1,
-        hidden_size=1024,
-        ffn_size=2548,
-        vocab_size=64,
-        num_experts=2,
-        key_dim=146,
-        cache_window=512,
-        top_k=32,
-        expert_layers=(0,),
-        num_heads=16,
-    )
+    molkv = replace(published_config("molkv"), num_layers=1, vocab_size=64, expert_layers=(0,))
     state = _decode_rows(molkv, 513)
     closed = closed_form_costs(molkv)["expert"]
     last = [r for r in state.rows if r.token_index == 512 and r.layer == 0][0]
@@ -262,7 +250,7 @@ def check_cost_counters():
             failures.append(f"{label}: got {got}, want {want}")
 
     # Dense and lookup layers at the published geometry; no window to fill.
-    dense = ModelConfig(kind="dense", num_layers=1, hidden_size=1024, ffn_size=2644, vocab_size=64, num_heads=16)
+    dense = replace(published_config("dense"), num_layers=1, vocab_size=64)
     state = _decode_rows(dense, 3)
     row = state.rows[-1]
     if row.macs != 8_122_368:
@@ -270,16 +258,7 @@ def check_cost_counters():
     if row.params_loaded != 0:
         failures.append(f"dense loaded: got {row.params_loaded}, want 0")
 
-    mole = ModelConfig(
-        kind="mole",
-        num_layers=1,
-        hidden_size=1024,
-        ffn_size=2644,
-        vocab_size=64,
-        num_experts=2,
-        expert_layers=(0,),
-        num_heads=16,
-    )
+    mole = replace(published_config("mole"), num_layers=1, vocab_size=64, expert_layers=(0,))
     state = _decode_rows(mole, 3)
     row = state.rows[-1]
     closed_mole = closed_form_costs(mole)["expert"]
@@ -363,7 +342,7 @@ def check_store_roundtrip():
 @_timed
 def check_rope_relative(tol: float = 1e-10):
     rng = np.random.default_rng(707)
-    dk = 146
+    dk = published_config("molkv").key_dim
     scale = 1.0 / math.sqrt(dk)
     worst = 0.0
     for _ in range(100):

@@ -66,7 +66,7 @@ def test_criterion_04_cleans_up_when_decoding_raises(tmp_path, monkeypatch):
     with pytest.raises(RuntimeError, match="decode failed"):
         verify._decode_rows(cfg, 3)
     assert list(tmp_path.iterdir()) == []
-    assert len(opened) == 1 and opened[0]._fd is None
+    assert len(opened) == 1 and opened[0]._file.closed
 
 
 @pytest.mark.parametrize("check", [lambda: verify.check_reparam_equivalence(n_configs=2),
@@ -76,7 +76,7 @@ def test_equivalence_cleans_up_when_decoding_raises(check, tmp_path, monkeypatch
     with pytest.raises(RuntimeError, match="decode failed"):
         check()
     assert list(tmp_path.iterdir()) == []
-    assert len(opened) == 1 and opened[0]._fd is None
+    assert len(opened) == 1 and opened[0]._file.closed
 
 
 def test_equivalence_criteria_decode_every_token(monkeypatch):

@@ -12,9 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from molkv.cli import main
-from molkv.config import ConfigError, ModelConfig
+from molkv.config import ConfigError, ModelConfig, published_config
 from molkv.manifest import parse_manifest, parse_manifest_dict
-from molkv.runtime import generate
 from molkv.training import TrainConfig, lr_at, synthesize_corpus
 
 REPO = Path(__file__).resolve().parents[1]
@@ -46,6 +45,10 @@ class TestManifest:
         assert (m.cache_window, m.top_k) == (512, 32)
         assert m.expert_layers == tuple(range(14))
         assert man.train.seq_length == 2048 and man.train.grad_accum == 30
+
+    @pytest.mark.parametrize("kind", ["dense", "mole", "molkv"])
+    def test_published_manifests_are_the_published_configs(self, kind):
+        assert parse_manifest(REPO / "manifests" / f"{kind}-published.json").model == published_config(kind)
 
     def test_defaults_filled_and_echoed(self):
         man = parse_manifest_dict(tiny_doc())
@@ -357,28 +360,20 @@ class TestPipeline:
     def test_decode_refuses_a_version_2_checkpoint(self, workspace, capsys):
         self.decode_refuses_version(workspace, capsys, 2)
 
-    def test_decode_prints_what_a_large_vocabulary_model_samples(self, workspace, monkeypatch, capsys):
-        # ids past the byte range print nothing; they are still sampled, fed back and costed
-        from molkv import cli
-
+    def test_decode_prints_what_a_large_vocabulary_model_samples(self, workspace, capsys):
+        # ids past the byte range print no text; the ids line names every sampled id
         tmp, manifest = workspace
         doc = json.loads(manifest.read_text())
         doc["model"]["vocab_size"] = 4000
         manifest.write_text(json.dumps(doc))
-        sampled = []
-
-        def recorded(*args, **kwargs):
-            ids, totals = generate(*args, **kwargs)
-            sampled.extend(ids)
-            return ids, totals
-
-        monkeypatch.setattr(cli, "generate", recorded)
         assert main(["train", "--manifest", str(manifest), "--steps", "0"]) == 0
         assert main(["export", "--manifest", str(manifest)]) == 0
         capsys.readouterr()
         assert main(["decode", "--manifest", str(manifest), "--steps", "24"]) == 0
         out = capsys.readouterr().out
-        assert len(sampled) == 24 and max(sampled) >= 256
+        (line,) = [line for line in out.splitlines() if line.startswith("generated ids:")]
+        sampled = [int(i) for i in line.removeprefix("generated ids:").split()]
+        assert len(sampled) == 24 and max(sampled) >= 256 and all(0 <= i < 4000 for i in sampled)
         text = bytes(i for i in sampled if i < 256).decode(errors="replace")
         assert f"generated: {text}\n" in out
 
@@ -402,7 +397,7 @@ class TestPipeline:
         capsys.readouterr()
         assert main(["decode", "--manifest", str(manifest), "--prompt", "a", "--store", str(tmp / "model.ckpt")]) == 2
         err = capsys.readouterr().err
-        assert "a molkv checkpoint, not an expert store" in err and "version" not in err
+        assert "a molkv checkpoint, not a molkv expert store" in err and "version" not in err
 
     def test_dense_decode_needs_no_store(self, tmp_path, capsys):
         manifest = dense_manifest(tmp_path)

@@ -3,7 +3,7 @@
 import os
 import threading
 import warnings
-from dataclasses import replace
+import struct
 
 import numpy as np
 import pytest
@@ -11,54 +11,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from molkv.autodiff import Tensor
-from molkv.config import ModelConfig, published_config
+from molkv.config import ConfigError, ModelConfig, published_config
 from molkv.kvexperts import molkv_expert_pairs
 from molkv.layers import lookup_distinct, swishglu_ffn_np
 from molkv.model import init_model, named_tensors
 from molkv.mole import mole_expert_terms
 from molkv.runtime import mole_step
 from molkv.store import (
-    DTYPE_CODES,
-    HEADER_SIZE,
-    KIND_CODES,
     NUMPY_DTYPES,
     ExpertStoreHeader,
     ExpertStoreReader,
     RecordLookupError,
-    StoreFormatError,
+    ReparamTables,
     count_params,
     reparameterize,
     write_store,
 )
-from molkv.training import TrainConfig, new_train_state, save_checkpoint
-
-U32 = 2**32 - 1
-VALID_HEADERS = st.builds(
-    ExpertStoreHeader,
-    dtype=st.sampled_from(sorted(DTYPE_CODES)),
-    num_expert_layers=st.integers(1, U32),
-    vocab_size=st.integers(1, 2**64 - 1),
-    num_experts=st.integers(1, U32),
-    hidden_size=st.integers(1, U32),
-    key_dim=st.one_of(st.just(0), st.integers(1, U32)),  # lookup and key-value stores alike
-)
-
-
-def _splice(raw: bytes, offset: int, patch: bytes) -> bytes:
-    return (raw[:offset] + patch + raw[offset + len(patch) :])[:HEADER_SIZE]
-
-
-# Arbitrary bytes almost never get past the magic, so valid headers with a
-# few bytes overwritten exercise the field checks behind it.
-RAW_HEADERS = st.one_of(
-    st.binary(min_size=HEADER_SIZE, max_size=HEADER_SIZE),
-    st.builds(
-        lambda h, offset, patch: _splice(h.encode(), offset, patch),
-        VALID_HEADERS,
-        st.integers(0, HEADER_SIZE - 1),
-        st.binary(min_size=1, max_size=8),
-    ),
-)
+from molkv.training import (STORE_MAGIC, TrainConfig, load_checkpoint, load_parameters, new_train_state,
+                            save_checkpoint)
 
 
 def tiny_config(kind="molkv"):
@@ -88,83 +58,108 @@ def tiny_config(kind="molkv"):
     )
 
 
-class TestHeader:
-    def test_encode_decode_roundtrip(self):
-        h = ExpertStoreHeader(
-            dtype="fp16", num_expert_layers=14, vocab_size=50304, num_experts=2,
-            hidden_size=1024, key_dim=146,
-        )
-        raw = h.encode()
-        assert len(raw) == HEADER_SIZE
-        assert ExpertStoreHeader.decode(raw) == h
+def _store(tmp_path, kind="molkv", dtype="fp32", seed=0):
+    """A store of ``tiny_config(kind)`` at ``tmp_path / "s.mlkv"``; returns its path, header and bytes."""
+    path = tmp_path / "s.mlkv"
+    header = write_store(reparameterize(init_model(tiny_config(kind), seed=seed, dtype=np.float64, init_std=0.3)),
+                         path, dtype=dtype)
+    return path, header, path.read_bytes()
 
-    def test_bad_magic(self):
-        h = ExpertStoreHeader(
-            dtype="fp32", num_expert_layers=1, vocab_size=4, num_experts=1,
-            hidden_size=4, key_dim=0,
-        )
-        raw = bytearray(h.encode())
-        raw[:4] = b"XXXX"
-        with pytest.raises(StoreFormatError):
-            ExpertStoreHeader.decode(bytes(raw))
+
+# Random bytes almost always break the JSON; JSON's own characters also reach the checks behind it.
+JSON_PATCHES = st.text(alphabet='0123456789-+.eE"[]{},: truefalsnx', min_size=1, max_size=8).map(str.encode)
+
+
+def _tables(vocab, n, d, dk, layers, seed=0):
+    rng = np.random.default_rng(seed)
+    return ReparamTables(keys=[rng.standard_normal((vocab, n, dk)) for _ in range(layers)],
+                         values=[rng.standard_normal((vocab, n, d)) for _ in range(layers)])
+
+
+class TestHeader:
+    def test_bad_magic(self, tmp_path):
+        path, _, data = _store(tmp_path)
+        path.write_bytes(b"XXXXXXXX" + data[8:])
+        with pytest.raises(ConfigError, match="not a molkv expert store: bad magic"):
+            ExpertStoreReader(path)
 
     def test_checkpoint_is_not_a_store(self, tmp_path):
-        # the store magic "MLKV" opens the checkpoint magic "MLKVCKPT", which read "CKPT" as the format version
         model = ModelConfig(kind="molkv", num_layers=1, hidden_size=8, ffn_size=8, vocab_size=257, num_heads=2,
                             num_experts=2, expert_layers=(0,), key_dim=4, cache_window=4, top_k=2)
         save_checkpoint(tmp_path / "m.ckpt", new_train_state(model, TrainConfig()), TrainConfig())
-        with pytest.raises(StoreFormatError, match="a molkv checkpoint, not an expert store"):
+        with pytest.raises(ConfigError, match="a molkv checkpoint, not a molkv expert store"):
             ExpertStoreReader(tmp_path / "m.ckpt")
 
-    def test_bad_version(self):
-        h = ExpertStoreHeader(
-            dtype="fp32", num_expert_layers=1, vocab_size=4, num_experts=1,
-            hidden_size=4, key_dim=0,
-        )
-        raw = bytearray(h.encode())
-        raw[4] = 99
-        with pytest.raises(StoreFormatError):
-            ExpertStoreHeader.decode(bytes(raw))
+    @pytest.mark.parametrize("load", [load_parameters, load_checkpoint])
+    def test_store_is_not_a_checkpoint(self, tmp_path, load):
+        path, _, _ = _store(tmp_path)
+        with pytest.raises(ConfigError, match="a molkv expert store, not a molkv checkpoint"):
+            load(path, tiny_config("molkv"), TrainConfig())
+
+    def test_bad_version(self, tmp_path):
+        path, _, data = _store(tmp_path)
+        path.write_bytes(data[:8] + struct.pack("<I", 99) + data[12:])
+        with pytest.raises(ConfigError, match="^unsupported expert store version 99$"):
+            ExpertStoreReader(path)
+
+    def test_refuses_a_version_1_store(self, tmp_path):
+        # version 1 was a fixed 64-byte header under the magic "MLKV", then the records as today
+        path, header, data = _store(tmp_path, "mole")
+        v1 = struct.pack("<4s5IQ3I20x", b"MLKV", 1, 1, 0, 1, 2, 17, 3, 12, 0) + data[header.layer_offsets[0]:]
+        path.write_bytes(v1)
+        with pytest.raises(ConfigError, match="not a molkv expert store: bad magic b'MLKV"):
+            ExpertStoreReader(path)
+        path.write_bytes(STORE_MAGIC + struct.pack("<I", 1) + data[12:])  # today's layout, numbered 1
+        with pytest.raises(ConfigError, match="^unsupported expert store version 1$"):
+            ExpertStoreReader(path)
 
     def test_record_arithmetic_published_geometry(self):
-        h = ExpertStoreHeader(
-            dtype="fp32", num_expert_layers=14, vocab_size=50304, num_experts=2,
-            hidden_size=1024, key_dim=146,
-        )
+        h = ExpertStoreHeader(dtype="fp32", vocab_size=50304, num_experts=2, hidden_size=1024, key_dim=146,
+                              layer_offsets=(200,) * 14)
         assert h.record_values == 2 * (1024 + 146) == 2340
         assert h.record_bytes == 2 * (1024 + 146) * 4 == 9360
-
-    @settings(derandomize=True, max_examples=300, deadline=None)
-    @given(RAW_HEADERS)
-    def test_decode_accepts_or_raises_format_error(self, raw):
-        try:
-            h = ExpertStoreHeader.decode(raw)
-        except StoreFormatError:
-            return
-        assert ExpertStoreHeader.decode(h.encode()) == h
+        assert h.num_expert_layers == 14 and h.record_offset(13, 50303) == 200 + 50303 * 9360
 
     @settings(derandomize=True, max_examples=200, deadline=None)
-    @given(VALID_HEADERS)
-    def test_every_valid_header_roundtrips(self, h):
-        raw = h.encode()
-        assert len(raw) == HEADER_SIZE
-        assert ExpertStoreHeader.decode(raw) == h
+    @given(st.tuples(st.integers(1, 5), st.integers(1, 3), st.integers(1, 4), st.integers(0, 3), st.integers(1, 3)),
+           st.sampled_from(sorted(NUMPY_DTYPES)))
+    def test_every_valid_header_roundtrips(self, tmp_path_factory, extents, dtype):
+        # the header write_store returns is the one the reader finds, offsets included
+        path = tmp_path_factory.mktemp("store") / "s.mlkv"
+        written = write_store(_tables(*extents), path, dtype=dtype)
+        vocab, n, d, dk, layers = extents
+        assert (written.vocab_size, written.num_experts, written.hidden_size, written.key_dim,
+                written.num_expert_layers) == extents
+        with ExpertStoreReader(path) as reader:
+            assert reader.header == written
+        assert path.stat().st_size == written.record_offset(layers - 1, vocab - 1) + written.record_bytes
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.data())
+    def test_corrupt_header_is_refused_or_fits(self, tmp_path_factory, data):
+        # a few bytes overwritten anywhere in the preamble or the JSON header: refused, or every record in the file
+        tmp = tmp_path_factory.mktemp("store")
+        path, header, raw = _store(tmp, data.draw(st.sampled_from(["mole", "molkv"])))
+        offset = data.draw(st.integers(0, header.layer_offsets[0] - 1))
+        patch = data.draw(st.one_of(st.binary(min_size=1, max_size=8), JSON_PATCHES))
+        path.write_bytes(raw[:offset] + patch + raw[offset + len(patch):])
+        try:
+            reader = ExpertStoreReader(path)
+        except ConfigError:
+            return
+        with reader:
+            h = reader.header
+            size = path.stat().st_size
+            for layer in range(h.num_expert_layers):
+                assert h.layer_offsets[0] <= h.record_offset(layer, 0)
+                assert h.record_offset(layer, h.vocab_size - 1) + h.record_bytes <= size
+                assert reader.read_record(layer, h.vocab_size - 1).nbytes == h.record_bytes
 
     @pytest.mark.parametrize("key_dim", [0, 2])
     def test_kind_follows_key_dim(self, key_dim):
-        h = ExpertStoreHeader(dtype="fp32", num_expert_layers=1, vocab_size=4, num_experts=1, hidden_size=4,
-                              key_dim=key_dim)
+        h = ExpertStoreHeader(dtype="fp32", vocab_size=4, num_experts=1, hidden_size=4, key_dim=key_dim,
+                              layer_offsets=(20,))
         assert h.kind == ("molkv" if key_dim else "mole")
-        assert h.encode()[8:12] == KIND_CODES[h.kind].to_bytes(4, "little")
-
-    def test_mole_rejects_keys(self):
-        # a kind code that disagrees with d' is refused: lookup (kind 1) records carry no keys, key-value ones do
-        h = ExpertStoreHeader(dtype="fp32", num_expert_layers=1, vocab_size=4, num_experts=1, hidden_size=4, key_dim=2)
-        for code, key_dim in ((KIND_CODES["mole"], 2), (KIND_CODES["molkv"], 0), (3, 2)):
-            raw = bytearray(replace(h, key_dim=key_dim).encode())
-            raw[8:12] = code.to_bytes(4, "little")
-            with pytest.raises(StoreFormatError, match=f"kind code {code} does not match the key size d' = {key_dim}"):
-                ExpertStoreHeader.decode(bytes(raw))
 
 
 class TestReparameterize:
@@ -233,9 +228,9 @@ class TestFileRoundTrip:
     def test_lookup_payload_is_the_value_tables(self, tmp_path, dtype):
         # zero-width keys add no bytes: the records are the value tables, layer after layer
         tables = reparameterize(init_model(tiny_config("mole"), seed=5, dtype=np.float64, init_std=0.3))
-        write_store(tables, tmp_path / "s.mlkv", dtype=dtype)
+        header = write_store(tables, tmp_path / "s.mlkv", dtype=dtype)
         payload = b"".join(v.astype(NUMPY_DTYPES[dtype]).tobytes() for v in tables.values)
-        assert (tmp_path / "s.mlkv").read_bytes()[HEADER_SIZE:] == payload
+        assert (tmp_path / "s.mlkv").read_bytes()[header.layer_offsets[0]:] == payload
 
     def test_byte_counter_counts_single_records(self, tmp_path):
         model = init_model(tiny_config("mole"), seed=6, dtype=np.float64, init_std=0.3)
@@ -289,13 +284,19 @@ class TestFileRoundTrip:
         write_store(reparameterize(model), path, dtype="fp32")
         data = path.read_bytes()
         path.write_bytes(data[:-10])
-        with pytest.raises(StoreFormatError):
+        with pytest.raises(ConfigError):
+            ExpertStoreReader(path)
+
+    def test_trailing_byte_rejected(self, tmp_path):
+        path, _, data = _store(tmp_path)
+        path.write_bytes(data + b"\x00")
+        with pytest.raises(ConfigError, match="expert store with 1 trailing bytes"):
             ExpertStoreReader(path)
 
     def test_garbage_file_rejected(self, tmp_path):
         path = tmp_path / "junk.mlkv"
         path.write_bytes(b"not a store" + b"\x00" * 100)
-        with pytest.raises(StoreFormatError):
+        with pytest.raises(ConfigError):
             ExpertStoreReader(path)
 
     def test_fp16_store_still_close_to_train(self, tmp_path):
@@ -326,7 +327,7 @@ class TestFileRoundTrip:
         def refused_fp16_export():
             with warnings.catch_warnings():
                 warnings.simplefilter("error")  # the error replaces numpy's cast warning
-                with pytest.raises(StoreFormatError, match=r"layer 0 .*max \|value\| .*fp16 max 6\.55e\+04"):
+                with pytest.raises(ConfigError, match=r"layer 0 .*max \|value\| .*fp16 max 6\.55e\+04"):
                     write_store(tables, path, dtype="fp16")
 
         refused_fp16_export()

@@ -98,9 +98,23 @@ def test_causal_attention_vjp_frees_each_block_before_the_next():
     (node,) = tape.nodes
     rise, outputs = _vjp_peak(node, np.ones(out.shape))
     block = b * h * ATTENTION_BLOCK * s * 8  # the last block's fp64 weights, the largest
-    gq = q.data.nbytes  # the gradient of q is concatenated from its blocks' parts at the end
     assert outputs == 3 * q.data.nbytes  # gq, and k's and v's accumulators
-    assert rise <= 3 * block + block / 8 + outputs + gq  # weights, their gradient and one product, the masks
+    assert rise <= 3 * block + block / 8 + outputs  # weights, their gradient and one product, the masks
+
+
+def test_attention_vjp_fills_q_block_by_block():
+    # q's gradient outweighs the weights: the VJP holds at most one block's part of it beside the whole
+    rng = np.random.default_rng(42)
+    s, t, e = 4 * ATTENTION_BLOCK, 4, 256  # four blocks of 64 queries over the same 4 keys
+    q, k, v = (parameter(rng.standard_normal(shape)) for shape in ((s, e), (t, e), (t, 4)))
+    bias = parameter(rng.standard_normal((s, 2)))
+    with Tape() as tape:
+        out = attention(q, k, v, np.ones((s, t), dtype=bool), 0.5, bias=bias)
+    (node,) = tape.nodes
+    rise, outputs = _vjp_peak(node, np.ones(out.shape))
+    assert outputs == q.data.nbytes + k.data.nbytes + v.data.nbytes + bias.data.nbytes
+    q_rows = ATTENTION_BLOCK * e * 8  # one block's part of q's gradient; the whole was 4 * q_rows more
+    assert rise <= outputs + 1.5 * q_rows  # and the block's weights, their gradient and k^T's part, all smaller
 
 
 def _blocks(mask, group):

@@ -369,6 +369,15 @@ class TestCheckpoint:
         with pytest.raises(ConfigError, match="truncated checkpoint"):
             load_checkpoint(p, TINY, cfg)
 
+    def test_trailing_byte_rejected(self, tmp_path):
+        cfg = tiny_train()
+        p = tmp_path / "t.ckpt"
+        save_checkpoint(p, new_train_state(TINY, cfg), cfg)
+        p.write_bytes(p.read_bytes() + b"\x00")
+        for load in (load_parameters, load_checkpoint):
+            with pytest.raises(ConfigError, match="checkpoint with 1 trailing bytes"):
+                load(p, TINY, cfg)
+
     @pytest.mark.parametrize("key", ["step", "adam_t", "rng_state", "entries", "model_config"])
     def test_header_missing_key_rejected(self, tmp_path, key):
         cfg = tiny_train()
@@ -381,6 +390,20 @@ class TestCheckpoint:
         blob = json.dumps(header).encode()
         p.write_bytes(data[:12] + struct.pack("<Q", len(blob)) + blob + data[20 + blob_len :])
         with pytest.raises(ConfigError, match=f"corrupt checkpoint header: KeyError: '{key}'"):
+            load_checkpoint(p, TINY, cfg)
+
+    @pytest.mark.parametrize("name", [["param/embed"], {"param": "embed"}, 7])
+    def test_entry_name_not_a_string_rejected(self, tmp_path, name):
+        cfg = tiny_train()
+        p = tmp_path / "n.ckpt"
+        save_checkpoint(p, new_train_state(TINY, cfg), cfg)
+        data = p.read_bytes()
+        (blob_len,) = struct.unpack_from("<Q", data, 12)
+        header = json.loads(data[20 : 20 + blob_len])
+        header["entries"][0]["name"] = name
+        blob = json.dumps(header).encode()
+        p.write_bytes(data[:12] + struct.pack("<Q", len(blob)) + blob + data[20 + blob_len :])
+        with pytest.raises(ConfigError, match="corrupt checkpoint header: entry"):
             load_checkpoint(p, TINY, cfg)
 
     def test_corrupt_header_bytes_rejected(self, tmp_path):
