@@ -122,34 +122,14 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}, requires_grad={self.requires_grad})"
 
-    # Operator sugar; everything routes through the module-level ops so the
-    # tape sees a single implementation of each rule.
+    # The two operators the model writes, each routed through its module-level op so the tape sees one
+    # rule: tensor + tensor for the residuals and expert terms, tensor * float for the loss scaled by
+    # 1 / grad_accum. Any other operand is a TypeError; every other op is called by name.
     def __add__(self, other):
-        return add(self, _as_tensor(other, self.dtype))
-
-    def __radd__(self, other):
-        return add(_as_tensor(other, self.dtype), self)
-
-    def __sub__(self, other):
-        return add(self, scale(_as_tensor(other, self.dtype), -1.0))
+        return add(self, other) if isinstance(other, Tensor) else NotImplemented
 
     def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-
-def _as_tensor(x, dtype) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=dtype))
+        return scale(self, other) if isinstance(other, float) else NotImplemented
 
 
 def parameter(data, dtype=None) -> Tensor:

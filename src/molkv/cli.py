@@ -2,7 +2,7 @@
 
 One entry point drives every model kind; which kind runs is decided by the
 manifest, never by a separate tool. Exit codes: 0 success, 2 configuration
-error, 3 verification failure.
+error (a model too large for memory among them), 3 verification failure.
 """
 
 from __future__ import annotations
@@ -113,12 +113,10 @@ def cmd_decode(args) -> int:
     _check_vocab(prompt, man.model.vocab_size, "prompt")
     model = load_parameters(ckpt_path, man.model, man.train)
 
-    rng = np.random.default_rng(args.seed if args.seed is not None else 0)
+    rng = np.random.default_rng(args.seed)
     with ExpertStoreReader(store_path) if store_path else contextlib.nullcontext() as reader:
         decoder = DecoderState(model, reader)
-        out_ids, totals = generate(
-            decoder, prompt, args.steps, sampler=args.sampler, temperature=args.temperature, rng=rng
-        )
+        out_ids, totals = generate(decoder, prompt, args.steps, args.temperature, rng)
     text = tok.detokenize(np.asarray(out_ids, dtype=np.int64))
     print("generated:", text.decode(errors="replace"))
     print("generated ids:", *out_ids)  # the text holds only the byte ids, below 256
@@ -213,9 +211,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--store", default=None)
     p.add_argument("--prompt", default="The ")
     p.add_argument("--steps", type=nonnegative_int, default=32, help="tokens to generate")
-    p.add_argument("--seed", type=nonnegative_int, default=None)
-    p.add_argument("--sampler", choices=("greedy", "temperature"), default="greedy")
-    p.add_argument("--temperature", type=_checked(float, lambda t: 0 < t < math.inf, "finite and > 0"), default=1.0)
+    p.add_argument("--seed", type=nonnegative_int, default=0)
+    temperature_help = "0, the default, decodes greedily; above 0 draws from softmax(logits / T), seeded by --seed"
+    p.add_argument("--temperature", type=_checked(float, lambda t: 0 <= t < math.inf, "finite and >= 0"),
+                   default=0.0, metavar="T", help=temperature_help)
     p.add_argument("--out", default=None, help="cost report path (JSON lines)")
     p.set_defaults(fn=cmd_decode)
 
@@ -234,7 +233,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, OSError, TrainingError) as e:
+    except (ConfigError, OSError, TrainingError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
 

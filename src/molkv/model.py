@@ -47,9 +47,6 @@ class ModelParams:
         """``named_tensors`` of the whole model: the checkpoint and optimizer order."""
         return list(named_tensors(self))
 
-    def parameters(self):
-        return [t for _, t in self.named_parameters()]
-
 
 def named_tensors(node, prefix: str = ""):
     """Yield (dotted name, Tensor) for every Tensor under ``node``, in dataclass field order.

@@ -235,30 +235,22 @@ def closed_form_costs(config: ModelConfig) -> dict[str, CostCounters]:
 # ---------------------------------------------------------------------------
 
 
-def sample_token(logits: np.ndarray, sampler: str = "greedy", temperature: float = 1.0, rng=None) -> int:
-    if sampler == "greedy":
+def sample_token(logits: np.ndarray, temperature: float = 0.0, rng=None) -> int:
+    """The argmax (the lowest index among ties) at temperature 0, else a draw from softmax(logits / temperature)."""
+    if not 0 <= temperature < math.inf:
+        raise ValueError(f"temperature must be finite and >= 0, got {temperature}")
+    if temperature == 0:
         return int(np.argmax(logits))
-    if sampler == "temperature":
-        if rng is None:
-            raise ValueError("temperature sampling needs an rng")
-        if not 0 < temperature < math.inf:
-            raise ValueError(f"temperature must be finite and > 0, got {temperature}")
-        # The largest logit maps to 0, every other to <= 0 or -inf; in fp64, as fp32 rounds a temperature < 1e-45 to 0.
-        with np.errstate(over="ignore"):
-            p = softmax_np((logits - logits.max()) / np.float64(temperature))
-        return int(rng.choice(len(p), p=p))
-    raise ValueError(f"unknown sampler {sampler!r}")
+    if rng is None:
+        raise ValueError("sampling at a temperature above 0 needs an rng")
+    # The largest logit maps to 0, every other to <= 0 or -inf; in fp64, as fp32 rounds a temperature < 1e-45 to 0.
+    with np.errstate(over="ignore"):
+        p = softmax_np((logits - logits.max()) / np.float64(temperature))
+    return int(rng.choice(len(p), p=p))
 
 
-def generate(
-    state: DecoderState,
-    prompt_ids,
-    steps: int,
-    sampler: str = "greedy",
-    temperature: float = 1.0,
-    rng=None,
-):
-    """Consume the prompt, then sample ``steps`` tokens.
+def generate(state: DecoderState, prompt_ids, steps: int, temperature: float = 0.0, rng=None):
+    """Consume the prompt, then sample ``steps`` tokens with ``sample_token``.
 
     Returns (generated ids, aggregate CostCounters over prompt + steps).
     """
@@ -274,7 +266,7 @@ def generate(
         total.merge(delta)
     out = []
     for _ in range(steps):
-        tok = sample_token(logits, sampler, temperature, rng)
+        tok = sample_token(logits, temperature, rng)
         out.append(tok)
         logits, delta = decode_step(state, tok)
         total.merge(delta)

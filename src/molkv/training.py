@@ -201,8 +201,9 @@ class AdamW:
         self.cfg = cfg
         self.named = params.named_parameters()
         self.t = 0
-        self.m = {name: np.zeros_like(p.data) for name, p in self.named}
-        self.v = {name: np.zeros_like(p.data) for name, p in self.named}
+        # np.zeros leaves the pages unwritten, off the resident set until a step writes them; zeros_like writes them all
+        self.m = {name: np.zeros(p.shape, p.dtype) for name, p in self.named}
+        self.v = {name: np.zeros(p.shape, p.dtype) for name, p in self.named}
 
     def step(self, lr: float) -> float:
         """Clip gradients globally, apply one update in place; returns the grad norm."""

@@ -117,6 +117,23 @@ class TestMatmul:
             np.testing.assert_array_equal(grads[b], gb)
 
 
+class TestOperators:
+    def test_the_two_operators_are_add_and_scale(self):
+        a, b = parameter([1.0, 2.0]), parameter([3.0, -4.0])
+        with Tape() as tape:
+            out = tensor_sum((a + b) * 0.5)
+        backward(tape, out)
+        assert out.item() == 1.0 and a.grad.tolist() == b.grad.tolist() == [0.5, 0.5]
+
+    @pytest.mark.parametrize("expr", [
+        lambda t: t + 1.0, lambda t: 1.0 + t, lambda t: t - t, lambda t: -t, lambda t: t @ t,
+        lambda t: t * t, lambda t: 2.0 * t, lambda t: t * 2,
+    ], ids=["add-float", "radd", "sub", "neg", "matmul", "mul-tensor", "rmul", "mul-int"])
+    def test_other_operators_are_type_errors(self, expr):
+        with pytest.raises(TypeError):
+            expr(Tensor(np.ones((2, 2))))
+
+
 class TestElementwise:
     def test_sigmoid_at_zero(self):
         assert sigmoid(Tensor([0.0])).data[0] == 0.5

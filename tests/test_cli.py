@@ -4,9 +4,12 @@ import json
 import math
 import os
 import struct
+import subprocess
+import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +17,9 @@ from hypothesis import strategies as st
 from molkv.cli import main
 from molkv.config import ConfigError, ModelConfig, published_config
 from molkv.manifest import parse_manifest, parse_manifest_dict
-from molkv.training import TrainConfig, lr_at, synthesize_corpus
+from molkv.runtime import DecoderState, generate
+from molkv.store import ExpertStoreReader
+from molkv.training import TrainConfig, load_parameters, lr_at, synthesize_corpus
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -242,6 +247,12 @@ def workspace(tmp_path):
     return tmp_path, manifest_path
 
 
+def printed_ids(out: str) -> list[int]:
+    """The ids on decode's ``generated ids:`` line."""
+    (line,) = [line for line in out.splitlines() if line.startswith("generated ids:")]
+    return [int(i) for i in line.removeprefix("generated ids:").split()]
+
+
 def dense_manifest(tmp_path) -> Path:
     """A one-layer dense manifest, its corpus and checkpoint in tmp_path."""
     doc = {
@@ -255,6 +266,23 @@ def dense_manifest(tmp_path) -> Path:
     manifest = tmp_path / "dense.json"
     manifest.write_text(json.dumps(doc))
     return manifest
+
+
+def test_model_too_large_for_memory_exit_code(tmp_path):
+    pytest.importorskip("resource")
+    manifest = dense_manifest(tmp_path)
+    doc = json.loads(manifest.read_text())
+    doc["model"]["vocab_size"] = 10**9  # a (10^9, 16) fp64 embedding: 119 GiB
+    manifest.write_text(json.dumps(doc))
+    # the allocation runs in a child whose address space is capped at 2 GiB, never in this process
+    child = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+             "from molkv.cli import main; sys.exit(main(sys.argv[1:]))")
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src"), "OPENBLAS_NUM_THREADS": "1"}
+    run = subprocess.run([sys.executable, "-c", child, "train", "--manifest", str(manifest)],
+                         env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 2, run.stderr
+    assert run.stderr.startswith("error: Unable to allocate ") and "(1000000000, 16)" in run.stderr
+    assert not (tmp_path / "d.ckpt").exists()
 
 
 class TestPipeline:
@@ -371,8 +399,7 @@ class TestPipeline:
         capsys.readouterr()
         assert main(["decode", "--manifest", str(manifest), "--steps", "24"]) == 0
         out = capsys.readouterr().out
-        (line,) = [line for line in out.splitlines() if line.startswith("generated ids:")]
-        sampled = [int(i) for i in line.removeprefix("generated ids:").split()]
+        sampled = printed_ids(out)
         assert len(sampled) == 24 and max(sampled) >= 256 and all(0 <= i < 4000 for i in sampled)
         text = bytes(i for i in sampled if i < 256).decode(errors="replace")
         assert f"generated: {text}\n" in out
@@ -529,21 +556,40 @@ class TestPipeline:
         assert main(["train", "--manifest", str(manifest), "--steps", "1"]) == 0
         assert main(["export", "--manifest", str(manifest)]) == 0
         for temperature in ("1e-39", "1e-300"):
-            argv = ["decode", "--manifest", str(manifest), "--sampler", "temperature", "--temperature", temperature]
-            assert main(argv) == 0
+            assert main(["decode", "--manifest", str(manifest), "--temperature", temperature]) == 0
+
+    def test_temperature_alone_samples(self, workspace, capsys):
+        # a temperature above 0 draws from the seeded rng; 0, the default, is the argmax
+        tmp, manifest = workspace
+        assert main(["train", "--manifest", str(manifest), "--steps", "1"]) == 0
+        assert main(["export", "--manifest", str(manifest)]) == 0
+        man = parse_manifest(manifest)
+        model = load_parameters(man.paths["checkpoint"], man.model, man.train)
+        prompt = list(b"The ")  # decode's default prompt
+        with ExpertStoreReader(man.paths["store"]) as reader:
+            greedy, _ = generate(DecoderState(model, reader), prompt, 8)
+            sampled, _ = generate(DecoderState(model, reader), prompt, 8, 0.7, np.random.default_rng(5))
+
+        def decoded(*flags):
+            capsys.readouterr()
+            assert main(["decode", "--manifest", str(manifest), "--steps", "8", *flags]) == 0
+            return printed_ids(capsys.readouterr().out)
+
+        assert decoded("--temperature", "0.7", "--seed", "5") == sampled != greedy
+        assert decoded() == decoded("--temperature", "0") == decoded("--seed", "5") == greedy
 
     @pytest.mark.parametrize(
         "argv, flag",
         [
             (["decode", "--steps", "-1"], "--steps"),
-            (["decode", "--sampler", "temperature", "--temperature", "nan"], "--temperature"),
-            (["decode", "--sampler", "temperature", "--temperature", "-1"], "--temperature"),
-            (["decode", "--sampler", "temperature", "--temperature", "0"], "--temperature"),
+            (["decode", "--temperature", "nan"], "--temperature"),
+            (["decode", "--temperature", "-1"], "--temperature"),
+            (["decode", "--temperature", "inf"], "--temperature"),
             (["train", "--steps", "-1"], "--steps"),
             (["train", "--seed", "-5"], "--seed"),
             (["decode", "--seed", "-1"], "--seed"),
         ],
-        ids=["decode-steps", "temperature-nan", "temperature-negative", "temperature-zero", "train-steps",
+        ids=["decode-steps", "temperature-nan", "temperature-negative", "temperature-inf", "train-steps",
              "train-seed", "decode-seed"],
     )
     def test_bad_flag_value_exit_code(self, workspace, capsys, argv, flag):

@@ -261,12 +261,12 @@ class TestWholeModelGradCheck:
     @pytest.mark.parametrize("kind", ["dense", "mole", "gated-mole", "molkv"])
     def test_one_id_batch_passes(self, kind):
         model = init_model(cfg_of(kind), seed=5, dtype=np.float64, init_std=0.3)
-        ids = np.full((2, 9), 7)
-        assert grad_check(lambda: next_token_loss(model, ids), model.parameters(), samples_per_leaf=8) < 1e-4
+        ids, params = np.full((2, 9), 7), [p for _, p in model.named_parameters()]
+        assert grad_check(lambda: next_token_loss(model, ids), params, samples_per_leaf=8) < 1e-4
 
     @pytest.mark.parametrize("factor", [1.01, -1.0])
     def test_wrong_vjp_still_fails(self, factor, monkeypatch):
         model = init_model(cfg_of("molkv"), seed=5, dtype=np.float64, init_std=0.3)
-        ids = np.full((2, 9), 7)
+        ids, params = np.full((2, 9), 7), [p for _, p in model.named_parameters()]
         monkeypatch.setattr(model_module, "rmsnorm", scaled_vjp(model_module.rmsnorm, factor))
-        assert grad_check(lambda: next_token_loss(model, ids), model.parameters(), samples_per_leaf=8) > 1e-3
+        assert grad_check(lambda: next_token_loss(model, ids), params, samples_per_leaf=8) > 1e-3

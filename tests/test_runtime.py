@@ -155,7 +155,7 @@ def test_model_computes_in_its_parameter_dtype(tmp_path, kind, dtype):
         loss = next_token_loss(model, ids)
     assert loss.dtype == dtype
     backward(tape, loss)
-    assert [p.grad.dtype for p in model.parameters()] == [np.dtype(dtype)] * len(model.parameters())
+    assert {p.grad.dtype for _, p in model.named_parameters()} == {np.dtype(dtype)}
 
     def decode(tables, store_dtype):
         reader = None
@@ -371,12 +371,12 @@ class TestGenerate:
     def test_temperature_needs_rng(self, molkv_setup):
         cfg, model, reader = molkv_setup
         with pytest.raises(ValueError):
-            generate(DecoderState(model, reader), [0], steps=1, sampler="temperature")
+            generate(DecoderState(model, reader), [0], steps=1, temperature=1.0)
 
-    @pytest.mark.parametrize("temperature", [0.0, -1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("temperature", [-1.0, float("nan"), float("inf")])
     def test_sample_token_rejects_bad_temperature(self, temperature):
         with pytest.raises(ValueError, match="temperature"):
-            sample_token(np.array([1.0, 2.0]), "temperature", temperature, np.random.default_rng(0))
+            sample_token(np.array([1.0, 2.0]), temperature, np.random.default_rng(0))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("temperature", [1e-39, 1e-300])
@@ -386,20 +386,22 @@ class TestGenerate:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for seed in range(5):
-                assert sample_token(logits, "temperature", temperature, np.random.default_rng(seed)) == 2
+                assert sample_token(logits, temperature, np.random.default_rng(seed)) == 2
 
     def test_sample_token_greedy_tie_break(self):
         logits = np.array([1.0, 3.0, 3.0])
-        assert sample_token(logits, "greedy") == 1
+        assert sample_token(logits) == 1
+
+    def test_sample_token_at_temperature_zero_is_argmax(self):
+        # no rng is drawn from; ties go to the lowest index
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        for logits in (np.array([0.5, -1.0, 2.0, 2.0, 1.0]), np.array([3.0, 3.0, 3.0]), np.array([-7.0])):
+            assert sample_token(logits, 0.0, rng) == int(np.argmax(logits)) == list(logits).index(logits.max())
+        assert rng.bit_generator.state == before
 
     def test_temperature_sampling_reproducible(self, molkv_setup):
         cfg, model, reader = molkv_setup
-        out1, _ = generate(
-            DecoderState(model, reader), [3], steps=6, sampler="temperature", temperature=0.8,
-            rng=np.random.default_rng(42),
-        )
-        out2, _ = generate(
-            DecoderState(model, reader), [3], steps=6, sampler="temperature", temperature=0.8,
-            rng=np.random.default_rng(42),
-        )
+        out1, _ = generate(DecoderState(model, reader), [3], steps=6, temperature=0.8, rng=np.random.default_rng(42))
+        out2, _ = generate(DecoderState(model, reader), [3], steps=6, temperature=0.8, rng=np.random.default_rng(42))
         assert out1 == out2

@@ -15,11 +15,12 @@ from molkv import model as model_module
 from molkv import training
 from molkv.autodiff import Tape, backward
 from molkv.config import ConfigError, ModelConfig
-from molkv.model import next_token_loss, trunc_normal
+from molkv.model import next_token_loss, trunc_normal, zero_model
 from molkv.training import (
     ADAM_BETAS,
     ADAM_EPS,
     CHECKPOINT_VERSION,
+    AdamW,
     ByteTokenizer,
     Corpus,
     TokenLookupError,
@@ -198,6 +199,21 @@ class TestOptimizer:
         state.optimizer.step(lr=0.1)
         assert np.array_equal(state.model.final_norm.data, gains_before)
         assert not np.array_equal(state.model.embedding.data, emb_before)
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="reads resident pages from /proc/self/statm")
+    def test_moments_start_unwritten(self):
+        # the moments' zero pages become resident only when a step writes them; zeros_like wrote both at once
+        def resident_bytes():
+            with open("/proc/self/statm") as f:
+                return int(f.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+        model = zero_model(ModelConfig(kind="dense", num_layers=1, hidden_size=256, ffn_size=256, vocab_size=40_000))
+        param_bytes = sum(t.data.nbytes for _, t in model.named_parameters())
+        before = resident_bytes()
+        optimizer = AdamW(model, TrainConfig())
+        grown = resident_bytes() - before
+        assert len(optimizer.m) == len(optimizer.v) == len(model.named_parameters())
+        assert grown < 0.1 * param_bytes, (grown, param_bytes)
 
 
 def _old_adamw_step(named, m, v, t, cfg, lr):
